@@ -4,14 +4,13 @@
 //! Groups:
 //!
 //! * `reach_kernel/mode_damage` — one fault mode end to end (4 reachability
-//!   maps + damage sweep): bitset kernel vs boolean reference;
+//!   maps + damage sweep) in the `Vec<bool>` reference;
 //! * `reach_kernel/graph_analysis` — the full single-threaded damage-vector
-//!   sweep: `bitset` is the production path (now the mode-major batch
-//!   kernel, 64 lane-packed modes per traversal), `boolean` the scalar
-//!   `Vec<bool>` reference;
-//! * `reach_kernel/batch` — the batched full sweep on its own label (the
-//!   ≥4× acceptance criterion of the mode-major rewrite is `p93791` here
-//!   against the scalar bitset median recorded before the rewrite);
+//!   sweep: `bitset` is the production path (the mode-major batch kernel,
+//!   64 lane-packed modes per traversal), `boolean` the `Vec<bool>`
+//!   reference;
+//! * `reach_kernel/batch` — the batched full sweep per Table I design, with
+//!   the `Vec<bool>` reference on the `*_reference` labels;
 //! * `double_fault/exact` — the exact all-pairs double-fault sweep on the
 //!   mid-size Table I designs (lane-packed pair enumeration);
 //! * `reach_kernel/fault_set` — multi-fault evaluation: an explicit pair
@@ -19,7 +18,7 @@
 //!   sampled double-fault estimator.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use robust_rsn::graph_analysis::{reference, ReachKernel};
+use robust_rsn::graph_analysis::reference;
 use robust_rsn::{
     analyze_graph_with, double_fault_damage_with, fault_set_damage_with,
     sampled_double_fault_damage_with, AnalysisOptions, CriticalitySpec, PaperSpecParams,
@@ -37,19 +36,11 @@ fn largest_network() -> (ScanNetwork, CriticalitySpec) {
 
 fn mode_damage(c: &mut Criterion) {
     let (net, weights) = largest_network();
-    let kernel = ReachKernel::new(&net, &weights);
-    let mut scratch = kernel.scratch();
     let broken = net.segments().nth(net.segments().count() / 2).expect("a segment");
     let frozen_mux = net.muxes().next().expect("a mux");
     let mut group = c.benchmark_group("reach_kernel/mode_damage");
-    group.bench_function("bitset/broken", |b| {
-        b.iter(|| kernel.mode_damage(&mut scratch, &[broken], &[]))
-    });
     group.bench_function("boolean/broken", |b| {
         b.iter(|| reference::mode_damage(&net, &weights, &[broken], &[]))
-    });
-    group.bench_function("bitset/frozen", |b| {
-        b.iter(|| kernel.mode_damage(&mut scratch, &[], &[(frozen_mux, 0)]))
     });
     group.bench_function("boolean/frozen", |b| {
         b.iter(|| reference::mode_damage(&net, &weights, &[], &[(frozen_mux, 0)]))
@@ -82,7 +73,7 @@ fn batch_sweep(c: &mut Criterion) {
         group.bench_function(name, |b| {
             b.iter(|| analyze_graph_with(&net, &weights, &options, Parallelism::sequential()))
         });
-        group.bench_function(format!("{name}_scalar"), |b| {
+        group.bench_function(format!("{name}_reference"), |b| {
             b.iter(|| reference::analyze_graph_ref(&net, &weights, &options))
         });
     }

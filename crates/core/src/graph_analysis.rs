@@ -14,38 +14,42 @@
 //!   suffix contains no broken segment.
 //!
 //! In a DAG a prefix to *t* and a suffix from *t* are node-disjoint, so both
-//! conditions reduce to four reachability maps per fault — O(V + E) each,
-//! O(N·(V+E)) for the whole damage vector. That is quadratic in the worst
-//! case (the price of generality); the O(N) tree analysis remains the fast
-//! path for SP networks, and the two must agree exactly there
-//! (property-tested).
+//! conditions reduce to four reachability maps per fault mode. That is
+//! quadratic in the worst case (the price of generality); the O(N) tree
+//! analysis remains the paper's fast path for SP networks, and the two must
+//! agree exactly there (property-tested).
 //!
-//! # The bitset kernel
+//! # One engine, two oracles
 //!
-//! The inner loop is a cache-friendly bit-parallel kernel ([`ReachKernel`]):
-//! traversal walks the flattened [`Csr`] adjacency instead of per-node
-//! `Vec`s, the reachability maps are `u64`-word [`BitSet`]s held in a
-//! per-worker [`ScratchArena`] that is allocated once per shard (via
-//! [`par::map_slice_scratch`]) and reused across every fault mode, and the
-//! fault-free baseline reach plus the per-instrument
-//! `(segment, obs_weight, set_weight)` probes are precomputed once per
-//! analysis. Fault modes without frozen selects reuse the baseline maps and
-//! modes without broken segments share their clean/any maps, so most modes
-//! pay two sweeps instead of four. The kernel is bit-identical to the
-//! straightforward `Vec<bool>` implementation (kept in [`reference`] and
-//! differentially property-tested) for every thread count.
+//! Every graph-exact evaluation — full sweeps, mode-range shards, the
+//! incremental [`Workspace`](crate::Workspace), fault sets, sampled and
+//! exact double faults, and the analytical side of the validation campaign
+//! — runs on one engine: the mode-major lane kernel in [`batch`], which
+//! packs [`DefaultLane::LANES`](LaneWord::LANES) fault modes into one
+//! lane-word per node and relaxes them all in one forward/backward pass over
+//! the topologically ordered [`Csr`] held by [`ReachKernel`]. A single
+//! private block driver shards the lane blocks over [`par`] with one cancel
+//! checkpoint per block and splices results back in mode order, so every
+//! result is bit-identical at every thread count.
+//!
+//! The engine is checked against two oracles that share none of its code:
+//! the straightforward `Vec<bool>` BFS in [`reference`], and the exhaustive
+//! configuration enumeration in [`crate::accessibility`].
 
-use rsn_model::{ControlSource, Csr, NodeId, NodeKind, ScanNetwork};
+use std::ops::Range;
+
+use rsn_model::{ControlSource, Csr, Fault, FaultKind, NodeId, NodeKind, ScanNetwork};
 
 use crate::bitset::BitSet;
 use crate::cancel::{CancelToken, Cancelled};
 use crate::criticality::{AnalysisOptions, ModeAggregation, SibCellPolicy};
 use crate::par::{self, Parallelism, ShardPanic};
+use crate::shard::{ModeDamage, ModeTable};
 use crate::spec::CriticalitySpec;
 
 pub mod batch;
 
-use batch::{DefaultLane, LaneWord, ModeBlockKernel};
+use batch::{BlockScratch, DefaultLane, LaneWord};
 
 /// Hard bound on the frozen-select combinations a single fault-set
 /// evaluation may enumerate; beyond it [`fault_set_damage`] returns
@@ -53,8 +57,8 @@ use batch::{DefaultLane, LaneWord, ModeBlockKernel};
 /// effectively unbounded sweep.
 pub const MAX_FROZEN_COMBINATIONS: usize = 4096;
 
-/// Sentinel in the frozen-select scratch: the frozen port has no
-/// corresponding input edge, so no incoming edge of the mux is usable.
+/// Sentinel for a frozen port without a corresponding input edge: no
+/// incoming edge of the mux is usable.
 const NO_SELECTED_INPUT: u32 = u32::MAX;
 
 /// Errors of the graph-exact fault evaluation.
@@ -158,16 +162,17 @@ impl GraphCriticality {
     }
 }
 
-/// The per-analysis immutable state of the bitset reachability kernel:
-/// the [`Csr`] adjacency, the fault-free baseline reach in both directions,
-/// and the flattened instrument probes.
+/// The per-analysis immutable image of one `(network, spec)` pair that the
+/// lane engine ([`batch`]) traverses: the [`Csr`] adjacency in topological
+/// order with cumulative incoming-edge offsets, the mux input tables, the
+/// fault-free baseline reach in both directions, and the flattened
+/// instrument probes.
 ///
-/// Build once per `(network, spec)` with [`ReachKernel::new`], hand each
-/// worker a [`ScratchArena`] from [`ReachKernel::scratch`], and evaluate
-/// fault modes with [`ReachKernel::mode_damage`]. The kernel is
-/// self-contained — the network's adjacency, mux input tables, and control
-/// wiring are flattened at build, so it borrows nothing — and [`Sync`]; all
-/// per-mode mutation lives in the arena. (Weight edits go through
+/// Build once with [`ReachKernel::new`], hand each worker a
+/// [`BlockScratch`] from [`ReachKernel::block_scratch`], and evaluate lane
+/// blocks with [`ReachKernel::push_mode`] / [`ReachKernel::eval_damages`].
+/// The kernel borrows nothing from the network and is [`Sync`]; all per-mode
+/// mutation lives in the scratch. (Weight edits go through
 /// [`update_instrument_weights`](Self::update_instrument_weights), the
 /// workspace delta path.)
 #[derive(Debug)]
@@ -176,21 +181,21 @@ pub struct ReachKernel {
     node_count: usize,
     scan_in: u32,
     scan_out: u32,
+    /// Node indices in topological order (scan-in side first).
+    topo: Vec<u32>,
+    /// Cumulative incoming-edge offsets per node: the incoming edges of `v`
+    /// occupy `pred_off[v]..pred_off[v + 1]` in edge-indexed arrays, in the
+    /// CSR's predecessor (select-port) order.
+    pred_off: Vec<u32>,
     baseline_fwd: BitSet,
     baseline_bwd: BitSet,
-    /// Mux node ids in network id order (flattened from the network).
-    muxes: Vec<NodeId>,
     /// Whether node `v` is a multiplexer.
     is_mux: Vec<bool>,
     /// Input node index per `(mux, port)`: `mux_inputs[v][p]` is the node
     /// index feeding port `p` of mux `v`; empty for non-mux nodes.
     mux_inputs: Vec<Vec<u32>>,
-    /// For cell-controlled muxes, the controlling segment's node index
-    /// (`u32::MAX` for direct-controlled muxes and non-mux nodes).
-    mux_control_cell: Vec<u32>,
     /// Segments hosting at least one instrument that is reachable both ways
-    /// fault-free ("live"). The damage sweep walks this mask word-parallel
-    /// and only decodes words where some live segment went unreachable.
+    /// fault-free ("live"). The decode walks this mask word-parallel.
     live: BitSet,
     /// Summed observation weights of the live instruments per segment
     /// (multiple instruments on one segment share its reachability, so
@@ -211,50 +216,13 @@ pub struct ReachKernel {
     important_obs: BitSet,
     /// Live segments hosting a setting-important instrument.
     important_set: BitSet,
-    /// Optional per-`(mux, port)` frozen-only reach maps
-    /// ([`ReachKernel::with_port_reach_cache`]): `port_reach[port_offsets[m]
-    /// + p]` holds the `(forward, backward)` any-maps of the mode that
-    /// freezes only mux `m` to port `p`. Empty unless precomputed.
-    port_reach: Vec<(BitSet, BitSet)>,
-    /// Per-node offset into `port_reach` for muxes, `u32::MAX` elsewhere.
-    /// Empty unless the cache is built.
-    port_offsets: Vec<u32>,
-}
-
-/// Per-worker mutable scratch of the [`ReachKernel`]: the four reachability
-/// bitsets, the traversal stack, the broken-segment set, and the
-/// epoch-stamped frozen-select map. Allocated once per worker shard and
-/// reused across every fault mode the worker evaluates.
-#[derive(Clone, Debug)]
-pub struct ScratchArena {
-    fwd_any: BitSet,
-    fwd_clean: BitSet,
-    bwd_any: BitSet,
-    bwd_clean: BitSet,
-    stack: Vec<u32>,
-    broken: BitSet,
-    /// Word-parallel combination of the reach maps: bit `t` set iff
-    /// instrument segment `t` stays observable in the current mode.
-    obs_ok: BitSet,
-    /// Same for settability.
-    set_ok: BitSet,
-    /// `frozen_mark[v] == epoch` marks `v` as a frozen mux of the current
-    /// mode; epoch-stamping makes per-mode reset O(|frozen|), not O(V).
-    /// One byte per node keeps the whole table L1-resident during a sweep
-    /// (the traversal loads it once per visited edge).
-    frozen_mark: Vec<u8>,
-    /// For a frozen mux, the only usable predecessor ([`NO_SELECTED_INPUT`]
-    /// when the frozen port has no input edge). Only loaded on the rare
-    /// marked nodes.
-    frozen_pred: Vec<u32>,
-    epoch: u8,
 }
 
 impl ReachKernel {
-    /// Builds the kernel: flattens the adjacency and the mux input/control
-    /// tables, computes the fault-free baseline reach, and bakes the
-    /// instrument weights into flat probes. The network is only borrowed
-    /// during construction — the kernel owns everything it traverses.
+    /// Builds the kernel: flattens the adjacency and the mux input tables,
+    /// orders the nodes topologically, computes the fault-free baseline
+    /// reach, and bakes the instrument weights into flat probes. The network
+    /// is only borrowed during construction.
     ///
     /// # Panics
     ///
@@ -267,9 +235,8 @@ impl ReachKernel {
     }
 
     /// Checks that `node_count` nodes and `mux_input_ports` total mux input
-    /// ports fit the kernel's `u32` index space (node indices and the
-    /// frozen-reach cache offsets both use `u32`, with `u32::MAX` reserved
-    /// as a sentinel).
+    /// ports fit the kernel's `u32` index space (node indices and edge
+    /// offsets both use `u32`, with `u32::MAX` reserved as a sentinel).
     ///
     /// Exposed so callers can validate raw counts — e.g. generator
     /// parameters for networks too large to build in memory — without
@@ -284,9 +251,6 @@ impl ReachKernel {
         if node_count as u128 >= u128::from(LIMIT) {
             return Err(AnalysisError::NetworkTooLarge { count: node_count as u128, limit: LIMIT });
         }
-        // The frozen-reach cache stores one entry per (mux, port) pair and
-        // indexes it with u32 offsets; bound the total port count the same
-        // way so `try_with_port_reach_cache` can never overflow its offsets.
         if mux_input_ports >= u128::from(LIMIT) {
             return Err(AnalysisError::NetworkTooLarge { count: mux_input_ports, limit: LIMIT });
         }
@@ -300,6 +264,10 @@ impl ReachKernel {
     ///
     /// Returns [`AnalysisError::NetworkTooLarge`] when the node count or the
     /// total number of mux input ports exceeds the `u32` kernel index space.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph has a cycle (validated scan networks never do).
     pub fn try_new(net: &ScanNetwork, spec: &CriticalitySpec) -> Result<Self, AnalysisError> {
         let node_count = net.node_count();
         let ports: u128 =
@@ -308,22 +276,55 @@ impl ReachKernel {
         let csr = net.csr();
         let scan_in = net.scan_in().index() as u32;
         let scan_out = net.scan_out().index() as u32;
-        let mut stack = Vec::with_capacity(node_count);
+
+        // Kahn's algorithm: the lane passes relax in this order.
+        let mut pred_off = Vec::with_capacity(node_count + 1);
+        let mut edges = 0u32;
+        pred_off.push(0);
+        let mut indeg = Vec::with_capacity(node_count);
+        for v in 0..node_count as u32 {
+            let d = csr.predecessors(v).len() as u32;
+            edges += d;
+            pred_off.push(edges);
+            indeg.push(d);
+        }
+        let mut topo = Vec::with_capacity(node_count);
+        let mut ready: Vec<u32> =
+            (0..node_count as u32).filter(|&v| indeg[v as usize] == 0).collect();
+        while let Some(v) = ready.pop() {
+            topo.push(v);
+            for &w in csr.successors(v) {
+                indeg[w as usize] -= 1;
+                if indeg[w as usize] == 0 {
+                    ready.push(w);
+                }
+            }
+        }
+        assert!(topo.len() == node_count, "scan network graph must be acyclic");
+
+        // Fault-free reach: one relaxation each way in topological order.
         let mut baseline_fwd = BitSet::new(node_count);
-        bfs_unfiltered(&csr, scan_in, false, &mut baseline_fwd, &mut stack);
+        for &v in &topo {
+            if v == scan_in
+                || csr.predecessors(v).iter().any(|&u| baseline_fwd.contains(u as usize))
+            {
+                baseline_fwd.insert(v as usize);
+            }
+        }
         let mut baseline_bwd = BitSet::new(node_count);
-        bfs_unfiltered(&csr, scan_out, true, &mut baseline_bwd, &mut stack);
-        let muxes: Vec<NodeId> = net.muxes().collect();
+        for &v in topo.iter().rev() {
+            if v == scan_out || csr.successors(v).iter().any(|&w| baseline_bwd.contains(w as usize))
+            {
+                baseline_bwd.insert(v as usize);
+            }
+        }
+
         let mut is_mux = vec![false; node_count];
         let mut mux_inputs: Vec<Vec<u32>> = vec![Vec::new(); node_count];
-        let mut mux_control_cell = vec![u32::MAX; node_count];
-        for &m in &muxes {
-            let mux = net.node(m).kind.as_mux().expect("mux");
+        for m in net.muxes() {
+            let inputs = &net.node(m).kind.as_mux().expect("mux").inputs;
             is_mux[m.index()] = true;
-            mux_inputs[m.index()] = mux.inputs.iter().map(|u| u.index() as u32).collect();
-            if let ControlSource::Cell { segment, .. } = mux.control {
-                mux_control_cell[m.index()] = segment.index() as u32;
-            }
+            mux_inputs[m.index()] = inputs.iter().map(|u| u.index() as u32).collect();
         }
         let mut live = BitSet::new(node_count);
         let mut live_obs_w = vec![0u64; node_count];
@@ -363,12 +364,12 @@ impl ReachKernel {
             node_count,
             scan_in,
             scan_out,
+            topo,
+            pred_off,
             baseline_fwd,
             baseline_bwd,
-            muxes,
             is_mux,
             mux_inputs,
-            mux_control_cell,
             live,
             live_obs_w,
             live_set_w,
@@ -377,519 +378,29 @@ impl ReachKernel {
             dead_important,
             important_obs,
             important_set,
-            port_reach: Vec::new(),
-            port_offsets: Vec::new(),
         })
-    }
-
-    /// Precomputes the frozen-only reach maps of every `(mux, port)` pair,
-    /// so fault modes that freeze a single in-range port (every mux mode of
-    /// [`analyze_graph`], and every broken-control-cell mode of a
-    /// single-mux SIB cell) reuse two cached maps instead of running two
-    /// traversals.
-    ///
-    /// The full-analysis sweep visits each pair at least once anyway, so
-    /// the build never costs more traversals than it saves; skip it for
-    /// single fault-set evaluations where most pairs would go unused.
-    #[must_use]
-    pub fn with_port_reach_cache(self) -> Self {
-        match self.try_with_port_reach_cache(&CancelToken::none()) {
-            Ok(kernel) => kernel,
-            Err(Cancelled) => unreachable!("a none token never cancels"),
-        }
-    }
-
-    /// [`ReachKernel::with_port_reach_cache`] with a cooperative
-    /// cancellation checkpoint per multiplexer, so an expired deadline
-    /// interrupts even the cache build phase of a large sweep.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Cancelled`] when `cancel` fires; the kernel is consumed.
-    pub fn try_with_port_reach_cache(mut self, cancel: &CancelToken) -> Result<Self, Cancelled> {
-        let mut scratch = self.scratch();
-        let n = self.node_count;
-        let mut offsets = vec![NO_SELECTED_INPUT; n];
-        let mut cache = Vec::new();
-        let mut cp = cancel.checkpoint(32);
-        for &m in &self.muxes {
-            cp.tick()?;
-            let inputs = &self.mux_inputs[m.index()];
-            // In range by construction: `try_new` bounds the total mux input
-            // port count below u32::MAX, and the cache holds one entry per
-            // (mux, port) pair.
-            offsets[m.index()] = u32::try_from(cache.len()).expect("cache within u32");
-            for &input in inputs {
-                scratch.epoch = scratch.epoch.wrapping_add(1);
-                if scratch.epoch == 0 {
-                    scratch.frozen_mark.fill(0);
-                    scratch.epoch = 1;
-                }
-                scratch.frozen_mark[m.index()] = scratch.epoch;
-                scratch.frozen_pred[m.index()] = input;
-                let mut fwd = BitSet::new(n);
-                let mut bwd = BitSet::new(n);
-                bfs(
-                    &self.csr,
-                    self.scan_in,
-                    false,
-                    &scratch.frozen_mark,
-                    &scratch.frozen_pred,
-                    scratch.epoch,
-                    None,
-                    &mut fwd,
-                    &mut scratch.stack,
-                );
-                bfs(
-                    &self.csr,
-                    self.scan_out,
-                    true,
-                    &scratch.frozen_mark,
-                    &scratch.frozen_pred,
-                    scratch.epoch,
-                    None,
-                    &mut bwd,
-                    &mut scratch.stack,
-                );
-                cache.push((fwd, bwd));
-            }
-        }
-        self.port_reach = cache;
-        self.port_offsets = offsets;
-        Ok(self)
-    }
-
-    /// The flattened adjacency the kernel traverses.
-    #[must_use]
-    pub fn csr(&self) -> &Csr {
-        &self.csr
     }
 
     /// `true` when segment node `t` hosts an instrument and is reachable from
     /// scan-in and scan-out in the fault-free network (the precomputed `live`
-    /// set shared by the scalar and batch damage decoders).
+    /// set the decode walks).
     pub(crate) fn is_live_segment(&self, t: usize) -> bool {
         self.live.contains(t)
     }
 
-    /// Allocates a fresh per-worker scratch arena sized for this kernel.
-    #[must_use]
-    pub fn scratch(&self) -> ScratchArena {
-        let n = self.node_count;
-        ScratchArena {
-            fwd_any: BitSet::new(n),
-            fwd_clean: BitSet::new(n),
-            bwd_any: BitSet::new(n),
-            bwd_clean: BitSet::new(n),
-            stack: Vec::with_capacity(n),
-            broken: BitSet::new(n),
-            obs_ok: BitSet::new(n),
-            set_ok: BitSet::new(n),
-            frozen_mark: vec![0; n],
-            frozen_pred: vec![NO_SELECTED_INPUT; n],
-            epoch: 0,
-        }
-    }
-
-    /// Weighted damage of one fault mode: `broken` segments plus `frozen`
-    /// (mux, port) selects. Bit-identical to
-    /// [`reference::mode_damage`](reference::mode_damage).
-    ///
-    /// Modes without frozen selects reuse the precomputed baseline for the
-    /// `any` maps; modes without broken segments share the `clean` and `any`
-    /// maps — so single-fault modes run two sweeps, not four.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a `frozen` entry names a node that is not a multiplexer.
-    #[must_use]
-    pub fn mode_damage(
-        &self,
-        scratch: &mut ScratchArena,
-        broken: &[NodeId],
-        frozen: &[(NodeId, usize)],
-    ) -> u64 {
-        let ScratchArena {
-            fwd_any,
-            fwd_clean,
-            bwd_any,
-            bwd_clean,
-            stack,
-            broken: broken_set,
-            obs_ok,
-            set_ok,
-            frozen_mark,
-            frozen_pred,
-            epoch,
-        } = scratch;
-
-        // New frozen epoch; on wrap-around reset the marks so stale epochs
-        // can never collide.
-        *epoch = epoch.wrapping_add(1);
-        if *epoch == 0 {
-            frozen_mark.fill(0);
-            *epoch = 1;
-        }
-        let mut distinct = 0usize;
-        let mut first = (0usize, 0usize);
-        for &(m, p) in frozen {
-            let mi = m.index();
-            // First entry wins, matching the reference linear scan.
-            if frozen_mark[mi] != *epoch {
-                frozen_mark[mi] = *epoch;
-                if distinct == 0 {
-                    first = (mi, p);
-                }
-                distinct += 1;
-                assert!(self.is_mux[mi], "frozen node is a mux");
-                frozen_pred[mi] = self.mux_inputs[mi].get(p).copied().unwrap_or(NO_SELECTED_INPUT);
-            }
-        }
-        broken_set.clear();
-        for &b in broken {
-            broken_set.insert(b.index());
-        }
-
-        let has_frozen = !frozen.is_empty();
-        let has_broken = !broken.is_empty();
-        // A mode freezing exactly one mux to an in-range port hits the
-        // precomputed per-port maps (when built); the `frozen_pred` sentinel
-        // check doubles as the port-in-range test.
-        let cached: Option<&(BitSet, BitSet)> =
-            if distinct == 1 && frozen_pred[first.0] != NO_SELECTED_INPUT {
-                self.port_offsets
-                    .get(first.0)
-                    .filter(|&&off| off != NO_SELECTED_INPUT)
-                    .map(|&off| &self.port_reach[off as usize + first.1])
-            } else {
-                None
-            };
-        if has_frozen && cached.is_none() {
-            bfs(
-                &self.csr,
-                self.scan_in,
-                false,
-                frozen_mark,
-                frozen_pred,
-                *epoch,
-                None,
-                fwd_any,
-                stack,
-            );
-            bfs(
-                &self.csr,
-                self.scan_out,
-                true,
-                frozen_mark,
-                frozen_pred,
-                *epoch,
-                None,
-                bwd_any,
-                stack,
-            );
-        }
-        if has_broken {
-            let blocked = Some(&*broken_set);
-            bfs(
-                &self.csr,
-                self.scan_in,
-                false,
-                frozen_mark,
-                frozen_pred,
-                *epoch,
-                blocked,
-                fwd_clean,
-                stack,
-            );
-            bfs(
-                &self.csr,
-                self.scan_out,
-                true,
-                frozen_mark,
-                frozen_pred,
-                *epoch,
-                blocked,
-                bwd_clean,
-                stack,
-            );
-        }
-        // Frozen selects only remove edges, broken segments only remove
-        // more: without frozen the `any` maps are the baseline, without
-        // broken the `clean` maps equal the `any` maps.
-        let (fa, ba): (&BitSet, &BitSet) = match cached {
-            Some((f, b)) => (f, b),
-            None if has_frozen => (fwd_any, bwd_any),
-            None => (&self.baseline_fwd, &self.baseline_bwd),
-        };
-
-        // Damage accumulates with saturating adds: weights are caller
-        // controlled, and at fleet scale (1M instruments × large weights)
-        // an unchecked `+=` wraps silently. Saturation keeps the total a
-        // monotone ceiling (§ overflow note on
-        // `criticality::Criticality::total_damage`).
-        let mut damage = self.dead_obs.saturating_add(self.dead_set);
-        if has_broken {
-            let fc: &BitSet = fwd_clean;
-            let bc: &BitSet = bwd_clean;
-            // Fold the three conditions (reachable forward, reachable
-            // backward on the clean side, segment alive) into one mask per
-            // direction, word-parallel; then only decode the (rare) words
-            // where a live segment actually went unreachable.
-            obs_ok.set_and_and_not(fa, bc, broken_set);
-            set_ok.set_and_and_not(fc, ba, broken_set);
-            for (w, (&lw, (&ow, &sw))) in
-                self.live.words().iter().zip(obs_ok.words().iter().zip(set_ok.words())).enumerate()
-            {
-                let mut miss = lw & !ow;
-                while miss != 0 {
-                    damage = damage
-                        .saturating_add(self.live_obs_w[w * 64 + miss.trailing_zeros() as usize]);
-                    miss &= miss - 1;
-                }
-                let mut miss = lw & !sw;
-                while miss != 0 {
-                    damage = damage
-                        .saturating_add(self.live_set_w[w * 64 + miss.trailing_zeros() as usize]);
-                    miss &= miss - 1;
-                }
-            }
-        } else {
-            // No broken segment: clean == any, so observability and
-            // settability collapse to the same reachable-both-ways mask.
-            obs_ok.set_and(fa, ba);
-            for (w, (&lw, &ow)) in self.live.words().iter().zip(obs_ok.words()).enumerate() {
-                let mut miss = lw & !ow;
-                while miss != 0 {
-                    let t = w * 64 + miss.trailing_zeros() as usize;
-                    damage = damage
-                        .saturating_add(self.live_obs_w[t])
-                        .saturating_add(self.live_set_w[t]);
-                    miss &= miss - 1;
-                }
-            }
-        }
-        damage
-    }
-
-    /// [`mode_damage`](Self::mode_damage) with full provenance: the obs/set
-    /// damage split, the per-segment lost records, the importance flag, and
-    /// (when `want_footprint`) the mode's **footprint** — its frozen-only
-    /// ("any") reach maps, which over-approximate every node whose presence
-    /// or absence can influence the mode's damage under *any* added or
-    /// removed broken-segment set (the workspace dirty rule, DESIGN.md
-    /// §2.11). `obs_damage + set_damage` is bit-identical to
-    /// [`mode_damage`](Self::mode_damage).
-    ///
-    /// Production traced evaluation goes through the mode-major
-    /// [`batch::ModeBlockKernel`](crate::graph_analysis::batch::ModeBlockKernel);
-    /// this scalar path is retained as the differential-testing reference.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a `frozen` entry names a node that is not a multiplexer.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn mode_damage_traced(
-        &self,
-        scratch: &mut ScratchArena,
-        broken: &[NodeId],
-        frozen: &[(NodeId, usize)],
-        want_footprint: bool,
-    ) -> (ModeTrace, ModeFootprint) {
-        let ScratchArena {
-            fwd_any,
-            fwd_clean,
-            bwd_any,
-            bwd_clean,
-            stack,
-            broken: broken_set,
-            obs_ok,
-            set_ok,
-            frozen_mark,
-            frozen_pred,
-            epoch,
-        } = scratch;
-
-        // Mode setup: identical to `mode_damage` (same epoch bump, same
-        // first-entry-wins frozen resolution, same cached-port fast path).
-        *epoch = epoch.wrapping_add(1);
-        if *epoch == 0 {
-            frozen_mark.fill(0);
-            *epoch = 1;
-        }
-        let mut distinct = 0usize;
-        let mut first = (0usize, 0usize);
-        for &(m, p) in frozen {
-            let mi = m.index();
-            if frozen_mark[mi] != *epoch {
-                frozen_mark[mi] = *epoch;
-                if distinct == 0 {
-                    first = (mi, p);
-                }
-                distinct += 1;
-                assert!(self.is_mux[mi], "frozen node is a mux");
-                frozen_pred[mi] = self.mux_inputs[mi].get(p).copied().unwrap_or(NO_SELECTED_INPUT);
-            }
-        }
-        broken_set.clear();
-        for &b in broken {
-            broken_set.insert(b.index());
-        }
-
-        let has_frozen = !frozen.is_empty();
-        let has_broken = !broken.is_empty();
-        let cached_index: Option<u32> =
-            if distinct == 1 && frozen_pred[first.0] != NO_SELECTED_INPUT {
-                self.port_offsets
-                    .get(first.0)
-                    .filter(|&&off| off != NO_SELECTED_INPUT)
-                    .map(|&off| off + first.1 as u32)
-            } else {
-                None
-            };
-        if has_frozen && cached_index.is_none() {
-            bfs(
-                &self.csr,
-                self.scan_in,
-                false,
-                frozen_mark,
-                frozen_pred,
-                *epoch,
-                None,
-                fwd_any,
-                stack,
-            );
-            bfs(
-                &self.csr,
-                self.scan_out,
-                true,
-                frozen_mark,
-                frozen_pred,
-                *epoch,
-                None,
-                bwd_any,
-                stack,
-            );
-        }
-        if has_broken {
-            let blocked = Some(&*broken_set);
-            bfs(
-                &self.csr,
-                self.scan_in,
-                false,
-                frozen_mark,
-                frozen_pred,
-                *epoch,
-                blocked,
-                fwd_clean,
-                stack,
-            );
-            bfs(
-                &self.csr,
-                self.scan_out,
-                true,
-                frozen_mark,
-                frozen_pred,
-                *epoch,
-                blocked,
-                bwd_clean,
-                stack,
-            );
-        }
-        let (fa, ba): (&BitSet, &BitSet) = match cached_index {
-            Some(i) => {
-                let (f, b) = &self.port_reach[i as usize];
-                (f, b)
-            }
-            None if has_frozen => (fwd_any, bwd_any),
-            None => (&self.baseline_fwd, &self.baseline_bwd),
-        };
-        let footprint = if !want_footprint {
-            ModeFootprint::Baseline
-        } else if let Some(i) = cached_index {
-            ModeFootprint::Port(i)
-        } else if has_frozen {
-            let mut own = fa.clone();
-            own.or_with(ba);
-            ModeFootprint::Own(own)
-        } else {
-            ModeFootprint::Baseline
-        };
-
-        let mut trace = ModeTrace {
-            obs_damage: self.dead_obs,
-            set_damage: self.dead_set,
-            affects_important: self.dead_important,
-            lost: Vec::new(),
-        };
-        if has_broken {
-            let fc: &BitSet = fwd_clean;
-            let bc: &BitSet = bwd_clean;
-            obs_ok.set_and_and_not(fa, bc, broken_set);
-            set_ok.set_and_and_not(fc, ba, broken_set);
-            for (w, (&lw, (&ow, &sw))) in
-                self.live.words().iter().zip(obs_ok.words().iter().zip(set_ok.words())).enumerate()
-            {
-                let miss_obs = lw & !ow;
-                let miss_set = lw & !sw;
-                let mut union = miss_obs | miss_set;
-                while union != 0 {
-                    let bit = union.trailing_zeros() as usize;
-                    let t = w * 64 + bit;
-                    let mask = 1u64 << bit;
-                    let lost_obs = miss_obs & mask != 0;
-                    let lost_set = miss_set & mask != 0;
-                    if lost_obs {
-                        trace.obs_damage = trace.obs_damage.saturating_add(self.live_obs_w[t]);
-                        trace.affects_important |= self.important_obs.contains(t);
-                    }
-                    if lost_set {
-                        trace.set_damage = trace.set_damage.saturating_add(self.live_set_w[t]);
-                        trace.affects_important |= self.important_set.contains(t);
-                    }
-                    trace.lost.push(LostSegment { segment: t as u32, lost_obs, lost_set });
-                    union &= union - 1;
-                }
-            }
-        } else {
-            obs_ok.set_and(fa, ba);
-            for (w, (&lw, &ow)) in self.live.words().iter().zip(obs_ok.words()).enumerate() {
-                let mut miss = lw & !ow;
-                while miss != 0 {
-                    let t = w * 64 + miss.trailing_zeros() as usize;
-                    trace.obs_damage = trace.obs_damage.saturating_add(self.live_obs_w[t]);
-                    trace.set_damage = trace.set_damage.saturating_add(self.live_set_w[t]);
-                    trace.affects_important |=
-                        self.important_obs.contains(t) || self.important_set.contains(t);
-                    trace.lost.push(LostSegment {
-                        segment: t as u32,
-                        lost_obs: true,
-                        lost_set: true,
-                    });
-                    miss &= miss - 1;
-                }
-            }
-        }
-        (trace, footprint)
-    }
-
-    /// Whether `node` lies in the mode footprint `fp` (shared-variant
-    /// footprints dereference the kernel's baseline / port-cache maps).
+    /// Whether `node` lies in the mode footprint `fp`.
     pub(crate) fn footprint_contains(&self, fp: &ModeFootprint, node: usize) -> bool {
         match fp {
             ModeFootprint::Baseline => {
                 self.baseline_fwd.contains(node) || self.baseline_bwd.contains(node)
-            }
-            ModeFootprint::Port(i) => {
-                let (f, b) = &self.port_reach[*i as usize];
-                f.contains(node) || b.contains(node)
             }
             ModeFootprint::Own(s) => s.contains(node),
         }
     }
 
     /// Re-derives a mode's obs/set damage arithmetically from its lost
-    /// records under the kernel's **current** weights — the no-BFS replay
-    /// used after a weight edit.
+    /// records under the kernel's **current** weights — the no-traversal
+    /// replay used after a weight edit.
     pub(crate) fn lost_damages(&self, lost: &[LostSegment]) -> (u64, u64) {
         let mut obs = self.dead_obs;
         let mut set = self.dead_set;
@@ -924,8 +435,8 @@ impl ReachKernel {
     }
 }
 
-/// Per-mode provenance from [`ReachKernel::mode_damage_traced`]: the damage
-/// split plus which live segments were lost in which direction.
+/// Per-mode provenance from the traced decode: the damage split plus which
+/// live segments were lost in which direction.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub(crate) struct ModeTrace {
     /// Observation damage (lost live obs weights plus the dead constant).
@@ -949,90 +460,70 @@ pub(crate) struct LostSegment {
     pub(crate) lost_set: bool,
 }
 
-/// A fault mode's footprint: the union of its frozen-only ("any") reach
-/// maps, stored by reference into the kernel where a shared map exists.
-/// Structural deltas touching only nodes outside the footprint can never
-/// change the mode's damage (see [`ReachKernel::mode_damage_traced`]).
+/// A fault mode's footprint: the union of its frozen-only ("any") forward
+/// and backward reach maps. It over-approximates every node whose presence
+/// or absence can influence the mode's damage under *any* added or removed
+/// broken-segment set, so structural deltas touching only nodes outside the
+/// footprint can never change the mode's damage (the workspace dirty rule,
+/// DESIGN.md §2.11).
 #[derive(Clone, Debug)]
 pub(crate) enum ModeFootprint {
     /// No frozen selects: the any-maps are the fault-free baseline.
     Baseline,
-    /// Exactly one in-range frozen select: the any-maps are the port-reach
-    /// cache entry at this index.
-    Port(u32),
-    /// Multiple (or out-of-range) frozen selects: the mode owns its map.
+    /// Frozen selects: the mode owns its map.
     Own(BitSet),
 }
 
-/// Unfiltered BFS over the CSR view (the fault-free baseline).
-fn bfs_unfiltered(csr: &Csr, start: u32, backward: bool, seen: &mut BitSet, stack: &mut Vec<u32>) {
-    seen.clear();
-    stack.clear();
-    seen.insert(start as usize);
-    stack.push(start);
-    while let Some(v) = stack.pop() {
-        for &w in csr.neighbors(v, backward) {
-            if seen.insert(w as usize) {
-                stack.push(w);
+/// The lane-block driver behind every graph-exact sweep: evaluates `count`
+/// modes — `push(block, i)` adds mode `i` as the next lane — in blocks of
+/// [`DefaultLane::LANES`](LaneWord::LANES) lanes sharded over [`par`] with
+/// one cancel checkpoint per block, and returns the `decode`d per-lane
+/// values in mode order. Blocks are independent, so the result is
+/// identical at every thread count.
+pub(crate) fn sweep_blocks<T: Send>(
+    kernel: &ReachKernel,
+    parallelism: Parallelism,
+    cancel: &CancelToken,
+    count: usize,
+    push: impl Fn(&mut BlockScratch<DefaultLane>, usize) + Sync,
+    decode: impl Fn(&mut BlockScratch<DefaultLane>) -> Vec<T> + Sync,
+) -> Result<Vec<T>, AnalysisError> {
+    let lanes = DefaultLane::LANES;
+    let blocks: Vec<Vec<T>> = par::try_map_indexed_scratch(
+        parallelism,
+        count.div_ceil(lanes),
+        || (kernel.block_scratch(), cancel.checkpoint(4)),
+        |(s, cp), b| -> Result<Vec<T>, AnalysisError> {
+            cp.tick()?;
+            s.clear();
+            for i in b * lanes..count.min((b + 1) * lanes) {
+                push(s, i);
             }
-        }
-    }
+            Ok(decode(s))
+        },
+    )?;
+    Ok(blocks.into_iter().flatten().collect())
 }
 
-/// BFS over usable edges of the CSR view; `blocked` nodes are not traversed
-/// (but the start is always visited). An edge `u -> v` is usable unless `v`
-/// is a frozen mux (`frozen_mark[v] == epoch`) and `u` is not its selected
-/// input.
-#[allow(clippy::too_many_arguments)]
-fn bfs(
-    csr: &Csr,
-    start: u32,
-    backward: bool,
-    frozen_mark: &[u8],
-    frozen_pred: &[u32],
-    epoch: u8,
-    blocked: Option<&BitSet>,
-    seen: &mut BitSet,
-    stack: &mut Vec<u32>,
-) {
-    seen.clear();
-    stack.clear();
-    seen.insert(start as usize);
-    stack.push(start);
-    if backward {
-        // Traversing edge `w -> v` while expanding the popped node `v`: the
-        // frozen check depends only on `v`, so it hoists out of the edge
-        // loop.
-        while let Some(v) = stack.pop() {
-            let restricted = frozen_mark[v as usize] == epoch;
-            let sel = frozen_pred[v as usize];
-            for &w in csr.predecessors(v) {
-                if restricted && w != sel {
-                    continue;
-                }
-                if blocked.is_some_and(|b| b.contains(w as usize)) {
-                    continue;
-                }
-                if seen.insert(w as usize) {
-                    stack.push(w);
-                }
-            }
-        }
-    } else {
-        while let Some(v) = stack.pop() {
-            for &w in csr.successors(v) {
-                if frozen_mark[w as usize] == epoch && frozen_pred[w as usize] != v {
-                    continue;
-                }
-                if blocked.is_some_and(|b| b.contains(w as usize)) {
-                    continue;
-                }
-                if seen.insert(w as usize) {
-                    stack.push(w);
-                }
-            }
-        }
-    }
+/// Untraced [`sweep_blocks`] over the modes `range` of `table`.
+pub(crate) fn sweep_table(
+    kernel: &ReachKernel,
+    table: &ModeTable,
+    range: Range<usize>,
+    parallelism: Parallelism,
+    cancel: &CancelToken,
+) -> Result<Vec<ModeDamage>, AnalysisError> {
+    sweep_blocks(
+        kernel,
+        parallelism,
+        cancel,
+        range.len(),
+        |s, i| {
+            let (broken, frozen) = table.mode(range.start + i);
+            kernel.push_mode(s, broken, frozen);
+        },
+        |s| kernel.eval_damages(s),
+    )
 }
 
 /// Computes the damage vector for every scan primitive of `net` directly on
@@ -1054,13 +545,11 @@ pub fn analyze_graph(
 
 /// [`analyze_graph`] with an explicit thread count.
 ///
-/// The sweep enumerates every primitive's fault modes into a flat table,
-/// packs them into [`DefaultLane::LANES`](LaneWord::LANES)-mode blocks and
-/// evaluates each block with one forward/backward relaxation of the
-/// mode-major [`ModeBlockKernel`] instead of per-mode traversals. Blocks are
-/// sharded over [`par`] and spliced back in mode order, so the damage vector
-/// is identical to the sequential one at every thread count (and to the
-/// scalar per-mode kernel — property-tested).
+/// The sweep evaluates the canonical mode table (the same table the
+/// mode-range shards of [`crate::shard`] partition) in lane blocks and folds
+/// each primitive's mode damages with its [`ModeAggregation`], so the
+/// damage vector is identical at every thread count and to a merged
+/// shard sweep.
 #[must_use]
 pub fn analyze_graph_with(
     net: &ScanNetwork,
@@ -1072,7 +561,7 @@ pub fn analyze_graph_with(
         Ok(result) => result,
         // A none token never cancels; resurface shard panics (and the
         // too-large capacity check) as panics so the infallible signature
-        // keeps its pre-batch crash semantics.
+        // keeps its crash semantics.
         Err(AnalysisError::WorkerPanicked { message }) => panic!("{message}"),
         Err(err @ AnalysisError::NetworkTooLarge { .. }) => panic!("{err}"),
         Err(err) => unreachable!("uncancellable batched sweep failed: {err}"),
@@ -1106,8 +595,8 @@ pub fn analyze_graph_with_cancel(
     analyze_graph_batched(net, spec, options, parallelism, cancel)
 }
 
-/// The shared full-sweep implementation: flat mode table, lane-block
-/// packing, sharded batch evaluation, per-primitive aggregation.
+/// The shared full-sweep implementation: a range sweep over the whole mode
+/// table, then per-primitive aggregation of `obs + set`.
 fn analyze_graph_batched(
     net: &ScanNetwork,
     spec: &CriticalitySpec,
@@ -1115,68 +604,26 @@ fn analyze_graph_batched(
     parallelism: Parallelism,
     cancel: &CancelToken,
 ) -> Result<GraphCriticality, AnalysisError> {
-    let mut result = GraphCriticality {
-        damage: vec![0; net.node_count()],
-        primitives: net.primitives().collect(),
-    };
-    let controlled = controlled_muxes(net, options);
-    // Flatten the canonical mode enumeration into pooled slices so blocks
-    // can straddle primitive boundaries without per-mode allocations.
-    let mut broken_pool: Vec<NodeId> = Vec::new();
-    let mut frozen_pool: Vec<(NodeId, usize)> = Vec::new();
-    let mut modes: Vec<(u32, u32)> = Vec::new();
-    let mut prim_ranges: Vec<(u32, u32)> = Vec::with_capacity(result.primitives.len());
-    for &j in &result.primitives {
-        let start = modes.len() as u32;
-        for_each_mode(net, &controlled, j, &mut |broken, frozen| {
-            broken_pool.extend_from_slice(broken);
-            frozen_pool.extend_from_slice(frozen);
-            modes.push((broken_pool.len() as u32, frozen_pool.len() as u32));
-        });
-        prim_ranges.push((start, modes.len() as u32));
-    }
+    let table = ModeTable::single_faults(net, options.sib_policy);
     cancel.check()?;
-    // The block passes re-derive every mode's reach in-lane, so the
-    // per-(mux, port) reach cache would only add build cost here.
     let kernel = ReachKernel::try_new(net, spec)?;
-    let batch: ModeBlockKernel<'_, DefaultLane> = ModeBlockKernel::new(&kernel);
-    let batch = &batch;
-    let lanes = DefaultLane::LANES;
-    let blocks = modes.len().div_ceil(lanes);
-    let (broken_pool, frozen_pool, modes) = (&broken_pool, &frozen_pool, &modes);
-    let block_damages: Vec<Vec<u64>> = par::try_map_indexed_scratch(
-        parallelism,
-        blocks,
-        || (batch.scratch(), cancel.checkpoint(4)),
-        |(s, cp), b| -> Result<Vec<u64>, AnalysisError> {
-            cp.tick()?;
-            batch.begin_block(s);
-            let start = b * lanes;
-            for (m, &(b1, f1)) in modes[start..(start + lanes).min(modes.len())].iter().enumerate()
-            {
-                let (b0, f0) = if start + m == 0 { (0, 0) } else { modes[start + m - 1] };
-                batch.push_mode(
-                    s,
-                    &broken_pool[b0 as usize..b1 as usize],
-                    &frozen_pool[f0 as usize..f1 as usize],
-                );
-            }
-            Ok(batch.eval_damages(s))
-        },
-    )?;
-    let flat: Vec<u64> = block_damages.into_iter().flatten().collect();
-    for (&j, &(m0, m1)) in result.primitives.iter().zip(&prim_ranges) {
-        result.damage[j.index()] =
-            aggregate_mode_damages(options.mode, &flat[m0 as usize..m1 as usize]);
+    let damages = sweep_table(&kernel, &table, 0..table.len(), parallelism, cancel)?;
+    let primitives: Vec<NodeId> = net.primitives().collect();
+    let mut damage = vec![0; net.node_count()];
+    let mut totals = Vec::new();
+    for (&j, modes) in primitives.iter().zip(table.groups()) {
+        totals.clear();
+        totals.extend(damages[modes].iter().map(ModeDamage::total));
+        damage[j.index()] = aggregate_mode_damages(options.mode, &totals);
     }
-    Ok(result)
+    Ok(GraphCriticality { damage, primitives })
 }
 
 /// Controlled muxes per control cell under [`SibCellPolicy::Combined`]
 /// (empty per-node lists otherwise).
-pub(crate) fn controlled_muxes(net: &ScanNetwork, options: &AnalysisOptions) -> Vec<Vec<NodeId>> {
+pub(crate) fn controlled_muxes(net: &ScanNetwork, policy: SibCellPolicy) -> Vec<Vec<NodeId>> {
     let mut controlled: Vec<Vec<NodeId>> = vec![Vec::new(); net.node_count()];
-    if options.sib_policy == SibCellPolicy::Combined {
+    if policy == SibCellPolicy::Combined {
         for m in net.muxes() {
             if let Some(ControlSource::Cell { segment, .. }) =
                 net.node(m).kind.as_mux().map(|x| x.control)
@@ -1188,28 +635,8 @@ pub(crate) fn controlled_muxes(net: &ScanNetwork, options: &AnalysisOptions) -> 
     controlled
 }
 
-/// A per-mode damage evaluator: `(broken segments, frozen selects) -> damage`.
-type ModeDamageFn<'a> = dyn FnMut(&[NodeId], &[(NodeId, usize)]) -> u64 + 'a;
-
 /// A per-mode visitor: `(broken segments, frozen selects)`.
 pub(crate) type ModeVisitor<'a> = dyn FnMut(&[NodeId], &[(NodeId, usize)]) + 'a;
-
-/// Aggregated damage of one primitive over its fault modes, generic over the
-/// per-mode evaluator so the kernel and the [`reference`] implementation
-/// share the exact same mode enumeration and aggregation.
-fn primitive_damage(
-    net: &ScanNetwork,
-    options: &AnalysisOptions,
-    controlled: &[Vec<NodeId>],
-    j: NodeId,
-    mode_damage: &mut ModeDamageFn<'_>,
-) -> u64 {
-    let mut mode_damages = Vec::new();
-    for_each_mode(net, controlled, j, &mut |broken, frozen| {
-        mode_damages.push(mode_damage(broken, frozen));
-    });
-    aggregate_mode_damages(options.mode, &mode_damages)
-}
 
 /// Enumerates the single-fault modes of primitive `j` in the canonical
 /// analysis order, calling `visit(broken, frozen)` once per mode: every stuck
@@ -1232,37 +659,44 @@ pub(crate) fn for_each_mode(
             }
         }
         NodeKind::Segment(_) => {
-            let muxes = &controlled[j.index()];
-            if muxes.is_empty() {
-                visit(&[j], &[]);
-            } else {
-                // Enumerate frozen-select combinations (odometer).
-                let fan_in = |m: NodeId| net.node(m).kind.as_mux().expect("mux").fan_in();
-                let mut selects = vec![0usize; muxes.len()];
-                loop {
-                    let frozen: Vec<(NodeId, usize)> =
-                        muxes.iter().copied().zip(selects.iter().copied()).collect();
-                    visit(&[j], &frozen);
-                    let mut k = 0;
-                    loop {
-                        if k == muxes.len() {
-                            break;
-                        }
-                        selects[k] += 1;
-                        if selects[k] < fan_in(muxes[k]) {
-                            break;
-                        }
-                        selects[k] = 0;
-                        k += 1;
-                    }
-                    if k == muxes.len() {
-                        break;
-                    }
-                }
-            }
+            for_each_combination(net, &[j], &[], &controlled[j.index()], &mut Vec::new(), visit);
         }
         _ => unreachable!("primitives are segments or muxes"),
     }
+}
+
+/// Visits `broken` with the `stuck` selects plus every frozen-select
+/// combination of the `free` muxes — an odometer, the first free mux
+/// advancing fastest. With no free muxes this is the single mode
+/// `(broken, stuck)`. `frozen` is scratch space for the visited selects.
+fn for_each_combination(
+    net: &ScanNetwork,
+    broken: &[NodeId],
+    stuck: &[(NodeId, usize)],
+    free: &[NodeId],
+    frozen: &mut Vec<(NodeId, usize)>,
+    visit: &mut ModeVisitor<'_>,
+) {
+    frozen.clear();
+    frozen.extend_from_slice(stuck);
+    frozen.extend(free.iter().map(|&m| (m, 0)));
+    loop {
+        visit(broken, frozen);
+        let mut k = stuck.len();
+        loop {
+            let Some((m, select)) = frozen.get_mut(k) else { return };
+            *select += 1;
+            if *select < fan_in(net, *m) {
+                break;
+            }
+            *select = 0;
+            k += 1;
+        }
+    }
+}
+
+fn fan_in(net: &ScanNetwork, m: NodeId) -> usize {
+    net.node(m).kind.as_mux().expect("mux").fan_in()
 }
 
 /// Folds per-mode damages into `d_j`.
@@ -1282,6 +716,124 @@ pub(crate) fn aggregate_mode_damages(mode: ModeAggregation, mode_damages: &[u64]
     }
 }
 
+/// Reusable buffers of [`expand_fault_set`], so long set streams expand
+/// without allocating per set.
+#[derive(Default)]
+struct SetBuffers {
+    broken: Vec<NodeId>,
+    stuck: Vec<(NodeId, usize)>,
+    free: Vec<NodeId>,
+    frozen: Vec<(NodeId, usize)>,
+}
+
+/// Expands one fault set into a group of `table`: its broken segments and
+/// stuck selects, jointly with one mode per frozen-select combination of
+/// the multiplexers its broken control cells leave free (`controlled` is
+/// non-empty only under [`SibCellPolicy::Combined`]).
+///
+/// # Errors
+///
+/// [`AnalysisError::TooManyFrozenCombinations`] when the set needs more than
+/// [`MAX_FROZEN_COMBINATIONS`] combinations; `table` is then unchanged.
+fn expand_fault_set(
+    net: &ScanNetwork,
+    controlled: &[Vec<NodeId>],
+    faults: &[Fault],
+    table: &mut ModeTable,
+    buf: &mut SetBuffers,
+) -> Result<(), AnalysisError> {
+    let SetBuffers { broken, stuck, free, frozen } = buf;
+    broken.clear();
+    stuck.clear();
+    free.clear();
+    for f in faults {
+        match f.kind {
+            FaultKind::SegmentBroken => broken.push(f.node),
+            FaultKind::MuxStuckAt(p) => stuck.push((f.node, usize::from(p))),
+        }
+    }
+    for b in broken.iter() {
+        for &m in &controlled[b.index()] {
+            if !stuck.iter().any(|&(s, _)| s == m) && !free.contains(&m) {
+                free.push(m);
+            }
+        }
+    }
+    let combos = free.iter().fold(1u128, |acc, &m| acc.saturating_mul(fan_in(net, m) as u128));
+    if combos > MAX_FROZEN_COMBINATIONS as u128 {
+        return Err(AnalysisError::TooManyFrozenCombinations {
+            combos,
+            limit: MAX_FROZEN_COMBINATIONS,
+        });
+    }
+    for_each_combination(net, broken, stuck, free, frozen, &mut |b, f| table.push(b, f));
+    table.end_group();
+    Ok(())
+}
+
+/// Fault sets collected per round of [`fault_set_damages`]; bounds the
+/// expansion memory of long set streams (the exact double-fault sweep).
+const SET_BATCH: usize = 1 << 16;
+
+/// Fault sets one worker expands and sweeps as a unit.
+const SET_GROUP: usize = 1 << 10;
+
+/// Worst-case joint damage of each fault set in `sets`, in input order: the
+/// sets are expanded ([`expand_fault_set`]) one lane per frozen-select
+/// combination, swept in lane blocks, and folded to the per-set maximum.
+///
+/// Groups of [`SET_GROUP`] sets are sharded over [`par`], each expanded and
+/// swept by one worker, so expansion parallelizes with evaluation; a lone
+/// group (a single fault set, say) shards its lane blocks instead.
+///
+/// # Errors
+///
+/// The first set (in input order) exceeding the combination bound is
+/// reported as [`AnalysisError::TooManyFrozenCombinations`];
+/// [`AnalysisError::Cancelled`] / [`AnalysisError::WorkerPanicked`] as for
+/// every sweep.
+pub(crate) fn fault_set_damages<S: AsRef<[Fault]> + Sync>(
+    kernel: &ReachKernel,
+    net: &ScanNetwork,
+    controlled: &[Vec<NodeId>],
+    sets: impl IntoIterator<Item = S>,
+    parallelism: Parallelism,
+    cancel: &CancelToken,
+) -> Result<Vec<u64>, AnalysisError> {
+    let mut sets = sets.into_iter().peekable();
+    let mut worst = Vec::new();
+    while sets.peek().is_some() {
+        let batch: Vec<S> = sets.by_ref().take(SET_BATCH).collect();
+        let groups = batch.len().div_ceil(SET_GROUP);
+        let inner = if groups == 1 { parallelism } else { Parallelism::sequential() };
+        let per_group: Vec<Result<Vec<u64>, AnalysisError>> = par::try_map_indexed_scratch(
+            parallelism,
+            groups,
+            SetBuffers::default,
+            |buf, g| -> Result<_, AnalysisError> {
+                let mut table = ModeTable::default();
+                for set in &batch[g * SET_GROUP..batch.len().min((g + 1) * SET_GROUP)] {
+                    if let Err(e) = expand_fault_set(net, controlled, set.as_ref(), &mut table, buf)
+                    {
+                        // Surfaced after the map, so the first failing set
+                        // in input order wins at every thread count.
+                        return Ok(Err(e));
+                    }
+                }
+                let damages = sweep_table(kernel, &table, 0..table.len(), inner, cancel)?;
+                Ok(Ok(table
+                    .groups()
+                    .map(|m| damages[m].iter().map(ModeDamage::total).max().unwrap_or(0))
+                    .collect()))
+            },
+        )?;
+        for group in per_group {
+            worst.extend(group?);
+        }
+    }
+    Ok(worst)
+}
+
 /// Weighted damage of an explicit multi-fault set (worst case over the
 /// frozen selects of broken control cells under
 /// [`SibCellPolicy::Combined`]).
@@ -1298,7 +850,7 @@ pub(crate) fn aggregate_mode_damages(mode: ModeAggregation, mode_damages: &[u64]
 pub fn fault_set_damage(
     net: &ScanNetwork,
     spec: &CriticalitySpec,
-    faults: &[rsn_model::Fault],
+    faults: &[Fault],
     policy: SibCellPolicy,
 ) -> Result<u64, AnalysisError> {
     fault_set_damage_with(net, spec, faults, policy, Parallelism::default())
@@ -1306,9 +858,9 @@ pub fn fault_set_damage(
 
 /// [`fault_set_damage`] with an explicit thread count.
 ///
-/// The frozen-select combinations are enumerated by mixed-radix index, so
-/// the sweep shards across threads; the worst case over a fixed combination
-/// set is order-independent and therefore identical for every thread count.
+/// Each frozen-select combination is one lane of the batch kernel, and the
+/// worst case over a fixed combination set is order-independent, so the
+/// result is identical for every thread count.
 ///
 /// # Errors
 ///
@@ -1318,7 +870,7 @@ pub fn fault_set_damage(
 pub fn fault_set_damage_with(
     net: &ScanNetwork,
     spec: &CriticalitySpec,
-    faults: &[rsn_model::Fault],
+    faults: &[Fault],
     policy: SibCellPolicy,
     parallelism: Parallelism,
 ) -> Result<u64, AnalysisError> {
@@ -1326,8 +878,8 @@ pub fn fault_set_damage_with(
 }
 
 /// [`fault_set_damage_with`] with cooperative cancellation: the token is
-/// polled per frozen-select combination, so a fired deadline interrupts even
-/// a near-limit enumeration within a few kernel sweeps.
+/// polled per lane block, so a fired deadline interrupts even a near-limit
+/// enumeration within a few kernel passes.
 ///
 /// # Errors
 ///
@@ -1337,101 +889,23 @@ pub fn fault_set_damage_with(
 pub fn fault_set_damage_with_cancel(
     net: &ScanNetwork,
     spec: &CriticalitySpec,
-    faults: &[rsn_model::Fault],
+    faults: &[Fault],
     policy: SibCellPolicy,
     parallelism: Parallelism,
     cancel: &CancelToken,
 ) -> Result<u64, AnalysisError> {
     let kernel = ReachKernel::try_new(net, spec)?;
-    let mut scratch = kernel.scratch();
-    fault_set_damage_kernel(&kernel, &mut scratch, faults, policy, parallelism, cancel)
+    let controlled = controlled_muxes(net, policy);
+    Ok(fault_set_damages(&kernel, net, &controlled, [faults], parallelism, cancel)?[0])
 }
 
-/// Fault-set evaluation on a prebuilt kernel — the shared inner loop of
-/// [`fault_set_damage_with`] and [`sampled_double_fault_damage_with`] (the
-/// latter reuses one kernel across all sampled pairs), also reused by the
-/// workspace so repeated fault-set queries skip the kernel rebuild.
-pub(crate) fn fault_set_damage_kernel(
-    kernel: &ReachKernel,
-    scratch: &mut ScratchArena,
-    faults: &[rsn_model::Fault],
-    policy: SibCellPolicy,
-    parallelism: Parallelism,
-    cancel: &CancelToken,
-) -> Result<u64, AnalysisError> {
-    use rsn_model::FaultKind;
-    let mut broken: Vec<NodeId> = Vec::new();
-    let mut frozen: Vec<(NodeId, usize)> = Vec::new();
-    for f in faults {
-        match f.kind {
-            FaultKind::SegmentBroken => broken.push(f.node),
-            FaultKind::MuxStuckAt(p) => frozen.push((f.node, usize::from(p))),
-        }
-    }
-    // Combined policy: broken control cells freeze their (not already
-    // stuck) multiplexers at an unknown value — take the worst combination.
-    let mut free_muxes: Vec<NodeId> = Vec::new();
-    if policy == SibCellPolicy::Combined {
-        for &m in &kernel.muxes {
-            if frozen.iter().any(|&(fm, _)| fm == m) {
-                continue;
-            }
-            let cell = kernel.mux_control_cell[m.index()];
-            if cell != u32::MAX && broken.iter().any(|b| b.index() == cell as usize) {
-                free_muxes.push(m);
-            }
-        }
-    }
-    if free_muxes.is_empty() {
-        cancel.check()?;
-        return Ok(kernel.mode_damage(scratch, &broken, &frozen));
-    }
-    let fan_in = |m: NodeId| kernel.mux_inputs[m.index()].len();
-    let combos_wide: u128 =
-        free_muxes.iter().fold(1u128, |acc, &m| acc.saturating_mul(fan_in(m) as u128));
-    if combos_wide > MAX_FROZEN_COMBINATIONS as u128 {
-        return Err(AnalysisError::TooManyFrozenCombinations {
-            combos: combos_wide,
-            limit: MAX_FROZEN_COMBINATIONS,
-        });
-    }
-    let combos = combos_wide as usize;
-    // Mixed-radix decode: combination index c assigns select
-    // (c / stride_k) % fan_in_k to mux k, matching the sequential odometer
-    // (index 0 advances fastest).
-    let decode = |c: usize| {
-        let mut all_frozen = frozen.clone();
-        let mut rest = c;
-        all_frozen.extend(free_muxes.iter().map(|&m| {
-            let fi = fan_in(m);
-            let select = rest % fi;
-            rest /= fi;
-            (m, select)
-        }));
-        all_frozen
-    };
-    if parallelism.is_sequential() {
-        // Reuse the caller's scratch instead of allocating per-worker ones.
-        let mut cp = cancel.checkpoint(16);
-        let mut max = 0u64;
-        for c in 0..combos {
-            cp.tick()?;
-            max = max.max(kernel.mode_damage(scratch, &broken, &decode(c)));
-        }
-        return Ok(max);
-    }
-    let broken = &broken;
-    let decode = &decode;
-    let damages: Vec<u64> = par::try_map_indexed_scratch(
-        parallelism,
-        combos,
-        || (kernel.scratch(), cancel.checkpoint(16)),
-        |(worker_scratch, cp), c| -> Result<u64, AnalysisError> {
-            cp.tick()?;
-            Ok(kernel.mode_damage(worker_scratch, broken, &decode(c)))
-        },
-    )?;
-    Ok(damages.into_iter().max().unwrap_or(0))
+/// The single-fault pool of `net` minus faults on `hardened` primitives.
+fn unhardened_faults(net: &ScanNetwork, hardened: &[NodeId]) -> Vec<Fault> {
+    let hardened: std::collections::HashSet<NodeId> = hardened.iter().copied().collect();
+    rsn_model::enumerate_single_faults(net)
+        .into_iter()
+        .filter(|f| !hardened.contains(&f.node))
+        .collect()
 }
 
 /// Average joint damage over `samples` random *pairs* of single faults,
@@ -1465,9 +939,9 @@ pub fn sampled_double_fault_damage(
 ///
 /// All fault pairs are drawn *sequentially* from the seeded RNG first —
 /// keeping the random stream byte-identical to the sequential code — and
-/// only the pure per-pair damage evaluation is sharded over one shared
-/// [`ReachKernel`] (each worker holds its own [`ScratchArena`]). The sum is
-/// taken in sample order, so the result is identical for every thread count.
+/// only the pure per-pair evaluation is sharded (as lanes of one shared
+/// [`ReachKernel`]). The sum is taken in sample order, so the result is
+/// identical for every thread count.
 ///
 /// # Errors
 ///
@@ -1496,7 +970,7 @@ pub fn sampled_double_fault_damage_with(
 }
 
 /// [`sampled_double_fault_damage_with`] with cooperative cancellation: the
-/// token is polled once per sampled pair inside the sharded sweep.
+/// token is polled once per lane block inside the sharded sweep.
 ///
 /// # Errors
 ///
@@ -1517,36 +991,15 @@ pub fn sampled_double_fault_damage_with_cancel(
     use rand::seq::IndexedRandom;
     use rand::SeedableRng;
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-    let hardened: std::collections::HashSet<NodeId> = hardened.iter().copied().collect();
-    let pool: Vec<rsn_model::Fault> = rsn_model::enumerate_single_faults(net)
-        .into_iter()
-        .filter(|f| !hardened.contains(&f.node))
-        .collect();
+    let pool = unhardened_faults(net, hardened);
     if pool.len() < 2 || samples == 0 {
         return Ok(0.0);
     }
-    let pairs: Vec<Vec<rsn_model::Fault>> =
+    let pairs: Vec<Vec<Fault>> =
         (0..samples).map(|_| pool.choose_multiple(&mut rng, 2).copied().collect()).collect();
     let kernel = ReachKernel::try_new(net, spec)?;
-    let kernel = &kernel;
-    let damages: Vec<u64> = par::try_map_slice_scratch(
-        parallelism,
-        &pairs,
-        || (kernel.scratch(), cancel.checkpoint(16)),
-        |(scratch, cp), pair| {
-            cp.tick()?;
-            // The pairs are already drawn; each damage evaluation is
-            // sequential here because the outer sweep owns the threads.
-            fault_set_damage_kernel(
-                kernel,
-                scratch,
-                pair,
-                policy,
-                Parallelism::sequential(),
-                cancel,
-            )
-        },
-    )?;
+    let controlled = controlled_muxes(net, policy);
+    let damages = fault_set_damages(&kernel, net, &controlled, &pairs, parallelism, cancel)?;
     let total: u64 = damages.into_iter().sum();
     Ok(total as f64 / samples as f64)
 }
@@ -1605,9 +1058,9 @@ pub fn double_fault_damage(
 
 /// [`double_fault_damage`] with an explicit thread count.
 ///
-/// Pairs are enumerated in a canonical lexicographic order and grouped into
-/// fixed-size shards whose per-pair results are spliced back in order, so
-/// the summary is bit-identical at every thread count.
+/// Pairs are enumerated in a canonical lexicographic order and their lanes
+/// spliced back in order, so the summary is bit-identical at every thread
+/// count.
 ///
 /// # Errors
 ///
@@ -1624,7 +1077,7 @@ pub fn double_fault_damage_with(
 }
 
 /// [`double_fault_damage_with`] with cooperative cancellation: the token is
-/// polled once per fault pair inside the sharded sweep.
+/// polled once per lane block inside the sharded sweep.
 ///
 /// # Errors
 ///
@@ -1642,11 +1095,6 @@ pub fn double_fault_damage_with_cancel(
     let damages = double_fault_pair_damages(net, spec, hardened, policy, parallelism, cancel)?;
     Ok(DoubleFaultSummary::from_damages(&damages))
 }
-
-/// Number of pairs a group shard evaluates; small enough for responsive
-/// cancellation and load balancing, large enough to fill several lane
-/// blocks per shard.
-const PAIR_GROUP: usize = 256;
 
 /// Per-pair damages of the exact double-fault sweep, in canonical pair
 /// order: pool index pairs `(i, j)` with `i < j`, lexicographic, over the
@@ -1666,146 +1114,31 @@ pub fn double_fault_pair_damages(
     parallelism: Parallelism,
     cancel: &CancelToken,
 ) -> Result<Vec<u64>, AnalysisError> {
-    use rsn_model::FaultKind;
-    let hardened: std::collections::HashSet<NodeId> = hardened.iter().copied().collect();
-    let pool: Vec<rsn_model::Fault> = rsn_model::enumerate_single_faults(net)
-        .into_iter()
-        .filter(|f| !hardened.contains(&f.node))
-        .collect();
+    let pool = unhardened_faults(net, hardened);
     let n = pool.len();
     if n < 2 {
         return Ok(Vec::new());
     }
-    let total = n * (n - 1) / 2;
     let kernel = ReachKernel::try_new(net, spec)?;
-    let batch: ModeBlockKernel<'_, DefaultLane> = ModeBlockKernel::new(&kernel);
-    // Invert the mux -> control-cell map once, so the per-pair free-mux
-    // expansion (broken control cell => worst case over its mux's selects)
-    // costs O(muxes of the pair's broken cells), not O(all muxes).
-    let mut cell_muxes: Vec<Vec<NodeId>> = vec![Vec::new(); net.node_count()];
-    if policy == SibCellPolicy::Combined {
-        for &m in &kernel.muxes {
-            let cell = kernel.mux_control_cell[m.index()];
-            if cell != u32::MAX {
-                cell_muxes[cell as usize].push(m);
-            }
-        }
-    }
-    let (pool, batch, kernel, cell_muxes) = (&pool, &batch, &kernel, &cell_muxes);
-    let groups = total.div_ceil(PAIR_GROUP);
-    let per_group: Vec<Vec<u64>> = par::try_map_indexed_scratch(
-        parallelism,
-        groups,
-        || (batch.scratch(), cancel.checkpoint(4)),
-        |(s, cp), g| -> Result<Vec<u64>, AnalysisError> {
-            let start = g * PAIR_GROUP;
-            let len = PAIR_GROUP.min(total - start);
-            let mut results = vec![0u64; len];
-            // Unrank the group's first pair, then step lexicographically.
-            let mut i = 0usize;
-            let mut rem = start;
-            while rem >= n - 1 - i {
-                rem -= n - 1 - i;
-                i += 1;
-            }
-            let mut j = i + 1 + rem;
-            // Lanes of the open block, mapped back to group-local pairs (a
-            // pair with several frozen-select combinations spans several
-            // lanes; a combination-heavy pair can span several blocks).
-            let mut lane_pair: Vec<u32> = Vec::with_capacity(DefaultLane::LANES);
-            batch.begin_block(s);
-            let mut broken: Vec<NodeId> = Vec::new();
-            let mut frozen: Vec<(NodeId, usize)> = Vec::new();
-            let mut free: Vec<NodeId> = Vec::new();
-            for p in 0..len {
-                cp.tick()?;
-                broken.clear();
-                frozen.clear();
-                free.clear();
-                for f in [&pool[i], &pool[j]] {
-                    match f.kind {
-                        FaultKind::SegmentBroken => broken.push(f.node),
-                        FaultKind::MuxStuckAt(port) => frozen.push((f.node, usize::from(port))),
-                    }
-                }
-                for &b in &broken {
-                    for &m in &cell_muxes[b.index()] {
-                        if !frozen.iter().any(|&(fm, _)| fm == m) {
-                            free.push(m);
-                        }
-                    }
-                }
-                let fan_in = |m: NodeId| kernel.mux_inputs[m.index()].len();
-                let combos_wide: u128 =
-                    free.iter().fold(1u128, |acc, &m| acc.saturating_mul(fan_in(m) as u128));
-                if combos_wide > MAX_FROZEN_COMBINATIONS as u128 {
-                    return Err(AnalysisError::TooManyFrozenCombinations {
-                        combos: combos_wide,
-                        limit: MAX_FROZEN_COMBINATIONS,
-                    });
-                }
-                for c in 0..combos_wide as usize {
-                    if lane_pair.len() == DefaultLane::LANES {
-                        flush_pair_block(batch, s, &mut lane_pair, &mut results);
-                    }
-                    // Mixed-radix decode, index 0 advancing fastest — the
-                    // same order as the scalar fault-set odometer (the max
-                    // over a combination set is order-independent anyway).
-                    let mut all_frozen = frozen.clone();
-                    let mut rest = c;
-                    all_frozen.extend(free.iter().map(|&m| {
-                        let fi = fan_in(m);
-                        let select = rest % fi;
-                        rest /= fi;
-                        (m, select)
-                    }));
-                    batch.push_mode(s, &broken, &all_frozen);
-                    lane_pair.push(p as u32);
-                }
-                j += 1;
-                if j == n {
-                    i += 1;
-                    j = i + 1;
-                }
-            }
-            if !lane_pair.is_empty() {
-                flush_pair_block(batch, s, &mut lane_pair, &mut results);
-            }
-            Ok(results)
-        },
-    )?;
-    Ok(per_group.into_iter().flatten().collect())
+    let controlled = controlled_muxes(net, policy);
+    let pool = &pool;
+    let pairs = (0..n).flat_map(|i| (i + 1..n).map(move |j| [pool[i], pool[j]]));
+    fault_set_damages(&kernel, net, &controlled, pairs, parallelism, cancel)
 }
 
-/// Evaluates the open lane block of a double-fault group and folds each
-/// lane's damage into its pair's running worst case.
-fn flush_pair_block(
-    batch: &ModeBlockKernel<'_, DefaultLane>,
-    s: &mut batch::BlockScratch<DefaultLane>,
-    lane_pair: &mut Vec<u32>,
-    results: &mut [u64],
-) {
-    let damages = batch.eval_damages(s);
-    for (&lp, damage) in lane_pair.iter().zip(damages) {
-        let r = &mut results[lp as usize];
-        *r = (*r).max(damage);
-    }
-    batch.begin_block(s);
-    lane_pair.clear();
-}
-
-/// The pre-kernel `Vec<bool>` implementation, kept verbatim as the
-/// differential reference for the kernel property tests and the
-/// `reach_kernel` micro-benchmarks. Not part of the supported API.
+/// The straightforward `Vec<bool>` implementation, kept as the differential
+/// oracle for the lane engine (property tests, the validation campaign's
+/// per-mode cross-check) and the `reach_kernel` micro-benchmarks. Not part
+/// of the supported API.
 #[doc(hidden)]
 pub mod reference {
     use super::{
-        aggregate_mode_damages, controlled_muxes, primitive_damage, AnalysisOptions,
-        CriticalitySpec, GraphCriticality, ModeAggregation, NodeId, ScanNetwork,
+        aggregate_mode_damages, controlled_muxes, for_each_mode, AnalysisOptions, CriticalitySpec,
+        GraphCriticality, ModeAggregation, NodeId, ScanNetwork,
     };
 
-    /// Sequential damage vector computed with the original `Vec<bool>`
-    /// reachability maps; must stay bit-identical to
+    /// Sequential damage vector computed with the `Vec<bool>` reachability
+    /// maps; must stay bit-identical to
     /// [`analyze_graph`](super::analyze_graph).
     #[must_use]
     pub fn analyze_graph_ref(
@@ -1813,22 +1146,21 @@ pub mod reference {
         spec: &CriticalitySpec,
         options: &AnalysisOptions,
     ) -> GraphCriticality {
-        let mut result = GraphCriticality {
-            damage: vec![0; net.node_count()],
-            primitives: net.primitives().collect(),
-        };
-        let controlled = controlled_muxes(net, options);
-        for &j in &result.primitives.clone() {
-            result.damage[j.index()] =
-                primitive_damage(net, options, &controlled, j, &mut |broken, frozen| {
-                    mode_damage(net, spec, broken, frozen)
-                });
+        let primitives: Vec<NodeId> = net.primitives().collect();
+        let mut damage = vec![0; net.node_count()];
+        let controlled = controlled_muxes(net, options.sib_policy);
+        for &j in &primitives {
+            let mut mode_damages = Vec::new();
+            for_each_mode(net, &controlled, j, &mut |broken, frozen| {
+                mode_damages.push(mode_damage(net, spec, broken, frozen));
+            });
+            damage[j.index()] = aggregate_mode_damages(options.mode, &mode_damages);
         }
-        result
+        GraphCriticality { damage, primitives }
     }
 
-    /// Original per-mode damage: four freshly allocated `Vec<bool>` BFS maps
-    /// and linear-scan membership tests.
+    /// Per-mode damage: four freshly allocated `Vec<bool>` BFS maps and
+    /// linear-scan membership tests.
     #[must_use]
     pub fn mode_damage(
         net: &ScanNetwork,
@@ -1836,17 +1168,7 @@ pub mod reference {
         broken: &[NodeId],
         frozen: &[(NodeId, usize)],
     ) -> u64 {
-        // Edge filter: an edge u -> v is usable unless v is a frozen mux and
-        // u is not its selected input.
-        let usable = |u: NodeId, v: NodeId| -> bool {
-            for &(m, p) in frozen {
-                if v == m {
-                    let inputs = &net.node(m).kind.as_mux().expect("mux").inputs;
-                    return inputs.get(p).copied() == Some(u);
-                }
-            }
-            true
-        };
+        let usable = usable_edges(net, frozen);
         let is_broken = |n: NodeId| broken.contains(&n);
 
         // Four reachability maps over the pruned graph.
@@ -1869,6 +1191,24 @@ pub mod reference {
             }
         }
         damage
+    }
+
+    /// The edge filter of a mode's `frozen` selects: an edge `u -> v` is
+    /// usable unless `v` is a frozen mux (first entry wins) and `u` is not
+    /// its selected input.
+    pub fn usable_edges<'a>(
+        net: &'a ScanNetwork,
+        frozen: &'a [(NodeId, usize)],
+    ) -> impl Fn(NodeId, NodeId) -> bool + 'a {
+        move |u: NodeId, v: NodeId| -> bool {
+            for &(m, p) in frozen {
+                if v == m {
+                    let inputs = &net.node(m).kind.as_mux().expect("mux").inputs;
+                    return inputs.get(p).copied() == Some(u);
+                }
+            }
+            true
+        }
     }
 
     /// BFS over usable edges; `blocked` nodes are not traversed (but the
@@ -2080,12 +1420,12 @@ mod tests {
 
     #[test]
     fn scratch_reuse_does_not_leak_state_between_modes() {
-        // Evaluate wildly different modes back to back on one arena and
-        // compare each against a fresh arena.
+        // Evaluate wildly different modes back to back on one scratch, one
+        // lane block each, and compare every block against the reference.
         let (net, nodes) = bridge();
         let spec = CriticalitySpec::paper_random(&net, &PaperSpecParams::default(), 5);
         let kernel = ReachKernel::new(&net, &spec);
-        let mut reused = kernel.scratch();
+        let mut reused = kernel.block_scratch::<u64>();
         let [a, bb, _c, m1, m2] = nodes[..] else { panic!("five nodes") };
         type Mode = (Vec<NodeId>, Vec<(NodeId, usize)>);
         let modes: Vec<Mode> = vec![
@@ -2097,23 +1437,20 @@ mod tests {
             (vec![a], vec![]),
         ];
         for (broken, frozen) in &modes {
-            let mut fresh = kernel.scratch();
+            reused.clear();
+            kernel.push_mode(&mut reused, broken, frozen);
+            let got = kernel.eval_damages(&mut reused);
             assert_eq!(
-                kernel.mode_damage(&mut reused, broken, frozen),
-                kernel.mode_damage(&mut fresh, broken, frozen),
-                "broken {broken:?} frozen {frozen:?}"
-            );
-            assert_eq!(
-                kernel.mode_damage(&mut reused, broken, frozen),
+                got[0].total(),
                 reference::mode_damage(&net, &spec, broken, frozen),
-                "vs reference: broken {broken:?} frozen {frozen:?}"
+                "broken {broken:?} frozen {frozen:?}"
             );
         }
     }
 
     #[test]
     fn fault_set_matches_single_fault_analysis_for_singletons() {
-        use rsn_model::{enumerate_single_faults, FaultKind};
+        use rsn_model::enumerate_single_faults;
         let s = Structure::series(vec![
             Structure::sib("s0", Structure::instrument_seg("d0", 2, InstrumentKind::Bist)),
             Structure::parallel(
@@ -2131,7 +1468,9 @@ mod tests {
         }
         let crit = analyze_graph(&net, &spec, &AnalysisOptions::default());
         // Per-primitive worst-mode damage equals the max of its singleton
-        // fault-set damages.
+        // fault-set damages: a broken SIB cell's combined semantics already
+        // take the worst frozen select, and stuck modes of the same mux are
+        // separate singletons.
         for j in net.primitives() {
             let worst = enumerate_single_faults(&net)
                 .into_iter()
@@ -2139,17 +1478,12 @@ mod tests {
                 .map(|f| fault_set_damage(&net, &spec, &[f], SibCellPolicy::Combined).unwrap())
                 .max()
                 .unwrap();
-            // A broken SIB cell's combined semantics already take the worst
-            // frozen select, so the segment-broken singleton covers the mux
-            // freeze; stuck modes of the same mux are separate primitives.
-            let _ = FaultKind::SegmentBroken;
             assert_eq!(crit.damage(j), worst, "primitive {j}");
         }
     }
 
     #[test]
     fn double_faults_do_at_least_single_fault_damage() {
-        use rsn_model::Fault;
         let s = Structure::series(vec![
             Structure::instrument_seg("x", 1, InstrumentKind::Debug),
             Structure::instrument_seg("y", 1, InstrumentKind::Debug),
@@ -2177,30 +1511,37 @@ mod tests {
         assert_eq!(pair, 6);
     }
 
-    #[test]
-    fn too_many_frozen_combinations_is_a_structured_error() {
-        use rsn_model::Fault;
-        // One control cell driving 13 two-input muxes: 2^13 = 8192 > 4096
-        // frozen-select combinations when the cell breaks.
+    /// One control cell driving `k` two-input muxes, each selecting between
+    /// two instrument segments: breaking the cell freezes `2^k` select
+    /// combinations.
+    fn wide_cell(k: u32) -> (ScanNetwork, NodeId) {
         let mut b = NetworkBuilder::new("wide");
-        let cell = b.add_segment("cell", Segment::new(13));
+        let cell = b.add_segment("cell", Segment::new(k));
         let (si, so) = (b.scan_in(), b.scan_out());
         b.connect(si, cell).unwrap();
         let mut prev = cell;
-        for k in 0..13u32 {
-            let f = b.add_fanout(format!("f{k}"));
+        for i in 0..k {
+            let f = b.add_fanout(format!("f{i}"));
             b.connect(prev, f).unwrap();
-            let x = b.add_segment(format!("x{k}"), Segment::new(1));
-            let y = b.add_segment(format!("y{k}"), Segment::new(1));
+            let x = b.add_segment(format!("x{i}"), Segment::new(1));
+            let y = b.add_segment(format!("y{i}"), Segment::new(1));
             b.connect(f, x).unwrap();
             b.connect(f, y).unwrap();
+            b.add_instrument(format!("ix{i}"), x, InstrumentKind::Sensor).unwrap();
+            b.add_instrument(format!("iy{i}"), y, InstrumentKind::Debug).unwrap();
             let m = b
-                .add_mux(format!("m{k}"), vec![x, y], ControlSource::Cell { segment: cell, bit: k })
+                .add_mux(format!("m{i}"), vec![x, y], ControlSource::Cell { segment: cell, bit: i })
                 .unwrap();
             prev = m;
         }
         b.connect(prev, so).unwrap();
-        let net = b.finish().unwrap();
+        (b.finish().unwrap(), cell)
+    }
+
+    #[test]
+    fn too_many_frozen_combinations_is_a_structured_error() {
+        // 2^13 = 8192 > 4096 frozen-select combinations.
+        let (net, cell) = wide_cell(13);
         let spec = CriticalitySpec::new(&net);
         let err =
             fault_set_damage(&net, &spec, &[Fault::broken_segment(cell)], SibCellPolicy::Combined)
@@ -2224,6 +1565,33 @@ mod tests {
     }
 
     #[test]
+    fn fault_set_combinations_span_several_lane_blocks() {
+        // 2^8 = 256 combinations: four full 64-lane blocks for one set. The
+        // per-set worst case must equal the reference maximized over the
+        // same odometer, at one and four threads.
+        let (net, cell) = wide_cell(8);
+        let spec = CriticalitySpec::paper_random(&net, &PaperSpecParams::default(), 9);
+        let muxes: Vec<NodeId> = net.muxes().collect();
+        let mut want = 0u64;
+        for c in 0..1usize << muxes.len() {
+            let frozen: Vec<(NodeId, usize)> =
+                muxes.iter().enumerate().map(|(k, &m)| (m, (c >> k) & 1)).collect();
+            want = want.max(reference::mode_damage(&net, &spec, &[cell], &frozen));
+        }
+        for threads in [1, 4] {
+            let got = fault_set_damage_with(
+                &net,
+                &spec,
+                &[Fault::broken_segment(cell)],
+                SibCellPolicy::Combined,
+                Parallelism::new(threads),
+            )
+            .unwrap();
+            assert_eq!(got, want, "threads={threads}");
+        }
+    }
+
+    #[test]
     fn oversized_networks_are_a_structured_error() {
         // A >= u32::MAX-node network cannot be built in a test, so the
         // capacity check is exercised on raw counts — the same check
@@ -2238,9 +1606,8 @@ mod tests {
             other => panic!("expected too-large error, got {other:?}"),
         }
         assert!(err.to_string().contains("kernel index space"), "{err}");
-        // The frozen-reach cache offsets share the u32 space: a network
-        // whose *port* total overflows is rejected even when the node count
-        // fits.
+        // The edge offsets share the u32 space: a network whose *port*
+        // total overflows is rejected even when the node count fits.
         let err = ReachKernel::check_capacity(1_000_000, u128::from(u32::MAX)).unwrap_err();
         assert!(matches!(err, AnalysisError::NetworkTooLarge { .. }));
     }
@@ -2249,8 +1616,8 @@ mod tests {
     fn damage_saturates_instead_of_wrapping() {
         // Two instrument segments in series, each weighted near u64::MAX: a
         // broken segment loses both directions of its neighbour plus itself,
-        // so the unchecked `+=` of the old decoder wrapped (panicking in
-        // debug builds). Saturating arithmetic clamps at u64::MAX.
+        // so an unchecked `+=` would wrap (panicking in debug builds).
+        // Saturating arithmetic clamps at u64::MAX.
         let huge = u64::MAX / 2 + 1;
         let mut b = NetworkBuilder::new("sat");
         let (si, so) = (b.scan_in(), b.scan_out());
@@ -2387,51 +1754,67 @@ mod tests {
         );
     }
 
-    /// The batched mode-major evaluation must reproduce the scalar traced
-    /// reference exactly: damage split, importance flag, lost-segment records
-    /// *and* footprint membership, on SP and non-SP graphs alike.
+    /// The traced lane decode must reproduce the `Vec<bool>` reference maps
+    /// exactly: damage split, importance flag, lost-segment records *and*
+    /// footprint membership, on SP and non-SP graphs alike.
     #[test]
     fn batched_traces_match_the_scalar_traced_reference() {
         let sp = rsn_benchmarks_free_tree().build("sp").unwrap().0;
         let (bridge_net, _) = bridge();
         for net in [&sp, &bridge_net] {
             let spec = CriticalitySpec::paper_random(net, &PaperSpecParams::default(), 23);
-            for options in [
-                AnalysisOptions::default(),
-                AnalysisOptions { sib_policy: SibCellPolicy::Combined, ..Default::default() },
-            ] {
-                let kernel = ReachKernel::new(net, &spec)
-                    .try_with_port_reach_cache(&CancelToken::none())
-                    .unwrap();
-                let mut scalar = kernel.scratch();
-                let controlled = controlled_muxes(net, &options);
-                type ModeSpec = (Vec<NodeId>, Vec<(NodeId, usize)>);
-                let mut specs: Vec<ModeSpec> = Vec::new();
-                for j in net.primitives() {
-                    for_each_mode(net, &controlled, j, &mut |broken, frozen| {
-                        specs.push((broken.to_vec(), frozen.to_vec()));
-                    });
-                }
-                let batch: ModeBlockKernel<'_, DefaultLane> = ModeBlockKernel::new(&kernel);
-                let mut block = batch.scratch();
-                for chunk in specs.chunks(DefaultLane::LANES) {
-                    batch.begin_block(&mut block);
-                    for (broken, frozen) in chunk {
-                        batch.push_mode(&mut block, broken, frozen);
-                    }
-                    let got = batch.eval_traced(&mut block, true);
-                    assert_eq!(got.len(), chunk.len());
-                    for ((broken, frozen), (trace, footprint)) in chunk.iter().zip(&got) {
-                        let (want_trace, want_fp) =
-                            kernel.mode_damage_traced(&mut scalar, broken, frozen, true);
-                        assert_eq!(trace, &want_trace, "mode {broken:?} {frozen:?}");
-                        for node in 0..net.node_count() {
-                            assert_eq!(
-                                kernel.footprint_contains(footprint, node),
-                                kernel.footprint_contains(&want_fp, node),
-                                "footprint node {node} of mode {broken:?} {frozen:?}"
-                            );
+            for policy in [SibCellPolicy::SegmentOnly, SibCellPolicy::Combined] {
+                let kernel = ReachKernel::new(net, &spec);
+                let table = ModeTable::single_faults(net, policy);
+                let got = sweep_blocks(
+                    &kernel,
+                    Parallelism::sequential(),
+                    &CancelToken::none(),
+                    table.len(),
+                    |s, m| {
+                        let (broken, frozen) = table.mode(m);
+                        kernel.push_mode(s, broken, frozen);
+                    },
+                    |s| kernel.eval_traced(s, true),
+                )
+                .unwrap();
+                for (m, (trace, footprint)) in got.iter().enumerate() {
+                    let (broken, frozen) = table.mode(m);
+                    let usable = reference::usable_edges(net, frozen);
+                    let is_broken = |n: NodeId| broken.contains(&n);
+                    let (si, so) = (net.scan_in(), net.scan_out());
+                    let fwd_any = reference::reach(net, si, false, &usable, |_| false);
+                    let fwd_clean = reference::reach(net, si, false, &usable, is_broken);
+                    let bwd_any = reference::reach(net, so, true, &usable, |_| false);
+                    let bwd_clean = reference::reach(net, so, true, &usable, is_broken);
+                    let mut want = ModeTrace::default();
+                    for (i, inst) in net.instruments() {
+                        let t = inst.segment().index();
+                        let lost_obs =
+                            broken.contains(&inst.segment()) || !(fwd_any[t] && bwd_clean[t]);
+                        let lost_set =
+                            broken.contains(&inst.segment()) || !(fwd_clean[t] && bwd_any[t]);
+                        if lost_obs {
+                            want.obs_damage += spec.obs_weight(i);
+                            want.affects_important |= spec.is_important_obs(i);
                         }
+                        if lost_set {
+                            want.set_damage += spec.set_weight(i);
+                            want.affects_important |= spec.is_important_set(i);
+                        }
+                        if (lost_obs || lost_set) && kernel.is_live_segment(t) {
+                            want.lost.push(LostSegment { segment: t as u32, lost_obs, lost_set });
+                        }
+                    }
+                    want.lost.sort_by_key(|r| r.segment);
+                    want.lost.dedup();
+                    assert_eq!(trace, &want, "mode {broken:?} {frozen:?}");
+                    for node in 0..net.node_count() {
+                        assert_eq!(
+                            kernel.footprint_contains(footprint, node),
+                            fwd_any[node] || bwd_any[node],
+                            "footprint node {node} of mode {broken:?} {frozen:?}"
+                        );
                     }
                 }
             }

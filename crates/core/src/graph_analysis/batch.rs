@@ -1,14 +1,12 @@
-//! Mode-major batch evaluation of fault modes: up to [`LaneWord::LANES`]
-//! modes per traversal.
+//! The graph-exact reachability engine: fault modes evaluated mode-major,
+//! up to [`LaneWord::LANES`] modes per traversal.
 //!
-//! The scalar [`ReachKernel`](super::ReachKernel) walks the graph once per
-//! fault mode — four (usually two) full traversals each. A full sweep
-//! evaluates thousands of modes over the *same* adjacency, so the traversal
-//! structure is identical every time; only the pruned edges and blocked
-//! nodes differ. This module transposes the layout: each node carries one
-//! **lane-word** whose bit *l* means "mode *l* of the current block still
-//! reaches this node", and a single pass over the topologically ordered CSR
-//! propagates all lanes at once.
+//! A sweep evaluates thousands of fault modes over the *same* adjacency, so
+//! the traversal structure is identical every time; only the pruned edges
+//! and blocked nodes differ. Each node therefore carries one **lane-word**
+//! whose bit *l* means "mode *l* of the current block still reaches this
+//! node", and a single pass over the topologically ordered CSR propagates
+//! all lanes at once.
 //!
 //! Reachability under a fault mode is monotone over a DAG, so the
 //! traversal becomes a relaxation in topological order:
@@ -22,31 +20,26 @@
 //! `usable(v, q)` encodes the frozen-select rule per lane:
 //! `(active & !restrict[v]) | allow[e]` — `restrict[v]` masks the lanes
 //! freezing mux `v`, and `allow[e]` re-opens the edges whose source is the
-//! frozen port's input **node** (every parallel edge from that node, matching
-//! the scalar kernel's node-identity check). The clean variants additionally
-//! mask the target's `broken` lanes, and the scan-in/scan-out presets keep
-//! the "start is always visited" rule. Lanes without frozen selects see no
-//! restrict bits and propagate exactly like the baseline; lanes without
-//! broken segments have clean == any — the scalar kernel's per-mode
-//! shortcuts fall out per lane with no special cases.
+//! frozen port's input **node** (every parallel edge from that node). The
+//! clean variants additionally mask the target's `broken` lanes, and the
+//! scan-in/scan-out presets keep the "start is always visited" rule. Lanes
+//! without frozen selects see no restrict bits and propagate exactly like
+//! the fault-free baseline; lanes without broken segments have
+//! clean == any.
 //!
-//! The result is bit-identical to [`ReachKernel::mode_damage`]
-//! (property-tested in `tests/prop_batch_kernel.rs`), with the scalar
-//! kernel kept as the differential reference.
+//! The engine is differentially tested against the `Vec<bool>` reference
+//! ([`reference`](super::reference)) and the accessibility oracle
+//! (`tests/prop_batch_kernel.rs`, `tests/prop_graph_kernel.rs`).
 
 use rsn_model::NodeId;
 
 use crate::bitset::BitSet;
+use crate::shard::ModeDamage;
 
 use super::{LostSegment, ModeFootprint, ModeTrace, ReachKernel, NO_SELECTED_INPUT};
 
 /// A machine word of mode lanes: bit (or lane) `l` carries mode `l` of the
 /// current block through every bitwise step of the batch traversal.
-///
-/// The default is `u64` (64 modes per pass). A chunked `[u64; 4]` wide word
-/// (256 modes per pass) is available behind the `wide-lanes` cargo feature
-/// as [`DefaultLane`] once the scalar transpose wins on the target
-/// microarchitecture.
 pub trait LaneWord: Copy + Send + Sync + 'static {
     /// Number of mode lanes a word carries.
     const LANES: usize;
@@ -124,119 +117,16 @@ impl LaneWord for u64 {
     }
 }
 
-/// Chunked 256-lane word: four `u64`s relaxed together per node. Gated
-/// behind the `wide-lanes` feature until the wider stride beats the `u64`
-/// path on the target microarchitecture (more live registers per node, but
-/// fewer passes per sweep).
-#[cfg(feature = "wide-lanes")]
-impl LaneWord for [u64; 4] {
-    const LANES: usize = 256;
-    const ZERO: Self = [0; 4];
-
-    #[inline]
-    fn set(&mut self, l: usize) {
-        self[l / 64] |= 1u64 << (l % 64);
-    }
-
-    #[inline]
-    fn get(&self, l: usize) -> bool {
-        self[l / 64] & (1u64 << (l % 64)) != 0
-    }
-
-    #[inline]
-    fn or(self, other: Self) -> Self {
-        [self[0] | other[0], self[1] | other[1], self[2] | other[2], self[3] | other[3]]
-    }
-
-    #[inline]
-    fn and(self, other: Self) -> Self {
-        [self[0] & other[0], self[1] & other[1], self[2] & other[2], self[3] & other[3]]
-    }
-
-    #[inline]
-    fn and_not(self, other: Self) -> Self {
-        [self[0] & !other[0], self[1] & !other[1], self[2] & !other[2], self[3] & !other[3]]
-    }
-
-    #[inline]
-    fn is_zero(&self) -> bool {
-        self[0] | self[1] | self[2] | self[3] == 0
-    }
-
-    #[inline]
-    fn lane_mask(k: usize) -> Self {
-        let mut w = [0u64; 4];
-        for (c, chunk) in w.iter_mut().enumerate() {
-            let low = c * 64;
-            *chunk = <u64 as LaneWord>::lane_mask(k.saturating_sub(low));
-        }
-        w
-    }
-
-    #[inline]
-    fn for_each_lane(self, mut f: impl FnMut(usize)) {
-        for (c, &chunk) in self.iter().enumerate() {
-            chunk.for_each_lane(|l| f(c * 64 + l));
-        }
-    }
-}
-
-/// The lane word the full-sweep call sites batch with: `u64` by default,
-/// the chunked 256-lane word with the `wide-lanes` feature.
-#[cfg(not(feature = "wide-lanes"))]
+/// The lane word every sweep batches with: 64 fault modes per pass.
 pub type DefaultLane = u64;
 
-/// The lane word the full-sweep call sites batch with: `u64` by default,
-/// the chunked 256-lane word with the `wide-lanes` feature.
-#[cfg(feature = "wide-lanes")]
-pub type DefaultLane = [u64; 4];
-
-/// The frozen-select shape of one lane, recorded at
-/// [`ModeBlockKernel::push_mode`] so the traced evaluation can classify the
-/// lane's footprint exactly like the scalar kernel does.
-#[derive(Clone, Copy, Debug)]
-enum LaneFrozen {
-    /// No frozen select: the any-maps are the fault-free baseline.
-    None,
-    /// Exactly one distinct frozen mux at an in-range port: eligible for the
-    /// kernel's per-(mux, port) footprint cache.
-    Cachable {
-        /// Node index of the frozen mux.
-        mux: u32,
-        /// The frozen port.
-        port: u32,
-    },
-    /// Multiple distinct frozen muxes, or an out-of-range port: the lane
-    /// owns its footprint.
-    Own,
-}
-
-/// Mode-major batch evaluator over a scalar [`ReachKernel`]: packs up to
-/// `W::LANES` fault modes into one lane-word per node and propagates them
-/// all in one forward/backward relaxation pass over the topologically
-/// ordered CSR.
+/// Per-worker mutable state of the engine: the lane-word reach maps, the
+/// per-node restrict/broken and per-edge allow masks, and the touched lists
+/// that make the per-block reset O(touched), not O(V + E).
 ///
-/// Build once per kernel with [`ModeBlockKernel::new`], give each worker a
-/// [`BlockScratch`] from [`ModeBlockKernel::scratch`], then per block:
-/// [`begin_block`](Self::begin_block), up to `W::LANES` ×
-/// [`push_mode`](Self::push_mode), one
-/// [`eval_damages`](Self::eval_damages). Results are bit-identical to
-/// evaluating each mode through [`ReachKernel::mode_damage`].
-#[derive(Debug)]
-pub struct ModeBlockKernel<'k, W: LaneWord = u64> {
-    kernel: &'k ReachKernel,
-    /// Node indices in topological order (scan-in side first).
-    topo: Vec<u32>,
-    /// Cumulative incoming-edge offsets per node: the incoming edges of `v`
-    /// occupy `pred_off[v]..pred_off[v + 1]` in edge-indexed arrays, in the
-    /// CSR's predecessor (select-port) order.
-    pred_off: Vec<u32>,
-    _lane: core::marker::PhantomData<W>,
-}
-
-/// Per-worker mutable state of a [`ModeBlockKernel`]: the lane-word reach
-/// maps, the per-node restrict/broken and per-edge allow masks, and the
-/// touched lists that make the per-block reset O(touched), not O(V + E).
+/// Allocate with [`ReachKernel::block_scratch`]; per block call
+/// [`clear`](Self::clear), up to `W::LANES` × [`ReachKernel::push_mode`],
+/// then one [`ReachKernel::eval_damages`].
 #[derive(Clone, Debug)]
 pub struct BlockScratch<W> {
     /// Modes pushed into the current block.
@@ -251,65 +141,44 @@ pub struct BlockScratch<W> {
     allow: Vec<W>,
     /// Lanes in which node `v` is broken.
     broken: Vec<W>,
+    /// Lanes with at least one frozen select: their footprint is their own
+    /// any-maps rather than the fault-free baseline.
+    frozen_lanes: W,
     /// Nodes with a nonzero `restrict` word (reset list).
     frozen_nodes: Vec<u32>,
     /// Edges with a nonzero `allow` word (reset list).
     allow_edges: Vec<u32>,
     /// Nodes with a nonzero `broken` word (reset list).
     broken_nodes: Vec<u32>,
-    /// Distinct muxes frozen by the mode currently being pushed
-    /// (first-entry-wins dedup, matching the scalar kernel).
-    mode_muxes: Vec<u32>,
-    /// Per-lane frozen shape for footprint classification.
-    lane_frozen: Vec<LaneFrozen>,
 }
 
-impl<'k, W: LaneWord> ModeBlockKernel<'k, W> {
-    /// Prepares the batch evaluator: computes a topological order of the
-    /// kernel's CSR (Kahn's algorithm; validated RSNs are DAGs) and the
-    /// cumulative incoming-edge offsets the lane passes index with.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph has a cycle (validated scan networks never do).
-    #[must_use]
-    pub fn new(kernel: &'k ReachKernel) -> Self {
-        let n = kernel.node_count;
-        let csr = &kernel.csr;
-        let mut pred_off = Vec::with_capacity(n + 1);
-        let mut edges = 0u32;
-        pred_off.push(0);
-        for v in 0..n {
-            edges += csr.predecessors(v as u32).len() as u32;
-            pred_off.push(edges);
+impl<W: LaneWord> BlockScratch<W> {
+    /// Resets the scratch for a fresh block. O(masks touched by the previous
+    /// block), not O(V + E).
+    pub fn clear(&mut self) {
+        for &v in &self.frozen_nodes {
+            self.restrict[v as usize] = W::ZERO;
         }
-        let mut indeg: Vec<u32> = (0..n).map(|v| csr.predecessors(v as u32).len() as u32).collect();
-        let mut topo = Vec::with_capacity(n);
-        let mut ready: Vec<u32> = (0..n as u32).filter(|&v| indeg[v as usize] == 0).collect();
-        while let Some(v) = ready.pop() {
-            topo.push(v);
-            for &w in csr.successors(v) {
-                indeg[w as usize] -= 1;
-                if indeg[w as usize] == 0 {
-                    ready.push(w);
-                }
-            }
+        for &e in &self.allow_edges {
+            self.allow[e as usize] = W::ZERO;
         }
-        assert!(topo.len() == n, "scan network graph must be acyclic");
-        Self { kernel, topo, pred_off, _lane: core::marker::PhantomData }
+        for &v in &self.broken_nodes {
+            self.broken[v as usize] = W::ZERO;
+        }
+        self.frozen_nodes.clear();
+        self.allow_edges.clear();
+        self.broken_nodes.clear();
+        self.frozen_lanes = W::ZERO;
+        self.len = 0;
     }
+}
 
-    /// The scalar kernel this evaluator batches over.
-    #[must_use]
-    pub fn kernel(&self) -> &ReachKernel {
-        self.kernel
-    }
-
+impl ReachKernel {
     /// Allocates a per-worker scratch sized for this kernel (reused across
     /// every block the worker evaluates).
     #[must_use]
-    pub fn scratch(&self) -> BlockScratch<W> {
-        let n = self.kernel.node_count;
+    pub fn block_scratch<W: LaneWord>(&self) -> BlockScratch<W> {
+        let n = self.node_count;
         let e = *self.pred_off.last().expect("offsets nonempty") as usize;
         BlockScratch {
             len: 0,
@@ -320,90 +189,48 @@ impl<'k, W: LaneWord> ModeBlockKernel<'k, W> {
             restrict: vec![W::ZERO; n],
             allow: vec![W::ZERO; e],
             broken: vec![W::ZERO; n],
+            frozen_lanes: W::ZERO,
             frozen_nodes: Vec::new(),
             allow_edges: Vec::new(),
             broken_nodes: Vec::new(),
-            mode_muxes: Vec::new(),
-            lane_frozen: Vec::new(),
         }
-    }
-
-    /// Resets `s` for a fresh block. O(masks touched by the previous
-    /// block), not O(V + E).
-    pub fn begin_block(&self, s: &mut BlockScratch<W>) {
-        let BlockScratch {
-            len,
-            restrict,
-            allow,
-            broken,
-            frozen_nodes,
-            allow_edges,
-            broken_nodes,
-            lane_frozen,
-            ..
-        } = s;
-        for &v in frozen_nodes.iter() {
-            restrict[v as usize] = W::ZERO;
-        }
-        for &e in allow_edges.iter() {
-            allow[e as usize] = W::ZERO;
-        }
-        for &v in broken_nodes.iter() {
-            broken[v as usize] = W::ZERO;
-        }
-        frozen_nodes.clear();
-        allow_edges.clear();
-        broken_nodes.clear();
-        lane_frozen.clear();
-        *len = 0;
-    }
-
-    /// Number of modes pushed into the current block.
-    #[must_use]
-    pub fn block_len(&self, s: &BlockScratch<W>) -> usize {
-        s.len
     }
 
     /// Adds one fault mode — `broken` segments plus `frozen` (mux, port)
-    /// selects, with the scalar kernel's first-entry-wins dedup of repeated
-    /// muxes — as the next lane of the current block.
+    /// selects, the first entry winning for a repeated mux — as the next
+    /// lane of the current block.
     ///
     /// # Panics
     ///
     /// Panics if the block already holds `W::LANES` modes, or if a `frozen`
     /// entry names a node that is not a multiplexer.
-    pub fn push_mode(
+    pub fn push_mode<'b, W: LaneWord>(
         &self,
         s: &mut BlockScratch<W>,
-        broken: &[NodeId],
+        broken: impl IntoIterator<Item = &'b NodeId>,
         frozen: &[(NodeId, usize)],
     ) {
         assert!(s.len < W::LANES, "mode block is full");
         let lane = s.len;
         s.len += 1;
-        s.mode_muxes.clear();
-        let mut first: Option<(u32, u32, u32)> = None;
         for &(m, p) in frozen {
             let mi = m.index();
-            assert!(self.kernel.is_mux[mi], "frozen node is a mux");
-            if s.mode_muxes.contains(&(mi as u32)) {
+            assert!(self.is_mux[mi], "frozen node is a mux");
+            if s.restrict[mi].get(lane) {
                 continue;
-            }
-            s.mode_muxes.push(mi as u32);
-            let sel = self.kernel.mux_inputs[mi].get(p).copied().unwrap_or(NO_SELECTED_INPUT);
-            if first.is_none() {
-                first = Some((mi as u32, p as u32, sel));
             }
             if s.restrict[mi].is_zero() {
                 s.frozen_nodes.push(mi as u32);
             }
             s.restrict[mi].set(lane);
+            s.frozen_lanes.set(lane);
+            let sel = self.mux_inputs[mi].get(p).copied().unwrap_or(NO_SELECTED_INPUT);
             if sel != NO_SELECTED_INPUT {
                 // Re-open every incoming edge whose *source node* is the
                 // selected input — parallel edges from the same node are all
-                // usable, matching the scalar node-identity check.
+                // usable.
                 let base = self.pred_off[mi] as usize;
-                for (q, &u) in self.kernel.csr.predecessors(mi as u32).iter().enumerate() {
+                for (q, &u) in self.csr.predecessors(mi as u32).iter().enumerate() {
                     if u == sel {
                         let e = base + q;
                         if s.allow[e].is_zero() {
@@ -421,20 +248,12 @@ impl<'k, W: LaneWord> ModeBlockKernel<'k, W> {
             }
             s.broken[bi].set(lane);
         }
-        s.lane_frozen.push(match (s.mode_muxes.len(), first) {
-            (0, _) => LaneFrozen::None,
-            (1, Some((mux, port, sel))) if sel != NO_SELECTED_INPUT => {
-                LaneFrozen::Cachable { mux, port }
-            }
-            _ => LaneFrozen::Own,
-        });
     }
 
     /// One relaxation pass in topological order, pulling the `any` and
     /// (when the block has broken lanes) `clean` forward maps, or pushing
     /// the backward maps in reverse order.
-    fn run_passes(&self, s: &mut BlockScratch<W>) {
-        let k = self.kernel;
+    fn run_passes<W: LaneWord>(&self, s: &mut BlockScratch<W>) {
         let active = W::lane_mask(s.len);
         let has_frozen = !s.frozen_nodes.is_empty();
         let has_broken = !s.broken_nodes.is_empty();
@@ -443,9 +262,8 @@ impl<'k, W: LaneWord> ModeBlockKernel<'k, W> {
         // incoming edges; scan-in is preset and never overwritten (the
         // "start is always visited" rule, even when broken).
         if has_frozen || has_broken {
-            let scan_in = k.scan_in;
             for &v in &self.topo {
-                if v == scan_in {
+                if v == self.scan_in {
                     if has_frozen {
                         s.fwd_any[v as usize] = active;
                     }
@@ -455,7 +273,7 @@ impl<'k, W: LaneWord> ModeBlockKernel<'k, W> {
                     continue;
                 }
                 let vi = v as usize;
-                let preds = k.csr.predecessors(v);
+                let preds = self.csr.predecessors(v);
                 let base = self.pred_off[vi] as usize;
                 let mut any = W::ZERO;
                 let mut clean = W::ZERO;
@@ -501,11 +319,11 @@ impl<'k, W: LaneWord> ModeBlockKernel<'k, W> {
         // each predecessor.
         if has_frozen {
             s.bwd_any.fill(W::ZERO);
-            s.bwd_any[k.scan_out as usize] = active;
+            s.bwd_any[self.scan_out as usize] = active;
         }
         if has_broken {
             s.bwd_clean.fill(W::ZERO);
-            s.bwd_clean[k.scan_out as usize] = active;
+            s.bwd_clean[self.scan_out as usize] = active;
         }
         if has_frozen || has_broken {
             for &v in self.topo.iter().rev() {
@@ -515,7 +333,7 @@ impl<'k, W: LaneWord> ModeBlockKernel<'k, W> {
                 if av.is_zero() && cv.is_zero() {
                     continue;
                 }
-                let preds = k.csr.predecessors(v);
+                let preds = self.csr.predecessors(v);
                 let base = self.pred_off[vi] as usize;
                 if s.restrict[vi].is_zero() {
                     for &u in preds {
@@ -545,30 +363,24 @@ impl<'k, W: LaneWord> ModeBlockKernel<'k, W> {
             // The scan-out preset must survive even a (hypothetical) broken
             // scan-out: the start of a traversal is always visited.
             if has_frozen {
-                s.bwd_any[k.scan_out as usize] = active;
+                s.bwd_any[self.scan_out as usize] = active;
             }
             if has_broken {
-                s.bwd_clean[k.scan_out as usize] = active;
+                s.bwd_clean[self.scan_out as usize] = active;
             }
         }
     }
 
-    /// Evaluates the current block: one forward + one backward relaxation
-    /// (each fused over the any/clean variants the block needs), then a
-    /// word-parallel decode over the live segments. Returns the per-mode
-    /// damages in push order — bit-identical to calling
-    /// [`ReachKernel::mode_damage`] per mode.
-    #[must_use]
-    pub fn eval_damages(&self, s: &mut BlockScratch<W>) -> Vec<u64> {
+    /// Relaxes the current block, then walks the live segments
+    /// word-parallel and calls `f(segment, miss_obs, miss_set)` for every
+    /// segment some lane lost, with the lanes that lost its observability
+    /// and its settability.
+    fn for_each_miss<W: LaneWord>(&self, s: &mut BlockScratch<W>, mut f: impl FnMut(usize, W, W)) {
         self.run_passes(s);
-        let k = self.kernel;
         let active = W::lane_mask(s.len);
         let has_frozen = !s.frozen_nodes.is_empty();
         let has_broken = !s.broken_nodes.is_empty();
-        // Lane accumulators saturate, matching the scalar kernel's
-        // overflow bound (see `criticality::Criticality::total_damage`).
-        let mut damages = vec![k.dead_obs.saturating_add(k.dead_set); s.len];
-        for (w, &lw) in k.live.words().iter().enumerate() {
+        for (w, &lw) in self.live.words().iter().enumerate() {
             let mut live = lw;
             while live != 0 {
                 let t = w * 64 + live.trailing_zeros() as usize;
@@ -586,109 +398,96 @@ impl<'k, W: LaneWord> ModeBlockKernel<'k, W> {
                     set_ok = set_ok.and_not(s.broken[t]);
                 }
                 let miss_obs = active.and_not(obs_ok);
-                if !miss_obs.is_zero() {
-                    miss_obs
-                        .for_each_lane(|l| damages[l] = damages[l].saturating_add(k.live_obs_w[t]));
-                }
                 let miss_set = active.and_not(set_ok);
-                if !miss_set.is_zero() {
-                    miss_set
-                        .for_each_lane(|l| damages[l] = damages[l].saturating_add(k.live_set_w[t]));
+                if !miss_obs.or(miss_set).is_zero() {
+                    f(t, miss_obs, miss_set);
                 }
             }
         }
-        damages
+    }
+
+    /// Evaluates the current block: one forward + one backward relaxation
+    /// (each fused over the any/clean variants the block needs), then a
+    /// word-parallel decode over the live segments. Returns each mode's
+    /// obs/set damage split and importance flag, in push order.
+    #[must_use]
+    pub fn eval_damages<W: LaneWord>(&self, s: &mut BlockScratch<W>) -> Vec<ModeDamage> {
+        let mut out = vec![
+            ModeDamage {
+                obs: self.dead_obs,
+                set: self.dead_set,
+                affects_important: self.dead_important,
+            };
+            s.len
+        ];
+        // Lanes that lost an important instrument, folded word-wide.
+        let mut important = W::ZERO;
+        self.for_each_miss(s, |t, miss_obs, miss_set| {
+            // Lane accumulators saturate: damage is a monotone ceiling past
+            // u64::MAX (see `criticality::Criticality::total_damage`).
+            miss_obs.for_each_lane(|l| out[l].obs = out[l].obs.saturating_add(self.live_obs_w[t]));
+            miss_set.for_each_lane(|l| out[l].set = out[l].set.saturating_add(self.live_set_w[t]));
+            if self.important_obs.contains(t) {
+                important = important.or(miss_obs);
+            }
+            if self.important_set.contains(t) {
+                important = important.or(miss_set);
+            }
+        });
+        important.for_each_lane(|l| out[l].affects_important = true);
+        out
     }
 
     /// [`eval_damages`](Self::eval_damages) with full provenance per mode:
     /// the obs/set damage split, the lost-segment records (ascending by
-    /// segment) and — when `want_footprints` — the mode footprint, matching
-    /// [`ReachKernel::mode_damage_traced`] exactly.
-    pub(crate) fn eval_traced(
+    /// segment) and — when `want_footprints` — the mode footprint.
+    pub(crate) fn eval_traced<W: LaneWord>(
         &self,
         s: &mut BlockScratch<W>,
         want_footprints: bool,
     ) -> Vec<(ModeTrace, ModeFootprint)> {
-        self.run_passes(s);
-        let k = self.kernel;
-        let active = W::lane_mask(s.len);
-        let has_frozen = !s.frozen_nodes.is_empty();
-        let has_broken = !s.broken_nodes.is_empty();
         let mut out: Vec<(ModeTrace, ModeFootprint)> = (0..s.len)
             .map(|_| {
                 (
                     ModeTrace {
-                        obs_damage: k.dead_obs,
-                        set_damage: k.dead_set,
-                        affects_important: k.dead_important,
+                        obs_damage: self.dead_obs,
+                        set_damage: self.dead_set,
+                        affects_important: self.dead_important,
                         lost: Vec::new(),
                     },
                     ModeFootprint::Baseline,
                 )
             })
             .collect();
-        for (w, &lw) in k.live.words().iter().enumerate() {
-            let mut live = lw;
-            while live != 0 {
-                let t = w * 64 + live.trailing_zeros() as usize;
-                live &= live - 1;
-                let fa = if has_frozen { s.fwd_any[t] } else { active };
-                let ba = if has_frozen { s.bwd_any[t] } else { active };
-                let fc = if has_broken { s.fwd_clean[t] } else { fa };
-                let bc = if has_broken { s.bwd_clean[t] } else { ba };
-                let mut obs_ok = fa.and(bc);
-                let mut set_ok = fc.and(ba);
-                if has_broken {
-                    obs_ok = obs_ok.and_not(s.broken[t]);
-                    set_ok = set_ok.and_not(s.broken[t]);
+        self.for_each_miss(s, |t, miss_obs, miss_set| {
+            miss_obs.or(miss_set).for_each_lane(|l| {
+                let trace = &mut out[l].0;
+                let lost_obs = miss_obs.get(l);
+                let lost_set = miss_set.get(l);
+                if lost_obs {
+                    trace.obs_damage = trace.obs_damage.saturating_add(self.live_obs_w[t]);
+                    trace.affects_important |= self.important_obs.contains(t);
                 }
-                let miss_obs = active.and_not(obs_ok);
-                let miss_set = active.and_not(set_ok);
-                let union = miss_obs.or(miss_set);
-                if union.is_zero() {
-                    continue;
+                if lost_set {
+                    trace.set_damage = trace.set_damage.saturating_add(self.live_set_w[t]);
+                    trace.affects_important |= self.important_set.contains(t);
                 }
-                union.for_each_lane(|l| {
-                    let trace = &mut out[l].0;
-                    let lost_obs = miss_obs.get(l);
-                    let lost_set = miss_set.get(l);
-                    if lost_obs {
-                        trace.obs_damage = trace.obs_damage.saturating_add(k.live_obs_w[t]);
-                        trace.affects_important |= k.important_obs.contains(t);
-                    }
-                    if lost_set {
-                        trace.set_damage = trace.set_damage.saturating_add(k.live_set_w[t]);
-                        trace.affects_important |= k.important_set.contains(t);
-                    }
-                    trace.lost.push(LostSegment { segment: t as u32, lost_obs, lost_set });
-                });
-            }
-        }
+                trace.lost.push(LostSegment { segment: t as u32, lost_obs, lost_set });
+            });
+        });
         if want_footprints {
-            for (l, entry) in out.iter_mut().enumerate() {
-                entry.1 = match s.lane_frozen[l] {
-                    LaneFrozen::None => ModeFootprint::Baseline,
-                    LaneFrozen::Cachable { mux, port } => match k.port_offsets.get(mux as usize) {
-                        Some(&off) if off != NO_SELECTED_INPUT => ModeFootprint::Port(off + port),
-                        _ => self.extract_footprint(s, l),
-                    },
-                    LaneFrozen::Own => self.extract_footprint(s, l),
-                };
-            }
+            // A lane with frozen selects owns its footprint: the union of
+            // its any-maps (the relaxation computed them for this block).
+            s.frozen_lanes.for_each_lane(|l| {
+                let mut own = BitSet::new(self.node_count);
+                for (v, (&f, &b)) in s.fwd_any.iter().zip(&s.bwd_any).enumerate() {
+                    if f.or(b).get(l) {
+                        own.insert(v);
+                    }
+                }
+                out[l].1 = ModeFootprint::Own(own);
+            });
         }
         out
-    }
-
-    /// Materializes lane `l`'s own footprint — the union of its any-maps,
-    /// matching the scalar kernel's `ModeFootprint::Own` variant.
-    fn extract_footprint(&self, s: &BlockScratch<W>, l: usize) -> ModeFootprint {
-        let n = self.kernel.node_count;
-        let mut own = BitSet::new(n);
-        for v in 0..n {
-            if s.fwd_any[v].get(l) || s.bwd_any[v].get(l) {
-                own.insert(v);
-            }
-        }
-        ModeFootprint::Own(own)
     }
 }

@@ -87,7 +87,7 @@ pub use graph_analysis::{
     double_fault_damage_with, double_fault_damage_with_cancel, fault_set_damage,
     fault_set_damage_with, fault_set_damage_with_cancel, sampled_double_fault_damage,
     sampled_double_fault_damage_with, sampled_double_fault_damage_with_cancel, AnalysisError,
-    DoubleFaultSummary, GraphCriticality, ReachKernel, ScratchArena, MAX_FROZEN_COMBINATIONS,
+    DoubleFaultSummary, GraphCriticality, ReachKernel, MAX_FROZEN_COMBINATIONS,
 };
 pub use hardening::{
     solve_exact, solve_exact_cancellable, solve_greedy, solve_nsga2, solve_nsga2_cancellable,

@@ -39,9 +39,8 @@ use crate::cancel::{CancelToken, Cancelled};
 use crate::cost::CostModel;
 use crate::criticality::{analyze, AnalysisOptions, Criticality};
 use crate::graph_analysis::{
-    analyze_graph_with, analyze_graph_with_cancel, double_fault_damage_with_cancel,
-    fault_set_damage_with_cancel, sampled_double_fault_damage_with_cancel, AnalysisError,
-    DoubleFaultSummary, GraphCriticality,
+    analyze_graph_with_cancel, double_fault_damage_with_cancel, AnalysisError, DoubleFaultSummary,
+    GraphCriticality,
 };
 use crate::hardening::{
     solve_exact_cancellable, solve_greedy, solve_nsga2_cancellable, solve_random,
@@ -49,9 +48,7 @@ use crate::hardening::{
 };
 use crate::par::Parallelism;
 use crate::spec::{CriticalitySpec, PaperSpecParams};
-use crate::validate::{
-    validate_criticality_with, validate_criticality_with_cancel, ValidationReport,
-};
+use crate::validate::{validate_criticality_with_cancel, ValidationReport};
 use crate::workspace::Workspace;
 
 /// Errors surfaced by [`AnalysisSession`] methods.
@@ -60,7 +57,7 @@ pub enum SessionError {
     /// The O(N) tree analysis needs a series-parallel decomposition, but the
     /// network is not (recognizably) series-parallel and no tree was
     /// supplied to the builder. Graph-exact analysis
-    /// ([`AnalysisSession::graph_criticality`]) still works.
+    /// ([`AnalysisSession::try_graph_criticality`]) still works.
     NotSeriesParallel(String),
     /// A tree supplied via [`AnalysisSessionBuilder::with_tree`] does not
     /// belong to the session's network.
@@ -469,24 +466,13 @@ impl AnalysisSession {
         Ok(self.criticality.get_or_init(|| crit))
     }
 
-    /// Deprecated one-shot shim — see [`Workspace::graph_criticality`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "one-shot entry point; use try_graph_criticality, or build_workspace() + \
-                Workspace::graph_criticality for incremental re-analysis"
-    )]
-    #[must_use]
-    pub fn graph_criticality(&self) -> &GraphCriticality {
-        self.graph_criticality.get_or_init(|| {
-            analyze_graph_with(&self.net, &self.spec, &self.options, self.parallelism)
-        })
-    }
-
-    /// [`graph_criticality`](Self::graph_criticality) honoring the session's
-    /// [`CancelToken`]: the token is polled at per-mode checkpoints inside
-    /// the sharded sweep, so a fired deadline interrupts the analysis
-    /// mid-kernel. Caches on success; a cached result is returned without
-    /// re-checking the token (completed analyses stay available).
+    /// The graph-exact damage vector ([`analyze_graph_with_cancel`]),
+    /// honoring the session's [`CancelToken`]: the token is polled at
+    /// per-block checkpoints inside the sharded sweep, so a fired deadline
+    /// interrupts the analysis mid-kernel. Caches on success; a cached
+    /// result is returned without re-checking the token (completed analyses
+    /// stay available). For incremental re-analysis use
+    /// [`AnalysisSessionBuilder::build_workspace`].
     ///
     /// # Errors
     ///
@@ -506,23 +492,10 @@ impl AnalysisSession {
         Ok(self.graph_criticality.get_or_init(|| crit))
     }
 
-    /// Deprecated one-shot shim — see [`Workspace::validate`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "one-shot entry point; use try_validate_criticality, or build_workspace() + \
-                Workspace::validate"
-    )]
-    #[must_use]
-    pub fn validate_criticality(&self) -> &ValidationReport {
-        self.validation.get_or_init(|| {
-            validate_criticality_with(&self.net, &self.spec, &self.options, self.parallelism)
-        })
-    }
-
-    /// [`validate_criticality`](Self::validate_criticality) honoring the
-    /// session's [`CancelToken`]: polled per primitive inside the sharded
-    /// campaign (and at per-mode checkpoints of the underlying analysis
-    /// sweep). Caches on success.
+    /// The fault-simulation campaign ([`validate_criticality_with_cancel`])
+    /// honoring the session's [`CancelToken`]: polled per primitive inside
+    /// the sharded campaign (and at per-block checkpoints of the underlying
+    /// analysis sweep). Caches on success.
     ///
     /// # Errors
     ///
@@ -542,65 +515,12 @@ impl AnalysisSession {
         Ok(self.validation.get_or_init(|| report))
     }
 
-    /// Deprecated one-shot shim — see [`Workspace::fault_set_damage`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Workspace::fault_set_damage`], minus workspace-lifecycle errors.
-    #[deprecated(
-        since = "0.1.0",
-        note = "one-shot entry point that rebuilds the kernel per call; use build_workspace() + \
-                Workspace::fault_set_damage"
-    )]
-    pub fn fault_set_damage(&self, faults: &[rsn_model::Fault]) -> Result<u64, SessionError> {
-        fault_set_damage_with_cancel(
-            &self.net,
-            &self.spec,
-            faults,
-            self.options.sib_policy,
-            self.parallelism,
-            &self.cancel,
-        )
-        .map_err(SessionError::from)
-    }
-
-    /// Deprecated one-shot shim — see [`Workspace::sampled_double_fault_damage`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Workspace::sampled_double_fault_damage`], minus
-    /// workspace-lifecycle errors.
-    #[deprecated(
-        since = "0.1.0",
-        note = "one-shot entry point; use build_workspace() + \
-                Workspace::sampled_double_fault_damage (the workspace's hardened set feeds the \
-                sampling pool)"
-    )]
-    pub fn sampled_double_fault_damage(
-        &self,
-        hardened: &[rsn_model::NodeId],
-        samples: usize,
-        seed: u64,
-    ) -> Result<f64, SessionError> {
-        sampled_double_fault_damage_with_cancel(
-            &self.net,
-            &self.spec,
-            hardened,
-            self.options.sib_policy,
-            samples,
-            seed,
-            self.parallelism,
-            &self.cancel,
-        )
-        .map_err(SessionError::from)
-    }
-
     /// Exact damage statistics over **every** unordered pair of single
     /// faults on non-hardened primitives
     /// ([`double_fault_damage_with_cancel`]): the pairs are packed into
     /// mode-major lane blocks, so the full sweep costs a few batched
     /// traversals per [`LaneWord::LANES`](crate::graph_analysis::batch::LaneWord::LANES)
-    /// pairs instead of four scalar sweeps per pair. Deterministic at every
+    /// pairs instead of four traversals per pair. Deterministic at every
     /// thread count; supersedes sampling whenever the pair count is
     /// tractable.
     ///
@@ -698,7 +618,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // compat shims must keep working until removal
     fn session_matches_free_functions() {
         let (net, built) = demo_net();
         let tree = tree_from_structure(&net, &built);
@@ -713,7 +632,7 @@ mod tests {
             .build();
         let crit = session.criticality().expect("series-parallel");
         assert_eq!(crit, &expected);
-        let graph = session.graph_criticality();
+        let graph = session.try_graph_criticality().expect("quiet token");
         assert_eq!(graph.primitives(), expected_graph.primitives());
         for &j in graph.primitives() {
             assert_eq!(graph.damage(j), expected_graph.damage(j));
@@ -800,22 +719,37 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // compat shims must keep working until removal
     fn cancelled_session_rejects_every_entry_point() {
         let (net, _) = demo_net();
         let cancel = CancelToken::new();
         cancel.cancel();
-        let session = AnalysisSession::builder(net)
-            .with_paper_spec(PaperSpecParams::default(), 7)
-            .with_cancel(cancel)
-            .build();
+        let builder = || {
+            AnalysisSession::builder(net.clone())
+                .with_paper_spec(PaperSpecParams::default(), 7)
+                .with_cancel(cancel.clone())
+        };
+        let session = builder().build();
         assert_eq!(session.criticality().unwrap_err(), SessionError::Cancelled);
         assert_eq!(session.try_graph_criticality().unwrap_err(), SessionError::Cancelled);
         assert_eq!(session.try_validate_criticality().unwrap_err(), SessionError::Cancelled);
-        assert_eq!(session.fault_set_damage(&[]).unwrap_err(), SessionError::Cancelled);
+        assert_eq!(session.double_fault_damage(&[]).unwrap_err(), SessionError::Cancelled);
+        assert_eq!(builder().build_workspace().unwrap_err(), SessionError::Cancelled);
+        // A workspace built under a quiet token observes a later cancel in
+        // its fault-set and sampled double-fault queries.
+        let mut ws = AnalysisSession::builder(net.clone())
+            .with_paper_spec(PaperSpecParams::default(), 7)
+            .build_workspace()
+            .expect("quiet token");
+        ws.set_cancel_token(cancel.clone());
         assert_eq!(
-            session.sampled_double_fault_damage(&[], 4, 1).unwrap_err(),
-            SessionError::Cancelled
+            ws.fault_set_damage(&[]).unwrap_err().code(),
+            SessionError::Cancelled.code(),
+            "fault set"
+        );
+        assert_eq!(
+            ws.sampled_double_fault_damage(4, 1).unwrap_err().code(),
+            SessionError::Cancelled.code(),
+            "sampled double faults"
         );
     }
 
@@ -846,13 +780,13 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // compat shims must keep working until removal
     fn quiet_token_leaves_results_bit_identical() {
         let (net, _) = demo_net();
         let plain = AnalysisSession::builder(net.clone())
             .with_paper_spec(PaperSpecParams::default(), 7)
             .with_threads(1)
-            .build();
+            .build_workspace()
+            .expect("no token");
         let expected = plain.graph_criticality();
         for threads in [1usize, 4] {
             let session = AnalysisSession::builder(net.clone())

@@ -24,11 +24,14 @@
 //! packing or thread count (property-tested), and the merge is a pure fold
 //! over the concatenated table.
 
+use std::ops::Range;
+
 use crate::cancel::CancelToken;
-use crate::criticality::{aggregate, AnalysisOptions, Criticality, Mode};
-use crate::graph_analysis::batch::{DefaultLane, LaneWord, ModeBlockKernel};
-use crate::graph_analysis::{controlled_muxes, for_each_mode, AnalysisError, ReachKernel};
-use crate::par::{self, Parallelism};
+use crate::criticality::{aggregate, AnalysisOptions, Criticality, Mode, SibCellPolicy};
+use crate::graph_analysis::{
+    controlled_muxes, for_each_mode, sweep_table, AnalysisError, ReachKernel,
+};
+use crate::par::Parallelism;
 use crate::spec::CriticalitySpec;
 use rsn_model::{NodeId, ScanNetwork};
 
@@ -45,43 +48,74 @@ pub struct ModeDamage {
     pub affects_important: bool,
 }
 
-/// The flattened canonical mode table (pooled broken/frozen slices plus the
-/// per-primitive grouping); shared by the range sweep and the merge.
-struct ModeTable {
+impl ModeDamage {
+    /// The mode's total damage `obs + set`, saturating at `u64::MAX`.
+    #[must_use]
+    pub fn total(&self) -> u64 {
+        self.obs.saturating_add(self.set)
+    }
+}
+
+/// A flat table of fault modes (pooled broken/frozen slices) split into
+/// contiguous groups: one group per primitive for the canonical
+/// single-fault table, one per fault set for a fault-set expansion. Every
+/// graph-exact sweep evaluates modes out of such a table.
+#[derive(Debug, Default)]
+pub(crate) struct ModeTable {
     broken_pool: Vec<NodeId>,
     frozen_pool: Vec<(NodeId, usize)>,
     /// Cumulative (broken, frozen) pool end offsets, one entry per mode.
     modes: Vec<(u32, u32)>,
-    /// Per-primitive contiguous `[start, end)` range into `modes`.
-    prim_ranges: Vec<(u32, u32)>,
-    primitives: Vec<NodeId>,
+    /// Cumulative mode end offset per group.
+    group_ends: Vec<u32>,
 }
 
 impl ModeTable {
-    fn build(net: &ScanNetwork, options: &AnalysisOptions) -> Self {
-        let controlled = controlled_muxes(net, options);
-        let primitives: Vec<NodeId> = net.primitives().collect();
-        let mut broken_pool: Vec<NodeId> = Vec::new();
-        let mut frozen_pool: Vec<(NodeId, usize)> = Vec::new();
-        let mut modes: Vec<(u32, u32)> = Vec::new();
-        let mut prim_ranges = Vec::with_capacity(primitives.len());
-        for &j in &primitives {
-            let start = modes.len() as u32;
-            for_each_mode(net, &controlled, j, &mut |broken, frozen| {
-                broken_pool.extend_from_slice(broken);
-                frozen_pool.extend_from_slice(frozen);
-                modes.push((broken_pool.len() as u32, frozen_pool.len() as u32));
-            });
-            prim_ranges.push((start, modes.len() as u32));
+    /// The canonical single-fault table: the `for_each_mode` enumeration of
+    /// every primitive, one group per primitive in `net.primitives()` order.
+    pub(crate) fn single_faults(net: &ScanNetwork, policy: SibCellPolicy) -> Self {
+        let controlled = controlled_muxes(net, policy);
+        let mut table = Self::default();
+        for j in net.primitives() {
+            for_each_mode(net, &controlled, j, &mut |broken, frozen| table.push(broken, frozen));
+            table.end_group();
         }
-        Self { broken_pool, frozen_pool, modes, prim_ranges, primitives }
+        table
+    }
+
+    /// Appends one mode to the open group.
+    pub(crate) fn push(&mut self, broken: &[NodeId], frozen: &[(NodeId, usize)]) {
+        self.broken_pool.extend_from_slice(broken);
+        self.frozen_pool.extend_from_slice(frozen);
+        self.modes.push((self.broken_pool.len() as u32, self.frozen_pool.len() as u32));
+    }
+
+    /// Closes the open group.
+    pub(crate) fn end_group(&mut self) {
+        self.group_ends.push(self.modes.len() as u32);
+    }
+
+    /// Number of modes.
+    pub(crate) fn len(&self) -> usize {
+        self.modes.len()
     }
 
     /// The pooled (broken, frozen) slices of mode `m`.
-    fn mode_slices(&self, m: usize) -> (&[NodeId], &[(NodeId, usize)]) {
+    pub(crate) fn mode(&self, m: usize) -> (&[NodeId], &[(NodeId, usize)]) {
         let (b1, f1) = self.modes[m];
         let (b0, f0) = if m == 0 { (0, 0) } else { self.modes[m - 1] };
         (&self.broken_pool[b0 as usize..b1 as usize], &self.frozen_pool[f0 as usize..f1 as usize])
+    }
+
+    /// The mode range of group `g`.
+    pub(crate) fn group(&self, g: usize) -> Range<usize> {
+        let start = if g == 0 { 0 } else { self.group_ends[g - 1] as usize };
+        start..self.group_ends[g] as usize
+    }
+
+    /// The mode ranges of every group, in order.
+    pub(crate) fn groups(&self) -> impl Iterator<Item = Range<usize>> + '_ {
+        (0..self.group_ends.len()).map(|g| self.group(g))
     }
 }
 
@@ -90,7 +124,7 @@ impl ModeTable {
 /// kernel is built and nothing is evaluated.
 #[must_use]
 pub fn mode_count(net: &ScanNetwork, options: &AnalysisOptions) -> usize {
-    let controlled = controlled_muxes(net, options);
+    let controlled = controlled_muxes(net, options.sib_policy);
     let mut count = 0usize;
     for j in net.primitives() {
         for_each_mode(net, &controlled, j, &mut |_, _| count += 1);
@@ -101,7 +135,7 @@ pub fn mode_count(net: &ScanNetwork, options: &AnalysisOptions) -> usize {
 /// Evaluates fault modes `[lo, hi)` of the canonical mode table and returns
 /// their [`ModeDamage`] triples in table order.
 ///
-/// The range is packed into lane blocks and sharded over [`par`] exactly
+/// The range is packed into lane blocks and sharded over [`par`](crate::par) exactly
 /// like the full sweep, so the returned values are bit-identical at any
 /// thread count *and* to the corresponding slice of a full-range call — the
 /// property that makes cluster-merged results byte-identical to
@@ -129,45 +163,17 @@ pub fn analyze_mode_range_with_cancel(
     hi: usize,
 ) -> Result<Vec<ModeDamage>, AnalysisError> {
     cancel.check()?;
-    let table = ModeTable::build(net, options);
+    let table = ModeTable::single_faults(net, options.sib_policy);
     assert!(
-        lo <= hi && hi <= table.modes.len(),
+        lo <= hi && hi <= table.len(),
         "mode range {lo}..{hi} out of bounds (mode count {})",
-        table.modes.len()
+        table.len()
     );
     if lo == hi {
         return Ok(Vec::new());
     }
     let kernel = ReachKernel::try_new(net, spec)?;
-    let batch: ModeBlockKernel<'_, DefaultLane> = ModeBlockKernel::new(&kernel);
-    let batch = &batch;
-    let lanes = DefaultLane::LANES;
-    let blocks = (hi - lo).div_ceil(lanes);
-    let table = &table;
-    let block_damages: Vec<Vec<ModeDamage>> = par::try_map_indexed_scratch(
-        parallelism,
-        blocks,
-        || (batch.scratch(), cancel.checkpoint(4)),
-        |(s, cp), b| -> Result<Vec<ModeDamage>, AnalysisError> {
-            cp.tick()?;
-            batch.begin_block(s);
-            let start = lo + b * lanes;
-            for m in start..(start + lanes).min(hi) {
-                let (broken, frozen) = table.mode_slices(m);
-                batch.push_mode(s, broken, frozen);
-            }
-            Ok(batch
-                .eval_traced(s, false)
-                .into_iter()
-                .map(|(trace, _)| ModeDamage {
-                    obs: trace.obs_damage,
-                    set: trace.set_damage,
-                    affects_important: trace.affects_important,
-                })
-                .collect())
-        },
-    )?;
-    Ok(block_damages.into_iter().flatten().collect())
+    sweep_table(&kernel, &table, lo..hi, parallelism, cancel)
 }
 
 /// A merge handed the wrong number of per-mode damages for its network —
@@ -208,18 +214,19 @@ pub fn criticality_from_mode_damages(
     options: &AnalysisOptions,
     damages: &[ModeDamage],
 ) -> Result<Criticality, ShardMergeError> {
-    let table = ModeTable::build(net, options);
-    if damages.len() != table.modes.len() {
-        return Err(ShardMergeError { expected: table.modes.len(), got: damages.len() });
+    let table = ModeTable::single_faults(net, options.sib_policy);
+    if damages.len() != table.len() {
+        return Err(ShardMergeError { expected: table.len(), got: damages.len() });
     }
+    let primitives: Vec<NodeId> = net.primitives().collect();
     let n = net.node_count();
     let mut damage = vec![0u64; n];
     let mut obs = vec![0u64; n];
     let mut set = vec![0u64; n];
     let mut important = vec![false; n];
     let mut scratch: Vec<Mode> = Vec::new();
-    for (&j, &(m0, m1)) in table.primitives.iter().zip(&table.prim_ranges) {
-        let slice = &damages[m0 as usize..m1 as usize];
+    for (&j, modes) in primitives.iter().zip(table.groups()) {
+        let slice = &damages[modes];
         scratch.clear();
         scratch.extend(slice.iter().map(|d| Mode { obs: d.obs, set: d.set }));
         let a = aggregate(options.mode, &scratch);
@@ -228,7 +235,7 @@ pub fn criticality_from_mode_damages(
         set[j.index()] = a.set;
         important[j.index()] = slice.iter().any(|d| d.affects_important);
     }
-    Ok(Criticality::from_parts(damage, obs, set, important, table.primitives))
+    Ok(Criticality::from_parts(damage, obs, set, important, primitives))
 }
 
 #[cfg(test)]
@@ -250,9 +257,9 @@ mod tests {
     fn mode_count_matches_the_table() {
         let net = build();
         let options = AnalysisOptions::default();
-        let table = ModeTable::build(&net, &options);
-        assert_eq!(mode_count(&net, &options), table.modes.len());
-        assert!(table.modes.len() > net.primitives().count(), "muxes add stuck modes");
+        let table = ModeTable::single_faults(&net, options.sib_policy);
+        assert_eq!(mode_count(&net, &options), table.len());
+        assert!(table.len() > net.primitives().count(), "muxes add stuck modes");
     }
 
     #[test]

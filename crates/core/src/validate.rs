@@ -6,10 +6,10 @@
 //! `for_each_mode`), the campaign:
 //!
 //! 1. computes the analytical claim per instrument (observable / settable)
-//!    from the mode-major batch kernel's lost-segment trace
-//!    ([`graph_analysis::batch`](crate::graph_analysis::batch), evaluated
-//!    [`LaneWord::LANES`] modes per traversal), cross-checked per mode
-//!    against the independent scalar [`ReachKernel`] damage;
+//!    from the lane engine's lost-segment trace
+//!    ([`graph_analysis::batch`](crate::graph_analysis::batch)), cross-checked
+//!    per mode against the independent `Vec<bool>` oracle
+//!    ([`reference::mode_damage`]);
 //! 2. configures a fault-free [`Simulator`] so the fault's frozen selects are
 //!    latched, **injects the fault**, and replays access patterns: cover
 //!    configurations that put many instruments on the active path at once,
@@ -23,10 +23,12 @@
 //!    the damage vector bit-for-bit against
 //!    [`analyze_graph_with`](crate::graph_analysis::analyze_graph_with).
 //!
-//! The campaign shards over primitives with [`par`](crate::par) — contiguous
-//! chunks, one reusable [`Simulator`] per worker — so the report is
-//! bit-identical at every thread count. Any disagreement is reported with the
-//! offending network, fault mode, and instrument attached.
+//! The analytical side is one traced lane sweep over the canonical mode
+//! table; the operational side shards over primitives with
+//! [`par`](crate::par) — contiguous chunks, one reusable [`Simulator`] per
+//! worker — so the report is bit-identical at every thread count. Any
+//! disagreement is reported with the offending network, fault mode, and
+//! instrument attached.
 //!
 //! What "operationally lost" means per [`AccessKind`]: the fault strikes a
 //! *configured* network. A configuration is established with real retargeting
@@ -52,17 +54,13 @@ use rsn_model::{
 
 use crate::cancel::CancelToken;
 use crate::criticality::AnalysisOptions;
-use crate::graph_analysis::batch::{BlockScratch, DefaultLane, LaneWord, ModeBlockKernel};
 use crate::graph_analysis::{
-    aggregate_mode_damages, analyze_graph_with, analyze_graph_with_cancel, controlled_muxes,
-    for_each_mode, AnalysisError, GraphCriticality, ModeTrace, ReachKernel, ScratchArena,
+    aggregate_mode_damages, analyze_graph_with_cancel, reference, sweep_blocks, AnalysisError,
+    GraphCriticality, ModeTrace, ReachKernel,
 };
 use crate::par::{self, Parallelism};
+use crate::shard::ModeTable;
 use crate::spec::CriticalitySpec;
-
-/// One canonical fault mode: the broken-node set plus the frozen-mux
-/// `(mux, port)` assignment, as enumerated by `for_each_mode`.
-type ModeSpec = (Vec<NodeId>, Vec<(NodeId, usize)>);
 
 /// Maximum number of [`Disagreement`]s embedded in a report; the full count
 /// is always in [`ValidationReport::total_disagreements`].
@@ -169,19 +167,13 @@ pub fn validate_criticality_with(
     options: &AnalysisOptions,
     parallelism: Parallelism,
 ) -> ValidationReport {
-    let analysis = analyze_graph_with(net, spec, options, parallelism);
-    let campaign = Campaign::new(net, spec, options, &analysis);
-    let batch: ModeBlockKernel<'_, DefaultLane> = ModeBlockKernel::new(&campaign.kernel);
-    let primitives: Vec<NodeId> = net.primitives().collect();
-    let campaign_ref = &campaign;
-    let batch_ref = &batch;
-    let outcomes = par::map_slice_scratch(
-        parallelism,
-        &primitives,
-        || Worker::new(campaign_ref, batch_ref),
-        |worker, &j| campaign_ref.run_primitive(worker, batch_ref, j),
-    );
-    merge_outcomes(net, &analysis, primitives.len(), outcomes)
+    match validate_criticality_with_cancel(net, spec, options, parallelism, &CancelToken::none()) {
+        Ok(report) => report,
+        // A none token never cancels; resurface shard panics (and the
+        // too-large capacity check) as panics, like `analyze_graph_with`.
+        Err(AnalysisError::WorkerPanicked { message }) => panic!("{message}"),
+        Err(err) => panic!("{err}"),
+    }
 }
 
 /// [`validate_criticality_with`] with cooperative cancellation.
@@ -206,18 +198,30 @@ pub fn validate_criticality_with_cancel(
     cancel: &CancelToken,
 ) -> Result<ValidationReport, AnalysisError> {
     let analysis = analyze_graph_with_cancel(net, spec, options, parallelism, cancel)?;
-    let campaign = Campaign::new(net, spec, options, &analysis);
-    let batch: ModeBlockKernel<'_, DefaultLane> = ModeBlockKernel::new(&campaign.kernel);
-    let primitives: Vec<NodeId> = net.primitives().collect();
-    let campaign_ref = &campaign;
-    let batch_ref = &batch;
-    let outcomes: Vec<Outcome> = par::try_map_slice_scratch(
+    let kernel = ReachKernel::try_new(net, spec)?;
+    let table = ModeTable::single_faults(net, options.sib_policy);
+    // The analytical claims of every mode, from one traced lane sweep.
+    let traces: Vec<ModeTrace> = sweep_blocks(
+        &kernel,
         parallelism,
-        &primitives,
-        || (Worker::new(campaign_ref, batch_ref), cancel.checkpoint(4)),
-        |(worker, cp), &j| -> Result<Outcome, AnalysisError> {
+        cancel,
+        table.len(),
+        |s, m| {
+            let (broken, frozen) = table.mode(m);
+            kernel.push_mode(s, broken, frozen);
+        },
+        |s| kernel.eval_traced(s, false).into_iter().map(|(trace, _)| trace).collect(),
+    )?;
+    let campaign = Campaign::new(net, spec, options, &analysis, &kernel, &table, &traces);
+    let primitives: Vec<NodeId> = net.primitives().collect();
+    let campaign = &campaign;
+    let outcomes: Vec<Outcome> = par::try_map_indexed_scratch(
+        parallelism,
+        primitives.len(),
+        || (Worker::new(campaign), cancel.checkpoint(4)),
+        |(worker, cp), pos| -> Result<Outcome, AnalysisError> {
             cp.tick()?;
-            Ok(campaign_ref.run_primitive(worker, batch_ref, j))
+            Ok(campaign.run_primitive(worker, pos, primitives[pos]))
         },
     )?;
     Ok(merge_outcomes(net, &analysis, primitives.len(), outcomes))
@@ -270,9 +274,12 @@ struct Campaign<'a> {
     spec: &'a CriticalitySpec,
     options: &'a AnalysisOptions,
     analysis: &'a GraphCriticality,
-    kernel: ReachKernel,
-    /// Controlled muxes per control cell (the analysis's view).
-    controlled: Vec<Vec<NodeId>>,
+    kernel: &'a ReachKernel,
+    /// The canonical mode table; group `pos` holds the modes of the
+    /// `pos`-th primitive.
+    table: &'a ModeTable,
+    /// The lane engine's trace of every mode in `table`.
+    traces: &'a [ModeTrace],
     /// Probe word per instrument (bit 0 always set, so a zeroed window or
     /// payload can never be mistaken for a delivered probe).
     probes: Vec<Vec<bool>>,
@@ -287,9 +294,6 @@ struct Campaign<'a> {
 /// Per-worker mutable state, reused across the worker's whole shard.
 struct Worker<'a> {
     sim: Simulator<'a>,
-    scratch: ScratchArena,
-    /// Lane-block scratch for the batched analytical side of the campaign.
-    block: BlockScratch<DefaultLane>,
     op_obs: Vec<bool>,
     op_set: Vec<bool>,
     /// Scan-path bit offset per segment node for the current replay
@@ -298,12 +302,10 @@ struct Worker<'a> {
 }
 
 impl<'a> Worker<'a> {
-    fn new(campaign: &Campaign<'a>, batch: &ModeBlockKernel<'_, DefaultLane>) -> Self {
+    fn new(campaign: &Campaign<'a>) -> Self {
         let n = campaign.net.instrument_count();
         Self {
             sim: Simulator::new(campaign.net),
-            scratch: campaign.kernel.scratch(),
-            block: batch.scratch(),
             op_obs: vec![false; n],
             op_set: vec![false; n],
             seg_start: vec![usize::MAX; campaign.net.node_count()],
@@ -342,6 +344,9 @@ impl<'a> Campaign<'a> {
         spec: &'a CriticalitySpec,
         options: &'a AnalysisOptions,
         analysis: &'a GraphCriticality,
+        kernel: &'a ReachKernel,
+        table: &'a ModeTable,
+        traces: &'a [ModeTrace],
     ) -> Self {
         let probes: Vec<Vec<bool>> = net
             .instruments()
@@ -363,8 +368,9 @@ impl<'a> Campaign<'a> {
             spec,
             options,
             analysis,
-            kernel: ReachKernel::new(net, spec),
-            controlled: controlled_muxes(net, options),
+            kernel,
+            table,
+            traces,
             probes,
             inst_segs,
             variants,
@@ -403,13 +409,8 @@ impl<'a> Campaign<'a> {
         }
     }
 
-    /// Runs the whole campaign for primitive `j`.
-    fn run_primitive(
-        &self,
-        worker: &mut Worker<'a>,
-        batch: &ModeBlockKernel<'_, DefaultLane>,
-        j: NodeId,
-    ) -> Outcome {
+    /// Runs the whole campaign for primitive `j`, the `pos`-th primitive.
+    fn run_primitive(&self, worker: &mut Worker<'a>, pos: usize, j: NodeId) -> Outcome {
         let mut outcome = Outcome {
             modes: 0,
             simulated_modes: 0,
@@ -422,23 +423,10 @@ impl<'a> Campaign<'a> {
             total_disagreements: 0,
             disagreements: Vec::new(),
         };
-        // Collect the primitive's canonical mode enumeration, then evaluate
-        // the analytical side of all modes in lane blocks — one mode-major
-        // traversal per LANES modes instead of one scalar sweep per mode.
-        let mut specs: Vec<ModeSpec> = Vec::new();
-        for_each_mode(self.net, &self.controlled, j, &mut |broken, frozen| {
-            specs.push((broken.to_vec(), frozen.to_vec()));
-        });
-        let mut traces: Vec<ModeTrace> = Vec::with_capacity(specs.len());
-        for chunk in specs.chunks(DefaultLane::LANES) {
-            batch.begin_block(&mut worker.block);
-            for (broken, frozen) in chunk {
-                batch.push_mode(&mut worker.block, broken, frozen);
-            }
-            traces.extend(batch.eval_traced(&mut worker.block, false).into_iter().map(|(t, _)| t));
-        }
-        let mut sim_mode_damages = Vec::with_capacity(specs.len());
-        for (index, ((broken, frozen), trace)) in specs.iter().zip(&traces).enumerate() {
+        let modes = self.table.group(pos);
+        let mut sim_mode_damages = Vec::with_capacity(modes.len());
+        for (index, m) in modes.enumerate() {
+            let (broken, frozen) = self.table.mode(m);
             let faults = if matches!(self.net.node(j).kind, NodeKind::Mux(_)) {
                 let (_, p) = frozen[0];
                 vec![Fault::mux_stuck_at(j, p as u16)]
@@ -446,9 +434,9 @@ impl<'a> Campaign<'a> {
                 vec![Fault::broken_segment(j)]
             };
             let mode = Mode { primitive: j, index, broken, frozen, faults };
-            sim_mode_damages.push(self.run_mode(worker, j, &mode, trace, &mut outcome));
+            sim_mode_damages.push(self.run_mode(worker, j, &mode, &self.traces[m], &mut outcome));
         }
-        outcome.modes = specs.len();
+        outcome.modes = sim_mode_damages.len();
         let aggregated = aggregate_mode_damages(self.options.mode, &sim_mode_damages);
         outcome.sim_damage = aggregated;
         let analytical = self.analysis.damage(j);
@@ -500,10 +488,10 @@ impl<'a> Campaign<'a> {
         }
         let claims_damage = trace.obs_damage + trace.set_damage;
 
-        // Differential check: the scalar single-mode kernel must agree with
-        // the batched lane evaluation bit for bit.
-        let kernel_damage = self.kernel.mode_damage(&mut worker.scratch, mode.broken, mode.frozen);
-        if kernel_damage != claims_damage {
+        // Differential check: the `Vec<bool>` oracle must agree with the
+        // lane evaluation bit for bit.
+        let oracle_damage = reference::mode_damage(self.net, self.spec, mode.broken, mode.frozen);
+        if oracle_damage != claims_damage {
             push_disagreement(
                 outcome,
                 Disagreement {
@@ -512,9 +500,9 @@ impl<'a> Campaign<'a> {
                     fault: self.mode_label(mode),
                     instrument: None,
                     access: None,
-                    analysis_damage: kernel_damage,
+                    analysis_damage: oracle_damage,
                     operational_damage: claims_damage,
-                    detail: "batch kernel damage diverges from the scalar reachability kernel"
+                    detail: "batch kernel damage diverges from the reference reachability"
                         .to_string(),
                 },
             );

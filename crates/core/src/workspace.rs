@@ -9,8 +9,8 @@
 //! reachability sweep on every call. The paper's hardening loop (Table I) and
 //! interactive what-if queries re-evaluate after *single-primitive* changes,
 //! where almost every cached mode damage is still valid. A [`Workspace`] owns
-//! the parsed network, its CSR, the fault-free reach baseline, the
-//! per-`(mux, port)` frozen-reach cache, and one cached
+//! the parsed network, its [`ReachKernel`] (CSR, topological order,
+//! fault-free reach baseline), the canonical mode table, and one cached
 //! [`ModeTrace`](crate::graph_analysis) per fault mode, and exposes delta
 //! operations ([`Workspace::edit`], [`Workspace::harden`],
 //! [`Workspace::undo`]) that recompute only the dirty subset.
@@ -60,16 +60,16 @@ use rsn_model::{Fault, InstrumentId, NodeId, ScanNetwork};
 use crate::cancel::{CancelToken, Cancelled};
 use crate::cost::CostModel;
 use crate::criticality::{aggregate, AnalysisOptions, Criticality, Mode};
-use crate::graph_analysis::batch::{DefaultLane, LaneWord, ModeBlockKernel};
 use crate::graph_analysis::{
-    controlled_muxes, double_fault_damage_with_cancel, fault_set_damage_kernel, for_each_mode,
-    sampled_double_fault_damage_with_cancel, AnalysisError, DoubleFaultSummary, GraphCriticality,
-    ModeFootprint, ModeTrace, ReachKernel, ScratchArena,
+    controlled_muxes, double_fault_damage_with_cancel, fault_set_damages,
+    sampled_double_fault_damage_with_cancel, sweep_blocks, AnalysisError, DoubleFaultSummary,
+    GraphCriticality, ModeFootprint, ModeTrace, ReachKernel,
 };
 use crate::hardening::HardeningProblem;
-use crate::par::{self, Parallelism};
+use crate::par::Parallelism;
 use crate::report::CriticalitySummary;
 use crate::session::SessionError;
+use crate::shard::ModeTable;
 use crate::spec::CriticalitySpec;
 use crate::validate::{validate_criticality_with_cancel, ValidationReport};
 
@@ -198,16 +198,13 @@ pub struct DeltaReport {
     pub total_damage: u64,
 }
 
-/// One cached fault mode: its identity, its last evaluated trace, and the
+/// One cached fault mode (its broken/frozen sets live in the workspace's
+/// mode table at the same index): its last evaluated trace, and the
 /// footprint that gates structural invalidation.
 #[derive(Clone, Debug)]
 struct ModeState {
     /// Position of the owning primitive in `Workspace::primitives`.
     prim: u32,
-    /// The mode's own broken segments (empty for mux stuck modes).
-    broken: Vec<NodeId>,
-    /// The mode's frozen selects.
-    frozen: Vec<(NodeId, usize)>,
     trace: ModeTrace,
     footprint: ModeFootprint,
 }
@@ -244,8 +241,9 @@ pub struct Workspace {
     primitives: Vec<NodeId>,
     /// Node index → position in `primitives` (`u32::MAX` for non-primitives).
     prim_pos: Vec<u32>,
-    /// Per-primitive-position contiguous `[start, end)` range into `modes`.
-    mode_ranges: Vec<(u32, u32)>,
+    /// The canonical mode table; group `pos` holds the modes of
+    /// `primitives[pos]`.
+    table: ModeTable,
     modes: Vec<ModeState>,
     agg: Vec<PrimAgg>,
     hardened: Vec<bool>,
@@ -255,7 +253,6 @@ pub struct Workspace {
     excluded_list: Vec<NodeId>,
     /// Inverse deltas, newest last.
     undo: Vec<WorkspaceDelta>,
-    scratch: ScratchArena,
 }
 
 impl Workspace {
@@ -281,10 +278,8 @@ impl Workspace {
         excluded_seed: &[NodeId],
     ) -> Result<Self, SessionError> {
         cancel.check()?;
-        let kernel = ReachKernel::try_new(&net, &spec)
-            .map_err(SessionError::from)?
-            .try_with_port_reach_cache(&cancel)?;
-        let controlled = controlled_muxes(&net, &options);
+        let kernel = ReachKernel::try_new(&net, &spec)?;
+        let controlled = controlled_muxes(&net, options.sib_policy);
         let primitives: Vec<NodeId> = net.primitives().collect();
         let mut prim_pos = vec![u32::MAX; net.node_count()];
         for (pos, &j) in primitives.iter().enumerate() {
@@ -295,70 +290,24 @@ impl Workspace {
         excluded_list.sort_unstable();
         excluded_list.dedup();
 
-        // Enumerate the flat mode table (canonical `for_each_mode` order,
-        // grouped per primitive), then evaluate it sharded.
-        struct Desc {
-            prim: u32,
-            broken: Vec<NodeId>,
-            frozen: Vec<(NodeId, usize)>,
-        }
-        let mut descs: Vec<Desc> = Vec::new();
-        let mut mode_ranges = Vec::with_capacity(primitives.len());
-        for (pos, &j) in primitives.iter().enumerate() {
-            let start = descs.len() as u32;
-            for_each_mode(&net, &controlled, j, &mut |broken, frozen| {
-                descs.push(Desc {
-                    prim: pos as u32,
-                    broken: broken.to_vec(),
-                    frozen: frozen.to_vec(),
-                });
-            });
-            mode_ranges.push((start, descs.len() as u32));
-        }
-        let cancel_ref = &cancel;
-        let ambient = &excluded_list;
-        // Initial full sweep: pack the modes into lane blocks and evaluate
-        // each block with the mode-major batch kernel (two relaxation passes
-        // per block instead of per-mode traversals), traces and footprints
-        // bit-identical to the scalar per-mode path.
-        let batch: ModeBlockKernel<'_, DefaultLane> = ModeBlockKernel::new(&kernel);
-        let batch = &batch;
-        let lanes = DefaultLane::LANES;
-        let descs_ref = &descs;
-        let evaluated_blocks: Vec<Vec<(ModeTrace, ModeFootprint)>> = par::try_map_indexed_scratch(
+        // Initial full sweep of the canonical mode table, jointly with the
+        // ambient broken set: traces and footprints for every mode.
+        let table = ModeTable::single_faults(&net, options.sib_policy);
+        let evaluated = sweep_blocks(
+            &kernel,
             parallelism,
-            descs.len().div_ceil(lanes),
-            || (batch.scratch(), cancel_ref.checkpoint(4)),
-            |(s, cp), b| -> Result<_, AnalysisError> {
-                cp.tick()?;
-                batch.begin_block(s);
-                let start = b * lanes;
-                let mut joined: Vec<NodeId> = Vec::new();
-                for d in &descs_ref[start..(start + lanes).min(descs_ref.len())] {
-                    if ambient.is_empty() {
-                        batch.push_mode(s, &d.broken, &d.frozen);
-                    } else {
-                        joined.clear();
-                        joined.extend_from_slice(&d.broken);
-                        joined.extend_from_slice(ambient);
-                        batch.push_mode(s, &joined, &d.frozen);
-                    }
-                }
-                Ok(batch.eval_traced(s, true))
+            &cancel,
+            table.len(),
+            |s, m| {
+                let (broken, frozen) = table.mode(m);
+                kernel.push_mode(s, broken.iter().chain(&excluded_list), frozen);
             },
+            |s| kernel.eval_traced(s, true),
         )?;
-        let evaluated: Vec<(ModeTrace, ModeFootprint)> =
-            evaluated_blocks.into_iter().flatten().collect();
-        let modes: Vec<ModeState> = descs
-            .into_iter()
+        let prims = table.groups().enumerate().flat_map(|(pos, modes)| modes.map(move |_| pos));
+        let modes: Vec<ModeState> = prims
             .zip(evaluated)
-            .map(|(d, (trace, footprint))| ModeState {
-                prim: d.prim,
-                broken: d.broken,
-                frozen: d.frozen,
-                trace,
-                footprint,
-            })
+            .map(|(pos, (trace, footprint))| ModeState { prim: pos as u32, trace, footprint })
             .collect();
 
         let mut hardened = vec![false; net.node_count()];
@@ -369,7 +318,6 @@ impl Workspace {
         for &s in &excluded_list {
             excluded[s.index()] = true;
         }
-        let scratch = kernel.scratch();
         let mut ws = Self {
             net,
             spec,
@@ -380,14 +328,13 @@ impl Workspace {
             controlled,
             primitives,
             prim_pos,
-            mode_ranges,
+            table,
             modes,
             agg: Vec::new(),
             hardened,
             excluded,
             excluded_list,
             undo: Vec::new(),
-            scratch,
         };
         ws.agg = vec![PrimAgg::default(); ws.primitives.len()];
         for pos in 0..ws.primitives.len() {
@@ -400,8 +347,7 @@ impl Workspace {
     /// through the same [`aggregate`] as the tree analysis so ties and
     /// truncating means resolve identically.
     fn reaggregate(&mut self, pos: usize) {
-        let (s, e) = self.mode_ranges[pos];
-        let slice = &self.modes[s as usize..e as usize];
+        let slice = &self.modes[self.table.group(pos)];
         let modes: Vec<Mode> = slice
             .iter()
             .map(|m| Mode { obs: m.trace.obs_damage, set: m.trace.set_damage })
@@ -724,37 +670,20 @@ impl Workspace {
         let dirty: Vec<u32> = (0..self.modes.len() as u32)
             .filter(|&k| kernel.footprint_contains(&self.modes[k as usize].footprint, ti))
             .collect();
-        let modes = &self.modes;
-        let cancel = &self.cancel;
-        // Re-sweep the dirty modes in lane blocks; the batch kernel is
-        // rebuilt per edit (one O(V + E) topological sort — negligible next
-        // to even a single relaxation pass).
-        let batch: ModeBlockKernel<'_, DefaultLane> = ModeBlockKernel::new(kernel);
-        let batch = &batch;
-        let lanes = DefaultLane::LANES;
-        let dirty_ref = &dirty;
-        let trace_blocks: Vec<Vec<ModeTrace>> = par::try_map_indexed_scratch(
+        let table = &self.table;
+        // The footprint never changes (it depends only on the mode's frozen
+        // selects), so the re-sweep skips re-deriving it.
+        let traces: Vec<ModeTrace> = sweep_blocks(
+            kernel,
             self.parallelism,
-            dirty.len().div_ceil(lanes),
-            || (batch.scratch(), cancel.checkpoint(4)),
-            |(s, cp), b| -> Result<Vec<ModeTrace>, AnalysisError> {
-                cp.tick()?;
-                batch.begin_block(s);
-                let start = b * lanes;
-                let mut joined: Vec<NodeId> = Vec::new();
-                for &k in &dirty_ref[start..(start + lanes).min(dirty_ref.len())] {
-                    let m = &modes[k as usize];
-                    joined.clear();
-                    joined.extend_from_slice(&m.broken);
-                    joined.extend_from_slice(ambient);
-                    batch.push_mode(s, &joined, &m.frozen);
-                }
-                // The footprint never changes (it depends only on the
-                // mode's frozen selects), so skip re-deriving it.
-                Ok(batch.eval_traced(s, false).into_iter().map(|(trace, _)| trace).collect())
+            &self.cancel,
+            dirty.len(),
+            |s, i| {
+                let (broken, frozen) = table.mode(dirty[i] as usize);
+                kernel.push_mode(s, broken.iter().chain(ambient), frozen);
             },
+            |s| kernel.eval_traced(s, false).into_iter().map(|(trace, _)| trace).collect(),
         )?;
-        let traces: Vec<ModeTrace> = trace_blocks.into_iter().flatten().collect();
         // Commit.
         let mut dirty_prims: Vec<u32> = Vec::new();
         for (&k, trace) in dirty.iter().zip(traces) {
@@ -802,18 +731,18 @@ impl Workspace {
     ///
     /// [`WorkspaceError::Session`] for cancellation, a worker panic, or a
     /// fault set exceeding the frozen-select combination bound.
-    pub fn fault_set_damage(&mut self, faults: &[Fault]) -> Result<u64, WorkspaceError> {
+    pub fn fault_set_damage(&self, faults: &[Fault]) -> Result<u64, WorkspaceError> {
         let mut all: Vec<Fault> = faults.to_vec();
         all.extend(self.excluded_list.iter().map(|&s| Fault::broken_segment(s)));
-        fault_set_damage_kernel(
+        let worst = fault_set_damages(
             &self.kernel,
-            &mut self.scratch,
-            &all,
-            self.options.sib_policy,
+            &self.net,
+            &self.controlled,
+            [&all],
             self.parallelism,
             &self.cancel,
-        )
-        .map_err(WorkspaceError::from)
+        )?;
+        Ok(worst[0])
     }
 
     /// Average damage over sampled random double faults, with the current

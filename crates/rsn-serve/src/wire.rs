@@ -970,12 +970,16 @@ pub fn execute_with(
     }
     let options = AnalysisOptions { mode: job.mode, sib_policy: job.sib_policy };
     let mut builder = AnalysisSession::builder(network.net.clone())
-        .with_structure(&network.built)
         .with_options(options)
         .with_parallelism(threads)
         .with_cancel(deadline.cancel_token());
     if !job.kind_weights {
         builder = builder.with_paper_spec(PaperSpecParams::default(), job.seed);
+    }
+    // Only hardening reads the decomposition tree; analyze and validate are
+    // graph-exact.
+    if job.endpoint == Endpoint::Harden {
+        builder = builder.with_structure(&network.built);
     }
     let session = builder.build();
     deadline.check("parse")?;
@@ -1107,7 +1111,6 @@ pub fn build_workspace_with(
     deadline.check("start")?;
     let options = AnalysisOptions { mode: job.mode, sib_policy: job.sib_policy };
     let mut builder = Workspace::builder(network.net.clone())
-        .with_structure(&network.built)
         .with_options(options)
         .with_parallelism(threads)
         .with_cancel(deadline.cancel_token());

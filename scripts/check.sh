@@ -35,8 +35,12 @@ fi
 echo "==> cargo test (tier-1)"
 cargo test --offline -q
 
-echo "==> batch-kernel differential smoke (p34392, batch vs scalar reference)"
-cargo test --offline -q -p robust-rsn --test prop_batch_kernel batch_matches_scalar_on_p34392
+echo "==> benchmark runner build + tests (compiles against the core API)"
+cargo build --offline --release --manifest-path benchmark/Cargo.toml
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
+
+echo "==> batch-kernel differential smoke (p34392, batch vs reference)"
+cargo test --offline -q -p robust-rsn --test prop_batch_kernel batch_matches_reference_on_p34392
 
 echo "==> serve smoke (rsnd end to end)"
 scripts/serve_smoke.sh

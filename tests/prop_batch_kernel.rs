@@ -1,21 +1,22 @@
 //! Differential validation of the mode-major batch kernel
 //! (`graph_analysis::batch`): the lane-packed sweep behind
 //! [`robust_rsn::analyze_graph_with`] and the exact double-fault API must be
-//! bit-identical to the scalar `Vec<bool>` reference and the scalar
-//! `ReachKernel` fault-set path — on random series-parallel networks, on
-//! bridge-extended non-SP networks, at every thread count, and on partial
-//! final lane blocks (< 64 modes).
+//! bit-identical to the `Vec<bool>` reference — per mode, and maximized over
+//! the frozen-select odometer for fault sets — on random series-parallel
+//! networks, on bridge-extended non-SP networks, at every thread count, and
+//! on partial final lane blocks (< 64 modes).
 
 use proptest::prelude::*;
 use robust_rsn::graph_analysis::{double_fault_pair_damages, reference};
 use robust_rsn::{
-    analyze_graph_with, analyze_graph_with_cancel, double_fault_damage_with_cancel,
-    fault_set_damage, AnalysisError, AnalysisOptions, CancelToken, CriticalitySpec,
-    ModeAggregation, PaperSpecParams, Parallelism, SibCellPolicy,
+    analyze_graph_with, analyze_graph_with_cancel, double_fault_damage_with_cancel, AnalysisError,
+    AnalysisOptions, CancelToken, CriticalitySpec, ModeAggregation, PaperSpecParams, Parallelism,
+    SibCellPolicy,
 };
 use rsn_benchmarks::{by_name, random_structure, RandomParams};
 use rsn_model::{
-    enumerate_single_faults, ControlSource, InstrumentKind, NetworkBuilder, ScanNetwork, Segment,
+    enumerate_single_faults, ControlSource, Fault, FaultKind, InstrumentKind, NetworkBuilder,
+    NodeId, ScanNetwork, Segment,
 };
 
 fn options_strategy() -> impl Strategy<Value = AnalysisOptions> {
@@ -100,15 +101,56 @@ fn random_bridge_net(seed: u64) -> ScanNetwork {
     b.finish().unwrap()
 }
 
-/// Asserts the batched sweep equals the scalar reference and is identical at
-/// one and four worker threads (partial final lane blocks included — mode
-/// counts are essentially never multiples of the lane width).
-fn assert_batch_matches_scalar(net: &ScanNetwork, spec: &CriticalitySpec, opt: &AnalysisOptions) {
-    let scalar = reference::analyze_graph_ref(net, spec, opt);
+/// Asserts the batched sweep equals the reference and is identical at one
+/// and four worker threads (partial final lane blocks included — mode counts
+/// are essentially never multiples of the lane width).
+fn assert_batch_matches_reference(
+    net: &ScanNetwork,
+    spec: &CriticalitySpec,
+    opt: &AnalysisOptions,
+) {
+    let want = reference::analyze_graph_ref(net, spec, opt);
     let one = analyze_graph_with(net, spec, opt, Parallelism::new(1));
     let four = analyze_graph_with(net, spec, opt, Parallelism::new(4));
-    assert_eq!(one, scalar, "batched sweep (1 thread) diverges from the scalar reference");
-    assert_eq!(four, scalar, "batched sweep (4 threads) diverges from the scalar reference");
+    assert_eq!(one, want, "batched sweep (1 thread) diverges from the reference");
+    assert_eq!(four, want, "batched sweep (4 threads) diverges from the reference");
+}
+
+/// The joint damage of a fault set under the Combined policy, straight from
+/// the reference: the worst `reference::mode_damage` over every
+/// frozen-select combination of the muxes whose control cell the set breaks
+/// (and that are not stuck themselves).
+fn reference_fault_set_damage(net: &ScanNetwork, spec: &CriticalitySpec, faults: &[Fault]) -> u64 {
+    let mut broken = Vec::new();
+    let mut stuck = Vec::new();
+    for f in faults {
+        match f.kind {
+            FaultKind::SegmentBroken => broken.push(f.node),
+            FaultKind::MuxStuckAt(p) => stuck.push((f.node, usize::from(p))),
+        }
+    }
+    let free: Vec<NodeId> = net
+        .muxes()
+        .filter(|&m| !stuck.iter().any(|&(s, _)| s == m))
+        .filter(|&m| {
+            matches!(net.node(m).kind.as_mux().unwrap().control,
+                ControlSource::Cell { segment, .. } if broken.contains(&segment))
+        })
+        .collect();
+    let radix: Vec<usize> =
+        free.iter().map(|&m| net.node(m).kind.as_mux().unwrap().fan_in()).collect();
+    (0..radix.iter().product::<usize>())
+        .map(|c| {
+            let mut frozen = stuck.clone();
+            let mut rest = c;
+            for (&m, &r) in free.iter().zip(&radix) {
+                frozen.push((m, rest % r));
+                rest /= r;
+            }
+            reference::mode_damage(net, spec, &broken, &frozen)
+        })
+        .max()
+        .unwrap()
 }
 
 proptest! {
@@ -123,7 +165,7 @@ proptest! {
         let s = random_structure(&RandomParams::default(), seed);
         let (net, _) = s.build("prop").unwrap();
         let spec = CriticalitySpec::paper_random(&net, &PaperSpecParams::default(), spec_seed);
-        assert_batch_matches_scalar(&net, &spec, &options);
+        assert_batch_matches_reference(&net, &spec, &options);
     }
 
     #[test]
@@ -135,7 +177,7 @@ proptest! {
         let net = random_bridge_net(seed);
         prop_assert!(rsn_sp::recognize(&net).is_err(), "bridge blocks defeat SP recognition");
         let spec = CriticalitySpec::paper_random(&net, &PaperSpecParams::default(), spec_seed);
-        assert_batch_matches_scalar(&net, &spec, &options);
+        assert_batch_matches_reference(&net, &spec, &options);
     }
 
     #[test]
@@ -154,17 +196,15 @@ proptest! {
         ).unwrap();
         prop_assert_eq!(&pairs_one, &pairs_four, "pair sweep must be thread-count invariant");
         prop_assert_eq!(pairs_one.len(), pool.len() * (pool.len().saturating_sub(1)) / 2);
-        // Every lane-packed pair damage must equal the scalar ReachKernel's
-        // joint fault-set evaluation of the same two faults.
+        // Every lane-packed pair damage must equal the reference maximized
+        // over the same pair's frozen-select odometer.
         let mut k = 0;
         for i in 0..pool.len() {
             for j in (i + 1)..pool.len() {
-                let scalar = fault_set_damage(
-                    &net, &spec, &[pool[i], pool[j]], SibCellPolicy::Combined,
-                ).unwrap();
+                let want = reference_fault_set_damage(&net, &spec, &[pool[i], pool[j]]);
                 prop_assert_eq!(
-                    pairs_one[k], scalar,
-                    "pair ({}, {}) diverges from the scalar fault-set path", i, j
+                    pairs_one[k], want,
+                    "pair ({}, {}) diverges from the reference odometer", i, j
                 );
                 k += 1;
             }
@@ -204,12 +244,12 @@ fn cancellation_interrupts_batched_sweeps() {
 
 /// The `scripts/check.sh` differential smoke: on the p34392 Table I design
 /// (529 fault modes — eight full 64-lane blocks plus a partial ninth), the
-/// batched sweep must be bit-identical to the scalar reference at one and
-/// four threads.
+/// batched sweep must be bit-identical to the reference at one and four
+/// threads.
 #[test]
-fn batch_matches_scalar_on_p34392() {
+fn batch_matches_reference_on_p34392() {
     let bench = by_name("p34392").expect("p34392 is a registered Table I design");
     let (net, _) = bench.generate().build(bench.name).unwrap();
     let spec = CriticalitySpec::paper_random(&net, &PaperSpecParams::default(), 2022);
-    assert_batch_matches_scalar(&net, &spec, &AnalysisOptions::default());
+    assert_batch_matches_reference(&net, &spec, &AnalysisOptions::default());
 }

@@ -1,9 +1,9 @@
-//! Differential validation of the bitset reachability kernel: on random
+//! Differential validation of the lane reachability kernel: on random
 //! series-parallel networks *and* on bridge-extended non-SP networks, the
-//! CSR/bitset kernel behind [`robust_rsn::analyze_graph`] must produce a
-//! damage vector bit-identical to the pre-kernel `Vec<bool>` implementation
-//! (kept as `graph_analysis::reference`) and, on small instances, to the
-//! exhaustive configuration oracle.
+//! kernel behind [`robust_rsn::analyze_graph`] must produce a damage vector
+//! bit-identical to the `Vec<bool>` implementation (kept as
+//! `graph_analysis::reference`) and, on small instances, to the exhaustive
+//! configuration oracle.
 
 use proptest::prelude::*;
 use robust_rsn::graph_analysis::{reference, ReachKernel};
@@ -196,9 +196,9 @@ proptest! {
         mode_seed in 0u64..5_000,
         bridge in 0u64..2,
     ) {
-        // Exercise the raw per-mode kernel (the fault-set path) with
-        // arbitrary broken/frozen combinations, including repeated entries
-        // and out-of-range frozen ports.
+        // Exercise the lane kernel with arbitrary broken/frozen
+        // combinations, including repeated entries and out-of-range frozen
+        // ports, each mode evaluated as a one-lane block on a reused scratch.
         let net = if bridge == 1 {
             random_bridge_net(seed)
         } else {
@@ -207,11 +207,14 @@ proptest! {
         };
         let weights = CriticalitySpec::paper_random(&net, &PaperSpecParams::default(), seed);
         let kernel = ReachKernel::new(&net, &weights);
-        let mut scratch = kernel.scratch();
+        let mut scratch = kernel.block_scratch::<u64>();
         for round in 0..4 {
             let (broken, frozen) = random_mode(&net, mode_seed.wrapping_add(round));
+            scratch.clear();
+            kernel.push_mode(&mut scratch, &broken, &frozen);
+            let lane = kernel.eval_damages(&mut scratch);
             prop_assert_eq!(
-                kernel.mode_damage(&mut scratch, &broken, &frozen),
+                lane[0].total(),
                 reference::mode_damage(&net, &weights, &broken, &frozen),
                 "broken {:?} frozen {:?}", broken, frozen
             );
