@@ -41,7 +41,7 @@ use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use robust_rsn::AnalysisOptions;
 use rsn_serve::chaos::{Chaos, Site};
@@ -274,10 +274,8 @@ impl Coordinator {
             }
         }
         // Grace period for in-flight connections, then tear the fleet down.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while self.inner.open_conns.load(Ordering::SeqCst) > 0
-            && std::time::Instant::now() < deadline
-        {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while self.inner.open_conns.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(10));
         }
         let _ = health.join();
@@ -289,6 +287,7 @@ impl Coordinator {
 /// Serves one client connection: keep-alive request loop until the peer
 /// closes, asks to close, or errors.
 fn handle_conn(inner: &Inner, mut stream: TcpStream) {
+    let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(inner.config.io_timeout));
     let _ = stream.set_write_timeout(Some(inner.config.io_timeout));
     loop {
@@ -309,7 +308,8 @@ fn handle_conn(inner: &Inner, mut stream: TcpStream) {
         inner.metrics.record_request();
         let response = route(inner, &request);
         inner.metrics.record_response(response.status);
-        if http::write_response(&mut stream, &response).is_err() || close {
+        let bytes = http::encode_response(&response, !close);
+        if stream.write_all(&bytes).and_then(|()| stream.flush()).is_err() || close {
             return;
         }
     }
@@ -457,7 +457,7 @@ fn submit(inner: &Inner, endpoint: Endpoint, request: &Request) -> Response {
             Err(err) => return Response::json(err.status, err.body()),
         },
     };
-    let up = inner.fleet.up_workers();
+    let up = live_workers(inner);
     if up.is_empty() {
         return fleet_exhausted(inner, "no live workers");
     }
@@ -493,12 +493,7 @@ fn dispatch_whole(
     while attempt < budget {
         // Prefer rendezvous order from the request-time snapshot, then any
         // currently-live generation not yet tried (covers respawns).
-        let target = order
-            .iter()
-            .cloned()
-            .chain(inner.fleet.up_workers())
-            .find(|w| !tried.contains(&(w.slot, w.generation)));
-        let Some(worker) = target else { break };
+        let Some(worker) = next_target(inner, &order, &tried) else { break };
         tried.push((worker.slot, worker.generation));
         if attempt > 0 {
             inner.metrics.record_failover();
@@ -599,24 +594,7 @@ fn dispatch_shard(
     let snapshot_order =
         (0..up.len()).map(|k| up[(preferred + k) % up.len()].clone()).collect::<Vec<_>>();
     for attempt in 0..budget {
-        let target = snapshot_order
-            .iter()
-            .cloned()
-            .chain(inner.fleet.up_workers())
-            .find(|w| !tried.contains(&(w.slot, w.generation)));
-        let worker = match target {
-            Some(worker) => worker,
-            None => {
-                // Every known generation was tried; wait out one health
-                // interval for a respawn before giving up this attempt.
-                std::thread::sleep(inner.config.health_interval);
-                inner
-                    .fleet
-                    .up_workers()
-                    .into_iter()
-                    .find(|w| !tried.contains(&(w.slot, w.generation)))?
-            }
-        };
+        let worker = next_target(inner, &snapshot_order, &tried)?;
         tried.push((worker.slot, worker.generation));
         if attempt > 0 {
             inner.metrics.record_shard_retried();
@@ -654,6 +632,36 @@ fn dispatch_shard(
         }
     }
     None
+}
+
+/// The live workers. When none is up but the fleet respawns its own, waits
+/// up to two health intervals for the health loop to bring one back, so a
+/// burst of worker deaths costs latency rather than a 503.
+fn live_workers(inner: &Inner) -> Vec<WorkerStatus> {
+    let deadline = Instant::now() + 2 * inner.config.health_interval;
+    loop {
+        let up = inner.fleet.up_workers();
+        if !up.is_empty() || !inner.fleet.can_respawn() || Instant::now() >= deadline {
+            return up;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// The next worker generation not yet `tried`: `order` first, then any
+/// live generation (covers respawns). When every known generation was
+/// tried, waits out one health interval for a respawn before giving up.
+fn next_target(
+    inner: &Inner,
+    order: &[WorkerStatus],
+    tried: &[(usize, u64)],
+) -> Option<WorkerStatus> {
+    let untried = |w: &WorkerStatus| !tried.contains(&(w.slot, w.generation));
+    if let Some(worker) = order.iter().cloned().chain(inner.fleet.up_workers()).find(untried) {
+        return Some(worker);
+    }
+    std::thread::sleep(inner.config.health_interval);
+    inner.fleet.up_workers().into_iter().find(untried)
 }
 
 /// Resolves the parsed network a job refers to, from the mirror or inline

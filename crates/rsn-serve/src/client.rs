@@ -12,7 +12,6 @@
 //! across clients seeded differently.
 
 use std::io::Write;
-use std::net::TcpStream;
 use std::time::Duration;
 
 use crate::http::{self, HttpError, Response};
@@ -155,16 +154,9 @@ impl Client {
     /// error *statuses* are returned as successful [`Response`]s — the
     /// caller decides how to treat a `503`.
     pub fn request(&self, method: &str, path: &str, body: &str) -> Result<Response, ClientError> {
-        let mut stream = TcpStream::connect(&self.addr)?;
-        stream.set_read_timeout(Some(self.timeout))?;
-        stream.set_write_timeout(Some(self.timeout))?;
-        let head = format!(
-            "{method} {path} HTTP/1.1\r\nHost: rsnd\r\nContent-Type: application/json\r\n\
-             Content-Length: {}\r\nConnection: close\r\n\r\n",
-            body.len()
-        );
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(body.as_bytes())?;
+        let request = http::encode_request(method, path, "application/json", body.as_bytes(), true);
+        let mut stream = http::connect(&self.addr, self.timeout)?;
+        stream.write_all(&request)?;
         stream.flush()?;
         Ok(http::read_response(&mut stream)?)
     }
@@ -219,13 +211,13 @@ impl Client {
     ///
     /// See [`request`](Self::request).
     pub fn put_network_streaming(&self, network_text: &str) -> Result<Response, ClientError> {
-        let mut stream = TcpStream::connect(&self.addr)?;
-        stream.set_read_timeout(Some(self.timeout))?;
-        stream.set_write_timeout(Some(self.timeout))?;
-        let head = format!(
-            "PUT /v1/networks HTTP/1.1\r\nHost: rsnd\r\nContent-Type: text/plain\r\n\
-             Content-Length: {}\r\nConnection: close\r\n\r\n",
-            network_text.len()
+        let mut stream = http::connect(&self.addr, self.timeout)?;
+        let head = http::encode_request_head(
+            "PUT",
+            "/v1/networks",
+            "text/plain",
+            network_text.len(),
+            true,
         );
         stream.write_all(head.as_bytes())?;
         // Chunked writes exercise the server's resumable parse path even

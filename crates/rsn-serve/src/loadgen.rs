@@ -293,13 +293,10 @@ impl Conn {
         body: &str,
         reconnects: &AtomicUsize,
     ) -> Result<http::Response, String> {
-        let head = format!(
-            "{method} {path} HTTP/1.1\r\nHost: rsnd\r\nContent-Type: application/json\r\n\
-             Content-Length: {}\r\n\r\n",
-            body.len()
-        );
+        let request =
+            http::encode_request(method, path, "application/json", body.as_bytes(), false);
         let had_stream = self.stream.is_some();
-        match self.try_roundtrip(&head, body) {
+        match self.try_roundtrip(&request) {
             Ok(response) => Ok(response),
             Err(first) => {
                 // Drop the (possibly desynced) connection and retry once on
@@ -310,22 +307,20 @@ impl Conn {
                 if had_stream {
                     reconnects.fetch_add(1, Ordering::Relaxed);
                 }
-                self.try_roundtrip(&head, body).map_err(|_| first)
+                self.try_roundtrip(&request).map_err(|_| first)
             }
         }
     }
 
-    fn try_roundtrip(&mut self, head: &str, body: &str) -> Result<http::Response, String> {
+    fn try_roundtrip(&mut self, request: &[u8]) -> Result<http::Response, String> {
         if self.stream.is_none() {
-            let stream = TcpStream::connect(&self.addr).map_err(|e| format!("connect: {e}"))?;
-            stream.set_read_timeout(Some(self.timeout)).map_err(|e| e.to_string())?;
-            stream.set_write_timeout(Some(self.timeout)).map_err(|e| e.to_string())?;
+            let stream =
+                http::connect(&self.addr, self.timeout).map_err(|e| format!("connect: {e}"))?;
             self.stream = Some(stream);
             self.buf.clear();
         }
         let stream = self.stream.as_mut().expect("just connected");
-        stream.write_all(head.as_bytes()).map_err(|e| format!("write: {e}"))?;
-        stream.write_all(body.as_bytes()).map_err(|e| format!("write: {e}"))?;
+        stream.write_all(request).map_err(|e| format!("write: {e}"))?;
         stream.flush().map_err(|e| format!("flush: {e}"))?;
         let mut chunk = [0u8; 16 * 1024];
         loop {

@@ -626,6 +626,9 @@ impl EventLoop {
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
+                    // A pipelined answer must not wait for the ACK riding on
+                    // the peer's next request.
+                    let _ = stream.set_nodelay(true);
                     let id = self.next_conn_id;
                     self.next_conn_id += 1;
                     self.conns.insert(id, Conn::new(stream, now));

@@ -5,13 +5,14 @@
 //! dead at startup, and keep the loadgen harness at zero failed requests
 //! under the cluster chaos schedule.
 
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use robust_rsn::{AnalysisOptions, Parallelism};
 use rsn_cluster::{ClusterConfig, ClusterControl, Coordinator};
 use rsn_serve::chaos::Chaos;
+use rsn_serve::http;
 use rsn_serve::loadgen::{self, LoadgenConfig};
 use rsn_serve::wire::{self, AnalyzeShardResponse, Deadline, ParsedNetwork};
 use rsn_serve::{parse_error, Client, Endpoint, JobRequest};
@@ -157,6 +158,39 @@ fn cluster_responses_are_byte_identical_to_a_single_node() {
     let metrics = control.metrics_text();
     assert!(counter(&metrics, "rsnc_shards_dispatched_total") >= 3, "{metrics}");
     assert_eq!(counter(&metrics, "rsnc_workers_up"), 3, "{metrics}");
+    stop();
+}
+
+#[test]
+fn rsnc_keeps_a_keep_alive_socket_open_and_says_so() {
+    let (addr, _client, _control, stop) =
+        boot(ClusterConfig { shard_threshold: 1, ..spawning_config(2) });
+    let mut stream = http::connect(&addr, Duration::from_secs(60)).expect("connect rsnc");
+    let mut buf = Vec::new();
+    let mut exchange = |job: &JobRequest, close: bool| {
+        let body = serde_json::to_string(job).expect("encode job");
+        let request =
+            http::encode_request("POST", "/v1/analyze", "application/json", body.as_bytes(), close);
+        stream.write_all(&request).expect("write request");
+        let mut chunk = [0u8; 64 * 1024];
+        loop {
+            if let Some((response, consumed)) = http::parse_response_bytes(&buf).expect("frame") {
+                buf.drain(..consumed);
+                return response;
+            }
+            let n = stream.read(&mut chunk).expect("read response");
+            assert!(n > 0, "rsnc closed a keep-alive connection");
+            buf.extend_from_slice(&chunk[..n]);
+        }
+    };
+    let first = exchange(&analyze_job(7), false);
+    assert_eq!(first.status, 200, "{}", first.body);
+    assert_eq!(first.header("connection"), Some("keep-alive"));
+    assert_eq!(first.body, single_node_bytes(Endpoint::Analyze, &analyze_job(7)));
+    let second = exchange(&analyze_job(2022), true);
+    assert_eq!(second.status, 200, "{}", second.body);
+    assert_eq!(second.header("connection"), Some("close"));
+    assert_eq!(second.body, single_node_bytes(Endpoint::Analyze, &analyze_job(2022)));
     stop();
 }
 

@@ -285,6 +285,49 @@ fn streamed_upload_hash_matches_the_buffered_path() {
     stop();
 }
 
+/// The text of p93791, the largest Table I design (~150 KB): big enough that
+/// a JSON decoder slower than linear in string length shows.
+fn p93791_network() -> String {
+    let spec = rsn_benchmarks::by_name("p93791").expect("p93791 is a Table I design");
+    rsn_model::format::print_network(spec.name, &spec.generate())
+}
+
+#[test]
+fn inline_p93791_analyze_matches_the_same_job_by_hash() {
+    let (client, _handle, stop) = boot(ServerConfig::default());
+    let text = p93791_network();
+    let inline = JobRequest { network: Some(text.clone()), seed: Some(7), ..Default::default() };
+    let by_inline = client.submit(Endpoint::Analyze, &inline).expect("inline analyze");
+    assert_eq!(by_inline.status, 200, "{}", by_inline.body);
+
+    let put = client.put_network_streaming(&text).expect("streaming put");
+    assert_eq!(put.status, 200, "{}", put.body);
+    let put: rsn_serve::wire::NetworkPutResponse =
+        serde_json::from_str(&put.body).expect("parse put response");
+    let job =
+        JobRequest { network_hash: Some(put.network_hash), seed: Some(7), ..Default::default() };
+    let by_hash = client.submit(Endpoint::Analyze, &job).expect("analyze by hash");
+    assert_eq!(by_hash.status, 200, "{}", by_hash.body);
+    assert_eq!(by_inline.body, by_hash.body, "inline and by-hash answers must be byte-identical");
+    stop();
+}
+
+#[test]
+fn json_put_of_p93791_hashes_like_the_streamed_put() {
+    let (client, _handle, stop) = boot(ServerConfig::default());
+    let text = p93791_network();
+    let buffered = client.put_network(&text).expect("json put");
+    assert_eq!(buffered.status, 200, "{}", buffered.body);
+    let streamed = client.put_network_streaming(&text).expect("streaming put");
+    assert_eq!(streamed.status, 200, "{}", streamed.body);
+    let a: rsn_serve::wire::NetworkPutResponse =
+        serde_json::from_str(&buffered.body).expect("parse buffered");
+    let b: rsn_serve::wire::NetworkPutResponse =
+        serde_json::from_str(&streamed.body).expect("parse streamed");
+    assert_eq!(a.network_hash, b.network_hash);
+    stop();
+}
+
 #[test]
 fn malformed_streamed_uploads_get_a_structured_400() {
     let (client, _handle, stop) = boot(ServerConfig::default());
