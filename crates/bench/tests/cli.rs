@@ -292,3 +292,14 @@ fn loadgen_without_addr_or_spawn_is_an_error() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--spawn"), "names the fix");
 }
+
+/// Byte pin of a pretty-printed `--json` report: the length and FNV-1a hash
+/// of `rsn_tool validate p34392 --json` stdout, taken from the
+/// `Content`-tree printer the streaming encoder replaced.
+#[test]
+fn pretty_json_validation_report_is_pinned() {
+    let out = rsn_tool().args(["validate", "p34392", "--json"]).output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let got = (out.stdout.len(), rsn_serve::cache::fnv1a(&out.stdout));
+    assert_eq!(got, (350, 0x683e_d99f_e79e_6e54), "(length, fnv1a) = ({}, {:#018x})", got.0, got.1);
+}

@@ -419,6 +419,13 @@ impl AnalysisSession {
         self.parallelism
     }
 
+    /// The cost model [`solve`](Self::solve) builds its hardening problem
+    /// with.
+    #[must_use]
+    pub fn cost_model(&self) -> &CostModel {
+        &self.cost_model
+    }
+
     /// The session's cancellation token (a clone; cancelling it is observed
     /// by every in-flight analysis of this session).
     #[must_use]
@@ -569,22 +576,36 @@ impl AnalysisSession {
     /// of states; [`SessionError::Cancelled`] when the session's token fires
     /// mid-run (checked once per generation / enumeration step).
     pub fn solve(&self, solver: Solver) -> Result<HardeningFront, SessionError> {
-        let problem = self.hardening_problem(&self.cost_model)?;
+        self.solve_problem(&self.hardening_problem(&self.cost_model)?, solver)
+    }
+
+    /// Runs `solver` on an already built `problem` under the session's
+    /// cancel token: callers that also read the problem's totals build it
+    /// once (usually with [`cost_model`](Self::cost_model)) and solve that.
+    ///
+    /// # Errors
+    ///
+    /// As [`solve`](Self::solve), minus the criticality errors.
+    pub fn solve_problem(
+        &self,
+        problem: &HardeningProblem,
+        solver: Solver,
+    ) -> Result<HardeningFront, SessionError> {
         match solver {
             Solver::Spea2 { config, seed } => {
-                solve_spea2_cancellable(&problem, &config, seed, |_| {}, &self.cancel)
+                solve_spea2_cancellable(problem, &config, seed, |_| {}, &self.cancel)
                     .map_err(SessionError::from)
             }
             Solver::Nsga2 { config, seed } => {
-                solve_nsga2_cancellable(&problem, &config, seed, &self.cancel)
+                solve_nsga2_cancellable(problem, &config, seed, &self.cancel)
                     .map_err(SessionError::from)
             }
             Solver::Greedy => {
                 self.cancel.check()?;
-                Ok(solve_greedy(&problem))
+                Ok(solve_greedy(problem))
             }
             Solver::Exact { max_states } => {
-                solve_exact_cancellable(&problem, max_states, &self.cancel).map_err(|e| match e {
+                solve_exact_cancellable(problem, max_states, &self.cancel).map_err(|e| match e {
                     ExactSolveError::BudgetExceeded(b) => {
                         SessionError::ExactBudgetExceeded { states: b.states }
                     }
@@ -593,7 +614,7 @@ impl AnalysisSession {
             }
             Solver::Random { samples, seed } => {
                 self.cancel.check()?;
-                Ok(solve_random(&problem, samples, seed))
+                Ok(solve_random(problem, samples, seed))
             }
         }
     }
@@ -675,6 +696,24 @@ mod tests {
         for s in greedy.solutions() {
             let best = exact.min_damage_with_cost_at_most(s.cost).expect("exact covers cost");
             assert!(best.damage <= s.damage);
+        }
+    }
+
+    #[test]
+    fn solve_problem_matches_solve_under_the_session_cost_model() {
+        let (net, _) = demo_net();
+        let uniform = CostModel::Uniform { segment: 5, mux: 1 };
+        let session = AnalysisSession::builder(net)
+            .with_paper_spec(PaperSpecParams::default(), 3)
+            .with_cost_model(uniform.clone())
+            .with_threads(1)
+            .build();
+        assert_eq!(session.cost_model(), &uniform);
+        let problem = session.hardening_problem(session.cost_model()).expect("problem");
+        assert_eq!(problem.max_cost(), uniform.max_cost(session.network()));
+        for solver in [Solver::Greedy, Solver::Exact { max_states: 1 << 16 }] {
+            let direct = session.solve(solver.clone()).expect("solve");
+            assert_eq!(session.solve_problem(&problem, solver).expect("solve_problem"), direct);
         }
     }
 

@@ -12,7 +12,7 @@ use std::time::Duration;
 pub const LATENCY_BUCKETS_MS: [u64; 12] = [1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000];
 
 /// The queue-consuming endpoints with per-endpoint histograms.
-pub const ENDPOINTS: [&str; 3] = ["analyze", "harden", "whatif"];
+pub const ENDPOINTS: [&str; 4] = ["analyze", "harden", "validate", "whatif"];
 
 /// Statuses tracked individually; everything else lands in `other`.
 const STATUSES: [u16; 7] = [200, 400, 404, 408, 413, 500, 503];
@@ -387,6 +387,7 @@ mod tests {
         m.record_cache_hit();
         m.record_cache_miss();
         m.record_request("whatif");
+        m.record_request("validate");
         m.record_workspace_cache_hit();
         m.record_workspace_cache_hit();
         m.record_workspace_cache_miss();
@@ -394,6 +395,7 @@ mod tests {
         assert!(text.contains("rsnd_requests_total{endpoint=\"analyze\"} 2"), "{text}");
         assert!(text.contains("rsnd_requests_total{endpoint=\"harden\"} 1"), "{text}");
         assert!(text.contains("rsnd_requests_total{endpoint=\"whatif\"} 1"), "{text}");
+        assert!(text.contains("rsnd_requests_total{endpoint=\"validate\"} 1"), "{text}");
         assert!(text.contains("rsnd_workspace_cache_hits_total 2"), "{text}");
         assert!(text.contains("rsnd_workspace_cache_misses_total 1"), "{text}");
         assert!(text.contains("rsnd_requests_total{endpoint=\"other\"} 1"), "{text}");

@@ -23,10 +23,9 @@ use std::time::{Duration, Instant};
 
 use moea::{Nsga2Config, Spea2Config};
 use robust_rsn::{
-    canonical_network_hash, AnalysisOptions, AnalysisSession, CancelToken, CostModel,
-    CriticalitySummary, DoubleFaultSummary, HardeningFront, ModeAggregation, NetworkHash,
-    PaperSpecParams, Parallelism, SessionError, SibCellPolicy, Solver, Workspace, WorkspaceDelta,
-    WorkspaceError,
+    canonical_network_hash, AnalysisOptions, AnalysisSession, CancelToken, CriticalitySummary,
+    DoubleFaultSummary, HardeningFront, ModeAggregation, NetworkHash, PaperSpecParams, Parallelism,
+    SessionError, SibCellPolicy, Solver, Workspace, WorkspaceDelta, WorkspaceError,
 };
 use rsn_model::format::parse_network;
 use rsn_model::{BuiltStructure, NodeId, ScanNetwork};
@@ -1054,11 +1053,12 @@ pub fn execute_with(
         }
         Endpoint::Harden => {
             // Materialize the criticality first so the deadline is checked
-            // between the analysis and the (usually dominant) solve.
-            let problem = session.hardening_problem(&CostModel::default())?;
+            // between the analysis and the (usually dominant) solve. One
+            // problem feeds both the reference totals and the solver.
+            let problem = session.hardening_problem(session.cost_model())?;
             let (total_damage, max_cost) = (problem.total_damage(), problem.max_cost());
             deadline.check("criticality")?;
-            let front = session.solve(job.solver.to_solver())?;
+            let front = session.solve_problem(&problem, job.solver.to_solver())?;
             deadline.check("solve")?;
             let response = HardenResponse {
                 network: session.network().name().to_string(),

@@ -90,6 +90,14 @@ fn validate_endpoint_serves_a_clean_cached_campaign_report() {
     let second = client.submit(Endpoint::Validate, &job).expect("second submit");
     assert_eq!(second.header("x-cache"), Some("hit"));
     assert_eq!(first.body, second.body, "cached campaign report must be byte-identical");
+    let metrics = client.metrics_text().expect("metrics");
+    for line in [
+        "rsnd_requests_total{endpoint=\"validate\"} 2",
+        "rsnd_request_latency_ms_bucket{endpoint=\"validate\",le=\"+Inf\"} 2",
+        "rsnd_request_latency_ms_count{endpoint=\"validate\"} 2",
+    ] {
+        assert!(metrics.lines().any(|l| l == line), "missing {line:?} in:\n{metrics}");
+    }
     stop();
 }
 
