@@ -8,10 +8,10 @@
 //!      [--chaos SPEC] [--version]
 //! ```
 //!
-//! Speaks the same wire protocol as a single `rsnd`, so any client works
-//! unchanged. Spawns `--workers` worker processes (default: the
-//! `rsnc-worker` or `rsnd` binary found beside this executable) or adopts
-//! the `--adopt` addresses. Prints `rsnc listening on HOST:PORT` once
+//! Runs `rsnd`'s front end over a fleet of workers, so it speaks the same
+//! wire protocol as a single `rsnd` and any client works unchanged. Spawns
+//! `--workers` worker processes (default: the `rsnc-worker` or `rsnd`
+//! binary found beside this executable) or adopts the `--adopt` addresses. Prints `rsnc listening on HOST:PORT` once
 //! ready and shuts down on SIGTERM or ctrl-c, killing spawned workers.
 //!
 //! `--chaos SPEC` (or `RSNC_CHAOS`) installs the shared deterministic
@@ -25,7 +25,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rsn_cluster::{ClusterConfig, Coordinator};
-use rsn_serve::{signal, Chaos};
+use rsn_serve::daemon::parse;
+use rsn_serve::{poll, signal, Chaos};
 
 fn main() -> ExitCode {
     match run() {
@@ -81,19 +82,12 @@ fn run() -> Result<(), String> {
         config.worker_bin = Some(default_worker_bin()?);
     }
 
+    // Best-effort, like rsnd: many keep-alive clients need descriptors.
+    let _ = poll::raise_nofile_limit(65_536);
+
     let coordinator = Coordinator::bind(config).map_err(|e| format!("bind failed: {e}"))?;
     println!("rsnc listening on {}", coordinator.local_addr());
-
-    signal::install();
-    let handle = coordinator.shutdown_handle();
-    std::thread::spawn(move || loop {
-        if signal::triggered() {
-            handle.shutdown();
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    });
-
+    signal::shutdown_on_signal(coordinator.shutdown_handle());
     coordinator.run().map_err(|e| format!("serve failed: {e}"))?;
     println!("rsnc shut down cleanly");
     Ok(())
@@ -111,10 +105,6 @@ fn default_worker_bin() -> Result<PathBuf, String> {
         }
     }
     Err("no rsnc-worker or rsnd binary found beside rsnc; pass --worker-bin PATH".to_string())
-}
-
-fn parse<T: std::str::FromStr>(s: &str) -> Result<T, String> {
-    s.parse().map_err(|_| format!("invalid number {s:?}"))
 }
 
 const USAGE: &str = "usage: rsnc [--addr HOST:PORT] [--workers N] [--worker-bin PATH] \

@@ -1,73 +1,9 @@
 //! `rsnc-worker` — an `rsnd` analysis worker packaged with the cluster
 //! crate so `rsnc` (and its integration tests) always have a spawnable
-//! worker beside them. Identical wire behaviour to `rsnd`, including the
-//! `rsnd listening on HOST:PORT` banner the fleet spawner waits for.
+//! worker beside them. It runs the same entry point as `rsnd`
+//! ([`rsn_serve::daemon::main`]), so it takes the same flags and prints the
+//! same `rsnd listening on HOST:PORT` banner the fleet spawner waits for.
 
-use std::process::ExitCode;
-use std::sync::Arc;
-use std::time::Duration;
-
-use robust_rsn::Parallelism;
-use rsn_serve::{signal, Chaos, Server, ServerConfig};
-
-fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            ExitCode::FAILURE
-        }
-    }
+fn main() -> std::process::ExitCode {
+    rsn_serve::daemon::main("rsnc-worker")
 }
-
-fn run() -> Result<(), String> {
-    let mut config = ServerConfig::default();
-    let mut chaos_spec = std::env::var("RSND_CHAOS").ok();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value =
-            |name: &str| it.next().cloned().ok_or_else(|| format!("{name} expects a value"));
-        match flag.as_str() {
-            "--addr" => config.addr = value("--addr")?,
-            "--workers" => config.workers = Parallelism::new(parse(&value("--workers")?)?),
-            "--queue" => config.queue_capacity = parse(&value("--queue")?)?,
-            "--cache" => config.cache_capacity = parse(&value("--cache")?)?,
-            "--store" => config.store_path = Some(value("--store")?.into()),
-            "--timeout-ms" => config.default_timeout_ms = parse(&value("--timeout-ms")?)?,
-            "--chaos" => chaos_spec = Some(value("--chaos")?),
-            "--version" | "-V" => {
-                println!("rsnc-worker {}", env!("CARGO_PKG_VERSION"));
-                return Ok(());
-            }
-            other => return Err(format!("unknown flag {other:?}\n{USAGE}")),
-        }
-    }
-    if let Some(spec) = chaos_spec {
-        let chaos = Chaos::from_spec(&spec)?;
-        config.chaos = Some(Arc::new(chaos));
-    }
-
-    let server = Server::bind(config).map_err(|e| format!("bind failed: {e}"))?;
-    println!("rsnd listening on {}", server.local_addr());
-
-    signal::install();
-    let handle = server.shutdown_handle();
-    std::thread::spawn(move || loop {
-        if signal::triggered() {
-            handle.shutdown();
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    });
-
-    server.run().map_err(|e| format!("serve failed: {e}"))?;
-    Ok(())
-}
-
-fn parse<T: std::str::FromStr>(s: &str) -> Result<T, String> {
-    s.parse().map_err(|_| format!("invalid number {s:?}"))
-}
-
-const USAGE: &str = "usage: rsnc-worker [--addr HOST:PORT] [--workers N] [--queue N] \
-                     [--cache N] [--store PATH] [--timeout-ms N] [--chaos SPEC] [--version]";

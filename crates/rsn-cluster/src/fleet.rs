@@ -75,6 +75,20 @@ pub struct Worker {
     child: Option<Child>,
 }
 
+impl Worker {
+    /// A slot holding a worker without a child process or a health record.
+    fn slot(generation: u64, addr: String, up: bool) -> Mutex<Self> {
+        Mutex::new(Self {
+            generation,
+            addr,
+            up,
+            consecutive_failures: 0,
+            queue_depth: 0,
+            child: None,
+        })
+    }
+}
+
 /// A snapshot row of one slot, for routing and metrics.
 #[derive(Clone, Debug)]
 pub struct WorkerStatus {
@@ -106,18 +120,7 @@ impl Fleet {
     #[must_use]
     pub fn spawn(spawn: WorkerSpawn, n: usize) -> Self {
         let fleet = Self {
-            slots: (0..n)
-                .map(|_| {
-                    Mutex::new(Worker {
-                        generation: 0,
-                        addr: String::new(),
-                        up: false,
-                        consecutive_failures: 0,
-                        queue_depth: 0,
-                        child: None,
-                    })
-                })
-                .collect(),
+            slots: (0..n).map(|_| Worker::slot(0, String::new(), false)).collect(),
             spawn: Some(spawn),
             generations: Mutex::new(0),
         };
@@ -135,16 +138,7 @@ impl Fleet {
             slots: addrs
                 .into_iter()
                 .enumerate()
-                .map(|(i, addr)| {
-                    Mutex::new(Worker {
-                        generation: i as u64,
-                        addr,
-                        up: true,
-                        consecutive_failures: 0,
-                        queue_depth: 0,
-                        child: None,
-                    })
-                })
+                .map(|(i, addr)| Worker::slot(i as u64, addr, true))
                 .collect(),
             spawn: None,
             generations: Mutex::new(u64::MAX / 2),

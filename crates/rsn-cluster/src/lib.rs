@@ -1,10 +1,15 @@
 //! `rsn-cluster` — a fault-tolerant cluster coordinator (`rsnc`) for
 //! `rsnd` analysis workers.
 //!
-//! The coordinator speaks the exact same HTTP/JSON wire protocol as a
-//! single `rsnd` ([`rsn_serve::wire`]) so every client — `rsn_tool`, the
-//! loadgen harness, the smoke scripts — points at `rsnc` unchanged. Behind
-//! that front it:
+//! The coordinator *is* an `rsnd` front end: an [`rsn_serve::Server`] whose
+//! worker pool hands each job to the remote [`rsn_serve::Backend`] in
+//! [`coordinator`] instead of executing it locally. It therefore speaks the
+//! exact same HTTP/JSON wire protocol as a single `rsnd`
+//! ([`rsn_serve::wire`]), through the same event loop — keep-alive,
+//! pipelining, framing errors, queue backpressure, panic isolation and the
+//! SIGTERM drain included — so every client (`rsn_tool`, the loadgen
+//! harness, the smoke scripts) points at `rsnc` unchanged. Behind that
+//! front it:
 //!
 //! - **spawns or adopts** N workers ([`fleet::Fleet`]), each an ordinary
 //!   `rsnd` process on its own port;
@@ -20,12 +25,13 @@
 //!   registry, and in-flight shards fail over to surviving workers under a
 //!   bounded retry budget — exhausting the budget degrades gracefully to a
 //!   structured, retryable `503 fleet_exhausted`;
-//! - **merges fleet metrics**: `GET /metrics` exposes per-worker up/down
-//!   and queue depth plus coordinator counters (shards retried, failovers,
-//!   rebalances, respawns);
+//! - **merges fleet metrics**: `GET /metrics` is the server's own
+//!   exposition plus per-worker up/down and queue depth and coordinator
+//!   counters (requests, shards retried, failovers, rebalances, respawns);
 //! - **injects cluster chaos**: the shared deterministic
 //!   [`Chaos`](rsn_serve::chaos::Chaos) schedule gains `kill-worker`,
-//!   `drop-conn` and `slow-worker` sites fired by the coordinator.
+//!   `drop-conn` and `slow-worker` sites, fired by the backend right before
+//!   a dispatch; the front end itself runs without a chaos schedule.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -34,6 +40,6 @@ pub mod coordinator;
 pub mod fleet;
 pub mod metrics;
 
-pub use coordinator::{ClusterConfig, ClusterControl, ClusterShutdownHandle, Coordinator};
+pub use coordinator::{ClusterConfig, ClusterControl, Coordinator};
 pub use fleet::{Fleet, Worker, WorkerSpawn, WorkerStatus};
 pub use metrics::ClusterMetrics;

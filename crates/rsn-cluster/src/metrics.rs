@@ -1,18 +1,17 @@
-//! The merged fleet `/metrics` view: coordinator-level counters plus
-//! per-worker up/down gauges and scraped queue depths, in the same
-//! Prometheus text exposition the single-node daemon uses.
+//! The coordinator's `rsnc_*` series: fleet-level counters plus per-worker
+//! up/down gauges and scraped queue depths, appended to the coordinator
+//! server's own `/metrics` exposition in the same Prometheus text format.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use rsn_serve::Metrics;
+
 use crate::fleet::WorkerStatus;
 
-/// Lock-free coordinator counters. Rendering folds in a fleet snapshot for
-/// the per-worker gauges.
+/// Lock-free fleet counters. Rendering folds in a fleet snapshot for the
+/// per-worker gauges and the server's request and response counts.
 #[derive(Debug, Default)]
 pub struct ClusterMetrics {
-    requests: AtomicU64,
-    responses_ok: AtomicU64,
-    responses_err: AtomicU64,
     shards_dispatched: AtomicU64,
     shards_retried: AtomicU64,
     failovers: AtomicU64,
@@ -26,20 +25,6 @@ pub struct ClusterMetrics {
 }
 
 impl ClusterMetrics {
-    /// Counts one accepted client request.
-    pub fn record_request(&self) {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one response by success (2xx) or error status.
-    pub fn record_response(&self, status: u16) {
-        if (200..300).contains(&status) {
-            self.responses_ok.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.responses_err.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// Counts one shard dispatched to a worker.
     pub fn record_shard_dispatched(&self) {
         self.shards_dispatched.fetch_add(1, Ordering::Relaxed);
@@ -93,11 +78,13 @@ impl ClusterMetrics {
         self.chaos_slows.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Renders the exposition with the given fleet snapshot.
-    #[must_use]
-    pub fn render(&self, fleet: &[WorkerStatus]) -> String {
+    /// Appends the `rsnc_*` series to `out`, with the given fleet snapshot
+    /// and the coordinator server's metrics (`rsnc_requests_total` counts
+    /// every request it routed; the response counters split its answers
+    /// into 200 and everything else).
+    pub fn render(&self, out: &mut String, fleet: &[WorkerStatus], server: &Metrics) {
         let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let mut out = String::with_capacity(1024);
+        let ok = server.responses_with_status(200);
         let up = fleet.iter().filter(|w| w.up).count();
         out.push_str(&format!("rsnc_workers {}\n", fleet.len()));
         out.push_str(&format!("rsnc_workers_up {up}\n"));
@@ -114,9 +101,9 @@ impl ClusterMetrics {
             ));
         }
         for (name, value) in [
-            ("rsnc_requests_total", get(&self.requests)),
-            ("rsnc_responses_ok_total", get(&self.responses_ok)),
-            ("rsnc_responses_error_total", get(&self.responses_err)),
+            ("rsnc_requests_total", server.requests_total()),
+            ("rsnc_responses_ok_total", ok),
+            ("rsnc_responses_error_total", server.responses_total() - ok),
             ("rsnc_shards_dispatched_total", get(&self.shards_dispatched)),
             ("rsnc_shards_retried_total", get(&self.shards_retried)),
             ("rsnc_failovers_total", get(&self.failovers)),
@@ -130,6 +117,5 @@ impl ClusterMetrics {
         ] {
             out.push_str(&format!("{name} {value}\n"));
         }
-        out
     }
 }

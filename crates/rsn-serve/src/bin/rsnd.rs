@@ -20,78 +20,6 @@
 //! `seed=7,panic=5,abort=40,stall=6,delay-ms=25` — see the `chaos` module
 //! docs. Test-only; never set it in production.
 
-use std::process::ExitCode;
-use std::time::Duration;
-
-use std::sync::Arc;
-
-use robust_rsn::Parallelism;
-use rsn_serve::{signal, Chaos, Server, ServerConfig};
-
-fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            ExitCode::FAILURE
-        }
-    }
+fn main() -> std::process::ExitCode {
+    rsn_serve::daemon::main("rsnd")
 }
-
-fn run() -> Result<(), String> {
-    let mut config = ServerConfig::default();
-    let mut chaos_spec = std::env::var("RSND_CHAOS").ok();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value =
-            |name: &str| it.next().cloned().ok_or_else(|| format!("{name} expects a value"));
-        match flag.as_str() {
-            "--addr" => config.addr = value("--addr")?,
-            "--workers" => config.workers = Parallelism::new(parse(&value("--workers")?)?),
-            "--queue" => config.queue_capacity = parse(&value("--queue")?)?,
-            "--cache" => config.cache_capacity = parse(&value("--cache")?)?,
-            "--store" => config.store_path = Some(value("--store")?.into()),
-            "--timeout-ms" => config.default_timeout_ms = parse(&value("--timeout-ms")?)?,
-            "--chaos" => chaos_spec = Some(value("--chaos")?),
-            "--version" | "-V" => {
-                println!("rsnd {}", env!("CARGO_PKG_VERSION"));
-                return Ok(());
-            }
-            other => return Err(format!("unknown flag {other:?}\n{USAGE}")),
-        }
-    }
-    if let Some(spec) = chaos_spec {
-        let chaos = Chaos::from_spec(&spec)?;
-        eprintln!("rsnd: chaos schedule active (seed {})", chaos.seed());
-        config.chaos = Some(Arc::new(chaos));
-    }
-
-    // Best-effort: a keep-alive fleet of 10k+ sockets needs headroom over
-    // the usual 1024-descriptor default.
-    let _ = rsn_serve::poll::raise_nofile_limit(65_536);
-
-    let server = Server::bind(config).map_err(|e| format!("bind failed: {e}"))?;
-    println!("rsnd listening on {}", server.local_addr());
-
-    signal::install();
-    let handle = server.shutdown_handle();
-    std::thread::spawn(move || loop {
-        if signal::triggered() {
-            handle.shutdown();
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    });
-
-    server.run().map_err(|e| format!("serve failed: {e}"))?;
-    println!("rsnd shut down cleanly");
-    Ok(())
-}
-
-fn parse<T: std::str::FromStr>(s: &str) -> Result<T, String> {
-    s.parse().map_err(|_| format!("invalid number {s:?}"))
-}
-
-const USAGE: &str = "usage: rsnd [--addr HOST:PORT] [--workers N] [--queue N] [--cache N] \
-                     [--store PATH] [--timeout-ms N] [--chaos SPEC] [--version]";

@@ -179,14 +179,7 @@ impl Client {
     pub fn submit(&self, endpoint: Endpoint, job: &JobRequest) -> Result<Response, ClientError> {
         let body = serde_json::to_string(job)
             .map_err(|e| ClientError::Http(HttpError { status: 400, message: e.to_string() }))?;
-        let (method, path) = match endpoint {
-            Endpoint::Analyze => ("POST", "/v1/analyze"),
-            Endpoint::Harden => ("POST", "/v1/harden"),
-            Endpoint::Validate => ("POST", "/v1/validate"),
-            Endpoint::Whatif => ("POST", "/v1/whatif"),
-            Endpoint::Networks => ("PUT", "/v1/networks"),
-        };
-        self.request(method, path, &body)
+        self.request(endpoint.method(), endpoint.path(), &body)
     }
 
     /// Registers `network_text` in the daemon's content-addressed registry

@@ -3,12 +3,12 @@
 //! `rsnd` speaks exactly as much HTTP as its clients need: `Content-Length`
 //! bodies, no chunked transfer encoding, HTTP/1.1 keep-alive with pipelined
 //! requests on the server's event loop ([`parse_request_bytes`] is the
-//! incremental, buffer-driven parser it uses), plus the older blocking
+//! incremental, buffer-driven parser it uses), plus the blocking
 //! one-request-per-connection helpers for the client side. Both the server
 //! and the [`client`](crate::client) use this module, so the wire behaviour
 //! is symmetric by construction.
 
-use std::io::{Read, Write};
+use std::io::Read;
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -59,7 +59,7 @@ impl Request {
     }
 }
 
-/// An HTTP response ready for [`write_response`].
+/// An HTTP response ready for [`encode_response`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Response {
     /// Status code.
@@ -116,76 +116,6 @@ pub fn reason(status: u16) -> &'static str {
         503 => "Service Unavailable",
         _ => "Unknown",
     }
-}
-
-/// Reads one request from `stream`, honouring its configured read timeout.
-///
-/// # Errors
-///
-/// [`HttpError`] with status 400 for malformed requests, 408 for timeouts,
-/// and 413 when the head or body exceeds `max_body` / the head cap.
-pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, HttpError> {
-    let mut head = Vec::with_capacity(1024);
-    let mut buf = [0u8; 1024];
-    let body_start;
-    loop {
-        let n = stream.read(&mut buf).map_err(map_io)?;
-        if n == 0 {
-            return Err(HttpError::new(400, "connection closed before end of headers"));
-        }
-        head.extend_from_slice(&buf[..n]);
-        if let Some(pos) = find_head_end(&head) {
-            body_start = pos;
-            break;
-        }
-        if head.len() > MAX_HEAD_BYTES {
-            return Err(HttpError::new(413, "request head too large"));
-        }
-    }
-
-    let head_text = std::str::from_utf8(&head[..body_start])
-        .map_err(|_| HttpError::new(400, "request head is not valid utf-8"))?;
-    let mut lines = head_text.split("\r\n");
-    let request_line = lines.next().unwrap_or("");
-    let mut parts = request_line.split(' ');
-    let (method, path, version) = match (parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(p), Some(v)) if !m.is_empty() && p.starts_with('/') => (m, p, v),
-        _ => return Err(HttpError::new(400, format!("malformed request line {request_line:?}"))),
-    };
-    if !version.starts_with("HTTP/1.") {
-        return Err(HttpError::new(400, format!("unsupported protocol {version:?}")));
-    }
-
-    let mut headers = Vec::new();
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| HttpError::new(400, format!("malformed header {line:?}")))?;
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-    }
-
-    let content_length: usize = content_length(&headers)?.unwrap_or(0);
-    if content_length > max_body {
-        return Err(HttpError::new(
-            413,
-            format!("body of {content_length} bytes exceeds the {max_body}-byte limit"),
-        ));
-    }
-
-    let mut body = head[body_start + 4..].to_vec();
-    while body.len() < content_length {
-        let n = stream.read(&mut buf).map_err(map_io)?;
-        if n == 0 {
-            return Err(HttpError::new(400, "connection closed before end of body"));
-        }
-        body.extend_from_slice(&buf[..n]);
-    }
-    body.truncate(content_length);
-
-    Ok(Request { method: method.to_ascii_uppercase(), path: path.to_string(), headers, body })
 }
 
 /// A request parsed out of a connection buffer by [`parse_request_bytes`]:
@@ -398,16 +328,6 @@ pub fn encode_request(
     bytes
 }
 
-/// Writes `response` to `stream` with `Connection: close` semantics.
-///
-/// # Errors
-///
-/// Propagates IO errors from the stream.
-pub fn write_response(stream: &mut TcpStream, response: &Response) -> std::io::Result<()> {
-    stream.write_all(&encode_response(response, false))?;
-    stream.flush()
-}
-
 /// Incrementally parses the next `Content-Length`-framed response out of a
 /// client buffer — the keep-alive/pipelining counterpart of
 /// [`read_response`]. Returns the response plus bytes consumed, or
@@ -436,7 +356,7 @@ pub fn parse_response_bytes(buf: &[u8]) -> Result<Option<(Response, usize)>, Htt
         }
     }
     let content_length: usize = content_length(&headers)?
-        .ok_or_else(|| HttpError::new(400, "keep-alive response without content-length"))?;
+        .ok_or_else(|| HttpError::new(400, "response without content-length"))?;
     let body_start = head_end + 4;
     if buf.len() < body_start + content_length {
         return Ok(None);
@@ -448,32 +368,21 @@ pub fn parse_response_bytes(buf: &[u8]) -> Result<Option<(Response, usize)>, Htt
 
 /// Reads a full `Connection: close` response from `stream` (client side).
 ///
+/// The response is framed like a keep-alive one, by its `Content-Length`
+/// (every `rsnd` answer carries one): a peer that dies mid-body is reported
+/// as truncated instead of passing a cut body on as complete. A
+/// close-delimited body without `Content-Length` is refused.
+///
 /// # Errors
 ///
-/// [`HttpError`] with status 400 for malformed responses or stream errors.
+/// [`HttpError`] with status 400 for malformed, unframed or truncated
+/// responses and stream errors.
 pub fn read_response(stream: &mut TcpStream) -> Result<Response, HttpError> {
     let mut raw = Vec::new();
     stream.read_to_end(&mut raw).map_err(map_io)?;
-    let head_end =
-        find_head_end(&raw).ok_or_else(|| HttpError::new(400, "truncated response head"))?;
-    let head = std::str::from_utf8(&raw[..head_end])
-        .map_err(|_| HttpError::new(400, "response head is not valid utf-8"))?;
-    let mut lines = head.split("\r\n");
-    let status_line = lines.next().unwrap_or("");
-    let status: u16 = status_line
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| HttpError::new(400, format!("malformed status line {status_line:?}")))?;
-    let mut headers = Vec::new();
-    for line in lines {
-        if let Some((name, value)) = line.split_once(':') {
-            headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-        }
-    }
-    let body = String::from_utf8(raw[head_end + 4..].to_vec())
-        .map_err(|_| HttpError::new(400, "response body is not valid utf-8"))?;
-    Ok(Response { status, headers, content_type: "", body })
+    let (response, _) = parse_response_bytes(&raw)?
+        .ok_or_else(|| HttpError::new(400, "truncated response: peer closed before its end"))?;
+    Ok(response)
 }
 
 /// Resolves the `Content-Length` of a parsed header list.
@@ -511,20 +420,12 @@ fn map_io(e: std::io::Error) -> HttpError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write;
     use std::net::TcpListener;
 
+    /// One whole request through the buffer parser, with a 1 MiB body cap.
     fn roundtrip(raw: &[u8]) -> Result<Request, HttpError> {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let raw = raw.to_vec();
-        let writer = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            s.write_all(&raw).unwrap();
-        });
-        let (mut stream, _) = listener.accept().unwrap();
-        let req = read_request(&mut stream, 1024 * 1024);
-        writer.join().unwrap();
-        req
+        parse_request_bytes(raw, 1024 * 1024).map(|parsed| parsed.expect("whole request").request)
     }
 
     #[test]
@@ -593,7 +494,7 @@ mod tests {
         // RFC 9112 §6.3: conflicting Content-Length fields desync framing on
         // a pipelined connection. A first-match-wins parser would read 5
         // bytes here and treat the rest of "hello-smuggled" as the next
-        // pipelined request; all three parse sites must 400 instead.
+        // pipelined request; every parse site must 400 instead.
         let raw =
             b"POST /v1/analyze HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 14\r\n\r\nhello-smuggled";
         let err = parse_request_bytes(raw, 1024).unwrap_err();
@@ -684,7 +585,7 @@ mod tests {
             let (mut stream, _) = listener.accept().unwrap();
             let resp =
                 Response::json(200, "{\"ok\":true}".to_string()).with_header("X-Cache", "hit");
-            write_response(&mut stream, &resp).unwrap();
+            stream.write_all(&encode_response(&resp, false)).unwrap();
         });
         let mut stream = TcpStream::connect(addr).unwrap();
         let resp = read_response(&mut stream).unwrap();
@@ -693,5 +594,31 @@ mod tests {
         assert_eq!(resp.body, "{\"ok\":true}");
         // The client parser lowercases header names.
         assert_eq!(resp.header("x-cache"), Some("hit"));
+    }
+
+    #[test]
+    fn read_response_refuses_cut_and_unframed_bodies() {
+        let cases: [(&[u8], &str); 2] = [
+            (
+                b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\nConnection: close\r\n\r\n{\"ok\"",
+                "truncated response: peer closed before its end",
+            ),
+            (
+                b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n{\"ok\":true}",
+                "response without content-length",
+            ),
+        ];
+        for (raw, message) in cases {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let server = std::thread::spawn(move || {
+                let (mut stream, _) = listener.accept().unwrap();
+                stream.write_all(raw).unwrap();
+            });
+            let mut stream = TcpStream::connect(addr).unwrap();
+            let err = read_response(&mut stream).unwrap_err();
+            server.join().unwrap();
+            assert_eq!((err.status, err.message.as_str()), (400, message));
+        }
     }
 }

@@ -47,14 +47,17 @@
 //! * [`metrics`] — atomic counters/histograms and their plaintext rendering;
 //! * [`poll`] — the `poll(2)` readiness shim the event loop stands on;
 //! * [`server`] — the non-blocking event-loop front end, worker pool, panic
-//!   isolation + worker respawn, graceful shutdown;
+//!   isolation + worker respawn, graceful shutdown, and the [`Backend`]
+//!   seam the pool hands jobs to (local execution, or the `rsnc`
+//!   coordinator's fleet);
 //! * [`client`] — the std-only blocking client (`rsn_tool submit`) with
 //!   `Retry-After`-honoring backoff for 503s;
 //! * [`chaos`] — the deterministic fault-injection schedule (`--chaos`);
 //! * [`loadgen`] — the replayable open/closed-loop load generator behind
 //!   `rsn_tool loadgen` (seeded job mixes, keep-alive connections,
 //!   p50/p99/p999 against an SLO);
-//! * [`signal`] — SIGTERM/ctrl-c to shutdown-flag plumbing for the binary.
+//! * [`signal`] — SIGTERM/ctrl-c to shutdown-flag plumbing for the binaries;
+//! * [`daemon`] — the command line `rsnd` and `rsnc-worker` share.
 //!
 //! Determinism: responses are byte-identical for a given resolved job — see
 //! [`wire`] — which is what makes the result cache transparent.
@@ -89,6 +92,7 @@
 pub mod cache;
 pub mod chaos;
 pub mod client;
+pub mod daemon;
 pub mod http;
 pub mod loadgen;
 pub mod metrics;
@@ -105,7 +109,7 @@ pub use client::{parse_error, Client, ClientError, RetryPolicy, SubmitOutcome};
 pub use loadgen::{LoadReport, LoadgenConfig, Mix};
 pub use metrics::Metrics;
 pub use registry::Registry;
-pub use server::{Server, ServerConfig, ShutdownHandle};
+pub use server::{Backend, Exposition, Job, Server, ServerConfig, ShutdownHandle, Submission};
 pub use wire::{
     merge_analyze_shards, AnalyzeExactDoubleResponse, AnalyzeShardResponse, Endpoint,
     ErrorResponse, HardenResponse, JobRequest, NetworkListResponse, NetworkPutResponse,

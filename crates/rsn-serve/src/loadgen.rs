@@ -288,11 +288,11 @@ impl Conn {
     /// idempotent jobs).
     fn roundtrip(
         &mut self,
-        method: &str,
-        path: &str,
+        endpoint: Endpoint,
         body: &str,
         reconnects: &AtomicUsize,
     ) -> Result<http::Response, String> {
+        let (method, path) = (endpoint.method(), endpoint.path());
         let request =
             http::encode_request(method, path, "application/json", body.as_bytes(), false);
         let had_stream = self.stream.is_some();
@@ -459,12 +459,6 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadReport, String> {
                         Endpoint::Validate => out.counts.validate += 1,
                         Endpoint::Harden | Endpoint::Networks => out.counts.harden += 1,
                     }
-                    let path = match endpoint {
-                        Endpoint::Analyze => "/v1/analyze",
-                        Endpoint::Whatif => "/v1/whatif",
-                        Endpoint::Validate => "/v1/validate",
-                        Endpoint::Harden | Endpoint::Networks => "/v1/harden",
-                    };
                     // Open loop: request i is *scheduled* at start + i·Δ and
                     // latency runs from that instant, so a stalled server
                     // accrues the queueing delay instead of silently
@@ -480,7 +474,7 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadReport, String> {
                         }
                         None => start.elapsed(),
                     };
-                    match conn.roundtrip("POST", path, &body, reconnects) {
+                    match conn.roundtrip(endpoint, &body, reconnects) {
                         Ok(response) => {
                             let latency = start.elapsed().saturating_sub(sent_at);
                             if response.status == 200 {

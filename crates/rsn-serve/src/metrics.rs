@@ -120,6 +120,22 @@ impl Metrics {
         };
     }
 
+    /// Requests counted so far, over every endpoint label.
+    #[must_use]
+    pub fn requests_total(&self) -> u64 {
+        self.requests.iter().chain([&self.requests_other]).map(|c| c.load(Ordering::Relaxed)).sum()
+    }
+
+    /// Responses sent so far, over every status.
+    #[must_use]
+    pub fn responses_total(&self) -> u64 {
+        self.responses
+            .iter()
+            .chain([&self.responses_other])
+            .map(|c| c.load(Ordering::Relaxed))
+            .sum()
+    }
+
     /// Number of responses sent with the given status so far.
     #[must_use]
     pub fn responses_with_status(&self, status: u16) -> u64 {
@@ -132,12 +148,6 @@ impl Metrics {
     /// Sets the current queue depth gauge.
     pub fn set_queue_depth(&self, depth: usize) {
         self.queue_depth.store(depth as u64, Ordering::Relaxed);
-    }
-
-    /// The current queue depth gauge.
-    #[must_use]
-    pub fn queue_depth(&self) -> u64 {
-        self.queue_depth.load(Ordering::Relaxed)
     }
 
     /// Counts a job refused because the queue was full.
@@ -405,6 +415,8 @@ mod tests {
         assert!(text.contains("rsnd_queue_depth 3"), "{text}");
         assert!(text.contains("rsnd_queue_rejected_total 1"), "{text}");
         assert!(text.contains("rsnd_cache_hit_rate 0.5000"), "{text}");
+        assert_eq!(m.requests_total(), 6, "every label, `other` included");
+        assert_eq!(m.responses_total(), 3, "every status, `other` included");
     }
 
     #[test]

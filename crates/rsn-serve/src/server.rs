@@ -9,12 +9,18 @@
 //! `GET /v1/networks` inline, and enqueues analysis jobs on the
 //! [`BoundedQueue`]. A fixed pool of workers — sized by
 //! [`robust_rsn::par::Parallelism`], so `RSN_THREADS` governs the daemon
-//! like every other entry point — drains the queue, consults the LRU result
-//! cache (and the persistent [`Store`], when configured), and executes jobs
-//! via [`wire::execute_with`]. Finished responses travel back to the event
+//! like every other entry point — drains the queue and hands each [`Job`]
+//! to the server's [`Backend`]. Finished responses travel back to the event
 //! loop over a completion channel (a mutex-guarded vector plus a loopback
 //! waker byte) and are written in request order per connection, so
 //! pipelined clients always see answers in the order they asked.
+//!
+//! The backend is the one seam between the front end and the work.
+//! [`Server::run`] serves with the local backend: it consults the LRU
+//! result cache (and the persistent [`Store`], when configured) and executes
+//! jobs via [`wire::execute_with`]. [`Server::run_with`] takes any other
+//! backend — the `rsnc` coordinator passes one that forwards each job to a
+//! fleet of `rsnd` workers — and the front end stays the same.
 //!
 //! Backpressure is explicit end to end: a full queue answers `503` +
 //! `Retry-After` instead of queueing hidden latency, and a connection with
@@ -45,7 +51,9 @@ use crate::metrics::Metrics;
 use crate::poll::{self, PollFd, READABLE, WRITABLE};
 use crate::queue::{BoundedQueue, PushError};
 use crate::registry::Registry;
-use crate::wire::{self, Deadline, Endpoint, JobError, NetworkListResponse, ResolvedJob};
+use crate::wire::{
+    self, Deadline, Endpoint, JobError, JobRequest, NetworkListResponse, ParsedNetwork, ResolvedJob,
+};
 use crate::wscache::WorkspaceCache;
 
 /// Configuration of a [`Server`].
@@ -137,22 +145,62 @@ impl ShutdownHandle {
     pub fn shutdown(&self) {
         self.flag.store(true, Ordering::SeqCst);
     }
+}
 
-    /// Whether shutdown has been requested.
+/// A job on its way to a [`Backend`]: the event loop has framed, decoded
+/// and resolved it; a pool thread answers it.
+#[derive(Debug)]
+pub enum Job {
+    /// A JSON submission to one of the [`Endpoint`]s (`PUT /v1/networks`
+    /// with a JSON body included).
+    Submit(Box<Submission>),
+    /// A streamed `text/plain` `PUT /v1/networks`, already parsed, built
+    /// and registered by the event loop; the backend answers its receipt.
+    Upload(Arc<ParsedNetwork>),
+}
+
+/// A decoded and resolved JSON submission.
+#[derive(Debug)]
+pub struct Submission {
+    /// The submission as the client sent it.
+    pub request: JobRequest,
+    /// The same submission with every default applied.
+    pub resolved: ResolvedJob,
+    /// When the answer stops being worth computing.
+    pub deadline: Deadline,
+}
+
+impl Job {
+    /// The endpoint the job was submitted to.
     #[must_use]
-    pub fn is_shutdown(&self) -> bool {
-        self.flag.load(Ordering::SeqCst)
+    pub fn endpoint(&self) -> Endpoint {
+        match self {
+            Self::Submit(submission) => submission.resolved.endpoint,
+            Self::Upload(_) => Endpoint::Networks,
+        }
     }
 }
 
-/// A queued job: the parsed submission plus the connection/sequence slot its
-/// response must land in.
-struct Job {
+/// What the worker pool does with a queued [`Job`]: the seam between the
+/// event loop and the work. [`Server::run`] uses the local backend (result
+/// cache, store, workspace cache, analysis kernel); the `rsnc` coordinator
+/// plugs in one that forwards to a fleet of `rsnd` workers.
+pub trait Backend: Send + Sync {
+    /// Answers one job. Runs on a pool thread under panic isolation: a
+    /// panic answers a structured 500 and the thread keeps serving.
+    fn run(&self, job: &Job) -> Response;
+
+    /// Appends the backend's own series to the `/metrics` exposition.
+    fn render_metrics(&self, _out: &mut String) {}
+}
+
+/// A queued job plus the connection/sequence slot its response must land
+/// in.
+struct Queued {
     conn_id: u64,
     seq: u64,
-    resolved: ResolvedJob,
     accepted_at: Instant,
-    deadline: Deadline,
+    job: Job,
 }
 
 /// A finished job on its way back to the event loop.
@@ -185,32 +233,26 @@ impl Completions {
 }
 
 /// Everything a worker thread needs, bundled for cheap cloning.
+#[derive(Clone)]
 struct WorkerCtx {
-    queue: Arc<BoundedQueue<Job>>,
-    cache: Arc<Mutex<LruCache>>,
-    workspaces: Arc<Mutex<WorkspaceCache>>,
-    registry: Arc<Registry>,
-    store: Option<Arc<Store>>,
+    queue: Arc<BoundedQueue<Queued>>,
+    backend: Arc<dyn Backend>,
     metrics: Arc<Metrics>,
     config: ServerConfig,
     shutdown: Arc<AtomicBool>,
     completions: Arc<Completions>,
 }
 
-impl Clone for WorkerCtx {
-    fn clone(&self) -> Self {
-        Self {
-            queue: Arc::clone(&self.queue),
-            cache: Arc::clone(&self.cache),
-            workspaces: Arc::clone(&self.workspaces),
-            registry: Arc::clone(&self.registry),
-            store: self.store.clone(),
-            metrics: Arc::clone(&self.metrics),
-            config: self.config.clone(),
-            shutdown: Arc::clone(&self.shutdown),
-            completions: Arc::clone(&self.completions),
-        }
-    }
+/// The local backend: registry resolution, the result cache (memory, then
+/// store), the warm-workspace cache and the analysis kernel.
+struct Local {
+    cache: Mutex<LruCache>,
+    workspaces: Mutex<WorkspaceCache>,
+    registry: Arc<Registry>,
+    store: Option<Arc<Store>>,
+    metrics: Arc<Metrics>,
+    analysis_threads: Parallelism,
+    chaos: Option<Arc<Chaos>>,
 }
 
 /// A `PUT /v1/networks` upload being streamed through the push parser:
@@ -325,6 +367,38 @@ pub struct Server {
     shutdown: Arc<AtomicBool>,
     store: Option<Arc<Store>>,
     registry: Arc<Registry>,
+    queue: Arc<BoundedQueue<Queued>>,
+}
+
+/// A server's `/metrics` exposition, usable from any thread and after
+/// [`Server::run_with`] took the server: the server's own series with the
+/// queue depth read at the scrape, then the backend's series.
+#[derive(Clone, Debug)]
+pub struct Exposition {
+    metrics: Arc<Metrics>,
+    queue: Arc<BoundedQueue<Queued>>,
+}
+
+impl Exposition {
+    /// The exposition text, with `backend`'s series appended.
+    #[must_use]
+    pub fn render(&self, backend: &dyn Backend) -> String {
+        render_exposition(&self.metrics, &self.queue, backend)
+    }
+}
+
+/// The one `/metrics` rendering. The depth is read at the scrape: pool
+/// threads pop off the event loop, so depths written at each push and pop
+/// could land out of order and leave the gauge stale.
+fn render_exposition(
+    metrics: &Metrics,
+    queue: &BoundedQueue<Queued>,
+    backend: &dyn Backend,
+) -> String {
+    metrics.set_queue_depth(queue.len());
+    let mut text = metrics.render();
+    backend.render_metrics(&mut text);
+    text
 }
 
 /// Maps a [`StoreError`] into the `io::Error` `bind` reports.
@@ -382,6 +456,7 @@ impl Server {
         };
         let registry =
             Arc::new(Registry::open(store.clone(), Arc::clone(&metrics)).map_err(store_to_io)?);
+        let queue = Arc::new(BoundedQueue::new(config.queue_capacity));
         Ok(Self {
             listener,
             local_addr,
@@ -390,6 +465,7 @@ impl Server {
             shutdown: Arc::new(AtomicBool::new(false)),
             store,
             registry,
+            queue,
         })
     }
 
@@ -411,6 +487,12 @@ impl Server {
         Arc::clone(&self.registry)
     }
 
+    /// The `/metrics` exposition, for reading it off the HTTP path.
+    #[must_use]
+    pub fn exposition(&self) -> Exposition {
+        Exposition { metrics: Arc::clone(&self.metrics), queue: Arc::clone(&self.queue) }
+    }
+
     /// A handle that triggers graceful shutdown from another thread (or a
     /// signal handler's polling loop).
     #[must_use]
@@ -418,8 +500,8 @@ impl Server {
         ShutdownHandle { flag: Arc::clone(&self.shutdown) }
     }
 
-    /// Serves until shutdown is requested, then drains in-flight jobs
-    /// (flushing every drained response) and returns.
+    /// Serves with the local backend until shutdown is requested, then
+    /// drains in-flight jobs (flushing every drained response) and returns.
     ///
     /// Worker threads are supervised: job execution is isolated with
     /// `catch_unwind` (a panicking job answers a structured 500), and a
@@ -431,18 +513,34 @@ impl Server {
     ///
     /// Propagates listener configuration failures; per-connection errors are
     /// answered over HTTP and never abort the loop.
-    pub fn run(self) -> io::Result<()> {
+    pub fn run(mut self) -> io::Result<()> {
+        let local = Local {
+            cache: Mutex::new(LruCache::new(self.config.cache_capacity)),
+            workspaces: Mutex::new(WorkspaceCache::new(self.config.workspace_cache_capacity)),
+            registry: Arc::clone(&self.registry),
+            // The backend holds the last strong reference once the workers
+            // joined; dropping it checkpoints the WAL into the data file.
+            store: self.store.take(),
+            metrics: Arc::clone(&self.metrics),
+            analysis_threads: self.config.analysis_threads,
+            chaos: self.config.chaos.clone(),
+        };
+        self.run_with(Arc::new(local))
+    }
+
+    /// Serves like [`Server::run`], but hands every queued job to
+    /// `backend` instead of the local one.
+    ///
+    /// # Errors
+    ///
+    /// See [`Server::run`].
+    pub fn run_with(self, backend: Arc<dyn Backend>) -> io::Result<()> {
         self.listener.set_nonblocking(true)?;
         let (waker_tx, waker_rx) = waker_pair()?;
         let completions = Arc::new(Completions { items: Mutex::new(Vec::new()), waker: waker_tx });
         let ctx = WorkerCtx {
-            queue: Arc::new(BoundedQueue::new(self.config.queue_capacity)),
-            cache: Arc::new(Mutex::new(LruCache::new(self.config.cache_capacity))),
-            workspaces: Arc::new(Mutex::new(WorkspaceCache::new(
-                self.config.workspace_cache_capacity,
-            ))),
-            registry: Arc::clone(&self.registry),
-            store: self.store.clone(),
+            queue: self.queue,
+            backend,
             metrics: Arc::clone(&self.metrics),
             config: self.config.clone(),
             shutdown: Arc::clone(&self.shutdown),
@@ -469,8 +567,6 @@ impl Server {
             draining: false,
         };
         event_loop.run()
-        // `self.store` (the last strong Arc once workers joined) drops here,
-        // checkpointing the WAL into the data file.
     }
 }
 
@@ -809,94 +905,56 @@ impl EventLoop {
         let up = conn.streaming.take().expect("checked above");
         conn.partial_since = None;
         let seq = up.seq;
-        let response = self.streamed_upload_response(up);
-        self.finish_response(id, seq, &response);
+        // Registered here, before the next pipelined request is parsed, so
+        // a request behind it on the connection finds the network.
+        match finish_upload(up).and_then(|parsed| self.registry.register_parsed(Arc::new(parsed))) {
+            Ok(parsed) => self.enqueue(id, seq, Job::Upload(parsed), now),
+            Err(err) => self.finish_response(id, seq, &err.into()),
+        }
         true
-    }
-
-    /// Finalizes a drained streaming upload into its HTTP response:
-    /// registers the parsed network or reports the parse/build error.
-    fn streamed_upload_response(&self, up: StreamingUpload) -> Response {
-        let fail = |err: JobError| Response::json(err.status, err.body());
-        if let Some(e) = up.error {
-            return fail(JobError::new(400, "bad_network", e.to_string()));
-        }
-        let parser = up.parser.expect("uploads without an error keep their parser");
-        let (name, structure) = match parser.finish() {
-            Ok(parts) => parts,
-            Err(e) => return fail(JobError::new(400, "bad_network", e.to_string())),
-        };
-        let parsed = match wire::ParsedNetwork::from_parts(name, structure) {
-            Ok(parsed) => parsed,
-            Err(err) => return fail(err),
-        };
-        match self
-            .ctx
-            .registry
-            .register_parsed(Arc::new(parsed))
-            .and_then(|parsed| wire::networks_put_body(&parsed))
-        {
-            Ok(body) => Response::json(200, body),
-            Err(err) => fail(err),
-        }
     }
 
     /// Dispatches one parsed request: answered inline or queued for a
     /// worker.
     fn route(&mut self, conn_id: u64, seq: u64, request: &Request, accepted_at: Instant) {
-        match (request.method.as_str(), request.path.as_str()) {
+        let response = match (request.method.as_str(), request.path.as_str()) {
             ("GET", "/healthz") => {
                 self.metrics.record_request("healthz");
-                self.finish_response(conn_id, seq, &Response::text(200, "ok\n".to_string()));
+                Response::text(200, "ok\n".to_string())
             }
             ("GET", "/metrics") => {
                 self.metrics.record_request("metrics");
-                self.finish_response(conn_id, seq, &Response::text(200, self.metrics.render()));
+                let text = render_exposition(&self.metrics, &self.ctx.queue, &*self.ctx.backend);
+                Response::text(200, text)
             }
             ("GET", "/v1/networks") => {
                 self.metrics.record_request("networks");
                 let listing = NetworkListResponse { networks: self.registry.list() };
-                let response = match serde_json::to_string(&listing) {
-                    Ok(body) => Response::json(200, body),
-                    Err(e) => {
-                        let err = JobError::new(500, "internal_error", e.to_string());
-                        Response::json(err.status, err.body())
+                wire::respond(
+                    serde_json::to_string(&listing)
+                        .map_err(|e| JobError::new(500, "internal_error", e.to_string())),
+                )
+            }
+            (method, path) => match Endpoint::ALL.into_iter().find(|e| e.path() == path) {
+                Some(endpoint) if endpoint.method() == method => {
+                    self.submit(conn_id, seq, request, endpoint, accepted_at);
+                    return;
+                }
+                found => {
+                    self.metrics.record_request("other");
+                    if found.is_some() || matches!(path, "/healthz" | "/metrics") {
+                        JobError::new(405, "method_not_allowed", "wrong method for this path")
+                    } else {
+                        JobError::new(404, "not_found", format!("unknown path {path:?}"))
                     }
-                };
-                self.finish_response(conn_id, seq, &response);
-            }
-            ("POST", "/v1/analyze") => {
-                self.submit(conn_id, seq, request, Endpoint::Analyze, accepted_at);
-            }
-            ("POST", "/v1/harden") => {
-                self.submit(conn_id, seq, request, Endpoint::Harden, accepted_at);
-            }
-            ("POST", "/v1/validate") => {
-                self.submit(conn_id, seq, request, Endpoint::Validate, accepted_at);
-            }
-            ("POST", "/v1/whatif") => {
-                self.submit(conn_id, seq, request, Endpoint::Whatif, accepted_at);
-            }
-            ("PUT", "/v1/networks") => {
-                self.submit(conn_id, seq, request, Endpoint::Networks, accepted_at);
-            }
-            (
-                _,
-                "/healthz" | "/metrics" | "/v1/analyze" | "/v1/harden" | "/v1/validate"
-                | "/v1/whatif" | "/v1/networks",
-            ) => {
-                let err = JobError::new(405, "method_not_allowed", "wrong method for this path");
-                self.finish_response(conn_id, seq, &Response::json(err.status, err.body()));
-            }
-            (_, path) => {
-                let err = JobError::new(404, "not_found", format!("unknown path {path:?}"));
-                self.finish_response(conn_id, seq, &Response::json(err.status, err.body()));
-            }
-        }
+                    .into()
+                }
+            },
+        };
+        self.finish_response(conn_id, seq, &response);
     }
 
-    /// Parses, resolves and enqueues a submission, answering `503` +
-    /// `Retry-After` when the queue is full.
+    /// Decodes and resolves a submission, then queues it.
     fn submit(
         &mut self,
         conn_id: u64,
@@ -906,36 +964,29 @@ impl EventLoop {
         accepted_at: Instant,
     ) {
         self.metrics.record_request(endpoint.as_str());
-        let resolved = std::str::from_utf8(&request.body)
+        let job = std::str::from_utf8(&request.body)
             .map_err(|_| JobError::new(400, "bad_request", "body is not valid utf-8"))
             .and_then(wire::parse_request)
-            .and_then(|job_request| {
-                let timeout = job_request
+            .and_then(|request| {
+                let timeout = request
                     .timeout_ms
                     .unwrap_or(self.config.default_timeout_ms)
                     .min(self.config.max_timeout_ms);
-                wire::resolve(endpoint, &job_request).map(|resolved| (resolved, timeout))
+                let deadline = Deadline::after(Duration::from_millis(timeout));
+                let resolved = wire::resolve(endpoint, &request)?;
+                Ok(Job::Submit(Box::new(Submission { request, resolved, deadline })))
             });
-        let (resolved, timeout_ms) = match resolved {
-            Ok(pair) => pair,
-            Err(err) => {
-                self.finish_response(conn_id, seq, &Response::json(err.status, err.body()));
-                return;
-            }
-        };
+        match job {
+            Ok(job) => self.enqueue(conn_id, seq, job, accepted_at),
+            Err(err) => self.finish_response(conn_id, seq, &err.into()),
+        }
+    }
 
-        let job = Job {
-            conn_id,
-            seq,
-            resolved,
-            accepted_at,
-            deadline: Deadline::after(Duration::from_millis(timeout_ms)),
-        };
-        match self.ctx.queue.try_push(job) {
-            Ok(depth) => {
-                self.inflight += 1;
-                self.metrics.set_queue_depth(depth);
-            }
+    /// Queues `job` for the worker pool, answering `503` + `Retry-After`
+    /// when the queue is full.
+    fn enqueue(&mut self, conn_id: u64, seq: u64, job: Job, accepted_at: Instant) {
+        match self.ctx.queue.try_push(Queued { conn_id, seq, accepted_at, job }) {
+            Ok(_) => self.inflight += 1,
             Err(PushError::Full(_) | PushError::Closed(_)) => {
                 self.metrics.record_queue_rejected();
                 let err = JobError::new(
@@ -947,7 +998,7 @@ impl EventLoop {
                         self.config.retry_after_secs
                     ),
                 );
-                let response = Response::json(err.status, err.body())
+                let response = Response::from(err)
                     .with_header("Retry-After", &self.config.retry_after_secs.to_string());
                 self.finish_response(conn_id, seq, &response);
             }
@@ -1039,6 +1090,19 @@ impl EventLoop {
     }
 }
 
+/// Finalizes a drained streaming upload: the parsed and built network, or
+/// the parse/build error.
+fn finish_upload(up: StreamingUpload) -> Result<ParsedNetwork, JobError> {
+    let bad_network =
+        |e: rsn_model::format::ParseError| JobError::new(400, "bad_network", e.to_string());
+    if let Some(e) = up.error {
+        return Err(bad_network(e));
+    }
+    let parser = up.parser.expect("uploads without an error keep their parser");
+    let (name, structure) = parser.finish().map_err(bad_network)?;
+    ParsedNetwork::from_parts(name, structure)
+}
+
 /// One worker: drain the queue until it is closed and empty. Job execution
 /// is panic-isolated: a panicking job answers a structured 500
 /// `internal_error` and the worker keeps serving.
@@ -1056,13 +1120,12 @@ fn worker_loop(ctx: &WorkerCtx) {
                 std::thread::sleep(chaos.delay());
             }
         }
-        let Some(job) = ctx.queue.pop() else { break };
-        ctx.metrics.set_queue_depth(ctx.queue.len());
+        let Some(queued) = ctx.queue.pop() else { break };
         if let Some(delay) = ctx.config.worker_delay {
             std::thread::sleep(delay);
         }
-        let endpoint = job.resolved.endpoint.as_str();
-        let result = catch_unwind(AssertUnwindSafe(|| run_job(&job, ctx)));
+        let endpoint = queued.job.endpoint().as_str();
+        let result = catch_unwind(AssertUnwindSafe(|| ctx.backend.run(&queued.job)));
         let response = match result {
             Ok(response) => response,
             Err(payload) => {
@@ -1082,140 +1145,147 @@ fn worker_loop(ctx: &WorkerCtx) {
             ctx.metrics.record_job_cancelled();
         }
         ctx.completions.push(Completion {
-            conn_id: job.conn_id,
-            seq: job.seq,
+            conn_id: queued.conn_id,
+            seq: queued.seq,
             endpoint,
-            accepted_at: job.accepted_at,
+            accepted_at: queued.accepted_at,
             response,
         });
     }
 }
 
-/// Registry resolution, cache lookup (memory, then store), execution, cache
-/// fill. Cache locks recover from poisoning (`PoisonError::into_inner`): the
-/// LRU's invariants hold across a panic observed mid-`get`/`put`, and losing
-/// a cached body at worst costs a recomputation.
-fn run_job(job: &Job, ctx: &WorkerCtx) -> Response {
-    if let Err(err) = job.deadline.check("queued") {
-        return Response::json(err.status, err.body());
-    }
-    if let Some(chaos) = &ctx.config.chaos {
-        if chaos.fires(Site::JobPanic) {
-            panic!("chaos: injected job panic");
+impl Backend for Local {
+    fn run(&self, job: &Job) -> Response {
+        match job {
+            Job::Submit(submission) => self.run_job(&submission.resolved, &submission.deadline),
+            Job::Upload(parsed) => wire::respond(wire::networks_put_body(parsed)),
         }
-    }
-    // Resolve the network once: hash references look up the registry
-    // (404 `unknown_network` otherwise), inline text goes through the
-    // parse memo, and registrations persist the text under its hash.
-    let network = match &job.resolved.network_hash {
-        Some(hex) => ctx.registry.lookup(hex),
-        None if job.resolved.endpoint == Endpoint::Networks => {
-            ctx.registry.register(&job.resolved.network)
-        }
-        None => ctx.registry.resolve_inline(&job.resolved.network),
-    };
-    let network = match network {
-        Ok(network) => network,
-        Err(err) => return Response::json(err.status, err.body()),
-    };
-    if job.resolved.endpoint == Endpoint::Networks {
-        // Registration answers its receipt directly; the result cache is
-        // for analysis bytes.
-        return match wire::networks_put_body(&network) {
-            Ok(body) => Response::json(200, body),
-            Err(err) => Response::json(err.status, err.body()),
-        };
-    }
-
-    let key = job.resolved.canonical_key_with(&network.hash);
-    if let Some(body) = ctx.cache.lock().unwrap_or_else(PoisonError::into_inner).get(&key) {
-        ctx.metrics.record_cache_hit();
-        return Response::json(200, body).with_header("X-Cache", "hit");
-    }
-    if let Some(store) = &ctx.store {
-        if let Ok(Some(bytes)) = store.get(Namespace::Results, key.as_bytes()) {
-            if let Ok(body) = String::from_utf8(bytes) {
-                ctx.metrics.record_store_read();
-                ctx.metrics.record_cache_hit();
-                ctx.cache.lock().unwrap_or_else(PoisonError::into_inner).put(&key, body.clone());
-                return Response::json(200, body).with_header("X-Cache", "store");
-            }
-        }
-    }
-    ctx.metrics.record_cache_miss();
-    let executed = if job.resolved.endpoint == Endpoint::Whatif {
-        run_whatif(job, &network, ctx)
-    } else {
-        wire::execute_with(&job.resolved, &network, ctx.config.analysis_threads, &job.deadline)
-    };
-    match executed {
-        Ok(body) => {
-            ctx.cache.lock().unwrap_or_else(PoisonError::into_inner).put(&key, body.clone());
-            if let Some(store) = &ctx.store {
-                // A failed persist costs only warmth after a restart; the
-                // computed response is still correct, so serve it.
-                if let Ok(true) = store.put(Namespace::Results, key.as_bytes(), body.as_bytes()) {
-                    ctx.metrics.record_store_write();
-                }
-            }
-            Response::json(200, body).with_header("X-Cache", "miss")
-        }
-        Err(err) => Response::json(err.status, err.body()),
     }
 }
 
-/// A what-if job: answered from a warm [`Workspace`](robust_rsn::Workspace)
-/// when one is cached for the job's network/spec, otherwise built once and
-/// cached for the next request. The workspace lock is per-workspace —
-/// what-ifs against *different* networks run concurrently; only same-network
-/// what-ifs serialize (each is a masking/arithmetic delta, so that is
-/// cheap).
-///
-/// Edits commit atomically and `wire::execute_whatif` undoes its delta
-/// before answering, so the shared workspace returns to pristine state on
-/// every path short of a daemon bug — and on that path (a 500, or a panic
-/// observed as lock poisoning) the entry is dropped rather than reused.
-fn run_whatif(
-    job: &Job,
-    network: &wire::ParsedNetwork,
-    ctx: &WorkerCtx,
-) -> Result<String, JobError> {
-    let ws_key = job.resolved.workspace_key_with(&network.hash);
-    // A poisoned per-workspace lock means a previous holder panicked
-    // mid-edit; treat the entry as absent and rebuild over it.
-    let cached = ctx
-        .workspaces
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .get(&ws_key)
-        .filter(|ws| !ws.is_poisoned());
-    let shared = match cached {
-        Some(ws) => {
-            ctx.metrics.record_workspace_cache_hit();
-            ws
+impl Local {
+    /// Registry resolution, cache lookup (memory, then store), execution,
+    /// cache fill. Cache locks recover from poisoning
+    /// (`PoisonError::into_inner`): the LRU's invariants hold across a panic
+    /// observed mid-`get`/`put`, and losing a cached body at worst costs a
+    /// recomputation.
+    fn run_job(&self, job: &ResolvedJob, deadline: &Deadline) -> Response {
+        if let Err(err) = deadline.check("queued") {
+            return err.into();
         }
-        None => {
-            ctx.metrics.record_workspace_cache_miss();
-            let ws = wire::build_workspace_with(
-                &job.resolved,
-                network,
-                ctx.config.analysis_threads,
-                &job.deadline,
-            )?;
-            let arc = Arc::new(Mutex::new(ws));
-            ctx.workspaces
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .put(&ws_key, Arc::clone(&arc));
-            arc
+        if let Some(chaos) = &self.chaos {
+            if chaos.fires(Site::JobPanic) {
+                panic!("chaos: injected job panic");
+            }
         }
-    };
-    let result = {
-        let mut workspace = shared.lock().unwrap_or_else(PoisonError::into_inner);
-        wire::execute_whatif(&job.resolved, &mut workspace, &job.deadline)
-    };
-    if result.as_ref().is_err_and(|e| e.status == 500) {
-        ctx.workspaces.lock().unwrap_or_else(PoisonError::into_inner).remove(&ws_key);
+        // Resolve the network once: hash references look up the registry
+        // (404 `unknown_network` otherwise), inline text goes through the
+        // parse memo, and registrations persist the text under its hash.
+        let network = match &job.network_hash {
+            Some(hex) => self.registry.lookup(hex),
+            None if job.endpoint == Endpoint::Networks => self.registry.register(&job.network),
+            None => self.registry.resolve_inline(&job.network),
+        };
+        let network = match network {
+            Ok(network) => network,
+            Err(err) => return err.into(),
+        };
+        if job.endpoint == Endpoint::Networks {
+            // Registration answers its receipt directly; the result cache is
+            // for analysis bytes.
+            return wire::respond(wire::networks_put_body(&network));
+        }
+
+        let key = job.canonical_key_with(&network.hash);
+        if let Some(body) = self.cache.lock().unwrap_or_else(PoisonError::into_inner).get(&key) {
+            self.metrics.record_cache_hit();
+            return Response::json(200, body).with_header("X-Cache", "hit");
+        }
+        if let Some(store) = &self.store {
+            if let Ok(Some(bytes)) = store.get(Namespace::Results, key.as_bytes()) {
+                if let Ok(body) = String::from_utf8(bytes) {
+                    self.metrics.record_store_read();
+                    self.metrics.record_cache_hit();
+                    self.cache
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .put(&key, body.clone());
+                    return Response::json(200, body).with_header("X-Cache", "store");
+                }
+            }
+        }
+        self.metrics.record_cache_miss();
+        let executed = if job.endpoint == Endpoint::Whatif {
+            self.run_whatif(job, &network, deadline)
+        } else {
+            wire::execute_with(job, &network, self.analysis_threads, deadline)
+        };
+        match executed {
+            Ok(body) => {
+                self.cache.lock().unwrap_or_else(PoisonError::into_inner).put(&key, body.clone());
+                if let Some(store) = &self.store {
+                    // A failed persist costs only warmth after a restart; the
+                    // computed response is still correct, so serve it.
+                    if let Ok(true) = store.put(Namespace::Results, key.as_bytes(), body.as_bytes())
+                    {
+                        self.metrics.record_store_write();
+                    }
+                }
+                Response::json(200, body).with_header("X-Cache", "miss")
+            }
+            Err(err) => err.into(),
+        }
     }
-    result
+
+    /// A what-if job: answered from a warm
+    /// [`Workspace`](robust_rsn::Workspace) when one is cached for the job's
+    /// network/spec, otherwise built once and cached for the next request.
+    /// The workspace lock is per-workspace — what-ifs against *different*
+    /// networks run concurrently; only same-network what-ifs serialize (each
+    /// is a masking/arithmetic delta, so that is cheap).
+    ///
+    /// Edits commit atomically and `wire::execute_whatif` undoes its delta
+    /// before answering, so the shared workspace returns to pristine state on
+    /// every path short of a daemon bug — and on that path (a 500, or a panic
+    /// observed as lock poisoning) the entry is dropped rather than reused.
+    fn run_whatif(
+        &self,
+        job: &ResolvedJob,
+        network: &ParsedNetwork,
+        deadline: &Deadline,
+    ) -> Result<String, JobError> {
+        let ws_key = job.workspace_key_with(&network.hash);
+        // A poisoned per-workspace lock means a previous holder panicked
+        // mid-edit; treat the entry as absent and rebuild over it.
+        let cached = self
+            .workspaces
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&ws_key)
+            .filter(|ws| !ws.is_poisoned());
+        let shared = match cached {
+            Some(ws) => {
+                self.metrics.record_workspace_cache_hit();
+                ws
+            }
+            None => {
+                self.metrics.record_workspace_cache_miss();
+                let ws = wire::build_workspace_with(job, network, self.analysis_threads, deadline)?;
+                let arc = Arc::new(Mutex::new(ws));
+                self.workspaces
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .put(&ws_key, Arc::clone(&arc));
+                arc
+            }
+        };
+        let result = {
+            let mut workspace = shared.lock().unwrap_or_else(PoisonError::into_inner);
+            wire::execute_whatif(job, &mut workspace, deadline)
+        };
+        if result.as_ref().is_err_and(|e| e.status == 500) {
+            self.workspaces.lock().unwrap_or_else(PoisonError::into_inner).remove(&ws_key);
+        }
+        result
+    }
 }

@@ -8,6 +8,9 @@
 //! async-signal-safe to do.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Duration;
+
+use crate::server::ShutdownHandle;
 
 static TRIGGERED: AtomicBool = AtomicBool::new(false);
 
@@ -55,6 +58,18 @@ pub fn install() {
 #[must_use]
 pub fn triggered() -> bool {
     TRIGGERED.load(Ordering::SeqCst)
+}
+
+/// Installs the handlers and turns the first signal into
+/// `handle.shutdown()`, from a watcher thread that polls [`triggered`].
+pub fn shutdown_on_signal(handle: ShutdownHandle) {
+    install();
+    std::thread::spawn(move || {
+        while !triggered() {
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        handle.shutdown();
+    });
 }
 
 #[cfg(test)]

@@ -111,6 +111,31 @@ pub enum Endpoint {
 }
 
 impl Endpoint {
+    /// Every endpoint, in declaration order.
+    pub const ALL: [Self; 5] =
+        [Self::Analyze, Self::Harden, Self::Validate, Self::Whatif, Self::Networks];
+
+    /// The request path of this endpoint.
+    #[must_use]
+    pub fn path(self) -> &'static str {
+        match self {
+            Self::Analyze => "/v1/analyze",
+            Self::Harden => "/v1/harden",
+            Self::Validate => "/v1/validate",
+            Self::Whatif => "/v1/whatif",
+            Self::Networks => "/v1/networks",
+        }
+    }
+
+    /// The request method that submits a job to this endpoint.
+    #[must_use]
+    pub fn method(self) -> &'static str {
+        match self {
+            Self::Networks => "PUT",
+            _ => "POST",
+        }
+    }
+
     /// The metrics label of this endpoint.
     #[must_use]
     pub fn as_str(self) -> &'static str {
@@ -496,6 +521,21 @@ impl JobError {
             },
         };
         serde_json::to_string(&resp).unwrap_or_else(|_| String::from("{\"error\":{}}"))
+    }
+}
+
+impl From<JobError> for crate::http::Response {
+    fn from(err: JobError) -> Self {
+        Self::json(err.status, err.body())
+    }
+}
+
+/// A `200` JSON response carrying `body`, or the error's envelope.
+#[must_use]
+pub fn respond(body: Result<String, JobError>) -> crate::http::Response {
+    match body {
+        Ok(body) => crate::http::Response::json(200, body),
+        Err(err) => err.into(),
     }
 }
 

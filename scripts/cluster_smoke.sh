@@ -4,7 +4,8 @@
 # sweeps included, via --shard-threshold 1), SIGKILL one worker
 # mid-campaign and require the remaining submissions to stay
 # byte-identical while the fleet respawns the corpse, then shut the
-# coordinator down with SIGTERM and require a clean exit.
+# coordinator down with SIGTERM and require a clean exit that takes every
+# rsnc-worker child with it.
 #
 #   scripts/cluster_smoke.sh
 #
@@ -115,11 +116,30 @@ if [ "$recovered" -ne 1 ]; then
 fi
 metrics "$cluster_addr" | grep -q '^rsnc_workers 3'
 
+# The fleet as it stands before shutdown, for the orphan check below.
+fleet_pids=$(cat /proc/"$cluster_pid"/task/*/children 2>/dev/null | tr ' ' '\n' | sed '/^$/d')
+
 echo "==> graceful shutdown (SIGTERM)"
 kill -TERM "$cluster_pid"
 wait "$cluster_pid"
 grep -q 'rsnc shut down cleanly' "$cluster_log"
 kill -TERM "$single_pid"
 wait "$single_pid" || true
+
+echo "==> no rsnc-worker outlives the coordinator"
+if [ "$(echo "$fleet_pids" | wc -w)" -ne 3 ]; then
+    echo "expected 3 worker children of rsnc before shutdown, saw: $fleet_pids" >&2
+    exit 1
+fi
+orphans=0
+for pid in $fleet_pids; do
+    # A reaped worker is gone; an orphan keeps its command line.
+    if tr '\0' ' ' 2>/dev/null <"/proc/$pid/cmdline" | grep -q rsnc-worker; then
+        echo "rsnc-worker $pid outlived the coordinator" >&2
+        kill -9 "$pid" 2>/dev/null || true
+        orphans=$((orphans + 1))
+    fi
+done
+[ "$orphans" -eq 0 ] || exit 1
 
 echo "cluster smoke passed."

@@ -373,3 +373,172 @@ fn shard_merge_is_deterministic_across_packings_and_thread_counts() {
         }
     }
 }
+
+/// Reads the next framed response off a keep-alive stream, buffering any
+/// bytes past it in `buf`.
+fn next_response(stream: &mut std::net::TcpStream, buf: &mut Vec<u8>) -> http::Response {
+    let mut chunk = [0u8; 64 * 1024];
+    loop {
+        if let Some((response, consumed)) = http::parse_response_bytes(buf).expect("frame") {
+            buf.drain(..consumed);
+            return response;
+        }
+        let n = stream.read(&mut chunk).expect("read response");
+        assert!(n > 0, "rsnc closed the connection with a request unanswered");
+        buf.extend_from_slice(&chunk[..n]);
+    }
+}
+
+#[test]
+fn rsnc_answers_pipelined_requests_in_order() {
+    let (addr, _client, _control, stop) =
+        boot(ClusterConfig { shard_threshold: 1, ..spawning_config(2) });
+    let jobs = [analyze_job(7), analyze_job(2022)];
+    let mut batch = Vec::new();
+    for job in &jobs {
+        let body = serde_json::to_string(job).expect("encode job");
+        batch.extend(http::encode_request(
+            "POST",
+            "/v1/analyze",
+            "application/json",
+            body.as_bytes(),
+            false,
+        ));
+    }
+    let mut stream = http::connect(&addr, Duration::from_secs(30)).expect("connect rsnc");
+    // Both requests leave in one write, so they reach rsnc together.
+    stream.write_all(&batch).expect("write both requests");
+    let mut buf = Vec::new();
+    for job in &jobs {
+        let response = next_response(&mut stream, &mut buf);
+        assert_eq!(response.status, 200, "{}", response.body);
+        assert_eq!(response.body, single_node_bytes(Endpoint::Analyze, job));
+    }
+    stop();
+}
+
+#[test]
+fn rsnc_answers_a_non_utf8_body_exactly_like_rsnd() {
+    let server = rsn_serve::Server::bind(rsn_serve::ServerConfig::default()).expect("bind rsnd");
+    let rsnd_addr = server.local_addr().to_string();
+    let rsnd_handle = server.shutdown_handle();
+    let rsnd = std::thread::spawn(move || server.run());
+    let (rsnc_addr, _client, _control, stop) = boot(spawning_config(2));
+
+    // A well-formed job whose network text carries a 0xFF byte inside a
+    // `#` comment: lossy decoding would make it run.
+    let marker = "not-utf8";
+    let job = JobRequest {
+        network: Some(format!("# {marker}\n{}", demo_network())),
+        seed: Some(7),
+        ..Default::default()
+    };
+    let json = serde_json::to_string(&job).expect("encode job");
+    let mut body = json.clone().into_bytes();
+    body[json.find(marker).expect("marker in the body")] = 0xFF;
+
+    for (method, path) in [("PUT", "/v1/networks"), ("POST", "/v1/analyze")] {
+        let exchange = |addr: &str| {
+            let mut stream = http::connect(addr, Duration::from_secs(30)).expect("connect");
+            let request = http::encode_request(method, path, "application/json", &body, true);
+            stream.write_all(&request).expect("write request");
+            http::read_response(&mut stream).expect("read response")
+        };
+        let (single, cluster) = (exchange(&rsnd_addr), exchange(&rsnc_addr));
+        assert_eq!(single.status, 400, "{method} {path}: {}", single.body);
+        let err = parse_error(&single).expect("structured error envelope");
+        assert_eq!(err.code, "bad_request", "{}", single.body);
+        assert_eq!(err.message, "body is not valid utf-8", "{}", single.body);
+        assert_eq!(cluster.status, single.status, "{method} {path}: {}", cluster.body);
+        assert_eq!(cluster.body, single.body, "{method} {path}");
+    }
+    stop();
+    rsnd_handle.shutdown();
+    rsnd.join().expect("rsnd thread").expect("rsnd run");
+}
+
+#[test]
+fn rsnc_holds_a_burst_beyond_one_worker_queue_without_503() {
+    // Two slow in-process workers: each forwarded job holds a coordinator
+    // pool thread for 100 ms, so a burst lands in the coordinator's queue.
+    let workers: Vec<_> = (0..2)
+        .map(|_| {
+            let server = rsn_serve::Server::bind(rsn_serve::ServerConfig {
+                worker_delay: Some(Duration::from_millis(100)),
+                ..rsn_serve::ServerConfig::default()
+            })
+            .expect("bind worker");
+            let addr = server.local_addr().to_string();
+            let handle = server.shutdown_handle();
+            (addr, handle, std::thread::spawn(move || server.run()))
+        })
+        .collect();
+    let adopt = workers.iter().map(|(addr, _, _)| addr.clone()).collect();
+    let (addr, _client, _control, stop) = boot(ClusterConfig { adopt, ..ClusterConfig::default() });
+
+    // More than the coordinator's pool plus one worker's queue, and no
+    // more than the two workers' pools and queues hold.
+    let defaults = rsn_serve::ServerConfig::default();
+    let burst = 2 * defaults.workers.threads() + defaults.queue_capacity + 16;
+    let job = analyze_job(7);
+    let body = serde_json::to_string(&job).expect("encode job");
+    let request =
+        http::encode_request("POST", "/v1/analyze", "application/json", body.as_bytes(), true);
+    let mut streams: Vec<_> = (0..burst)
+        .map(|_| {
+            let mut stream = http::connect(&addr, Duration::from_secs(60)).expect("connect rsnc");
+            stream.write_all(&request).expect("write request");
+            stream
+        })
+        .collect();
+    let want = single_node_bytes(Endpoint::Analyze, &job);
+    for stream in &mut streams {
+        let response = http::read_response(stream).expect("read response");
+        assert_eq!(response.status, 200, "{}", response.body);
+        assert_eq!(response.body, want);
+    }
+    stop();
+    for (_, handle, thread) in workers {
+        handle.shutdown();
+        thread.join().expect("worker thread").expect("worker run");
+    }
+}
+
+#[test]
+fn a_streamed_put_is_registered_before_the_next_pipelined_request() {
+    let server = rsn_serve::Server::bind(rsn_serve::ServerConfig::default()).expect("bind rsnd");
+    let rsnd_addr = server.local_addr().to_string();
+    let rsnd_handle = server.shutdown_handle();
+    let rsnd = std::thread::spawn(move || server.run());
+    let (rsnc_addr, _client, _control, stop) = boot(spawning_config(2));
+
+    let text = demo_network();
+    let hash = ParsedNetwork::from_text(&text).expect("parse network").hash.to_hex();
+    let by_hash =
+        JobRequest { network_hash: Some(hash.clone()), seed: Some(7), ..Default::default() };
+    let mut batch =
+        http::encode_request("PUT", "/v1/networks", "text/plain", text.as_bytes(), false);
+    let body = serde_json::to_string(&by_hash).expect("encode job");
+    batch.extend(http::encode_request(
+        "POST",
+        "/v1/analyze",
+        "application/json",
+        body.as_bytes(),
+        false,
+    ));
+    for addr in [&rsnd_addr, &rsnc_addr] {
+        let mut stream = http::connect(addr, Duration::from_secs(30)).expect("connect");
+        // The upload and the job that names it leave in one write.
+        stream.write_all(&batch).expect("write both requests");
+        let mut buf = Vec::new();
+        let put = next_response(&mut stream, &mut buf);
+        assert_eq!(put.status, 200, "{addr}: {}", put.body);
+        assert!(put.body.contains(&hash), "{addr}: {}", put.body);
+        let analyzed = next_response(&mut stream, &mut buf);
+        assert_eq!(analyzed.status, 200, "{addr}: {}", analyzed.body);
+        assert_eq!(analyzed.body, single_node_bytes(Endpoint::Analyze, &analyze_job(7)));
+    }
+    stop();
+    rsnd_handle.shutdown();
+    rsnd.join().expect("rsnd thread").expect("rsnd run");
+}
