@@ -25,16 +25,16 @@
 //! incremental [`Workspace`](crate::Workspace), fault sets, sampled and
 //! exact double faults, and the analytical side of the validation campaign
 //! — runs on one engine: the mode-major lane kernel in [`batch`], which
-//! packs [`DefaultLane::LANES`](LaneWord::LANES) fault modes into one
-//! lane-word per node and relaxes them all in one forward/backward pass over
-//! the topologically ordered [`Csr`] held by [`ReachKernel`]. A single
-//! private block driver shards the lane blocks over [`par`] with one cancel
-//! checkpoint per block and splices results back in mode order, so every
-//! result is bit-identical at every thread count.
+//! packs [`batch::LANES`] fault modes into one lane-word per node and
+//! relaxes them all in one forward/backward pass over the topologically
+//! ordered [`Csr`] held by [`ReachKernel`]. A single private block driver
+//! shards the lane blocks over [`par`] with one cancel checkpoint per block
+//! and splices results back in mode order, so every result is bit-identical
+//! at every thread count.
 //!
 //! The engine is checked against two oracles that share none of its code:
-//! the straightforward `Vec<bool>` BFS in [`reference`], and the exhaustive
-//! configuration enumeration in [`crate::accessibility`].
+//! the straightforward `Vec<bool>` BFS in [`reference`](mod@reference), and
+//! the exhaustive configuration enumeration in [`crate::accessibility`].
 
 use std::ops::Range;
 
@@ -49,7 +49,7 @@ use crate::spec::CriticalitySpec;
 
 pub mod batch;
 
-use batch::{BlockScratch, DefaultLane, LaneWord};
+use batch::{BlockScratch, LANES};
 
 /// Hard bound on the frozen-select combinations a single fault-set
 /// evaluation may enumerate; beyond it [`fault_set_damage`] returns
@@ -164,17 +164,16 @@ impl GraphCriticality {
 
 /// The per-analysis immutable image of one `(network, spec)` pair that the
 /// lane engine ([`batch`]) traverses: the [`Csr`] adjacency in topological
-/// order with cumulative incoming-edge offsets, the mux input tables, the
-/// fault-free baseline reach in both directions, and the flattened
-/// instrument probes.
+/// order with cumulative incoming-edge offsets, the mux input tables, and
+/// the flattened instrument probes over the segments the fault-free network
+/// reaches both ways.
 ///
 /// Build once with [`ReachKernel::new`], hand each worker a
 /// [`BlockScratch`] from [`ReachKernel::block_scratch`], and evaluate lane
 /// blocks with [`ReachKernel::push_mode`] / [`ReachKernel::eval_damages`].
 /// The kernel borrows nothing from the network and is [`Sync`]; all per-mode
-/// mutation lives in the scratch. (Weight edits go through
-/// [`update_instrument_weights`](Self::update_instrument_weights), the
-/// workspace delta path.)
+/// mutation lives in the scratch. (Weight edits re-run the private weight
+/// fold, the workspace delta path.)
 #[derive(Debug)]
 pub struct ReachKernel {
     csr: Csr,
@@ -187,8 +186,6 @@ pub struct ReachKernel {
     /// occupy `pred_off[v]..pred_off[v + 1]` in edge-indexed arrays, in the
     /// CSR's predecessor (select-port) order.
     pred_off: Vec<u32>,
-    baseline_fwd: BitSet,
-    baseline_bwd: BitSet,
     /// Whether node `v` is a multiplexer.
     is_mux: Vec<bool>,
     /// Input node index per `(mux, port)`: `mux_inputs[v][p]` is the node
@@ -327,24 +324,13 @@ impl ReachKernel {
             mux_inputs[m.index()] = inputs.iter().map(|u| u.index() as u32).collect();
         }
         let mut live = BitSet::new(node_count);
-        let mut live_obs_w = vec![0u64; node_count];
-        let mut live_set_w = vec![0u64; node_count];
-        let mut dead_obs = 0u64;
-        let mut dead_set = 0u64;
         let mut dead_important = false;
         let mut important_obs = BitSet::new(node_count);
         let mut important_set = BitSet::new(node_count);
         for (i, inst) in net.instruments() {
             let t = inst.segment().index();
-            let (obs_weight, set_weight) = (spec.obs_weight(i), spec.set_weight(i));
             if baseline_fwd.contains(t) && baseline_bwd.contains(t) {
                 live.insert(t);
-                // Weight folds saturate: multiple instruments on one segment
-                // (or many dead instruments) may sum past u64::MAX, and
-                // damage is a monotone ceiling past that point (§ overflow
-                // note on `criticality::Criticality::total_damage`).
-                live_obs_w[t] = live_obs_w[t].saturating_add(obs_weight);
-                live_set_w[t] = live_set_w[t].saturating_add(set_weight);
                 if spec.is_important_obs(i) {
                     important_obs.insert(t);
                 }
@@ -354,31 +340,29 @@ impl ReachKernel {
             } else {
                 // Every per-mode map is a subset of the baseline, so the
                 // instrument fails both directions in every mode.
-                dead_obs = dead_obs.saturating_add(obs_weight);
-                dead_set = dead_set.saturating_add(set_weight);
                 dead_important |= spec.is_important_obs(i) || spec.is_important_set(i);
             }
         }
-        Ok(Self {
+        let mut kernel = Self {
             csr,
             node_count,
             scan_in,
             scan_out,
             topo,
             pred_off,
-            baseline_fwd,
-            baseline_bwd,
             is_mux,
             mux_inputs,
             live,
-            live_obs_w,
-            live_set_w,
-            dead_obs,
-            dead_set,
+            live_obs_w: vec![0; node_count],
+            live_set_w: vec![0; node_count],
+            dead_obs: 0,
+            dead_set: 0,
             dead_important,
             important_obs,
             important_set,
-        })
+        };
+        kernel.fold_weights(net, spec);
+        Ok(kernel)
     }
 
     /// `true` when segment node `t` hosts an instrument and is reachable from
@@ -386,16 +370,6 @@ impl ReachKernel {
     /// set the decode walks).
     pub(crate) fn is_live_segment(&self, t: usize) -> bool {
         self.live.contains(t)
-    }
-
-    /// Whether `node` lies in the mode footprint `fp`.
-    pub(crate) fn footprint_contains(&self, fp: &ModeFootprint, node: usize) -> bool {
-        match fp {
-            ModeFootprint::Baseline => {
-                self.baseline_fwd.contains(node) || self.baseline_bwd.contains(node)
-            }
-            ModeFootprint::Own(s) => s.contains(node),
-        }
     }
 
     /// Re-derives a mode's obs/set damage arithmetically from its lost
@@ -415,22 +389,28 @@ impl ReachKernel {
         (obs, set)
     }
 
-    /// Applies a per-instrument weight edit to the flattened probes: the
-    /// segment's live sums (or the dead constants, for a fault-free
-    /// unreachable segment) move from the old to the new weights. Liveness
-    /// and importance are weight-independent, so no map changes.
-    pub(crate) fn update_instrument_weights(
-        &mut self,
-        segment: usize,
-        (old_obs, old_set): (u64, u64),
-        (new_obs, new_set): (u64, u64),
-    ) {
-        if self.live.contains(segment) {
-            self.live_obs_w[segment] = self.live_obs_w[segment] - old_obs + new_obs;
-            self.live_set_w[segment] = self.live_set_w[segment] - old_set + new_set;
-        } else {
-            self.dead_obs = self.dead_obs - old_obs + new_obs;
-            self.dead_set = self.dead_set - old_set + new_set;
+    /// Folds the instrument weights of `spec` into the flattened probes:
+    /// per live segment the sum of its instruments' weights, and the dead
+    /// constants over the fault-free unreachable instruments. Every fold
+    /// saturates: several instruments on one segment (or many dead ones) may
+    /// sum past `u64::MAX`, and damage is a monotone ceiling past that point
+    /// (§ overflow note on `criticality::Criticality::total_damage`).
+    /// Liveness and importance are weight-independent, so a weight edit
+    /// re-runs only this fold.
+    pub(crate) fn fold_weights(&mut self, net: &ScanNetwork, spec: &CriticalitySpec) {
+        self.live_obs_w.fill(0);
+        self.live_set_w.fill(0);
+        self.dead_obs = 0;
+        self.dead_set = 0;
+        for (i, inst) in net.instruments() {
+            let t = inst.segment().index();
+            let (obs, set) = if self.live.contains(t) {
+                (&mut self.live_obs_w[t], &mut self.live_set_w[t])
+            } else {
+                (&mut self.dead_obs, &mut self.dead_set)
+            };
+            *obs = obs.saturating_add(spec.obs_weight(i));
+            *set = set.saturating_add(spec.set_weight(i));
         }
     }
 }
@@ -460,43 +440,27 @@ pub(crate) struct LostSegment {
     pub(crate) lost_set: bool,
 }
 
-/// A fault mode's footprint: the union of its frozen-only ("any") forward
-/// and backward reach maps. It over-approximates every node whose presence
-/// or absence can influence the mode's damage under *any* added or removed
-/// broken-segment set, so structural deltas touching only nodes outside the
-/// footprint can never change the mode's damage (the workspace dirty rule,
-/// DESIGN.md §2.11).
-#[derive(Clone, Debug)]
-pub(crate) enum ModeFootprint {
-    /// No frozen selects: the any-maps are the fault-free baseline.
-    Baseline,
-    /// Frozen selects: the mode owns its map.
-    Own(BitSet),
-}
-
 /// The lane-block driver behind every graph-exact sweep: evaluates `count`
 /// modes — `push(block, i)` adds mode `i` as the next lane — in blocks of
-/// [`DefaultLane::LANES`](LaneWord::LANES) lanes sharded over [`par`] with
-/// one cancel checkpoint per block, and returns the `decode`d per-lane
-/// values in mode order. Blocks are independent, so the result is
+/// [`LANES`] lanes sharded over [`par`] with one cancel checkpoint per
+/// block, and returns the `decode`d per-lane values in mode order. Blocks are independent, so the result is
 /// identical at every thread count.
 pub(crate) fn sweep_blocks<T: Send>(
     kernel: &ReachKernel,
     parallelism: Parallelism,
     cancel: &CancelToken,
     count: usize,
-    push: impl Fn(&mut BlockScratch<DefaultLane>, usize) + Sync,
-    decode: impl Fn(&mut BlockScratch<DefaultLane>) -> Vec<T> + Sync,
+    push: impl Fn(&mut BlockScratch, usize) + Sync,
+    decode: impl Fn(&mut BlockScratch) -> Vec<T> + Sync,
 ) -> Result<Vec<T>, AnalysisError> {
-    let lanes = DefaultLane::LANES;
     let blocks: Vec<Vec<T>> = par::try_map_indexed_scratch(
         parallelism,
-        count.div_ceil(lanes),
+        count.div_ceil(LANES),
         || (kernel.block_scratch(), cancel.checkpoint(4)),
         |(s, cp), b| -> Result<Vec<T>, AnalysisError> {
             cp.tick()?;
             s.clear();
-            for i in b * lanes..count.min((b + 1) * lanes) {
+            for i in b * LANES..count.min((b + 1) * LANES) {
                 push(s, i);
             }
             Ok(decode(s))
@@ -1039,8 +1003,8 @@ impl DoubleFaultSummary {
 /// estimates. Pair modes (including the worst-case frozen-select
 /// combinations of broken control cells under [`SibCellPolicy::Combined`])
 /// are packed into mode-major lane blocks, so the sweep costs two
-/// relaxation passes per [`DefaultLane::LANES`](LaneWord::LANES) modes and
-/// stays tractable for Table I-class designs.
+/// relaxation passes per [`batch::LANES`] modes and stays tractable for
+/// Table I-class designs.
 ///
 /// # Errors
 ///
@@ -1425,7 +1389,7 @@ mod tests {
         let (net, nodes) = bridge();
         let spec = CriticalitySpec::paper_random(&net, &PaperSpecParams::default(), 5);
         let kernel = ReachKernel::new(&net, &spec);
-        let mut reused = kernel.block_scratch::<u64>();
+        let mut reused = kernel.block_scratch();
         let [a, bb, _c, m1, m2] = nodes[..] else { panic!("five nodes") };
         type Mode = (Vec<NodeId>, Vec<(NodeId, usize)>);
         let modes: Vec<Mode> = vec![
@@ -1755,8 +1719,8 @@ mod tests {
     }
 
     /// The traced lane decode must reproduce the `Vec<bool>` reference maps
-    /// exactly: damage split, importance flag, lost-segment records *and*
-    /// footprint membership, on SP and non-SP graphs alike.
+    /// exactly: damage split, importance flag and lost-segment records, on SP
+    /// and non-SP graphs alike.
     #[test]
     fn batched_traces_match_the_scalar_traced_reference() {
         let sp = rsn_benchmarks_free_tree().build("sp").unwrap().0;
@@ -1775,10 +1739,10 @@ mod tests {
                         let (broken, frozen) = table.mode(m);
                         kernel.push_mode(s, broken, frozen);
                     },
-                    |s| kernel.eval_traced(s, true),
+                    |s| kernel.eval_traced(s),
                 )
                 .unwrap();
-                for (m, (trace, footprint)) in got.iter().enumerate() {
+                for (m, trace) in got.iter().enumerate() {
                     let (broken, frozen) = table.mode(m);
                     let usable = reference::usable_edges(net, frozen);
                     let is_broken = |n: NodeId| broken.contains(&n);
@@ -1809,13 +1773,6 @@ mod tests {
                     want.lost.sort_by_key(|r| r.segment);
                     want.lost.dedup();
                     assert_eq!(trace, &want, "mode {broken:?} {frozen:?}");
-                    for node in 0..net.node_count() {
-                        assert_eq!(
-                            kernel.footprint_contains(footprint, node),
-                            fwd_any[node] || bwd_any[node],
-                            "footprint node {node} of mode {broken:?} {frozen:?}"
-                        );
-                    }
                 }
             }
         }

@@ -199,7 +199,7 @@ where
 /// across every index of its contiguous chunk — the pattern the bitset
 /// reachability kernel depends on to amortize its arena allocations over a
 /// whole shard instead of paying them per fault mode. The sequential path
-/// (1 worker or fewer than [`MIN_PARALLEL_ITEMS`] items) also allocates the
+/// (1 worker or fewer than `MIN_PARALLEL_ITEMS` items) also allocates the
 /// scratch once.
 ///
 /// The determinism contract of [`map_indexed`] carries over: `f` must be a

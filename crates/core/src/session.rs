@@ -170,14 +170,14 @@ impl From<Cancelled> for SessionError {
 /// supplies the problem (built from its cached criticality and cost model).
 #[derive(Clone, Debug, PartialEq)]
 pub enum Solver {
-    /// The paper's SPEA2 configuration ([`solve_spea2`]).
+    /// The paper's SPEA2 configuration ([`solve_spea2`](crate::hardening::solve_spea2)).
     Spea2 {
         /// Algorithm parameters.
         config: Spea2Config,
         /// RNG seed.
         seed: u64,
     },
-    /// NSGA-II ([`solve_nsga2`]).
+    /// NSGA-II ([`solve_nsga2`](crate::hardening::solve_nsga2)).
     Nsga2 {
         /// Algorithm parameters.
         config: Nsga2Config,
@@ -186,7 +186,8 @@ pub enum Solver {
     },
     /// Damage-per-cost greedy baseline ([`solve_greedy`]).
     Greedy,
-    /// Certified Pareto front by dynamic programming ([`solve_exact`]).
+    /// Certified Pareto front by dynamic programming
+    /// ([`solve_exact`](crate::hardening::solve_exact)).
     Exact {
         /// Bound on the non-dominated state set.
         max_states: usize,
@@ -312,10 +313,9 @@ impl AnalysisSessionBuilder {
     /// Finalizes into an incremental [`Workspace`] instead of a one-shot
     /// session: every fault mode is evaluated once here (honoring the
     /// builder's parallelism and cancel token), after which
-    /// [`Workspace::edit`]/[`Workspace::harden`] replay only the dirty
-    /// subset. A supplied tree and the cost model are not used by the
-    /// workspace (it is graph-exact; pass the cost model to
-    /// [`Workspace::hardening_problem`]).
+    /// [`Workspace::edit`]/[`Workspace::harden`] work from the cached
+    /// per-mode traces. A supplied tree and the cost model are not used by
+    /// the workspace (it is graph-exact and builds no hardening problem).
     ///
     /// # Errors
     ///
@@ -526,10 +526,9 @@ impl AnalysisSession {
     /// faults on non-hardened primitives
     /// ([`double_fault_damage_with_cancel`]): the pairs are packed into
     /// mode-major lane blocks, so the full sweep costs a few batched
-    /// traversals per [`LaneWord::LANES`](crate::graph_analysis::batch::LaneWord::LANES)
-    /// pairs instead of four traversals per pair. Deterministic at every
-    /// thread count; supersedes sampling whenever the pair count is
-    /// tractable.
+    /// traversals per [`LANES`](crate::graph_analysis::batch::LANES) pairs
+    /// instead of four traversals per pair. Deterministic at every thread
+    /// count; supersedes sampling whenever the pair count is tractable.
     ///
     /// # Errors
     ///
@@ -773,23 +772,6 @@ mod tests {
         assert_eq!(session.try_validate_criticality().unwrap_err(), SessionError::Cancelled);
         assert_eq!(session.double_fault_damage(&[]).unwrap_err(), SessionError::Cancelled);
         assert_eq!(builder().build_workspace().unwrap_err(), SessionError::Cancelled);
-        // A workspace built under a quiet token observes a later cancel in
-        // its fault-set and sampled double-fault queries.
-        let mut ws = AnalysisSession::builder(net.clone())
-            .with_paper_spec(PaperSpecParams::default(), 7)
-            .build_workspace()
-            .expect("quiet token");
-        ws.set_cancel_token(cancel.clone());
-        assert_eq!(
-            ws.fault_set_damage(&[]).unwrap_err().code(),
-            SessionError::Cancelled.code(),
-            "fault set"
-        );
-        assert_eq!(
-            ws.sampled_double_fault_damage(4, 1).unwrap_err().code(),
-            SessionError::Cancelled.code(),
-            "sampled double faults"
-        );
     }
 
     #[test]

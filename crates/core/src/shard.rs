@@ -14,7 +14,7 @@
 //!    and ships the per-mode [`ModeDamage`] triples.
 //! 3. The coordinator concatenates the ranges in index order and aggregates
 //!    with [`criticality_from_mode_damages`], which goes through the same
-//!    [`aggregate`] as the tree analysis and the incremental workspace — so
+//!    `aggregate` as the tree analysis and the incremental workspace — so
 //!    the merged [`Criticality`] (and any summary rendered from it) is
 //!    byte-identical to a single-node sweep.
 //!
@@ -200,7 +200,7 @@ impl std::error::Error for ShardMergeError {}
 
 /// Folds a full table of per-mode damages (shard results concatenated in
 /// range order) into a [`Criticality`], aggregating each primitive's modes
-/// through the same [`aggregate`] as the tree analysis and the incremental
+/// through the same `aggregate` as the tree analysis and the incremental
 /// workspace — ties and truncating means resolve identically everywhere, so
 /// a summary rendered from the merged result is byte-identical to a
 /// single-node analysis.

@@ -191,27 +191,22 @@ impl CriticalitySpec {
         // be at least the sum of all other (uncritical) weights.
         let imp_obs = pick(&mut rng, params.important_obs_fraction);
         let imp_set = pick(&mut rng, params.important_set_fraction);
-        let uncritical_obs: u64 = spec
-            .obs
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !imp_obs.contains(i))
-            .map(|(_, &w)| w)
-            .sum();
-        let uncritical_set: u64 = spec
-            .set
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !imp_set.contains(i))
-            .map(|(_, &w)| w)
-            .sum();
+        for &i in &imp_obs {
+            spec.important_obs[i] = true;
+        }
+        for &i in &imp_set {
+            spec.important_set[i] = true;
+        }
+        let uncritical = |weights: &[u64], important: &[bool]| -> u64 {
+            weights.iter().zip(important).filter(|(_, &imp)| !imp).map(|(&w, _)| w).sum()
+        };
+        let uncritical_obs = uncritical(&spec.obs, &spec.important_obs);
+        let uncritical_set = uncritical(&spec.set, &spec.important_set);
         for i in imp_obs {
             spec.obs[i] = uncritical_obs + 1;
-            spec.important_obs[i] = true;
         }
         for i in imp_set {
             spec.set[i] = uncritical_set + 1;
-            spec.important_set[i] = true;
         }
         spec
     }

@@ -25,7 +25,7 @@
 //!
 //! The analytical side is one traced lane sweep over the canonical mode
 //! table; the operational side shards over primitives with
-//! [`par`](crate::par) — contiguous chunks, one reusable [`Simulator`] per
+//! [`par`] — contiguous chunks, one reusable [`Simulator`] per
 //! worker — so the report is bit-identical at every thread count. Any
 //! disagreement is reported with the offending network, fault mode, and
 //! instrument attached.
@@ -179,7 +179,7 @@ pub fn validate_criticality_with(
 /// [`validate_criticality_with`] with cooperative cancellation.
 ///
 /// The token is threaded through the underlying analysis sweep (see
-/// [`analyze_graph_with_cancel`](crate::graph_analysis::analyze_graph_with_cancel))
+/// [`analyze_graph_with_cancel`])
 /// and polled once per primitive inside the sharded simulation campaign, so
 /// a fired deadline interrupts the campaign within one primitive's replays
 /// per worker. A completed run returns a report bit-identical to
@@ -210,7 +210,7 @@ pub fn validate_criticality_with_cancel(
             let (broken, frozen) = table.mode(m);
             kernel.push_mode(s, broken, frozen);
         },
-        |s| kernel.eval_traced(s, false).into_iter().map(|(trace, _)| trace).collect(),
+        |s| kernel.eval_traced(s),
     )?;
     let campaign = Campaign::new(net, spec, options, &analysis, &kernel, &table, &traces);
     let primitives: Vec<NodeId> = net.primitives().collect();

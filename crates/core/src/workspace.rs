@@ -1,33 +1,28 @@
 //! The incremental criticality engine: a stateful [`Workspace`] over one
-//! network that answers "same network, small edit" queries by replaying only
-//! the fault modes an edit can actually change.
+//! network that answers "same network, small edit" queries from a cache of
+//! per-mode traces.
 //!
 //! # Why a workspace
 //!
 //! The one-shot analysis entry points ([`analyze_graph`](crate::analyze_graph),
 //! [`AnalysisSession`](crate::session::AnalysisSession)) pay a full per-mode
 //! reachability sweep on every call. The paper's hardening loop (Table I) and
-//! interactive what-if queries re-evaluate after *single-primitive* changes,
-//! where almost every cached mode damage is still valid. A [`Workspace`] owns
-//! the parsed network, its [`ReachKernel`] (CSR, topological order,
-//! fault-free reach baseline), the canonical mode table, and one cached
-//! [`ModeTrace`](crate::graph_analysis) per fault mode, and exposes delta
-//! operations ([`Workspace::edit`], [`Workspace::harden`],
-//! [`Workspace::undo`]) that recompute only the dirty subset.
+//! interactive what-if queries re-evaluate after *single-primitive* changes.
+//! A [`Workspace`] owns the parsed network, its [`ReachKernel`] (CSR,
+//! topological order, instrument probes), the canonical mode table, and one
+//! cached [`ModeTrace`](crate::graph_analysis) per fault mode, and exposes
+//! delta operations ([`Workspace::edit`], [`Workspace::harden`],
+//! [`Workspace::undo`]).
 //!
-//! # The dirty rule (DESIGN.md §2.11)
+//! # What each delta recomputes (DESIGN.md §2.11)
 //!
-//! Each cached mode stores a *footprint*: the union of its frozen-only
-//! ("any") forward and backward reach maps. The footprint depends only on
-//! the mode's frozen selects — never on which segments are broken — so it is
-//! invariant under every structural delta and never needs rebuilding. A
-//! structural delta touching segment *s* (exclude/include) can change a
-//! mode's damage only when *s* lies inside the mode's footprint: outside it,
-//! *s* is unreachable in the mode's least-restricted traversals, so blocking
-//! or unblocking it alters neither the clean reach maps nor the accessible
-//! set. Weight edits bypass reachability entirely: every mode's damage is
-//! re-derived arithmetically from its cached lost-segment records. Hardening
-//! is pure aggregation masking and recomputes nothing.
+//! Hardening is pure aggregation masking and recomputes nothing. Weight
+//! edits bypass reachability: every mode's damage is re-derived
+//! arithmetically from its cached lost-segment records. A structural delta
+//! (exclude/include a segment) changes the ambient broken set every mode is
+//! evaluated with, so it replays the workspace's initial sweep under the new
+//! set: every mode is re-swept in lane blocks, and the traces are committed
+//! only once the whole sweep succeeded.
 //!
 //! All recomputation shards per the workspace [`Parallelism`] with results
 //! spliced in mode order, so every query result is bit-identical to a
@@ -55,23 +50,18 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use rsn_model::{Fault, InstrumentId, NodeId, ScanNetwork};
+use rsn_model::{InstrumentId, NodeId, ScanNetwork};
 
 use crate::cancel::{CancelToken, Cancelled};
-use crate::cost::CostModel;
 use crate::criticality::{aggregate, AnalysisOptions, Criticality, Mode};
 use crate::graph_analysis::{
-    controlled_muxes, double_fault_damage_with_cancel, fault_set_damages,
-    sampled_double_fault_damage_with_cancel, sweep_blocks, AnalysisError, DoubleFaultSummary,
-    GraphCriticality, ModeFootprint, ModeTrace, ReachKernel,
+    controlled_muxes, sweep_blocks, AnalysisError, GraphCriticality, ModeTrace, ReachKernel,
 };
-use crate::hardening::HardeningProblem;
 use crate::par::Parallelism;
 use crate::report::CriticalitySummary;
 use crate::session::SessionError;
 use crate::shard::ModeTable;
 use crate::spec::CriticalitySpec;
-use crate::validate::{validate_criticality_with_cancel, ValidationReport};
 
 /// A single edit applied to a [`Workspace`] via [`Workspace::edit`].
 ///
@@ -102,8 +92,8 @@ pub enum WorkspaceDelta {
         set: u64,
     },
     /// Adds a segment to the ambient broken set: every subsequent query
-    /// evaluates fault modes jointly with this segment broken. Only modes
-    /// whose footprint contains the segment are re-swept.
+    /// evaluates fault modes jointly with this segment broken. Every mode is
+    /// re-swept under the new set, as in the initial sweep.
     ///
     /// Restricted to segments that control no multiplexers (a broken control
     /// cell's frozen-select enumeration does not compose with ambient
@@ -112,8 +102,7 @@ pub enum WorkspaceDelta {
         /// The segment to exclude.
         segment: NodeId,
     },
-    /// Reverts [`WorkspaceDelta::ExcludeSegment`]; the same footprint rule
-    /// bounds the re-sweep.
+    /// Reverts [`WorkspaceDelta::ExcludeSegment`] by the same full re-sweep.
     IncludeSegment {
         /// The segment to re-include.
         segment: NodeId,
@@ -191,22 +180,12 @@ impl From<Cancelled> for WorkspaceError {
 /// [`Workspace::edit`] and [`Workspace::undo`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DeltaReport {
-    /// Fault modes whose damage was re-derived (reach sweeps for structural
-    /// deltas, arithmetic replays for weight edits, `0` for hardening).
+    /// Fault modes whose damage was re-derived: every mode for structural
+    /// deltas (one full sweep), the modes whose damage changed for weight
+    /// edits (arithmetic replays), `0` for hardening.
     pub recomputed_modes: usize,
     /// Σⱼ d_j after the delta, with hardened and excluded primitives masked.
     pub total_damage: u64,
-}
-
-/// One cached fault mode (its broken/frozen sets live in the workspace's
-/// mode table at the same index): its last evaluated trace, and the
-/// footprint that gates structural invalidation.
-#[derive(Clone, Debug)]
-struct ModeState {
-    /// Position of the owning primitive in `Workspace::primitives`.
-    prim: u32,
-    trace: ModeTrace,
-    footprint: ModeFootprint,
 }
 
 /// Aggregated (unmasked) per-primitive damage components.
@@ -219,7 +198,7 @@ struct PrimAgg {
 
 impl PrimAgg {
     fn total(self) -> u64 {
-        self.obs + self.set
+        self.obs.saturating_add(self.set)
     }
 }
 
@@ -244,7 +223,8 @@ pub struct Workspace {
     /// The canonical mode table; group `pos` holds the modes of
     /// `primitives[pos]`.
     table: ModeTable,
-    modes: Vec<ModeState>,
+    /// The last evaluated trace of each mode, indexed like `table`.
+    modes: Vec<ModeTrace>,
     agg: Vec<PrimAgg>,
     hardened: Vec<bool>,
     excluded: Vec<bool>,
@@ -289,36 +269,15 @@ impl Workspace {
         let mut excluded_list: Vec<NodeId> = excluded_seed.to_vec();
         excluded_list.sort_unstable();
         excluded_list.dedup();
-
-        // Initial full sweep of the canonical mode table, jointly with the
-        // ambient broken set: traces and footprints for every mode.
-        let table = ModeTable::single_faults(&net, options.sib_policy);
-        let evaluated = sweep_blocks(
-            &kernel,
-            parallelism,
-            &cancel,
-            table.len(),
-            |s, m| {
-                let (broken, frozen) = table.mode(m);
-                kernel.push_mode(s, broken.iter().chain(&excluded_list), frozen);
-            },
-            |s| kernel.eval_traced(s, true),
-        )?;
-        let prims = table.groups().enumerate().flat_map(|(pos, modes)| modes.map(move |_| pos));
-        let modes: Vec<ModeState> = prims
-            .zip(evaluated)
-            .map(|(pos, (trace, footprint))| ModeState { prim: pos as u32, trace, footprint })
-            .collect();
-
         let mut hardened = vec![false; net.node_count()];
         for &j in hardened_seed {
             hardened[j.index()] = true;
         }
-        let mut excluded = vec![false; net.node_count()];
-        for &s in &excluded_list {
-            excluded[s.index()] = true;
-        }
         let mut ws = Self {
+            table: ModeTable::single_faults(&net, options.sib_policy),
+            agg: vec![PrimAgg::default(); primitives.len()],
+            hardened,
+            excluded: vec![false; net.node_count()],
             net,
             spec,
             options,
@@ -328,33 +287,61 @@ impl Workspace {
             controlled,
             primitives,
             prim_pos,
-            table,
-            modes,
-            agg: Vec::new(),
-            hardened,
-            excluded,
-            excluded_list,
+            modes: Vec::new(),
+            excluded_list: Vec::new(),
             undo: Vec::new(),
         };
-        ws.agg = vec![PrimAgg::default(); ws.primitives.len()];
-        for pos in 0..ws.primitives.len() {
-            ws.reaggregate(pos);
-        }
+        ws.resweep(excluded_list)?;
         Ok(ws)
     }
 
-    /// Re-derives one primitive's aggregate from its cached mode traces,
+    /// Evaluates every mode of the table jointly with the `ambient` broken
+    /// set: the initial sweep, and the replay behind every structural delta.
+    fn sweep(&self, ambient: &[NodeId]) -> Result<Vec<ModeTrace>, AnalysisError> {
+        let (kernel, table) = (&self.kernel, &self.table);
+        sweep_blocks(
+            kernel,
+            self.parallelism,
+            &self.cancel,
+            table.len(),
+            |s, m| {
+                let (broken, frozen) = table.mode(m);
+                kernel.push_mode(s, broken.iter().chain(ambient), frozen);
+            },
+            |s| kernel.eval_traced(s),
+        )
+    }
+
+    /// Makes `ambient` (ascending) the ambient broken set: re-sweeps every
+    /// mode under it and, only once the whole sweep succeeded, commits the
+    /// traces, the exclusion flags and the aggregates. Returns the number of
+    /// modes swept.
+    fn resweep(&mut self, ambient: Vec<NodeId>) -> Result<usize, AnalysisError> {
+        self.modes = self.sweep(&ambient)?;
+        for &s in &self.excluded_list {
+            self.excluded[s.index()] = false;
+        }
+        for &s in &ambient {
+            self.excluded[s.index()] = true;
+        }
+        self.excluded_list = ambient;
+        self.reaggregate();
+        Ok(self.modes.len())
+    }
+
+    /// Re-derives every primitive's aggregate from the cached mode traces,
     /// through the same [`aggregate`] as the tree analysis so ties and
     /// truncating means resolve identically.
-    fn reaggregate(&mut self, pos: usize) {
-        let slice = &self.modes[self.table.group(pos)];
-        let modes: Vec<Mode> = slice
-            .iter()
-            .map(|m| Mode { obs: m.trace.obs_damage, set: m.trace.set_damage })
-            .collect();
-        let a = aggregate(self.options.mode, &modes);
-        let important = slice.iter().any(|m| m.trace.affects_important);
-        self.agg[pos] = PrimAgg { obs: a.obs, set: a.set, important };
+    fn reaggregate(&mut self) {
+        let mut modes: Vec<Mode> = Vec::new();
+        for (pos, group) in self.table.groups().enumerate() {
+            let slice = &self.modes[group];
+            modes.clear();
+            modes.extend(slice.iter().map(|m| Mode { obs: m.obs_damage, set: m.set_damage }));
+            let a = aggregate(self.options.mode, &modes);
+            let important = slice.iter().any(|m| m.affects_important);
+            self.agg[pos] = PrimAgg { obs: a.obs, set: a.set, important };
+        }
     }
 
     /// The workspace's network.
@@ -474,7 +461,7 @@ impl Workspace {
     /// current hardening set.
     #[must_use]
     pub fn total_damage(&self) -> u64 {
-        self.primitives.iter().map(|&j| self.damage(j)).sum()
+        self.primitives.iter().fold(0u64, |acc, &j| acc.saturating_add(self.damage(j)))
     }
 
     /// The damage vector as a [`GraphCriticality`]. On a fresh workspace
@@ -512,23 +499,13 @@ impl Workspace {
         CriticalitySummary::new(&self.net, &self.criticality(), top_n)
     }
 
-    /// The selective-hardening problem over the current damages (already
-    /// reflecting exclusions and weight edits; hardened primitives keep
-    /// their genome bit but contribute zero avoidable damage).
-    #[must_use]
-    pub fn hardening_problem(&self, cost_model: &CostModel) -> HardeningProblem {
-        HardeningProblem::new(&self.net, &self.criticality(), cost_model)
-            .with_parallelism(self.parallelism)
-    }
-
     /// Applies `delta` and pushes its inverse on the undo stack.
     ///
-    /// Dirty-set bounds per variant: `Harden`/`Unharden` recompute nothing;
-    /// `SetWeights` replays every mode arithmetically (no BFS);
-    /// `ExcludeSegment`/`IncludeSegment` re-sweep only modes whose footprint
-    /// contains the segment. New damages are computed into a staging buffer
-    /// and committed only on success, so a failed (e.g. cancelled) edit
-    /// leaves the workspace exactly as it was.
+    /// Cost per variant: `Harden`/`Unharden` recompute nothing;
+    /// `SetWeights` replays every mode arithmetically (no traversal);
+    /// `ExcludeSegment`/`IncludeSegment` re-sweep every mode under the new
+    /// ambient broken set. A re-sweep is committed only on success, so a
+    /// failed (e.g. cancelled) edit leaves the workspace exactly as it was.
     ///
     /// # Errors
     ///
@@ -604,24 +581,21 @@ impl Workspace {
                 }
                 self.cancel.check()?;
                 let old = (self.spec.obs_weight(instrument), self.spec.set_weight(instrument));
-                let seg = self.net.instrument(instrument).segment();
-                self.kernel.update_instrument_weights(seg.index(), old, (obs, set));
                 self.spec.set_weights(instrument, obs, set);
+                self.kernel.fold_weights(&self.net, &self.spec);
                 // Arithmetic replay: every mode re-prices its lost records
                 // under the new weights; no reachability runs.
                 let kernel = &self.kernel;
                 let mut recomputed = 0usize;
                 for m in &mut self.modes {
-                    let (o, s) = kernel.lost_damages(&m.trace.lost);
-                    if o != m.trace.obs_damage || s != m.trace.set_damage {
-                        m.trace.obs_damage = o;
-                        m.trace.set_damage = s;
+                    let (o, s) = kernel.lost_damages(&m.lost);
+                    if o != m.obs_damage || s != m.set_damage {
+                        m.obs_damage = o;
+                        m.set_damage = s;
                         recomputed += 1;
                     }
                 }
-                for pos in 0..self.primitives.len() {
-                    self.reaggregate(pos);
-                }
+                self.reaggregate();
                 let inverse = WorkspaceDelta::SetWeights { instrument, obs: old.0, set: old.1 };
                 Ok((inverse, self.report(recomputed)))
             }
@@ -635,9 +609,7 @@ impl Workspace {
                 let mut ambient = self.excluded_list.clone();
                 ambient.push(segment);
                 ambient.sort_unstable();
-                let recomputed = self.resweep_dirty(segment, &ambient)?;
-                self.excluded[segment.index()] = true;
-                self.excluded_list = ambient;
+                let recomputed = self.resweep(ambient)?;
                 Ok((WorkspaceDelta::IncludeSegment { segment }, self.report(recomputed)))
             }
             WorkspaceDelta::IncludeSegment { segment } => {
@@ -649,54 +621,10 @@ impl Workspace {
                 }
                 let ambient: Vec<NodeId> =
                     self.excluded_list.iter().copied().filter(|&s| s != segment).collect();
-                let recomputed = self.resweep_dirty(segment, &ambient)?;
-                self.excluded[segment.index()] = false;
-                self.excluded_list = ambient;
+                let recomputed = self.resweep(ambient)?;
                 Ok((WorkspaceDelta::ExcludeSegment { segment }, self.report(recomputed)))
             }
         }
-    }
-
-    /// Recomputes every mode whose footprint contains `touched` against the
-    /// prospective ambient broken set, committing traces and aggregates only
-    /// after the whole sweep succeeded. Returns the dirty-mode count.
-    fn resweep_dirty(
-        &mut self,
-        touched: NodeId,
-        ambient: &[NodeId],
-    ) -> Result<usize, WorkspaceError> {
-        let kernel = &self.kernel;
-        let ti = touched.index();
-        let dirty: Vec<u32> = (0..self.modes.len() as u32)
-            .filter(|&k| kernel.footprint_contains(&self.modes[k as usize].footprint, ti))
-            .collect();
-        let table = &self.table;
-        // The footprint never changes (it depends only on the mode's frozen
-        // selects), so the re-sweep skips re-deriving it.
-        let traces: Vec<ModeTrace> = sweep_blocks(
-            kernel,
-            self.parallelism,
-            &self.cancel,
-            dirty.len(),
-            |s, i| {
-                let (broken, frozen) = table.mode(dirty[i] as usize);
-                kernel.push_mode(s, broken.iter().chain(ambient), frozen);
-            },
-            |s| kernel.eval_traced(s, false).into_iter().map(|(trace, _)| trace).collect(),
-        )?;
-        // Commit.
-        let mut dirty_prims: Vec<u32> = Vec::new();
-        for (&k, trace) in dirty.iter().zip(traces) {
-            let m = &mut self.modes[k as usize];
-            m.trace = trace;
-            dirty_prims.push(m.prim);
-        }
-        dirty_prims.sort_unstable();
-        dirty_prims.dedup();
-        for pos in dirty_prims {
-            self.reaggregate(pos as usize);
-        }
-        Ok(dirty.len())
     }
 
     fn report(&self, recomputed_modes: usize) -> DeltaReport {
@@ -721,97 +649,6 @@ impl Workspace {
             )));
         }
         Ok(())
-    }
-
-    /// Joint damage of an explicit multi-fault set evaluated on the cached
-    /// kernel, jointly with the ambient excluded segments. Unlike the
-    /// one-shot free function this skips the kernel rebuild entirely.
-    ///
-    /// # Errors
-    ///
-    /// [`WorkspaceError::Session`] for cancellation, a worker panic, or a
-    /// fault set exceeding the frozen-select combination bound.
-    pub fn fault_set_damage(&self, faults: &[Fault]) -> Result<u64, WorkspaceError> {
-        let mut all: Vec<Fault> = faults.to_vec();
-        all.extend(self.excluded_list.iter().map(|&s| Fault::broken_segment(s)));
-        let worst = fault_set_damages(
-            &self.kernel,
-            &self.net,
-            &self.controlled,
-            [&all],
-            self.parallelism,
-            &self.cancel,
-        )?;
-        Ok(worst[0])
-    }
-
-    /// Average damage over sampled random double faults, with the current
-    /// spec and with hardened *and* excluded primitives removed from the
-    /// sampling pool.
-    ///
-    /// # Errors
-    ///
-    /// [`WorkspaceError::Session`] for cancellation or a pair exceeding the
-    /// frozen-select combination bound.
-    pub fn sampled_double_fault_damage(
-        &self,
-        samples: usize,
-        seed: u64,
-    ) -> Result<f64, WorkspaceError> {
-        let mut blocked = self.hardened();
-        blocked.extend_from_slice(&self.excluded_list);
-        sampled_double_fault_damage_with_cancel(
-            &self.net,
-            &self.spec,
-            &blocked,
-            self.options.sib_policy,
-            samples,
-            seed,
-            self.parallelism,
-            &self.cancel,
-        )
-        .map_err(WorkspaceError::from)
-    }
-
-    /// **Exact** double-fault damage over every unordered pair of single
-    /// faults on unhardened, unexcluded primitives — the full sweep
-    /// [`Workspace::sampled_double_fault_damage`] estimates, evaluated with
-    /// the mode-major batch kernel.
-    ///
-    /// # Errors
-    ///
-    /// [`WorkspaceError::Session`] for cancellation, a worker panic, or a
-    /// pair exceeding the frozen-select combination bound.
-    pub fn double_fault_damage(&self) -> Result<DoubleFaultSummary, WorkspaceError> {
-        let mut blocked = self.hardened();
-        blocked.extend_from_slice(&self.excluded_list);
-        double_fault_damage_with_cancel(
-            &self.net,
-            &self.spec,
-            &blocked,
-            self.options.sib_policy,
-            self.parallelism,
-            &self.cancel,
-        )
-        .map_err(WorkspaceError::from)
-    }
-
-    /// The operational fault-simulation campaign over the pristine network
-    /// with the current spec (exclusions and hardening do not alter the
-    /// simulated hardware).
-    ///
-    /// # Errors
-    ///
-    /// [`WorkspaceError::Session`] for cancellation or a worker panic.
-    pub fn validate(&self) -> Result<ValidationReport, WorkspaceError> {
-        validate_criticality_with_cancel(
-            &self.net,
-            &self.spec,
-            &self.options,
-            self.parallelism,
-            &self.cancel,
-        )
-        .map_err(WorkspaceError::from)
     }
 
     /// A from-scratch rebuild of this workspace's current state: same
@@ -933,6 +770,26 @@ mod tests {
     }
 
     #[test]
+    fn saturating_weight_edit_matches_a_full_sweep() {
+        // u64::MAX weights overflow any unchecked fold: the edited workspace
+        // must clamp exactly like a from-scratch sweep of the edited spec.
+        let mut ws = workspace(demo_net(), 1);
+        let (i, _) = ws.network().instruments().next().expect("has instruments");
+        ws.edit(WorkspaceDelta::SetWeights { instrument: i, obs: u64::MAX, set: u64::MAX })
+            .expect("edit");
+        let expected = analyze_graph_with(
+            ws.network(),
+            ws.spec(),
+            &AnalysisOptions::default(),
+            Parallelism::sequential(),
+        );
+        assert_eq!(ws.graph_criticality(), expected, "incremental == full sweep");
+        assert_eq!(ws.total_damage(), expected.total_damage());
+        let rebuilt = ws.rebuilt().expect("rebuild");
+        assert_eq!(rebuilt.graph_criticality(), expected, "rebuild == full sweep");
+    }
+
+    #[test]
     fn exclude_matches_rebuild_include_restores() {
         let mut ws = workspace(demo_net(), 4);
         let baseline_summary = ws.summary(16);
@@ -945,7 +802,11 @@ mod tests {
             })
             .expect("plain segment");
         let report = ws.edit(WorkspaceDelta::ExcludeSegment { segment: seg }).expect("exclude");
-        assert!(report.recomputed_modes > 0, "an in-footprint exclusion dirties modes");
+        assert_eq!(
+            report.recomputed_modes,
+            ws.table.len(),
+            "a structural edit re-sweeps every mode"
+        );
         assert!(ws.is_excluded(seg));
         assert_eq!(ws.damage(seg), 0, "excluded segments are masked");
         let rebuilt = ws.rebuilt().expect("rebuild");
@@ -983,32 +844,5 @@ mod tests {
         ws.set_cancel_token(CancelToken::none());
         assert_eq!(ws.summary(16), summary, "failed edit committed nothing");
         assert_eq!(ws.undo_depth(), 0);
-    }
-
-    #[test]
-    fn fault_set_damage_joins_ambient_exclusions() {
-        let mut ws = workspace(demo_net(), 1);
-        let seg = ws
-            .network()
-            .segments()
-            .find(|&s| {
-                ws.controlled[s.index()].is_empty() && ws.network().instrument_at(s).is_some()
-            })
-            .expect("plain segment");
-        let lone = ws.fault_set_damage(&[Fault::broken_segment(seg)]).expect("fault set");
-        ws.edit(WorkspaceDelta::ExcludeSegment { segment: seg }).expect("exclude");
-        let ambient = ws.fault_set_damage(&[]).expect("ambient only");
-        assert_eq!(ambient, lone, "excluded segment behaves as an ambient fault");
-    }
-
-    #[test]
-    fn hardening_problem_reflects_workspace_state() {
-        let mut ws = workspace(demo_net(), 1);
-        let j = ws.graph_criticality().primitives()[0];
-        ws.harden(j).expect("harden");
-        let p = ws.hardening_problem(&CostModel::default());
-        let bit = p.primitives().iter().position(|&x| x == j).expect("bit exists");
-        assert_eq!(p.damage_of_bit(bit), 0, "hardened primitive carries no avoidable damage");
-        assert_eq!(p.total_damage(), ws.total_damage());
     }
 }

@@ -3,7 +3,7 @@
 //! graceful shutdown.
 //!
 //! One event-loop thread owns every socket. It multiplexes tens of
-//! thousands of keep-alive connections over [`poll`](crate::poll), parses
+//! thousands of keep-alive connections over [`poll`], parses
 //! pipelined HTTP/1.1 requests incrementally
 //! ([`http::parse_request_bytes`]), answers `/healthz`, `/metrics` and
 //! `GET /v1/networks` inline, and enqueues analysis jobs on the

@@ -688,8 +688,8 @@ pub fn merge_analyze_shards(
     serialize(&CriticalitySummary::new(&network.net, &crit, job.top))
 }
 
-/// The `/v1/whatif` response payload: the delta's footprint plus the full
-/// post-delta criticality summary.
+/// The `/v1/whatif` response payload: what the delta recomputed, the
+/// damage totals around it, and the full post-delta criticality summary.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WhatifResponse {
     /// The network's name.
@@ -698,8 +698,10 @@ pub struct WhatifResponse {
     pub op: String,
     /// The target primitive's name.
     pub target: String,
-    /// Fault modes the incremental engine actually re-swept (0 for pure
-    /// masking/arithmetic deltas).
+    /// Fault modes the delta re-derived
+    /// ([`DeltaReport::recomputed_modes`](robust_rsn::DeltaReport::recomputed_modes)): every
+    /// mode for `exclude`, the modes whose damage changed for
+    /// `set_weights`, `0` for `harden`.
     pub recomputed_modes: u64,
     /// Total single-fault damage before the delta.
     pub total_damage_before: u64,
@@ -1531,6 +1533,30 @@ mod tests {
         let resp: WhatifResponse = serde_json::from_str(&body).unwrap();
         assert_eq!(resp.op, "set_weights");
         assert!(resp.total_damage_after < resp.total_damage_before);
+    }
+
+    #[test]
+    fn whatif_set_weights_saturates_instead_of_overflowing() {
+        // A weight of u64::MAX must clamp the damage at the ceiling, as the
+        // full sweep does: never wrap below the weight-1 answer, never panic.
+        let net = include_str!("../../../examples/networks/soc_demo.rsn");
+        let total_after = |weight: u64| {
+            let req = JobRequest {
+                network: Some(net.into()),
+                op: Some("set_weights".into()),
+                target: Some("boot".into()),
+                obs_weight: Some(weight),
+                set_weight: Some(weight),
+                ..Default::default()
+            };
+            let job = resolve(Endpoint::Whatif, &req).unwrap();
+            let body = execute(&job, Parallelism::sequential(), &Deadline::none()).unwrap();
+            serde_json::from_str::<WhatifResponse>(&body).unwrap().total_damage_after
+        };
+        let one = total_after(1);
+        let max = total_after(u64::MAX);
+        assert!(max >= one, "u64::MAX weights answered {max}, below the weight-1 total {one}");
+        assert_eq!(max, u64::MAX, "the total clamps at the ceiling");
     }
 
     #[test]

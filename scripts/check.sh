@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Repo gate: formatting, lints, and the tier-1 build+test cycle.
+# Repo gate: formatting, lints, rustdoc, and the tier-1 build+test cycle.
 #
 # Everything runs offline against the vendored dependency stubs (see
 # vendor/README note in Cargo.toml) — no network access required.
@@ -26,6 +26,9 @@ cargo fmt --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc -D warnings (broken and private intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 if [ "$fast" -eq 0 ]; then
     echo "==> cargo build --release (tier-1)"

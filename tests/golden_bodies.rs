@@ -73,11 +73,27 @@ fn p93791_analyze_shard_and_whatif_bodies_are_pinned() {
             Endpoint::Whatif,
             JobRequest { op: Some("harden".into()), target: Some("w0".into()), ..base.clone() },
         ),
+        (
+            Endpoint::Whatif,
+            JobRequest { op: Some("exclude".into()), target: Some("w5".into()), ..base.clone() },
+        ),
+        (
+            Endpoint::Whatif,
+            JobRequest {
+                op: Some("set_weights".into()),
+                target: Some("w1".into()),
+                obs_weight: Some(5),
+                set_weight: Some(9),
+                ..base.clone()
+            },
+        ),
     ]);
     assert_pinned(&[
         ("/v1/analyze", &bodies[0], 1_220, 0x5662_93e7_c9a4_9c30),
         ("/v1/analyze shard 1000..3000", &bodies[1], 77_151, 0x7938_86d1_5bc3_f3ff),
         ("/v1/whatif harden w0", &bodies[2], 1_361, 0xef21_2922_cc32_2d68),
+        ("/v1/whatif exclude w5", &bodies[3], 1_365, 0x3724_e46a_8a07_7b2b),
+        ("/v1/whatif set_weights w1", &bodies[4], 1_368, 0x75dd_9348_66a1_fddd),
     ]);
 }
 

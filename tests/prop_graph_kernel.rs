@@ -207,7 +207,7 @@ proptest! {
         };
         let weights = CriticalitySpec::paper_random(&net, &PaperSpecParams::default(), seed);
         let kernel = ReachKernel::new(&net, &weights);
-        let mut scratch = kernel.block_scratch::<u64>();
+        let mut scratch = kernel.block_scratch();
         for round in 0..4 {
             let (broken, frozen) = random_mode(&net, mode_seed.wrapping_add(round));
             scratch.clear();
