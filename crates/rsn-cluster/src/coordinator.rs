@@ -32,7 +32,9 @@
 //! answered `503 overloaded`. DESIGN.md §2.15 gives the measurement.
 //!
 //! A worker answer travels back as its status and body plus its `X-Cache`
-//! and `Retry-After` headers; the server frames it like any local answer.
+//! and `Retry-After` headers; the server frames it like any local answer,
+//! and the body the client parsed off the worker's socket is the one the
+//! server writes, shared rather than copied.
 //!
 //! ## Routing
 //!
@@ -81,7 +83,7 @@ use std::time::{Duration, Instant};
 use robust_rsn::{AnalysisOptions, Parallelism};
 use rsn_serve::cache::fnv1a;
 use rsn_serve::chaos::{Chaos, Site};
-use rsn_serve::http::Response;
+use rsn_serve::http::{Response, SharedBody};
 use rsn_serve::wire::{self, AnalyzeShardResponse, Endpoint, JobError, ParsedNetwork, ResolvedJob};
 use rsn_serve::{
     Backend, Client, Exposition, Job, JobRequest, Metrics, Registry, RetryPolicy, Server,
@@ -288,7 +290,7 @@ impl Coordinator {
 }
 
 impl Backend for Cluster {
-    fn run(&self, job: &Job) -> Response {
+    fn run(&self, job: &Job) -> Response<SharedBody> {
         match job {
             Job::Upload(parsed) => self.put_network(Ok(Arc::clone(parsed))),
             Job::Submit(job) if job.resolved.endpoint == Endpoint::Networks => {
@@ -314,7 +316,10 @@ impl Cluster {
     /// limits) and answer the same receipt a single node serves. Broadcast
     /// failures are tolerated: the health loop and `unknown_network` repair
     /// re-seed stragglers.
-    fn put_network(&self, registered: Result<Arc<ParsedNetwork>, JobError>) -> Response {
+    fn put_network(
+        &self,
+        registered: Result<Arc<ParsedNetwork>, JobError>,
+    ) -> Response<SharedBody> {
         let parsed = match registered {
             Ok(parsed) => parsed,
             Err(err) => return err.into(),
@@ -337,7 +342,7 @@ impl Cluster {
 
     /// `POST /v1/{analyze,harden,validate,whatif}`: decide between shard
     /// fan-out and whole-job routing, dispatch with failover.
-    fn submit(&self, request: &JobRequest, resolved: &ResolvedJob) -> Response {
+    fn submit(&self, request: &JobRequest, resolved: &ResolvedJob) -> Response<SharedBody> {
         // Network identity for routing, plus the parsed graph when the
         // registry has it (needed for fan-out partitioning, shard merging
         // and `unknown_network` repair).
@@ -377,7 +382,7 @@ impl Cluster {
         route_hash: &str,
         parsed: Option<&ParsedNetwork>,
         up: &[WorkerStatus],
-    ) -> Response {
+    ) -> Response<SharedBody> {
         let order = rendezvous_order(route_hash, up);
         let budget = self.config.failover_budget.max(1) as usize;
         let mut tried: Vec<(usize, u64)> = Vec::new();
@@ -437,7 +442,7 @@ impl Cluster {
         job: &JobRequest,
         up: &[WorkerStatus],
         total: u64,
-    ) -> Response {
+    ) -> Response<SharedBody> {
         let ranges = partition_modes(total, up.len());
         let mut shards: Vec<Option<AnalyzeShardResponse>> = Vec::new();
         shards.resize_with(ranges.len(), || None);
@@ -586,7 +591,7 @@ impl Cluster {
 
     /// The structured, retryable degradation response when no worker can
     /// take a request.
-    fn fleet_exhausted(&self, detail: &str) -> Response {
+    fn fleet_exhausted(&self, detail: &str) -> Response<SharedBody> {
         self.metrics.record_fleet_exhausted();
         let err = JobError::new(
             503,
@@ -669,15 +674,16 @@ fn is_unknown_network(response: &Response) -> bool {
 
 /// The coordinator's answer from a worker's: the status and body, plus the
 /// `X-Cache` and `Retry-After` headers. The worker's own framing headers
-/// stay behind; the server frames the answer like a local one.
-fn forward(worker: Response) -> Response {
-    let mut response = Response::json(worker.status, String::new());
+/// stay behind; the server frames the answer like a local one. The body
+/// moves into the shared answer as is.
+fn forward(worker: Response) -> Response<SharedBody> {
+    let mut response = Response::json(worker.status, Arc::new(worker.body));
     for (name, key) in [("X-Cache", "x-cache"), ("Retry-After", "retry-after")] {
-        if let Some(value) = worker.header(key) {
+        if let Some((_, value)) = worker.headers.iter().find(|(k, _)| k == key) {
             response = response.with_header(name, value);
         }
     }
-    Response { body: worker.body, ..response }
+    response
 }
 
 /// Splits `0..total` into `k` contiguous, near-equal ranges (first

@@ -81,7 +81,8 @@ impl ClusterMetrics {
     /// Appends the `rsnc_*` series to `out`, with the given fleet snapshot
     /// and the coordinator server's metrics (`rsnc_requests_total` counts
     /// every request it routed; the response counters split its answers
-    /// into 200 and everything else).
+    /// into 200 and everything else; the write counters are the server's
+    /// socket writes to clients).
     pub fn render(&self, out: &mut String, fleet: &[WorkerStatus], server: &Metrics) {
         let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
         let ok = server.responses_with_status(200);
@@ -104,6 +105,8 @@ impl ClusterMetrics {
             ("rsnc_requests_total", server.requests_total()),
             ("rsnc_responses_ok_total", ok),
             ("rsnc_responses_error_total", server.responses_total() - ok),
+            ("rsnc_response_bytes_total", server.response_bytes()),
+            ("rsnc_socket_writes_total", server.socket_writes()),
             ("rsnc_shards_dispatched_total", get(&self.shards_dispatched)),
             ("rsnc_shards_retried_total", get(&self.shards_retried)),
             ("rsnc_failovers_total", get(&self.failovers)),
@@ -117,5 +120,21 @@ impl ClusterMetrics {
         ] {
             out.push_str(&format!("{name} {value}\n"));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_server_write_counters_render_as_rsnc_series() {
+        let server = Metrics::new();
+        server.record_socket_write(1500);
+        server.record_socket_write(0);
+        let mut text = String::new();
+        ClusterMetrics::default().render(&mut text, &[], &server);
+        assert!(text.lines().any(|l| l == "rsnc_response_bytes_total 1500"), "{text}");
+        assert!(text.lines().any(|l| l == "rsnc_socket_writes_total 2"), "{text}");
     }
 }

@@ -8,8 +8,16 @@
 //!
 //! Entries store the canonical key alongside the value, so a 64-bit hash
 //! collision degrades to a miss instead of serving a wrong result.
+//!
+//! Values are [`SharedBody`]s: a fill stores the serializer's own
+//! allocation and a hit hands out another reference to it, so neither
+//! copies the body, and evicting an entry never disturbs a response still
+//! being written from it. Memory is entries × body size.
 
 use std::collections::HashMap;
+use std::sync::Arc;
+
+use crate::http::SharedBody;
 
 /// 64-bit FNV-1a over `bytes` — the content hash used for cache keys.
 #[must_use]
@@ -24,7 +32,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 
 struct Entry {
     key: String,
-    value: String,
+    value: SharedBody,
     last_used: u64,
 }
 
@@ -65,19 +73,19 @@ impl LruCache {
     }
 
     /// Looks up the response for `key`, refreshing its recency on a hit.
-    pub fn get(&mut self, key: &str) -> Option<String> {
+    pub fn get(&mut self, key: &str) -> Option<SharedBody> {
         self.tick += 1;
         let entry = self.entries.get_mut(&fnv1a(key.as_bytes()))?;
         if entry.key != key {
             return None; // 64-bit hash collision: treat as a miss.
         }
         entry.last_used = self.tick;
-        Some(entry.value.clone())
+        Some(Arc::clone(&entry.value))
     }
 
     /// Stores `value` under `key`, evicting the least-recently-used entry
     /// when at capacity.
-    pub fn put(&mut self, key: &str, value: String) {
+    pub fn put(&mut self, key: &str, value: SharedBody) {
         if self.capacity == 0 {
             return;
         }
@@ -96,6 +104,10 @@ impl LruCache {
 mod tests {
     use super::*;
 
+    fn body(text: &str) -> SharedBody {
+        Arc::new(text.to_string())
+    }
+
     #[test]
     fn fnv_matches_reference_vectors() {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
@@ -106,39 +118,61 @@ mod tests {
     #[test]
     fn get_after_put_hits() {
         let mut cache = LruCache::new(4);
-        cache.put("job1", "result1".into());
-        assert_eq!(cache.get("job1"), Some("result1".into()));
+        cache.put("job1", body("result1"));
+        assert_eq!(cache.get("job1"), Some(body("result1")));
         assert_eq!(cache.get("job2"), None);
     }
 
     #[test]
     fn evicts_least_recently_used_first() {
         let mut cache = LruCache::new(2);
-        cache.put("a", "1".into());
-        cache.put("b", "2".into());
-        assert_eq!(cache.get("a"), Some("1".into())); // refresh "a"
-        cache.put("c", "3".into()); // evicts "b"
-        assert_eq!(cache.get("a"), Some("1".into()));
+        cache.put("a", body("1"));
+        cache.put("b", body("2"));
+        assert_eq!(cache.get("a"), Some(body("1"))); // refresh "a"
+        cache.put("c", body("3")); // evicts "b"
+        assert_eq!(cache.get("a"), Some(body("1")));
         assert_eq!(cache.get("b"), None);
-        assert_eq!(cache.get("c"), Some("3".into()));
+        assert_eq!(cache.get("c"), Some(body("3")));
         assert_eq!(cache.len(), 2);
     }
 
     #[test]
     fn overwriting_a_key_does_not_evict() {
         let mut cache = LruCache::new(2);
-        cache.put("a", "1".into());
-        cache.put("b", "2".into());
-        cache.put("a", "1b".into());
-        assert_eq!(cache.get("a"), Some("1b".into()));
-        assert_eq!(cache.get("b"), Some("2".into()));
+        cache.put("a", body("1"));
+        cache.put("b", body("2"));
+        cache.put("a", body("1b"));
+        assert_eq!(cache.get("a"), Some(body("1b")));
+        assert_eq!(cache.get("b"), Some(body("2")));
     }
 
     #[test]
     fn zero_capacity_disables_caching() {
         let mut cache = LruCache::new(0);
-        cache.put("a", "1".into());
+        cache.put("a", body("1"));
         assert!(cache.is_empty());
         assert_eq!(cache.get("a"), None);
+    }
+
+    #[test]
+    fn a_hit_shares_the_allocation_the_fill_stored() {
+        let mut cache = LruCache::new(2);
+        let filled = body("front");
+        cache.put("job", Arc::clone(&filled));
+        let first = cache.get("job").expect("hit");
+        let second = cache.get("job").expect("hit");
+        assert!(Arc::ptr_eq(&first, &filled) && Arc::ptr_eq(&second, &filled));
+        assert_eq!(Arc::strong_count(&filled), 4, "the fill, the entry and two hits");
+    }
+
+    #[test]
+    fn evicting_an_entry_leaves_a_held_response_intact() {
+        let mut cache = LruCache::new(1);
+        cache.put("a", body("answer a"));
+        let held = cache.get("a").expect("hit");
+        cache.put("b", body("answer b")); // evicts "a"
+        assert_eq!(cache.get("a"), None);
+        assert_eq!(held.as_str(), "answer a");
+        assert_eq!(Arc::strong_count(&held), 1, "the response is the last holder");
     }
 }

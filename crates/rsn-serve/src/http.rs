@@ -10,6 +10,7 @@
 
 use std::io::Read;
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Hard cap on the request line plus headers.
@@ -59,9 +60,17 @@ impl Request {
     }
 }
 
-/// An HTTP response ready for [`encode_response`].
+/// A response body the daemon shares instead of copying: the serializer's
+/// `String`, taken as is. The result cache and a connection's write queue
+/// each hold a reference to the one allocation.
+pub type SharedBody = Arc<String>;
+
+/// An HTTP response. Clients and tests read and encode `Response` (a
+/// `String` body, see [`encode_response`]); the daemon answers with a
+/// `Response<SharedBody>` and writes the head from [`encode_head`] and the
+/// shared body straight to the socket.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Response {
+pub struct Response<B = String> {
     /// Status code.
     pub status: u16,
     /// Extra headers beyond `Content-Type`/`Content-Length`/`Connection`.
@@ -69,19 +78,19 @@ pub struct Response {
     /// `Content-Type` value.
     pub content_type: &'static str,
     /// Response body.
-    pub body: String,
+    pub body: B,
 }
 
-impl Response {
+impl<B> Response<B> {
     /// A JSON response with the given status and body.
     #[must_use]
-    pub fn json(status: u16, body: String) -> Self {
+    pub fn json(status: u16, body: B) -> Self {
         Self { status, headers: Vec::new(), content_type: "application/json", body }
     }
 
     /// A plaintext response with the given status and body.
     #[must_use]
-    pub fn text(status: u16, body: String) -> Self {
+    pub fn text(status: u16, body: B) -> Self {
         Self { status, headers: Vec::new(), content_type: "text/plain; charset=utf-8", body }
     }
 
@@ -255,16 +264,18 @@ pub fn parse_request_head(buf: &[u8]) -> Result<Option<ParsedHead>, HttpError> {
     }))
 }
 
-/// Serializes `response` to wire bytes, with `Connection: keep-alive` or
-/// `close` per `keep_alive`.
+/// Encodes the status line and headers of `response`, declaring a body of
+/// `content_length` bytes, with `Connection: keep-alive` or `close` per
+/// `keep_alive`. The body itself is not touched: the daemon writes it
+/// after these bytes without copying it.
 #[must_use]
-pub fn encode_response(response: &Response, keep_alive: bool) -> Vec<u8> {
+pub fn encode_head<B>(response: &Response<B>, content_length: usize, keep_alive: bool) -> Vec<u8> {
     let mut out = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
         response.status,
         reason(response.status),
         response.content_type,
-        response.body.len(),
+        content_length,
         if keep_alive { "keep-alive" } else { "close" },
     );
     for (name, value) in &response.headers {
@@ -274,7 +285,15 @@ pub fn encode_response(response: &Response, keep_alive: bool) -> Vec<u8> {
         out.push_str("\r\n");
     }
     out.push_str("\r\n");
-    let mut bytes = out.into_bytes();
+    out.into_bytes()
+}
+
+/// Serializes `response` to wire bytes in one buffer: [`encode_head`]
+/// followed by a copy of the body. The client and test encoder; the daemon
+/// sends the head and its shared body as two slices instead.
+#[must_use]
+pub fn encode_response(response: &Response, keep_alive: bool) -> Vec<u8> {
+    let mut bytes = encode_head(response, response.body.len(), keep_alive);
     bytes.extend_from_slice(response.body.as_bytes());
     bytes
 }

@@ -90,6 +90,8 @@ pub struct Metrics {
     registry_networks: AtomicU64,
     open_sockets: AtomicU64,
     keepalive_conns: AtomicU64,
+    response_bytes: AtomicU64,
+    socket_writes: AtomicU64,
     latency: [LatencyHistogram; ENDPOINTS.len()],
 }
 
@@ -312,6 +314,25 @@ impl Metrics {
         self.keepalive_conns.load(Ordering::Relaxed)
     }
 
+    /// Counts one `write`/`writev` call on a client socket, partial,
+    /// refused (`WouldBlock`) or not, and the response bytes it wrote.
+    pub fn record_socket_write(&self, bytes: usize) {
+        self.socket_writes.fetch_add(1, Ordering::Relaxed);
+        self.response_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+    }
+
+    /// Response bytes (heads and bodies) handed to client sockets so far.
+    #[must_use]
+    pub fn response_bytes(&self) -> u64 {
+        self.response_bytes.load(Ordering::Relaxed)
+    }
+
+    /// `write`/`writev` calls made on client sockets so far.
+    #[must_use]
+    pub fn socket_writes(&self) -> u64 {
+        self.socket_writes.load(Ordering::Relaxed)
+    }
+
     /// Records the end-to-end latency of a completed `endpoint` job.
     pub fn record_latency(&self, endpoint: &str, latency: Duration) {
         if let Some(i) = Self::endpoint_index(endpoint) {
@@ -371,6 +392,8 @@ impl Metrics {
         out.push_str(&format!("rsnd_registry_networks {}\n", self.registry_networks()));
         out.push_str(&format!("rsnd_open_sockets {}\n", self.open_sockets()));
         out.push_str(&format!("rsnd_keepalive_conns {}\n", self.keepalive_conns()));
+        out.push_str(&format!("rsnd_response_bytes_total {}\n", self.response_bytes()));
+        out.push_str(&format!("rsnd_socket_writes_total {}\n", self.socket_writes()));
         for (i, endpoint) in ENDPOINTS.iter().enumerate() {
             self.latency[i].render(&mut out, endpoint);
         }
@@ -446,6 +469,8 @@ mod tests {
         m.set_registry_networks(3);
         m.set_open_sockets(10_000);
         m.set_keepalive_conns(9_998);
+        m.record_socket_write(4096);
+        m.record_socket_write(0);
         let text = m.render();
         assert!(text.contains("rsnd_store_reads_total 2"), "{text}");
         assert!(text.contains("rsnd_store_writes_total 1"), "{text}");
@@ -454,6 +479,8 @@ mod tests {
         assert!(text.contains("rsnd_registry_networks 3"), "{text}");
         assert!(text.contains("rsnd_open_sockets 10000"), "{text}");
         assert!(text.contains("rsnd_keepalive_conns 9998"), "{text}");
+        assert!(text.contains("rsnd_response_bytes_total 4096"), "{text}");
+        assert!(text.contains("rsnd_socket_writes_total 2"), "{text}");
         assert_eq!(m.store_reads(), 2);
         assert_eq!(m.registry_networks(), 3);
     }

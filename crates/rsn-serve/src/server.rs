@@ -15,6 +15,12 @@
 //! waker byte) and are written in request order per connection, so
 //! pipelined clients always see answers in the order they asked.
 //!
+//! A response body is never copied on its way out. The serializer's
+//! `String` becomes a [`SharedBody`] that the result cache and the
+//! connection's outbox both hold; the outbox keeps, per answer, an encoded
+//! head and that body, and a cursor into the front answer. Each write hands
+//! the kernel the unsent slices of every ready answer in one `writev`.
+//!
 //! The backend is the one seam between the front end and the work.
 //! [`Server::run`] serves with the local backend: it consults the LRU
 //! result cache (and the persistent [`Store`], when configured) and executes
@@ -30,8 +36,8 @@
 //! accepted, and the loop keeps pumping until every drained response has
 //! been flushed to its socket.
 
-use std::collections::{BTreeMap, HashMap};
-use std::io::{self, Read, Write};
+use std::collections::{HashMap, VecDeque};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -46,7 +52,7 @@ use rsn_store::{Namespace, Store, StoreError};
 
 use crate::cache::LruCache;
 use crate::chaos::{Chaos, Site};
-use crate::http::{self, Request, Response};
+use crate::http::{self, Request, Response, SharedBody};
 use crate::metrics::Metrics;
 use crate::poll::{self, PollFd, READABLE, WRITABLE};
 use crate::queue::{BoundedQueue, PushError};
@@ -187,8 +193,9 @@ impl Job {
 /// plugs in one that forwards to a fleet of `rsnd` workers.
 pub trait Backend: Send + Sync {
     /// Answers one job. Runs on a pool thread under panic isolation: a
-    /// panic answers a structured 500 and the thread keeps serving.
-    fn run(&self, job: &Job) -> Response;
+    /// panic answers a structured 500 and the thread keeps serving. The
+    /// body is shared, not copied, on its way to the socket.
+    fn run(&self, job: &Job) -> Response<SharedBody>;
 
     /// Appends the backend's own series to the `/metrics` exposition.
     fn render_metrics(&self, _out: &mut String) {}
@@ -209,7 +216,7 @@ struct Completion {
     seq: u64,
     endpoint: &'static str,
     accepted_at: Instant,
-    response: Response,
+    response: Response<SharedBody>,
 }
 
 /// The worker→loop completion channel: a mutex-guarded vector plus a
@@ -274,17 +281,36 @@ struct StreamingUpload {
     seq: u64,
 }
 
+/// Most slices one `writev` is handed: the head and body of up to 32
+/// pipelined answers, the default per-connection inflight bound.
+const MAX_WRITE_SLICES: usize = 64;
+
+/// One answer waiting in a connection's outbox: its encoded head and its
+/// body, shared with the result cache.
+struct Outgoing {
+    head: Vec<u8>,
+    body: SharedBody,
+}
+
+impl Outgoing {
+    fn len(&self) -> usize {
+        self.head.len() + self.body.len()
+    }
+}
+
 /// One client connection owned by the event loop.
 struct Conn {
     stream: TcpStream,
     read_buf: Vec<u8>,
-    write_buf: Vec<u8>,
+    /// Answers in request order, the front one for `next_write_seq`; `None`
+    /// holds the place of an answer still being computed.
+    outbox: VecDeque<Option<Outgoing>>,
+    /// Bytes of the front answer already written.
+    cursor: usize,
     /// Sequence number assigned to the next parsed request.
     next_seq: u64,
-    /// Sequence number of the next response to append to `write_buf`.
+    /// Sequence number of the next response to be written out in full.
     next_write_seq: u64,
-    /// Encoded responses that finished out of order, waiting their turn.
-    ready: BTreeMap<u64, Vec<u8>>,
     /// Once set, the connection closes after the response for this sequence
     /// number is flushed; no further requests are parsed.
     close_at: Option<u64>,
@@ -303,10 +329,10 @@ impl Conn {
         Self {
             stream,
             read_buf: Vec::new(),
-            write_buf: Vec::new(),
+            outbox: VecDeque::new(),
+            cursor: 0,
             next_seq: 0,
             next_write_seq: 0,
-            ready: BTreeMap::new(),
             close_at: None,
             eof: false,
             partial_since: None,
@@ -315,26 +341,85 @@ impl Conn {
         }
     }
 
-    /// Requests parsed but not yet answered into `write_buf`.
+    /// Requests parsed but not yet answered and written out.
     fn outstanding(&self) -> u64 {
         self.next_seq - self.next_write_seq
     }
 
-    /// Slots the response for `seq` and pumps every now-in-order response
-    /// into the write buffer.
-    fn push_response(&mut self, seq: u64, response: &Response, now: Instant) {
+    /// Slots the response for `seq` into the outbox: its encoded head plus
+    /// the shared body.
+    fn push_response(&mut self, seq: u64, response: Response<SharedBody>, now: Instant) {
         let keep_alive = self.close_at != Some(seq);
-        self.ready.insert(seq, http::encode_response(response, keep_alive));
-        while let Some(bytes) = self.ready.remove(&self.next_write_seq) {
-            self.write_buf.extend_from_slice(&bytes);
+        let head = http::encode_head(&response, response.body.len(), keep_alive);
+        let slot = usize::try_from(seq - self.next_write_seq).expect("outbox slot fits in memory");
+        if self.outbox.len() <= slot {
+            self.outbox.resize_with(slot + 1, || None);
+        }
+        self.outbox[slot] = Some(Outgoing { head, body: response.body });
+        self.last_activity = now;
+    }
+
+    /// Whether the front answer is ready to be written.
+    fn wants_write(&self) -> bool {
+        self.outbox.front().is_some_and(Option::is_some)
+    }
+
+    /// Writes ready answers from the front of the outbox until the socket
+    /// would block or the next answer is still being computed. Each call to
+    /// the kernel carries the unsent part of every ready answer in order.
+    /// Errs when the peer is gone.
+    fn flush(&mut self, metrics: &Metrics) -> io::Result<()> {
+        loop {
+            let mut slices = [IoSlice::new(&[]); MAX_WRITE_SLICES];
+            let mut count = 0;
+            let mut skip = self.cursor;
+            for out in self.outbox.iter().map_while(Option::as_ref) {
+                if count + 2 > MAX_WRITE_SLICES {
+                    break;
+                }
+                for part in [out.head.as_slice(), out.body.as_bytes()] {
+                    if skip < part.len() {
+                        slices[count] = IoSlice::new(&part[skip..]);
+                        count += 1;
+                    }
+                    skip = skip.saturating_sub(part.len());
+                }
+            }
+            if count == 0 {
+                return Ok(());
+            }
+            let written = self.stream.write_vectored(&slices[..count]);
+            metrics.record_socket_write(written.as_ref().map_or(0, |n| *n));
+            match written {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => self.advance(n),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Moves the cursor `n` written bytes on, retiring every answer it
+    /// passes.
+    fn advance(&mut self, mut n: usize) {
+        while n > 0 {
+            let front = self.outbox.front().and_then(Option::as_ref);
+            let left = front.expect("written bytes belong to ready answers").len() - self.cursor;
+            if n < left {
+                self.cursor += n;
+                return;
+            }
+            n -= left;
+            self.outbox.pop_front();
+            self.cursor = 0;
             self.next_write_seq += 1;
         }
-        self.last_activity = now;
     }
 
     /// Whether everything owed to the peer has been handed to the kernel.
     fn flushed(&self) -> bool {
-        self.write_buf.is_empty() && self.ready.is_empty() && self.outstanding() == 0
+        self.outstanding() == 0
     }
 
     /// Whether the connection is done and should be dropped.
@@ -698,7 +783,7 @@ impl EventLoop {
             if !conn.eof && (conn.close_at.is_none() || conn.streaming.is_some()) {
                 events |= READABLE;
             }
-            if !conn.write_buf.is_empty() {
+            if conn.wants_write() {
                 events |= WRITABLE;
             }
             if events != 0 {
@@ -779,7 +864,7 @@ impl EventLoop {
             self.metrics.record_latency(completion.endpoint, completion.accepted_at.elapsed());
             let now = Instant::now();
             if let Some(conn) = self.conns.get_mut(&completion.conn_id) {
-                conn.push_response(completion.seq, &completion.response, now);
+                conn.push_response(completion.seq, completion.response, now);
             }
         }
     }
@@ -855,7 +940,7 @@ impl EventLoop {
                     conn.next_seq += 1;
                     conn.close_at = Some(seq);
                     let err = JobError::new(e.status, "bad_request", e.message);
-                    self.finish_response(id, seq, &Response::json(err.status, err.body()));
+                    self.finish_response(id, seq, err.into());
                     return;
                 }
             }
@@ -889,7 +974,7 @@ impl EventLoop {
                 conn.partial_since = None;
                 conn.close_at = Some(up.seq);
                 let err = JobError::new(400, "bad_request", "connection closed before end of body");
-                self.finish_response(id, up.seq, &Response::json(err.status, err.body()));
+                self.finish_response(id, up.seq, err.into());
                 return false;
             }
             // Restart the stall window on every chunk: a streaming body
@@ -909,7 +994,7 @@ impl EventLoop {
         // a request behind it on the connection finds the network.
         match finish_upload(up).and_then(|parsed| self.registry.register_parsed(Arc::new(parsed))) {
             Ok(parsed) => self.enqueue(id, seq, Job::Upload(parsed), now),
-            Err(err) => self.finish_response(id, seq, &err.into()),
+            Err(err) => self.finish_response(id, seq, err.into()),
         }
         true
     }
@@ -920,12 +1005,12 @@ impl EventLoop {
         let response = match (request.method.as_str(), request.path.as_str()) {
             ("GET", "/healthz") => {
                 self.metrics.record_request("healthz");
-                Response::text(200, "ok\n".to_string())
+                Response::text(200, Arc::new("ok\n".to_string()))
             }
             ("GET", "/metrics") => {
                 self.metrics.record_request("metrics");
                 let text = render_exposition(&self.metrics, &self.ctx.queue, &*self.ctx.backend);
-                Response::text(200, text)
+                Response::text(200, Arc::new(text))
             }
             ("GET", "/v1/networks") => {
                 self.metrics.record_request("networks");
@@ -951,7 +1036,7 @@ impl EventLoop {
                 }
             },
         };
-        self.finish_response(conn_id, seq, &response);
+        self.finish_response(conn_id, seq, response);
     }
 
     /// Decodes and resolves a submission, then queues it.
@@ -978,7 +1063,7 @@ impl EventLoop {
             });
         match job {
             Ok(job) => self.enqueue(conn_id, seq, job, accepted_at),
-            Err(err) => self.finish_response(conn_id, seq, &err.into()),
+            Err(err) => self.finish_response(conn_id, seq, err.into()),
         }
     }
 
@@ -1000,13 +1085,13 @@ impl EventLoop {
                 );
                 let response = Response::from(err)
                     .with_header("Retry-After", &self.config.retry_after_secs.to_string());
-                self.finish_response(conn_id, seq, &response);
+                self.finish_response(conn_id, seq, response);
             }
         }
     }
 
     /// Records and slots an inline response, then tries to flush it.
-    fn finish_response(&mut self, conn_id: u64, seq: u64, response: &Response) {
+    fn finish_response(&mut self, conn_id: u64, seq: u64, response: Response<SharedBody>) {
         if let Some(chaos) = &self.config.chaos {
             if chaos.fires(Site::SlowWrite) {
                 std::thread::sleep(chaos.delay());
@@ -1020,28 +1105,11 @@ impl EventLoop {
         self.pump_write(conn_id);
     }
 
-    /// Writes as much buffered response data as the socket accepts, and
-    /// retires the connection once it is finished.
+    /// Writes as much of the connection's outbox as the socket accepts,
+    /// and retires the connection once it is finished.
     fn pump_write(&mut self, id: u64) {
         let Some(conn) = self.conns.get_mut(&id) else { return };
-        let mut dead = false;
-        while !conn.write_buf.is_empty() {
-            match conn.stream.write(&conn.write_buf) {
-                Ok(0) => {
-                    dead = true;
-                    break;
-                }
-                Ok(n) => {
-                    conn.write_buf.drain(..n);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    dead = true;
-                    break;
-                }
-            }
-        }
+        let dead = conn.flush(&self.metrics).is_err();
         if dead || conn.finished() {
             self.conns.remove(&id);
         }
@@ -1078,7 +1146,7 @@ impl EventLoop {
             };
             conn.close_at = Some(seq);
             let err = JobError::new(408, "bad_request", "timed out reading from peer");
-            self.finish_response(id, seq, &Response::json(err.status, err.body()));
+            self.finish_response(id, seq, err.into());
         }
         // Idle keep-alive connections (and half-closed leftovers) are
         // reaped silently.
@@ -1130,15 +1198,15 @@ fn worker_loop(ctx: &WorkerCtx) {
             Ok(response) => response,
             Err(payload) => {
                 ctx.metrics.record_job_panicked();
-                let err = JobError::new(
+                JobError::new(
                     500,
                     "internal_error",
                     format!(
                         "worker panicked while executing the job: {}",
                         ShardPanic::from_payload(payload).message()
                     ),
-                );
-                Response::json(err.status, err.body())
+                )
+                .into()
             }
         };
         if response.status == 408 {
@@ -1155,7 +1223,7 @@ fn worker_loop(ctx: &WorkerCtx) {
 }
 
 impl Backend for Local {
-    fn run(&self, job: &Job) -> Response {
+    fn run(&self, job: &Job) -> Response<SharedBody> {
         match job {
             Job::Submit(submission) => self.run_job(&submission.resolved, &submission.deadline),
             Job::Upload(parsed) => wire::respond(wire::networks_put_body(parsed)),
@@ -1165,11 +1233,12 @@ impl Backend for Local {
 
 impl Local {
     /// Registry resolution, cache lookup (memory, then store), execution,
-    /// cache fill. Cache locks recover from poisoning
+    /// cache fill. Every path that caches a body shares it with the
+    /// response instead of copying it. Cache locks recover from poisoning
     /// (`PoisonError::into_inner`): the LRU's invariants hold across a panic
     /// observed mid-`get`/`put`, and losing a cached body at worst costs a
     /// recomputation.
-    fn run_job(&self, job: &ResolvedJob, deadline: &Deadline) -> Response {
+    fn run_job(&self, job: &ResolvedJob, deadline: &Deadline) -> Response<SharedBody> {
         if let Err(err) = deadline.check("queued") {
             return err.into();
         }
@@ -1206,10 +1275,11 @@ impl Local {
                 if let Ok(body) = String::from_utf8(bytes) {
                     self.metrics.record_store_read();
                     self.metrics.record_cache_hit();
+                    let body = Arc::new(body);
                     self.cache
                         .lock()
                         .unwrap_or_else(PoisonError::into_inner)
-                        .put(&key, body.clone());
+                        .put(&key, Arc::clone(&body));
                     return Response::json(200, body).with_header("X-Cache", "store");
                 }
             }
@@ -1222,7 +1292,11 @@ impl Local {
         };
         match executed {
             Ok(body) => {
-                self.cache.lock().unwrap_or_else(PoisonError::into_inner).put(&key, body.clone());
+                let body = Arc::new(body);
+                self.cache
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .put(&key, Arc::clone(&body));
                 if let Some(store) = &self.store {
                     // A failed persist costs only warmth after a restart; the
                     // computed response is still correct, so serve it.
@@ -1287,5 +1361,66 @@ impl Local {
             self.workspaces.lock().unwrap_or_else(PoisonError::into_inner).remove(&ws_key);
         }
         result
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::JobRequest;
+
+    fn demo_job(seed: u64) -> ResolvedJob {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/networks/soc_demo.rsn");
+        let network = std::fs::read_to_string(path).expect("read soc_demo.rsn");
+        let request = JobRequest { network: Some(network), seed: Some(seed), ..Default::default() };
+        wire::resolve(Endpoint::Analyze, &request).expect("resolve")
+    }
+
+    #[test]
+    fn every_cache_tier_shares_the_body_it_serves() {
+        let dir = std::env::temp_dir().join(format!("rsnd-shared-body-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create temp dir");
+        let (store, _) = Store::open(dir.join("rsnd.store")).expect("open store");
+        let store = Arc::new(store);
+        let metrics = Arc::new(Metrics::new());
+        let registry = Registry::open(Some(Arc::clone(&store)), Arc::clone(&metrics));
+        let local = Local {
+            cache: Mutex::new(LruCache::new(4)),
+            workspaces: Mutex::new(WorkspaceCache::new(0)),
+            registry: Arc::new(registry.expect("open registry")),
+            store: Some(Arc::clone(&store)),
+            metrics,
+            analysis_threads: Parallelism::sequential(),
+            chaos: None,
+        };
+        let cached = |key: &str| local.cache.lock().expect("cache lock").get(key).expect("cached");
+        let key_of = |job: &ResolvedJob| {
+            let network = local.registry.resolve_inline(&job.network).expect("parse");
+            job.canonical_key_with(&network.hash)
+        };
+
+        // A body a previous run persisted: served from the store, then from
+        // memory, one allocation throughout.
+        let job = demo_job(7);
+        let key = key_of(&job);
+        store.put(Namespace::Results, key.as_bytes(), b"{\"stored\":1}").expect("persist");
+        let stored = local.run_job(&job, &Deadline::none());
+        assert_eq!(
+            (stored.header("X-Cache"), stored.body.as_str()),
+            (Some("store"), "{\"stored\":1}")
+        );
+        assert!(Arc::ptr_eq(&stored.body, &cached(&key)));
+        let hit = local.run_job(&job, &Deadline::none());
+        assert_eq!(hit.header("X-Cache"), Some("hit"));
+        assert!(Arc::ptr_eq(&hit.body, &stored.body));
+
+        // A computed body: the cache fill is the response's allocation.
+        let job = demo_job(8);
+        let missed = local.run_job(&job, &Deadline::none());
+        assert_eq!(missed.header("X-Cache"), Some("miss"));
+        assert!(Arc::ptr_eq(&missed.body, &cached(&key_of(&job))));
+
+        drop((local, store));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

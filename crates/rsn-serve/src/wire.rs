@@ -19,6 +19,7 @@
 //! bytes, and a cache hit is indistinguishable from a fresh computation
 //! except for its `X-Cache` header.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use moea::{Nsga2Config, Spea2Config};
@@ -30,6 +31,8 @@ use robust_rsn::{
 use rsn_model::format::parse_network;
 use rsn_model::{BuiltStructure, NodeId, ScanNetwork};
 use serde::{Deserialize, Serialize};
+
+use crate::http::{Response, SharedBody};
 
 /// A job submission: the network (inline text or registry hash) plus
 /// optional knobs. Missing fields take the defaults documented per field
@@ -524,17 +527,18 @@ impl JobError {
     }
 }
 
-impl From<JobError> for crate::http::Response {
+impl From<JobError> for Response<SharedBody> {
     fn from(err: JobError) -> Self {
-        Self::json(err.status, err.body())
+        Self::json(err.status, Arc::new(err.body()))
     }
 }
 
-/// A `200` JSON response carrying `body`, or the error's envelope.
+/// A `200` JSON response carrying `body`, or the error's envelope. The
+/// body is shared as it came from the serializer, not copied.
 #[must_use]
-pub fn respond(body: Result<String, JobError>) -> crate::http::Response {
+pub fn respond(body: Result<String, JobError>) -> Response<SharedBody> {
     match body {
-        Ok(body) => crate::http::Response::json(200, body),
+        Ok(body) => Response::json(200, Arc::new(body)),
         Err(err) => err.into(),
     }
 }

@@ -5,7 +5,8 @@
 # hardening_incremental),
 # BENCH_simulation.json (simulator shift/retarget/validation-campaign), and
 # BENCH_serve.json (rsn_tool loadgen against an in-process rsnd: throughput
-# plus p50/p99/p999 latency in closed- and open-loop modes).
+# plus p50/p99/p999 latency in closed- and open-loop modes, and a host block
+# naming the cores, commit, dirty flag and cargo features).
 #
 # The vendored criterion shim appends one JSON line per benchmark to
 # $BENCH_JSON_PATH; this script collects those lines into a single JSON
@@ -138,9 +139,21 @@ if [ "$serve_snapshot" -eq 1 ]; then
     wait "$cluster_pid" || true
     rm -f "$cluster_log"
 
+    # The host the numbers came from: cores, the commit and whether the
+    # tracked files differed from it, and the cargo features built (none
+    # beyond the defaults).
+    commit=null
+    dirty=null
+    if head=$(git rev-parse HEAD 2>/dev/null); then
+        commit="\"$head\""
+        dirty=false
+        [ -n "$(git status --porcelain --untracked-files=no)" ] && dirty=true
+    fi
     {
         printf '{\n'
         printf '  "snapshot": "serve",\n'
+        printf '  "host": {"nproc": %s, "commit": %s, "dirty": %s, "cargo_features": "default"},\n' \
+            "$(nproc)" "$commit" "$dirty"
         printf '  "network": "%s",\n' "$network"
         printf '  "closed_loop": %s,\n' "$closed"
         printf '  "open_loop": %s,\n' "$open"

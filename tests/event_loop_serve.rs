@@ -297,3 +297,90 @@ fn ten_thousand_keepalive_connections_are_sustained() {
     assert!(rest.iter().any(|l| l == "rsnd shut down cleanly"), "{rest:?}");
     drop(fleet_conns);
 }
+
+/// Table I's largest design: its `/v1/harden` answer is an ~8 MB front, more
+/// than the kernel buffers a socket between two processes.
+fn p93791_network() -> String {
+    let spec = rsn_benchmarks::by_name("p93791").expect("p93791 is a Table I design");
+    rsn_model::format::print_network(spec.name, &spec.generate())
+}
+
+/// Reads one response in 16 KiB reads with a pause after each, so the
+/// daemon's writes keep meeting a full socket and write only part of what
+/// they were handed.
+fn read_response_slowly(stream: &mut TcpStream, buf: &mut Vec<u8>) -> Response {
+    let mut chunk = [0u8; 16 * 1024];
+    loop {
+        if let Some((response, consumed)) = http::parse_response_bytes(buf).expect("parse response")
+        {
+            buf.drain(..consumed);
+            return response;
+        }
+        let n = stream.read(&mut chunk).expect("read response bytes");
+        assert!(n > 0, "peer closed mid-response with {} buffered bytes", buf.len());
+        buf.extend_from_slice(&chunk[..n]);
+        std::thread::sleep(Duration::from_micros(500));
+    }
+}
+
+#[test]
+fn a_slow_reader_gets_a_large_pipelined_answer_whole_and_in_order() {
+    let (addr, stop) = boot(ServerConfig::default());
+    let client = Client::new(addr.clone());
+    let harden = JobRequest {
+        network: Some(p93791_network()),
+        seed: Some(7),
+        solver: Some("greedy".into()),
+        ..Default::default()
+    };
+    let resolved = wire::resolve(Endpoint::Harden, &harden).expect("resolve");
+    let front =
+        wire::execute(&resolved, Parallelism::sequential(), &Deadline::none()).expect("execute");
+    assert!(front.len() >= 4 << 20, "the front must outgrow the socket buffers");
+    let resolved = wire::resolve(Endpoint::Analyze, &analyze_job(7)).expect("resolve");
+    let report =
+        wire::execute(&resolved, Parallelism::sequential(), &Deadline::none()).expect("execute");
+    let analyze = serde_json::to_string(&analyze_job(7)).expect("serialize");
+    let harden = serde_json::to_string(&harden).expect("serialize");
+
+    // Keep-alive, then `Connection: close` on the last request (the second
+    // harden is a cache hit, written from the cached body).
+    for close in [false, true] {
+        let writes_before = gauge(&client, "rsnd_socket_writes_total ");
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_secs(120))).expect("set timeout");
+        let mut batch = request_bytes("POST", "/v1/harden", harden.as_bytes());
+        batch.extend_from_slice(&request_bytes("GET", "/healthz", b""));
+        batch.extend_from_slice(&http::encode_request(
+            "POST",
+            "/v1/analyze",
+            "application/json",
+            analyze.as_bytes(),
+            close,
+        ));
+        stream.write_all(&batch).expect("write pipeline");
+
+        let mut buf = Vec::new();
+        let first = read_response_slowly(&mut stream, &mut buf);
+        assert_eq!(first.status, 200, "{}", first.body);
+        assert!(first.body == front, "the harden answer must equal wire::execute byte for byte");
+        let second = read_response_slowly(&mut stream, &mut buf);
+        assert_eq!((second.status, second.body.as_str()), (200, "ok\n"));
+        let third = read_response_slowly(&mut stream, &mut buf);
+        assert_eq!(third.status, 200, "{}", third.body);
+        assert_eq!(third.body, report);
+        assert!(buf.is_empty(), "no bytes beyond the three answers");
+        if close {
+            assert_eq!(third.header("connection"), Some("close"));
+            expect_close(&mut stream);
+        } else {
+            assert_eq!(third.header("connection"), Some("keep-alive"));
+        }
+        // The front outgrows the socket's send buffer, so it cannot leave
+        // in one write: the first scrape's answer plus at least two writes
+        // for the batch (about ten on a 4 MiB `wmem_max` host).
+        let writes = gauge(&client, "rsnd_socket_writes_total ") - writes_before;
+        assert!(writes >= 3, "{writes} socket writes for an {}-byte answer", front.len());
+    }
+    stop();
+}

@@ -205,6 +205,21 @@ fn metrics_expose_requests_latency_and_cache_rates() {
     ] {
         assert!(metrics.lines().any(|l| l == line), "missing {line:?} in:\n{metrics}");
     }
+    // The write path counts: both answers went out in at least one write
+    // each, and the scrape's own answer moves both counters on.
+    let count = |text: &str, name: &str| -> u64 {
+        text.lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or_else(|| panic!("missing {name} in:\n{text}"))
+    };
+    let body = client.submit(Endpoint::Analyze, &job).expect("submit").body;
+    let (writes, bytes) =
+        (count(&metrics, "rsnd_socket_writes_total"), count(&metrics, "rsnd_response_bytes_total"));
+    assert!(writes >= 2 && bytes > 2 * body.len() as u64, "{writes} writes, {bytes} bytes");
+    let later = client.metrics_text().expect("metrics");
+    assert!(count(&later, "rsnd_socket_writes_total") >= writes + 2, "{later}");
+    let moved = count(&later, "rsnd_response_bytes_total") - bytes;
+    assert!(moved > (body.len() + metrics.len()) as u64, "{moved} bytes for two answers");
     stop();
 }
 
