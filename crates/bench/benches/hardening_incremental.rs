@@ -8,9 +8,14 @@
 //! The `incremental` path reuses one warm workspace — `harden` is an O(1)
 //! mask flip and `undo` restores the baseline — which is exactly what
 //! `rsnd` serves behind `POST /v1/whatif`.
+//!
+//! `exclude_roundtrip` is the structural what-if on the same warm
+//! workspace: exclude one plain (non-control-cell) segment, read the
+//! damage, undo. The exclude re-sweeps every mode; the undo restores the
+//! traces the exclude replaced, so a round trip costs one sweep.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use robust_rsn::{PaperSpecParams, Parallelism, Workspace};
+use robust_rsn::{PaperSpecParams, Parallelism, Workspace, WorkspaceDelta};
 use rsn_benchmarks::by_name;
 
 const WHATIFS_PER_BATCH: usize = 6;
@@ -54,6 +59,22 @@ fn whatif_hardening(c: &mut Criterion) {
                     warm.undo().unwrap();
                 }
                 fold
+            })
+        });
+
+        // The first segment that excludes: control cells are rejected, and a
+        // rejected edit changes nothing.
+        let segment = net
+            .segments()
+            .find(|&segment| {
+                warm.edit(WorkspaceDelta::ExcludeSegment { segment }).is_ok() && warm.undo().is_ok()
+            })
+            .expect("a plain segment");
+        group.bench_function("exclude_roundtrip", |b| {
+            b.iter(|| {
+                let report = warm.edit(WorkspaceDelta::ExcludeSegment { segment }).unwrap();
+                warm.undo().unwrap();
+                report.total_damage
             })
         });
         group.finish();

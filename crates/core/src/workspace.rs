@@ -24,6 +24,12 @@
 //! set: every mode is re-swept in lane blocks, and the traces are committed
 //! only once the whole sweep succeeded.
 //!
+//! Undoing a structural edit that is still the newest edit re-sweeps
+//! nothing: the workspace keeps the one trace set that edit replaced and
+//! swaps it back, so an exclude-then-undo costs one sweep, not two. Any
+//! later successful edit or undo drops the held set (the traces it holds
+//! would no longer match the state), and undo falls back to a re-sweep.
+//!
 //! All recomputation shards per the workspace [`Parallelism`] with results
 //! spliced in mode order, so every query result is bit-identical to a
 //! from-scratch full sweep at any thread count (property-tested in
@@ -45,7 +51,7 @@
 //! let worst = ws.graph_criticality().primitives()[0];
 //! ws.harden(worst)?;                     // O(1): masks one primitive
 //! assert!(ws.total_damage() < before);
-//! ws.undo()?;                            // inverse delta through the same machinery
+//! ws.undo()?;                            // O(1): unmasks it again
 //! assert_eq!(ws.total_damage(), before);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -102,7 +108,9 @@ pub enum WorkspaceDelta {
         /// The segment to exclude.
         segment: NodeId,
     },
-    /// Reverts [`WorkspaceDelta::ExcludeSegment`] by the same full re-sweep.
+    /// Reverts [`WorkspaceDelta::ExcludeSegment`]: every mode is re-swept
+    /// without the segment. [`Workspace::undo`] of the newest exclude swaps
+    /// back the traces it replaced instead.
     IncludeSegment {
         /// The segment to re-include.
         segment: NodeId,
@@ -182,7 +190,8 @@ impl From<Cancelled> for WorkspaceError {
 pub struct DeltaReport {
     /// Fault modes whose damage was re-derived: every mode for structural
     /// deltas (one full sweep), the modes whose damage changed for weight
-    /// edits (arithmetic replays), `0` for hardening.
+    /// edits (arithmetic replays), `0` for hardening and for an undo that
+    /// restored the traces its structural edit replaced.
     pub recomputed_modes: usize,
     /// Σⱼ d_j after the delta, with hardened and excluded primitives masked.
     pub total_damage: u64,
@@ -233,6 +242,13 @@ pub struct Workspace {
     excluded_list: Vec<NodeId>,
     /// Inverse deltas, newest last.
     undo: Vec<WorkspaceDelta>,
+    /// The traces the newest structural edit replaced, held only while that
+    /// edit is on top of `undo` so undoing it restores them without a
+    /// sweep. At most one set; never a copy.
+    replaced: Option<Vec<ModeTrace>>,
+    /// Modes evaluated by committed kernel sweeps over this workspace's
+    /// life (see [`Workspace::modes_swept`]).
+    modes_swept: u64,
 }
 
 impl Workspace {
@@ -290,6 +306,8 @@ impl Workspace {
             modes: Vec::new(),
             excluded_list: Vec::new(),
             undo: Vec::new(),
+            replaced: None,
+            modes_swept: 0,
         };
         ws.resweep(excluded_list)?;
         Ok(ws)
@@ -314,10 +332,19 @@ impl Workspace {
 
     /// Makes `ambient` (ascending) the ambient broken set: re-sweeps every
     /// mode under it and, only once the whole sweep succeeded, commits the
-    /// traces, the exclusion flags and the aggregates. Returns the number of
-    /// modes swept.
-    fn resweep(&mut self, ambient: Vec<NodeId>) -> Result<usize, AnalysisError> {
-        self.modes = self.sweep(&ambient)?;
+    /// traces, the exclusion flags and the aggregates. Returns the traces
+    /// the sweep replaced.
+    fn resweep(&mut self, ambient: Vec<NodeId>) -> Result<Vec<ModeTrace>, AnalysisError> {
+        let traces = self.sweep(&ambient)?;
+        self.modes_swept += traces.len() as u64;
+        let replaced = std::mem::replace(&mut self.modes, traces);
+        self.commit_ambient(ambient);
+        Ok(replaced)
+    }
+
+    /// Commits `ambient` as the ambient broken set the current traces were
+    /// swept under: exclusion flags, `excluded_list` and the aggregates.
+    fn commit_ambient(&mut self, ambient: Vec<NodeId>) {
         for &s in &self.excluded_list {
             self.excluded[s.index()] = false;
         }
@@ -326,7 +353,6 @@ impl Workspace {
         }
         self.excluded_list = ambient;
         self.reaggregate();
-        Ok(self.modes.len())
     }
 
     /// Re-derives every primitive's aggregate from the cached mode traces,
@@ -409,6 +435,14 @@ impl Workspace {
     #[must_use]
     pub fn undo_depth(&self) -> usize {
         self.undo.len()
+    }
+
+    /// Fault modes evaluated by the kernel over this workspace's life: the
+    /// initial sweep plus every committed structural re-sweep. An undo that
+    /// restores replaced traces, and an edit that fails, add nothing.
+    #[must_use]
+    pub fn modes_swept(&self) -> u64 {
+        self.modes_swept
     }
 
     /// The damage `d_j` under the current state: `0` for hardened or
@@ -506,6 +540,8 @@ impl Workspace {
     /// `ExcludeSegment`/`IncludeSegment` re-sweep every mode under the new
     /// ambient broken set. A re-sweep is committed only on success, so a
     /// failed (e.g. cancelled) edit leaves the workspace exactly as it was.
+    /// A successful edit drops the traces held for [`undo`](Self::undo); a
+    /// structural one holds the traces it replaced in their place.
     ///
     /// # Errors
     ///
@@ -513,8 +549,9 @@ impl Workspace {
     /// current state; [`WorkspaceError::Session`] for cancellation or a
     /// worker panic.
     pub fn edit(&mut self, delta: WorkspaceDelta) -> Result<DeltaReport, WorkspaceError> {
-        let (inverse, report) = self.apply(&delta)?;
+        let (inverse, report, replaced) = self.apply(&delta)?;
         self.undo.push(inverse);
+        self.replaced = replaced;
         Ok(report)
     }
 
@@ -527,8 +564,15 @@ impl Workspace {
         self.edit(WorkspaceDelta::Harden { primitive })
     }
 
-    /// Reverts the most recent un-undone edit by applying its inverse delta
-    /// through the same machinery; returns `None` when the stack is empty.
+    /// Reverts the most recent un-undone edit; returns `None` when the stack
+    /// is empty.
+    ///
+    /// When that edit is structural and nothing has succeeded since, undo
+    /// swaps back the traces the edit replaced and recomputes no mode
+    /// (`recomputed_modes == 0`). Otherwise it applies the inverse delta
+    /// through the same machinery as [`edit`](Self::edit), re-sweeping for
+    /// a structural inverse. Either way it ends bit-identical to
+    /// [`rebuilt`](Self::rebuilt).
     ///
     /// # Errors
     ///
@@ -536,20 +580,34 @@ impl Workspace {
     /// the workspace unchanged.
     pub fn undo(&mut self) -> Result<Option<DeltaReport>, WorkspaceError> {
         let Some(inverse) = self.undo.pop() else { return Ok(None) };
-        match self.apply(&inverse) {
-            Ok((_, report)) => Ok(Some(report)),
-            Err(e) => {
-                self.undo.push(inverse);
-                Err(e)
-            }
-        }
+        let undone = if self.replaced.is_some() {
+            self.restore(&inverse)
+        } else {
+            self.apply(&inverse).map(|(_, report, _)| report)
+        };
+        undone.map(Some).inspect_err(|_| self.undo.push(inverse))
     }
 
-    /// Validates a delta and applies it; returns the inverse delta.
+    /// Undoes the structural edit whose inverse is `inverse` by committing
+    /// the held traces that edit replaced under the ambient set the inverse
+    /// leads back to. Runs no kernel call. The traces are still exact: undo
+    /// is LIFO, so weights and the ambient set are back to what they were
+    /// when the traces were swept (hardening only masks). On error the
+    /// traces stay held.
+    fn restore(&mut self, inverse: &WorkspaceDelta) -> Result<DeltaReport, WorkspaceError> {
+        let ambient = self.structural_ambient(inverse)?;
+        self.cancel.check()?;
+        self.modes = self.replaced.take().expect("undo restores only when traces are held");
+        self.commit_ambient(ambient);
+        Ok(self.report(0))
+    }
+
+    /// Validates a delta and applies it; returns the inverse delta, the
+    /// report, and for a structural delta the traces it replaced.
     fn apply(
         &mut self,
         delta: &WorkspaceDelta,
-    ) -> Result<(WorkspaceDelta, DeltaReport), WorkspaceError> {
+    ) -> Result<(WorkspaceDelta, DeltaReport, Option<Vec<ModeTrace>>), WorkspaceError> {
         match *delta {
             WorkspaceDelta::Harden { primitive } => {
                 self.check_primitive(primitive)?;
@@ -560,7 +618,7 @@ impl Workspace {
                 }
                 self.cancel.check()?;
                 self.hardened[primitive.index()] = true;
-                Ok((WorkspaceDelta::Unharden { primitive }, self.report(0)))
+                Ok((WorkspaceDelta::Unharden { primitive }, self.report(0), None))
             }
             WorkspaceDelta::Unharden { primitive } => {
                 self.check_primitive(primitive)?;
@@ -571,7 +629,7 @@ impl Workspace {
                 }
                 self.cancel.check()?;
                 self.hardened[primitive.index()] = false;
-                Ok((WorkspaceDelta::Harden { primitive }, self.report(0)))
+                Ok((WorkspaceDelta::Harden { primitive }, self.report(0), None))
             }
             WorkspaceDelta::SetWeights { instrument, obs, set } => {
                 if instrument.index() >= self.net.instrument_count() {
@@ -597,8 +655,25 @@ impl Workspace {
                 }
                 self.reaggregate();
                 let inverse = WorkspaceDelta::SetWeights { instrument, obs: old.0, set: old.1 };
-                Ok((inverse, self.report(recomputed)))
+                Ok((inverse, self.report(recomputed), None))
             }
+            WorkspaceDelta::ExcludeSegment { segment } => {
+                let replaced = self.resweep(self.structural_ambient(delta)?)?;
+                let report = self.report(self.modes.len());
+                Ok((WorkspaceDelta::IncludeSegment { segment }, report, Some(replaced)))
+            }
+            WorkspaceDelta::IncludeSegment { segment } => {
+                let replaced = self.resweep(self.structural_ambient(delta)?)?;
+                let report = self.report(self.modes.len());
+                Ok((WorkspaceDelta::ExcludeSegment { segment }, report, Some(replaced)))
+            }
+        }
+    }
+
+    /// The ambient broken set (ascending) a structural delta leads to, once
+    /// the delta is checked against the current state.
+    fn structural_ambient(&self, delta: &WorkspaceDelta) -> Result<Vec<NodeId>, WorkspaceError> {
+        match *delta {
             WorkspaceDelta::ExcludeSegment { segment } => {
                 self.check_excludable(segment)?;
                 if self.excluded[segment.index()] {
@@ -609,8 +684,7 @@ impl Workspace {
                 let mut ambient = self.excluded_list.clone();
                 ambient.push(segment);
                 ambient.sort_unstable();
-                let recomputed = self.resweep(ambient)?;
-                Ok((WorkspaceDelta::IncludeSegment { segment }, self.report(recomputed)))
+                Ok(ambient)
             }
             WorkspaceDelta::IncludeSegment { segment } => {
                 self.check_excludable(segment)?;
@@ -619,11 +693,12 @@ impl Workspace {
                         "segment {segment} is not excluded"
                     )));
                 }
-                let ambient: Vec<NodeId> =
-                    self.excluded_list.iter().copied().filter(|&s| s != segment).collect();
-                let recomputed = self.resweep(ambient)?;
-                Ok((WorkspaceDelta::ExcludeSegment { segment }, self.report(recomputed)))
+                Ok(self.excluded_list.iter().copied().filter(|&s| s != segment).collect())
             }
+            _ => Err(WorkspaceError::InvalidDelta(format!(
+                "{} is not a structural delta",
+                delta.kind()
+            ))),
         }
     }
 
@@ -813,6 +888,166 @@ mod tests {
         assert_eq!(ws.summary(16), rebuilt.summary(16), "incremental == full sweep");
         ws.undo().expect("undo ok").expect("entry");
         assert_eq!(ws.summary(16), baseline_summary);
+    }
+
+    /// The plain (non-control-cell) segments of `ws`, ascending.
+    fn plain_segments(ws: &Workspace) -> Vec<NodeId> {
+        ws.network().segments().filter(|&s| ws.controlled[s.index()].is_empty()).collect()
+    }
+
+    fn summary_bytes(ws: &Workspace) -> String {
+        serde_json::to_string(&ws.summary(16)).expect("serialize summary")
+    }
+
+    /// Asserts `ws` is bit-identical to a from-scratch rebuild of its state.
+    fn assert_matches_rebuild(ws: &Workspace, step: &str) {
+        let rebuilt = ws.rebuilt().expect("rebuild");
+        assert_eq!(summary_bytes(ws), summary_bytes(&rebuilt), "after {step}");
+        assert_eq!(ws.total_damage(), rebuilt.total_damage(), "after {step}");
+    }
+
+    #[test]
+    fn undoing_an_exclude_restores_its_traces_without_a_sweep() {
+        for threads in [1usize, 4] {
+            let mut ws = workspace(demo_net(), threads);
+            let (before, bytes) = (ws.total_damage(), summary_bytes(&ws));
+            let seg = plain_segments(&ws)[0];
+            let swept = ws.modes_swept();
+            assert_eq!(swept, ws.table.len() as u64, "the initial sweep");
+            ws.edit(WorkspaceDelta::ExcludeSegment { segment: seg }).expect("exclude");
+            let undone = ws.undo().expect("undo ok").expect("entry");
+            assert_eq!(undone.recomputed_modes, 0, "restored, not re-swept ({threads} threads)");
+            assert_eq!(undone.total_damage, before);
+            assert_eq!(summary_bytes(&ws), bytes, "byte-equal summary ({threads} threads)");
+            assert!(!ws.is_excluded(seg));
+            assert_eq!(ws.modes_swept(), swept + ws.table.len() as u64, "one sweep per exclude");
+            assert_matches_rebuild(&ws, "exclude, undo");
+        }
+    }
+
+    /// One step of a scripted delta sequence over [`demo_net`].
+    #[derive(Clone, Copy, Debug)]
+    enum Step {
+        /// Excludes the n-th plain segment.
+        Exclude(usize),
+        /// Excludes the n-th plain segment under a cancelled token: fails.
+        CancelledExclude(usize),
+        /// Sets the first instrument's weights to `(w, w)`.
+        Weights(u64),
+        /// Hardens the last primitive.
+        Harden,
+        /// Undoes the newest edit; `resweeps` says whether that takes a
+        /// full sweep (the held traces were dropped) or none.
+        Undo { resweeps: bool },
+    }
+
+    /// Runs `steps` on fresh workspaces at 1 and 4 threads. After every step
+    /// the workspace must match [`Workspace::rebuilt`]; once every edit is
+    /// undone it must also be byte-equal to the fresh workspace.
+    fn run_sequence(steps: &[Step]) {
+        for threads in [1usize, 4] {
+            let mut ws = workspace(demo_net(), threads);
+            let fresh = summary_bytes(&ws);
+            let plain = plain_segments(&ws);
+            let modes = ws.table.len();
+            let mut done: Vec<Step> = Vec::new();
+            for (k, &step) in steps.iter().enumerate() {
+                let at = format!("step {k} {step:?} ({threads} threads)");
+                let swept = ws.modes_swept();
+                match step {
+                    Step::Exclude(n) => {
+                        let segment = plain[n];
+                        ws.edit(WorkspaceDelta::ExcludeSegment { segment }).expect(&at);
+                    }
+                    Step::CancelledExclude(n) => {
+                        let cancel = CancelToken::new();
+                        cancel.cancel();
+                        ws.set_cancel_token(cancel);
+                        let segment = plain[n];
+                        let err = ws.edit(WorkspaceDelta::ExcludeSegment { segment });
+                        ws.set_cancel_token(CancelToken::none());
+                        assert_eq!(err.expect_err(&at).code(), "cancelled", "{at}");
+                    }
+                    Step::Weights(w) => {
+                        let (instrument, _) =
+                            ws.network().instruments().next().expect("instrument");
+                        ws.edit(WorkspaceDelta::SetWeights { instrument, obs: w, set: w })
+                            .expect(&at);
+                    }
+                    Step::Harden => {
+                        let j = *ws.primitives.last().expect("primitives");
+                        ws.harden(j).expect(&at);
+                    }
+                    Step::Undo { resweeps } => {
+                        let report = ws.undo().expect(&at).expect("entry");
+                        let cost = if resweeps { modes } else { 0 };
+                        assert_eq!(ws.modes_swept() - swept, cost as u64, "{at}");
+                        // A weight edit's undo re-prices some modes; every
+                        // other undo recomputes all of them or none.
+                        if !matches!(done.pop(), Some(Step::Weights(_))) {
+                            assert_eq!(report.recomputed_modes, cost, "{at}");
+                        }
+                    }
+                }
+                if !matches!(step, Step::Undo { .. } | Step::CancelledExclude(_)) {
+                    done.push(step);
+                }
+                assert_matches_rebuild(&ws, &at);
+            }
+            if ws.undo_depth() == 0 {
+                assert_eq!(summary_bytes(&ws), fresh, "fully undone ({threads} threads)");
+            }
+        }
+    }
+
+    #[test]
+    fn undo_after_a_second_exclude_restores_then_resweeps() {
+        run_sequence(&[
+            Step::Exclude(0),
+            Step::Exclude(1),
+            Step::Undo { resweeps: false },
+            Step::Undo { resweeps: true },
+        ]);
+        // A re-sweeping undo holds nothing for the undo below it.
+        run_sequence(&[
+            Step::Exclude(0),
+            Step::Exclude(1),
+            Step::Exclude(2),
+            Step::Undo { resweeps: false },
+            Step::Undo { resweeps: true },
+            Step::Undo { resweeps: true },
+        ]);
+    }
+
+    #[test]
+    fn weight_edit_after_an_exclude_drops_the_held_traces() {
+        for w in [91, u64::MAX] {
+            run_sequence(&[
+                Step::Exclude(0),
+                Step::Weights(w),
+                Step::Undo { resweeps: false },
+                Step::Undo { resweeps: true },
+            ]);
+        }
+    }
+
+    #[test]
+    fn harden_after_an_exclude_drops_the_held_traces() {
+        run_sequence(&[
+            Step::Exclude(0),
+            Step::Harden,
+            Step::Undo { resweeps: false },
+            Step::Undo { resweeps: true },
+        ]);
+    }
+
+    #[test]
+    fn a_cancelled_exclude_keeps_the_held_traces() {
+        run_sequence(&[
+            Step::Exclude(0),
+            Step::CancelledExclude(1),
+            Step::Undo { resweeps: false },
+        ]);
     }
 
     #[test]

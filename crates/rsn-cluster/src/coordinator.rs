@@ -632,23 +632,26 @@ impl Cluster {
         }
     }
 
-    /// One health probe: scrape `/metrics` for liveness and queue depth. An
-    /// unreachable worker, or one whose queue is at the wedged depth, takes
-    /// a strike.
+    /// One health probe: scrape `/metrics` for liveness, queue depth and
+    /// what-if modes swept. An unreachable worker, or one whose queue is at
+    /// the wedged depth, takes a strike.
     fn probe(&self, status: &WorkerStatus) {
         if status.addr.is_empty() {
             return;
         }
         let client = Client::new(status.addr.clone()).with_timeout(self.config.probe_timeout);
-        let depth = client.metrics_text().ok().map(|text| {
-            text.lines()
-                .find_map(|l| l.strip_prefix("rsnd_queue_depth "))
-                .and_then(|v| v.trim().parse().ok())
-                .unwrap_or(0)
+        let scraped = client.metrics_text().ok().map(|text| {
+            let value = |name: &str| {
+                text.lines()
+                    .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+                    .and_then(|v| v.trim().parse().ok())
+                    .unwrap_or(0)
+            };
+            (value("rsnd_queue_depth"), value("rsnd_whatif_modes_swept_total"))
         });
-        match depth {
-            Some(depth) if depth < self.config.wedged_queue_depth => {
-                self.fleet.record_success(status.slot, status.generation, depth);
+        match scraped {
+            Some((depth, swept)) if depth < self.config.wedged_queue_depth => {
+                self.fleet.record_success(status.slot, status.generation, depth, swept);
             }
             _ => self.strike(status),
         }
@@ -739,6 +742,7 @@ mod tests {
                 addr: (*a).to_string(),
                 up: true,
                 queue_depth: 0,
+                whatif_modes_swept: 0,
             })
             .collect()
     }

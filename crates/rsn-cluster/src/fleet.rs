@@ -72,6 +72,9 @@ pub struct Worker {
     pub consecutive_failures: u32,
     /// Last scraped `rsnd_queue_depth`, for the fleet metrics view.
     pub queue_depth: u64,
+    /// Last scraped `rsnd_whatif_modes_swept_total`, for the fleet metrics
+    /// view.
+    pub whatif_modes_swept: u64,
     child: Option<Child>,
 }
 
@@ -84,6 +87,7 @@ impl Worker {
             up,
             consecutive_failures: 0,
             queue_depth: 0,
+            whatif_modes_swept: 0,
             child: None,
         })
     }
@@ -102,6 +106,8 @@ pub struct WorkerStatus {
     pub up: bool,
     /// Last scraped queue depth.
     pub queue_depth: u64,
+    /// Last scraped what-if modes swept by this worker generation.
+    pub whatif_modes_swept: u64,
 }
 
 /// A fixed set of worker slots, spawned or adopted.
@@ -179,6 +185,7 @@ impl Fleet {
                     addr: w.addr.clone(),
                     up: w.up,
                     queue_depth: w.queue_depth,
+                    whatif_modes_swept: w.whatif_modes_swept,
                 }
             })
             .collect()
@@ -220,14 +227,21 @@ impl Fleet {
     }
 
     /// Records a successful probe of `generation` with the scraped queue
-    /// depth, resetting the failure streak.
-    pub fn record_success(&self, slot: usize, generation: u64, queue_depth: u64) {
+    /// depth and what-if modes swept, resetting the failure streak.
+    pub fn record_success(
+        &self,
+        slot: usize,
+        generation: u64,
+        queue_depth: u64,
+        whatif_modes_swept: u64,
+    ) {
         let mut w = self.lock(slot);
         if w.generation != generation {
             return;
         }
         w.consecutive_failures = 0;
         w.queue_depth = queue_depth;
+        w.whatif_modes_swept = whatif_modes_swept;
         w.up = true;
     }
 
@@ -252,6 +266,7 @@ impl Fleet {
         w.up = true;
         w.consecutive_failures = 0;
         w.queue_depth = 0;
+        w.whatif_modes_swept = 0;
         w.child = Some(child);
         Ok(addr)
     }

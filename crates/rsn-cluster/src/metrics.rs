@@ -1,6 +1,7 @@
 //! The coordinator's `rsnc_*` series: fleet-level counters plus per-worker
-//! up/down gauges and scraped queue depths, appended to the coordinator
-//! server's own `/metrics` exposition in the same Prometheus text format.
+//! up/down gauges, scraped queue depths and scraped what-if sweep counts,
+//! appended to the coordinator server's own `/metrics` exposition in the
+//! same Prometheus text format.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -100,6 +101,13 @@ impl ClusterMetrics {
                 "rsnc_worker_queue_depth{{slot=\"{}\",worker=\"{addr}\"}} {}\n",
                 w.slot, w.queue_depth
             ));
+            // The coordinator routes every what-if whole to a worker, so the
+            // sweeps happen there; this is the worker's own counter as of
+            // its last health probe.
+            out.push_str(&format!(
+                "rsnc_worker_whatif_modes_swept_total{{slot=\"{}\",worker=\"{addr}\"}} {}\n",
+                w.slot, w.whatif_modes_swept
+            ));
         }
         for (name, value) in [
             ("rsnc_requests_total", server.requests_total()),
@@ -136,5 +144,22 @@ mod tests {
         ClusterMetrics::default().render(&mut text, &[], &server);
         assert!(text.lines().any(|l| l == "rsnc_response_bytes_total 1500"), "{text}");
         assert!(text.lines().any(|l| l == "rsnc_socket_writes_total 2"), "{text}");
+    }
+
+    #[test]
+    fn scraped_worker_sweeps_render_as_rsnc_series() {
+        let worker = WorkerStatus {
+            slot: 1,
+            generation: 4,
+            addr: "127.0.0.1:7001".into(),
+            up: true,
+            queue_depth: 0,
+            whatif_modes_swept: 6074,
+        };
+        let mut text = String::new();
+        ClusterMetrics::default().render(&mut text, &[worker], &Metrics::new());
+        let line =
+            "rsnc_worker_whatif_modes_swept_total{slot=\"1\",worker=\"127.0.0.1:7001\"} 6074";
+        assert!(text.lines().any(|l| l == line), "{text}");
     }
 }

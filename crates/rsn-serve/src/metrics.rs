@@ -83,6 +83,7 @@ pub struct Metrics {
     cache_misses: AtomicU64,
     workspace_cache_hits: AtomicU64,
     workspace_cache_misses: AtomicU64,
+    whatif_modes_swept: AtomicU64,
     store_reads: AtomicU64,
     store_writes: AtomicU64,
     store_wal_replays: AtomicU64,
@@ -234,6 +235,19 @@ impl Metrics {
         self.workspace_cache_misses.load(Ordering::Relaxed)
     }
 
+    /// Adds fault modes the kernel swept for `/v1/whatif`: workspace builds,
+    /// and the edits and undos that re-swept (an undo that restores its
+    /// edit's traces sweeps none).
+    pub fn add_whatif_modes_swept(&self, modes: u64) {
+        self.whatif_modes_swept.fetch_add(modes, Ordering::Relaxed);
+    }
+
+    /// Fault modes swept for `/v1/whatif` so far.
+    #[must_use]
+    pub fn whatif_modes_swept(&self) -> u64 {
+        self.whatif_modes_swept.load(Ordering::Relaxed)
+    }
+
     /// Counts a value served from the persistent store.
     pub fn record_store_read(&self) {
         self.store_reads.fetch_add(1, Ordering::Relaxed);
@@ -382,6 +396,7 @@ impl Metrics {
             "rsnd_workspace_cache_misses_total {}\n",
             self.workspace_cache_misses()
         ));
+        out.push_str(&format!("rsnd_whatif_modes_swept_total {}\n", self.whatif_modes_swept()));
         out.push_str(&format!("rsnd_store_reads_total {}\n", self.store_reads()));
         out.push_str(&format!("rsnd_store_writes_total {}\n", self.store_writes()));
         out.push_str(&format!("rsnd_store_wal_replays_total {}\n", self.store_wal_replays()));
@@ -424,6 +439,7 @@ mod tests {
         m.record_workspace_cache_hit();
         m.record_workspace_cache_hit();
         m.record_workspace_cache_miss();
+        m.add_whatif_modes_swept(3037);
         let text = m.render();
         assert!(text.contains("rsnd_requests_total{endpoint=\"analyze\"} 2"), "{text}");
         assert!(text.contains("rsnd_requests_total{endpoint=\"harden\"} 1"), "{text}");
@@ -431,6 +447,7 @@ mod tests {
         assert!(text.contains("rsnd_requests_total{endpoint=\"validate\"} 1"), "{text}");
         assert!(text.contains("rsnd_workspace_cache_hits_total 2"), "{text}");
         assert!(text.contains("rsnd_workspace_cache_misses_total 1"), "{text}");
+        assert!(text.contains("rsnd_whatif_modes_swept_total 3037"), "{text}");
         assert!(text.contains("rsnd_requests_total{endpoint=\"other\"} 1"), "{text}");
         assert!(text.contains("rsnd_responses_total{status=\"200\"} 1"), "{text}");
         assert!(text.contains("rsnd_responses_total{status=\"503\"} 1"), "{text}");

@@ -1345,6 +1345,7 @@ impl Local {
             None => {
                 self.metrics.record_workspace_cache_miss();
                 let ws = wire::build_workspace_with(job, network, self.analysis_threads, deadline)?;
+                self.metrics.add_whatif_modes_swept(ws.modes_swept());
                 let arc = Arc::new(Mutex::new(ws));
                 self.workspaces
                     .lock()
@@ -1355,7 +1356,10 @@ impl Local {
         };
         let result = {
             let mut workspace = shared.lock().unwrap_or_else(PoisonError::into_inner);
-            wire::execute_whatif(job, &mut workspace, deadline)
+            let swept = workspace.modes_swept();
+            let result = wire::execute_whatif(job, &mut workspace, deadline);
+            self.metrics.add_whatif_modes_swept(workspace.modes_swept() - swept);
+            result
         };
         if result.as_ref().is_err_and(|e| e.status == 500) {
             self.workspaces.lock().unwrap_or_else(PoisonError::into_inner).remove(&ws_key);

@@ -1521,6 +1521,27 @@ mod tests {
     }
 
     #[test]
+    fn execute_whatif_exclude_on_p93791_repeats_its_bytes_with_one_sweep_each() {
+        let spec = rsn_benchmarks::by_name("p93791").expect("p93791 is a Table I design");
+        let req = JobRequest {
+            network: Some(rsn_model::format::print_network(spec.name, &spec.generate())),
+            seed: Some(7),
+            op: Some("exclude".into()),
+            target: Some("w5".into()),
+            ..Default::default()
+        };
+        let job = resolve(Endpoint::Whatif, &req).unwrap();
+        let mut ws = build_workspace(&job, Parallelism::sequential(), &Deadline::none()).unwrap();
+        let modes = ws.modes_swept();
+        let first = execute_whatif(&job, &mut ws, &Deadline::none()).unwrap();
+        let second = execute_whatif(&job, &mut ws, &Deadline::none()).unwrap();
+        assert_eq!(first, second, "the restored workspace answers the same bytes");
+        assert_eq!(ws.modes_swept(), 3 * modes, "one sweep per exclude, none per undo");
+        let resp: WhatifResponse = serde_json::from_str(&first).unwrap();
+        assert_eq!(resp.recomputed_modes, modes, "the edit reports every mode");
+    }
+
+    #[test]
     fn execute_whatif_set_weights_reports_new_totals() {
         let job = {
             let req = JobRequest {

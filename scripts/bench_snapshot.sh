@@ -5,8 +5,9 @@
 # hardening_incremental),
 # BENCH_simulation.json (simulator shift/retarget/validation-campaign), and
 # BENCH_serve.json (rsn_tool loadgen against an in-process rsnd: throughput
-# plus p50/p99/p999 latency in closed- and open-loop modes, and a host block
-# naming the cores, commit, dirty flag and cargo features).
+# plus p50/p99/p999 latency in closed- and open-loop modes). Every document
+# carries a host block naming the cores, commit, dirty flag and cargo
+# features.
 #
 # The vendored criterion shim appends one JSON line per benchmark to
 # $BENCH_JSON_PATH; this script collects those lines into a single JSON
@@ -14,6 +15,7 @@
 #
 #   {
 #     "snapshot": "criticality",
+#     "host": {"nproc": 2, "commit": "...", "dirty": false, "cargo_features": "default"},
 #     "benches": ["criticality", "parallel_sweep", ...],
 #     "results": [ {"label": ..., "median_ns": ..., ...}, ... ]
 #   }
@@ -43,6 +45,20 @@ for arg in "$@"; do
     esac
 done
 
+# host_block: the host the numbers came from, as one JSON object: cores, the
+# commit and whether the tracked files differed from it, and the cargo
+# features built (none beyond the defaults).
+host_block() {
+    local commit=null dirty=null head
+    if head=$(git rev-parse HEAD 2>/dev/null); then
+        commit="\"$head\""
+        dirty=false
+        [ -n "$(git status --porcelain --untracked-files=no)" ] && dirty=true
+    fi
+    printf '{"nproc": %s, "commit": %s, "dirty": %s, "cargo_features": "default"}' \
+        "$(nproc)" "$commit" "$dirty"
+}
+
 # assemble_snapshot NAME OUT BENCH...: run each bench, collect the shim's
 # JSON lines, and write the combined document to OUT.
 assemble_snapshot() {
@@ -69,6 +85,7 @@ assemble_snapshot() {
     {
         printf '{\n'
         printf '  "snapshot": "%s",\n' "$snapshot"
+        printf '  "host": %s,\n' "$(host_block)"
         printf '  "benches": ['
         local sep=''
         for bench in "$@"; do
@@ -139,21 +156,10 @@ if [ "$serve_snapshot" -eq 1 ]; then
     wait "$cluster_pid" || true
     rm -f "$cluster_log"
 
-    # The host the numbers came from: cores, the commit and whether the
-    # tracked files differed from it, and the cargo features built (none
-    # beyond the defaults).
-    commit=null
-    dirty=null
-    if head=$(git rev-parse HEAD 2>/dev/null); then
-        commit="\"$head\""
-        dirty=false
-        [ -n "$(git status --porcelain --untracked-files=no)" ] && dirty=true
-    fi
     {
         printf '{\n'
         printf '  "snapshot": "serve",\n'
-        printf '  "host": {"nproc": %s, "commit": %s, "dirty": %s, "cargo_features": "default"},\n' \
-            "$(nproc)" "$commit" "$dirty"
+        printf '  "host": %s,\n' "$(host_block)"
         printf '  "network": "%s",\n' "$network"
         printf '  "closed_loop": %s,\n' "$closed"
         printf '  "open_loop": %s,\n' "$open"

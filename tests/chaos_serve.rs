@@ -240,13 +240,19 @@ fn tiny_timeout_on_the_largest_design_returns_408_in_bounded_time() {
     }
 }
 
-/// The mid-kernel proof: a validate campaign on a large design is
+/// The mid-kernel proof: a validate campaign on the largest design is
 /// interrupted *inside* the sharded sweep by a deadline that only expires
-/// once the campaign is already running.
+/// once the campaign is already running. The full p93791 campaign takes
+/// seconds even in a release build (about 8.7 s at one thread on a 2-vCPU
+/// host), so a 300 ms deadline always lands mid-campaign; the smaller
+/// p34392 campaign finished inside it in release builds.
 #[test]
 fn deadline_expiring_mid_campaign_interrupts_the_sweep() {
-    let network = design_text("p34392");
-    let job = JobRequest { network: Some(network), timeout_ms: Some(300), ..Default::default() };
+    let job = JobRequest {
+        network: Some(largest_design().to_string()),
+        timeout_ms: Some(300),
+        ..Default::default()
+    };
     for threads in [1usize, 4] {
         let config = ServerConfig {
             workers: Parallelism::new(1),
@@ -259,8 +265,13 @@ fn deadline_expiring_mid_campaign_interrupts_the_sweep() {
         let response = client.submit(Endpoint::Validate, &job).expect("submit");
         let elapsed = started.elapsed();
         assert_eq!(response.status, 408, "threads {threads}: {}", response.body);
-        // The full p34392 campaign takes far longer than this bound; getting
-        // the 408 this fast proves the kernel observed the deadline mid-run.
+        // The kernel's cancel token, not a between-stages check, fired.
+        assert!(
+            response.body.contains("request deadline exceeded (analysis)"),
+            "threads {threads}: {}",
+            response.body
+        );
+        // Bounded lag, even in debug builds on loaded machines.
         assert!(elapsed < Duration::from_secs(60), "threads {threads}: 408 took {elapsed:?}");
         stop();
     }

@@ -158,6 +158,26 @@ fn cluster_responses_are_byte_identical_to_a_single_node() {
     let metrics = control.metrics_text();
     assert!(counter(&metrics, "rsnc_shards_dispatched_total") >= 3, "{metrics}");
     assert_eq!(counter(&metrics, "rsnc_workers_up"), 3, "{metrics}");
+
+    // A what-if routes whole to one worker, which builds its workspace and
+    // sweeps once for the exclude (the undo restores). The coordinator sees
+    // those sweeps in its next health scrape of that worker.
+    let whatif =
+        JobRequest { op: Some("exclude".into()), target: Some("boot".into()), ..analyze_job(7) };
+    let response = client.submit(Endpoint::Whatif, &whatif).expect("submit whatif");
+    assert_eq!(response.status, 200, "{}", response.body);
+    assert_eq!(response.body, single_node_bytes(Endpoint::Whatif, &whatif));
+    let modes = serde_json::from_str::<wire::WhatifResponse>(&response.body)
+        .expect("parse whatif response")
+        .recomputed_modes;
+    wait_for_metrics(&control, "the worker's what-if sweeps", |text| {
+        let swept: u64 = text
+            .lines()
+            .filter(|l| l.starts_with("rsnc_worker_whatif_modes_swept_total{"))
+            .filter_map(|l| l.rsplit(' ').next()?.parse::<u64>().ok())
+            .sum();
+        swept == 2 * modes
+    });
     stop();
 }
 

@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 
 use robust_rsn::Parallelism;
 use rsn_serve::wire::{self, Deadline};
-use rsn_serve::{Client, Endpoint, JobRequest, Server, ServerConfig};
+use rsn_serve::{Client, Endpoint, JobRequest, Server, ServerConfig, WhatifResponse};
 
 fn demo_network() -> String {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/networks/soc_demo.rsn");
@@ -220,6 +220,28 @@ fn metrics_expose_requests_latency_and_cache_rates() {
     assert!(count(&later, "rsnd_socket_writes_total") >= writes + 2, "{later}");
     let moved = count(&later, "rsnd_response_bytes_total") - bytes;
     assert!(moved > (body.len() + metrics.len()) as u64, "{moved} bytes for two answers");
+
+    // The what-if sweep counter: the workspace build sweeps every mode, each
+    // exclude sweeps them once more, and its undo restores without a sweep.
+    let swept = || count(&client.metrics_text().expect("metrics"), "rsnd_whatif_modes_swept_total");
+    assert_eq!(swept(), 0, "no what-if yet");
+    let exclude = |target: &str| {
+        let job = JobRequest {
+            op: Some("exclude".into()),
+            target: Some(target.into()),
+            ..analyze_job(3)
+        };
+        let response = client.submit(Endpoint::Whatif, &job).expect("whatif");
+        assert_eq!(response.status, 200, "{}", response.body);
+        serde_json::from_str::<WhatifResponse>(&response.body)
+            .expect("whatif body")
+            .recomputed_modes
+    };
+    let modes = exclude("boot");
+    assert!(modes > 0);
+    assert_eq!(swept(), 2 * modes, "build + exclude; the undo swept nothing");
+    assert_eq!(exclude("status"), modes);
+    assert_eq!(swept(), 3 * modes, "one sweep per exclude on the warm workspace");
     stop();
 }
 

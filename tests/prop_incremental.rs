@@ -3,8 +3,9 @@
 //! bit-identical — same `CriticalitySummary` bytes — to a workspace rebuilt
 //! from scratch over the same final state, on random series-parallel
 //! networks *and* bridge-extended non-SP networks, at one thread and at
-//! four. A cancelled token mid-sequence must reject every edit and leave
-//! the workspace untouched.
+//! four. An exclude undone straight away must restore the traces it
+//! replaced without a sweep. A cancelled token mid-sequence must reject
+//! every edit and leave the workspace untouched.
 
 use proptest::prelude::*;
 use robust_rsn::{
@@ -217,6 +218,56 @@ proptest! {
         let rebuilt = sequential.rebuilt().expect("rebuild oracle");
         prop_assert_eq!(&bytes, &summary_bytes(&rebuilt), "incremental drifted from full sweep");
         prop_assert_eq!(sequential.total_damage(), rebuilt.total_damage());
+    }
+
+    /// Undoing an exclude straight after it restores the traces it replaced:
+    /// the undo recomputes no mode and puts back the exact pre-exclude bytes.
+    /// Interleaved with random deltas (which drop the held traces, so later
+    /// undos re-sweep), every state still equals a full rebuild, at one
+    /// thread and at four.
+    #[test]
+    fn exclude_undo_roundtrips_restore_and_match_full_rebuild(
+        seed in 0u64..10_000,
+        spec_seed in 0u64..1_000,
+        ops_seed in 0u64..10_000,
+        bridge in 0u64..2,
+        options in options_strategy(),
+    ) {
+        let net = random_net(bridge == 1, seed);
+        prop_assume!(net.primitives().count() > 0);
+        let segments: Vec<NodeId> = net.segments().collect();
+        let mut sequential =
+            build_workspace(net.clone(), options, spec_seed, Parallelism::sequential());
+        let mut threaded = build_workspace(net, options, spec_seed, Parallelism::new(4));
+        for round in 0..4u64 {
+            let start = (ops_seed + round * 7) as usize;
+            for ws in [&mut sequential, &mut threaded] {
+                drive(ws, ops_seed.wrapping_add(round), 3);
+                let (bytes, total, swept) = (summary_bytes(ws), ws.total_damage(), ws.modes_swept());
+                // The first segment from `start` on that excludes (control
+                // cells and excluded segments are rejected, changing nothing).
+                let excluded = (0..segments.len())
+                    .map(|k| segments[(start + k) % segments.len()])
+                    .find(|&segment| ws.edit(WorkspaceDelta::ExcludeSegment { segment }).is_ok());
+                let Some(segment) = excluded else { continue };
+                let undone = ws.undo().expect("undo").expect("entry");
+                prop_assert_eq!(undone.recomputed_modes, 0, "the undo re-swept");
+                prop_assert_eq!(undone.total_damage, total);
+                prop_assert_eq!(&summary_bytes(ws), &bytes, "restore changed the bytes");
+                let roundtrip = ws.modes_swept() - swept;
+                let again = ws.edit(WorkspaceDelta::ExcludeSegment { segment }).expect("re-exclude");
+                prop_assert_eq!(roundtrip, again.recomputed_modes as u64, "one sweep per exclude");
+                drive(ws, ops_seed.wrapping_mul(3).wrapping_add(round), 2);
+                let _ = ws.undo();
+                let rebuilt = ws.rebuilt().expect("rebuild oracle");
+                prop_assert_eq!(summary_bytes(ws), summary_bytes(&rebuilt), "drifted from full sweep");
+            }
+            prop_assert_eq!(
+                summary_bytes(&sequential),
+                summary_bytes(&threaded),
+                "thread count changed the bytes"
+            );
+        }
     }
 
     /// A cancelled token rejects every delta kind and leaves the workspace
