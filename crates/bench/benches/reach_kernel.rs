@@ -1,5 +1,6 @@
-//! Criterion micro-benchmark: the reachability kernels on the largest
-//! Table I benchmark network (`p93791`, 1241 segments / 653 multiplexers).
+//! Criterion micro-benchmark: the reachability kernels on the Table I
+//! benchmark networks (the largest, `p93791`, has 1241 segments / 653
+//! multiplexers) and on 20k-segment generated shapes.
 //!
 //! Groups:
 //!
@@ -10,7 +11,8 @@
 //!   64 lane-packed modes per traversal), `boolean` the `Vec<bool>`
 //!   reference;
 //! * `reach_kernel/batch` — the batched full sweep per Table I design, with
-//!   the `Vec<bool>` reference on the `*_reference` labels;
+//!   the `Vec<bool>` reference on the `*_reference` labels, and on the
+//!   20k-segment generated rings, deep-SIB and chiplet shapes;
 //! * `double_fault/exact` — the exact all-pairs double-fault sweep on the
 //!   mid-size Table I designs (lane-packed pair enumeration);
 //! * `reach_kernel/fault_set` — multi-fault evaluation: an explicit pair
@@ -24,7 +26,7 @@ use robust_rsn::{
     sampled_double_fault_damage_with, AnalysisOptions, CriticalitySpec, PaperSpecParams,
     Parallelism, SibCellPolicy,
 };
-use rsn_benchmarks::by_name;
+use rsn_benchmarks::{by_name, giant};
 use rsn_model::{enumerate_single_faults, ControlSource, Fault, ScanNetwork};
 
 fn largest_network() -> (ScanNetwork, CriticalitySpec) {
@@ -81,6 +83,20 @@ fn batch_sweep(c: &mut Criterion) {
     group.bench_function("p93791_threads4", |b| {
         b.iter(|| analyze_graph_with(&net, &weights, &options, Parallelism::new(4)))
     });
+    // The 20k-segment generated shapes of `rsn_tool gen`: SIB-gated rings
+    // (one articulation cell per ring), a SIB tower whose every fault cone
+    // spans the tower, and SIB-gated chiplets.
+    for (name, structure) in [
+        ("rings2000", giant::ring_of_rings(2_000, 9, 2022)),
+        ("deep_sib_20k", giant::deep_sib_tree(10_000, 1, 2022)),
+        ("chiplets_20k", giant::multi_chiplet(20, 999, 399, 2022)),
+    ] {
+        let (net, _) = structure.build(name).expect("valid structure");
+        let weights = CriticalitySpec::paper_random(&net, &PaperSpecParams::default(), 1);
+        group.bench_function(name, |b| {
+            b.iter(|| analyze_graph_with(&net, &weights, &options, Parallelism::sequential()))
+        });
+    }
     group.finish();
 }
 

@@ -412,6 +412,7 @@ fn sweep(target: &str, opts: &Options) -> Result<(), String> {
     let build_elapsed = parse_started.elapsed();
     let spec = weights(&net, opts);
     let stats = net.stats();
+    let relaxed_before = robust_rsn::kernel_counters().nodes_relaxed;
     let sweep_started = std::time::Instant::now();
     let crit = robust_rsn::analyze_graph_with(
         &net,
@@ -420,17 +421,19 @@ fn sweep(target: &str, opts: &Options) -> Result<(), String> {
         opts.parallelism(),
     );
     let sweep_elapsed = sweep_started.elapsed();
+    let nodes_relaxed = robust_rsn::kernel_counters().nodes_relaxed - relaxed_before;
     if opts.json {
         println!(
             "{{\"network\":{:?},\"segments\":{},\"muxes\":{},\"primitives\":{},\
-             \"total_damage\":{},\"parse_build_ms\":{},\"sweep_ms\":{}}}",
+             \"total_damage\":{},\"parse_build_ms\":{},\"sweep_ms\":{},\"nodes_relaxed\":{}}}",
             net.name(),
             stats.segments,
             stats.muxes,
             crit.primitives().len(),
             crit.total_damage(),
             build_elapsed.as_millis(),
-            sweep_elapsed.as_millis()
+            sweep_elapsed.as_millis(),
+            nodes_relaxed
         );
     } else {
         println!("network:            {}", net.name());
@@ -440,6 +443,7 @@ fn sweep(target: &str, opts: &Options) -> Result<(), String> {
         println!("total damage:       {}", crit.total_damage());
         println!("parse+build:        {:.2?}", build_elapsed);
         println!("sweep:              {:.2?}", sweep_elapsed);
+        println!("nodes relaxed:      {nodes_relaxed}");
     }
     Ok(())
 }

@@ -85,9 +85,10 @@ pub use fault_effects::{broken_segment_effect, mux_stuck_effect, FaultEffect};
 pub use graph_analysis::{
     analyze_graph, analyze_graph_with, analyze_graph_with_cancel, double_fault_damage,
     double_fault_damage_with, double_fault_damage_with_cancel, fault_set_damage,
-    fault_set_damage_with, fault_set_damage_with_cancel, sampled_double_fault_damage,
-    sampled_double_fault_damage_with, sampled_double_fault_damage_with_cancel, AnalysisError,
-    DoubleFaultSummary, GraphCriticality, ReachKernel, MAX_FROZEN_COMBINATIONS,
+    fault_set_damage_with, fault_set_damage_with_cancel, kernel_counters,
+    sampled_double_fault_damage, sampled_double_fault_damage_with,
+    sampled_double_fault_damage_with_cancel, AnalysisError, DoubleFaultSummary, GraphCriticality,
+    KernelCounters, ReachKernel, MAX_FROZEN_COMBINATIONS,
 };
 pub use hardening::{
     solve_exact, solve_exact_cancellable, solve_greedy, solve_nsga2, solve_nsga2_cancellable,

@@ -3,10 +3,14 @@
 //! Every expensive kernel in this crate is a *pure map over an index range*:
 //! per-fault damages in [`crate::analyze_graph`], frozen-select combinations
 //! in [`crate::fault_set_damage`], sampled fault pairs, and MOEA population
-//! evaluation. This module shards such maps across OS threads with
-//! **contiguous chunks spliced back in index order**, so the result vector is
+//! evaluation. This module shards such maps across OS threads and splices
+//! the results back **in index order**, so the result vector is
 //! bit-identical to the sequential computation for every thread count — the
-//! determinism guarantee the analysis API is allowed to rely on.
+//! determinism guarantee the analysis API is allowed to rely on. The
+//! infallible maps hand each worker a contiguous chunk; the fallible
+//! `try_map_*` maps, which carry the kernel sweeps whose per-index cost
+//! varies by two orders of magnitude, hand out single indices from a shared
+//! counter.
 //!
 //! Thread count resolution:
 //!
@@ -22,7 +26,7 @@
 
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Below this many items the sharding overhead outweighs the work and
 /// [`map_indexed`] stays sequential.
@@ -273,35 +277,28 @@ where
     map_indexed_scratch(par, items.len(), init, |scratch, i| f(scratch, &items[i]))
 }
 
-/// Per-chunk result of a fallible sharded map.
-enum ChunkOutcome<T, E> {
-    /// The chunk completed every index.
-    Done(Vec<T>),
-    /// `f` returned an error (or the chunk panicked) at some index.
-    Failed(E),
-    /// The chunk bailed out early because a sibling already failed.
-    Aborted,
-}
-
 /// Fallible [`map_indexed_scratch`]: stops early on the first error and
 /// never panics across the shard boundary.
 ///
-/// On success the output is bit-identical to the sequential
-/// `(0..n).map(|i| f(&mut scratch, i))` run for every thread count — the
-/// same contract as [`map_indexed_scratch`]. On failure the error from the
-/// earliest-indexed failing chunk is returned; sibling shards observe a
-/// shared abort flag (checked before each index) and stop early, so a
-/// cancelled sweep stops within one unit of work per worker rather than
-/// running to completion.
+/// Workers claim indices one at a time from a shared counter rather than
+/// owning contiguous chunks, so a few expensive indices do not leave the
+/// other workers idle. On success the output is bit-identical to the
+/// sequential `(0..n).map(|i| f(&mut scratch, i))` run for every thread
+/// count — the same contract as [`map_indexed_scratch`]. On failure the
+/// error of the lowest failing index is returned: indices are claimed in
+/// ascending order and every index below a recorded failure still runs, so
+/// when `f` fails deterministically the error is the sequential run's
+/// first. Workers stop claiming past a failure, so a cancelled sweep stops
+/// within one unit of work per worker rather than running to completion.
 ///
-/// Panics inside `f` (or `init`) are caught per shard and converted into an
-/// error via `E: From<ShardPanic>` instead of being re-raised, isolating the
-/// caller from poisoned closures.
+/// Panics inside `f` (or `init`) are caught per worker and converted into
+/// an error via `E: From<ShardPanic>` instead of being re-raised, isolating
+/// the caller from poisoned closures.
 ///
 /// # Errors
 ///
-/// Returns the first error produced by `f` in chunk-index order, or a
-/// `ShardPanic`-derived error when a shard panicked.
+/// Returns the error of the lowest failing index, or a `ShardPanic`-derived
+/// error when a worker panicked.
 pub fn try_map_indexed_scratch<T, E, S, I, F>(
     par: Parallelism,
     n: usize,
@@ -323,45 +320,41 @@ where
         .unwrap_or_else(|payload| Err(E::from(ShardPanic::from_payload(payload))));
     }
 
-    let base = n / workers;
-    let rem = n % workers;
-    let bounds: Vec<(usize, usize)> = (0..workers)
-        .map(|w| {
-            let start = w * base + w.min(rem);
-            let len = base + usize::from(w < rem);
-            (start, start + len)
-        })
-        .collect();
-
-    let init = &init;
-    let f = &f;
-    let abort = &AtomicBool::new(false);
-    let chunks: Vec<ChunkOutcome<T, E>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = bounds
-            .iter()
-            .map(|&(start, end)| {
+    let (init, f) = (&init, &f);
+    let next = &AtomicUsize::new(0);
+    // The lowest index known to have failed; claims above it stop. Both
+    // atomics are `Relaxed`: they publish no data (values and errors come
+    // back through the joins), and each index is claimed by one RMW.
+    let failed = &AtomicUsize::new(usize::MAX);
+    type Claimed<T, E> = (Vec<(usize, T)>, Option<(usize, E)>);
+    let claimed: Vec<Claimed<T, E>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
                 scope.spawn(move || {
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    let mut done = Vec::new();
+                    // An `init` panic has no index: it ranks after every one.
+                    let mut current = usize::MAX;
+                    let failure = catch_unwind(AssertUnwindSafe(|| {
                         let mut scratch = init();
-                        let mut out = Vec::with_capacity(end - start);
-                        for i in start..end {
-                            if abort.load(Ordering::Relaxed) {
-                                return ChunkOutcome::Aborted;
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= n || i > failed.load(Ordering::Relaxed) {
+                                return None;
                             }
+                            current = i;
                             match f(&mut scratch, i) {
-                                Ok(v) => out.push(v),
-                                Err(e) => return ChunkOutcome::Failed(e),
+                                Ok(v) => done.push((i, v)),
+                                Err(e) => return Some((i, e)),
                             }
                         }
-                        ChunkOutcome::Done(out)
                     }))
                     .unwrap_or_else(|payload| {
-                        ChunkOutcome::Failed(E::from(ShardPanic::from_payload(payload)))
+                        Some((current, E::from(ShardPanic::from_payload(payload))))
                     });
-                    if matches!(outcome, ChunkOutcome::Failed(_)) {
-                        abort.store(true, Ordering::Relaxed);
+                    if let Some((i, _)) = &failure {
+                        failed.fetch_min(*i, Ordering::Relaxed);
                     }
-                    outcome
+                    (done, failure)
                 })
             })
             .collect();
@@ -369,28 +362,28 @@ where
             .into_iter()
             .map(|h| {
                 h.join().unwrap_or_else(|payload| {
-                    ChunkOutcome::Failed(E::from(ShardPanic::from_payload(payload)))
+                    (Vec::new(), Some((usize::MAX, E::from(ShardPanic::from_payload(payload)))))
                 })
             })
             .collect()
     });
 
-    let mut out = Vec::with_capacity(n);
-    let mut aborted = false;
-    for chunk in chunks {
-        match chunk {
-            ChunkOutcome::Done(items) => out.extend(items),
-            ChunkOutcome::Failed(e) => return Err(e),
-            ChunkOutcome::Aborted => aborted = true,
+    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    let mut first: Option<(usize, E)> = None;
+    for (done, failure) in claimed {
+        if let Some((i, e)) = failure {
+            if first.as_ref().is_none_or(|(j, _)| i < *j) {
+                first = Some((i, e));
+            }
+        }
+        for (i, v) in done {
+            slots[i] = Some(v);
         }
     }
-    if aborted {
-        // A chunk aborted but no sibling reported the triggering failure:
-        // impossible by construction (abort is only set after a Failed
-        // outcome), kept as a defensive error rather than a panic.
-        return Err(E::from(ShardPanic { message: "shard aborted without an error".into() }));
+    if let Some((_, e)) = first {
+        return Err(e);
     }
-    Ok(out)
+    Ok(slots.into_iter().map(|v| v.expect("every index is claimed once")).collect())
 }
 
 /// Fallible [`map_slice_scratch`]; see [`try_map_indexed_scratch`] for the
@@ -398,8 +391,8 @@ where
 ///
 /// # Errors
 ///
-/// Returns the first error produced by `f` in chunk-index order, or a
-/// `ShardPanic`-derived error when a shard panicked.
+/// Returns the error of the lowest failing index, or a `ShardPanic`-derived
+/// error when a worker panicked.
 pub fn try_map_slice_scratch<'a, T, U, E, S, I, F>(
     par: Parallelism,
     items: &'a [T],
@@ -561,6 +554,41 @@ mod tests {
                 |(), i| if i >= 7 { Err(TryErr::Bad(i)) } else { Ok(i) },
             );
             assert!(matches!(got, Err(TryErr::Bad(i)) if i >= 7), "threads={threads}: {got:?}");
+        }
+    }
+
+    #[test]
+    fn claimed_indices_keep_order_and_the_first_failure_under_uneven_cost() {
+        // Every seventh index costs ~1000x the others, so claims run far
+        // ahead of the slow indices on the other workers.
+        let cost = |i: usize| {
+            let spins = if i.is_multiple_of(7) { 200_000 } else { 200 };
+            (0..spins).fold(i as u64, |h, k| h.wrapping_mul(0x9E37_79B9).rotate_left(5) ^ k)
+        };
+        let n = 300;
+        let want: Vec<u64> = (0..n).map(cost).collect();
+        // Index 49 (slow) is the first failure; the cheap 50, 55, ... fail
+        // earlier in wall-clock time on the other workers.
+        let fails = |i: usize| i == 49 || (i > 49 && i.is_multiple_of(5));
+        for threads in [1, 2, 4] {
+            let par = Parallelism::new(threads);
+            let got: Result<Vec<u64>, TryErr> =
+                try_map_indexed_scratch(par, n, || (), |(), i| Ok(cost(i)));
+            assert_eq!(got.unwrap(), want, "threads={threads}");
+            let got: Result<Vec<u64>, TryErr> = try_map_indexed_scratch(
+                par,
+                n,
+                || (),
+                |(), i| {
+                    let v = cost(i);
+                    if fails(i) {
+                        Err(TryErr::Bad(i))
+                    } else {
+                        Ok(v)
+                    }
+                },
+            );
+            assert_eq!(got, Err(TryErr::Bad(49)), "threads={threads}");
         }
     }
 

@@ -25,7 +25,7 @@
 //!
 //! The analytical side is one traced lane sweep over the canonical mode
 //! table; the operational side shards over primitives with
-//! [`par`] — contiguous chunks, one reusable [`Simulator`] per
+//! [`par`] — claimed indices, one reusable [`Simulator`] per
 //! worker — so the report is bit-identical at every thread count. Any
 //! disagreement is reported with the offending network, fault mode, and
 //! instrument attached.
@@ -203,14 +203,12 @@ pub fn validate_criticality_with_cancel(
     // The analytical claims of every mode, from one traced lane sweep.
     let traces: Vec<ModeTrace> = sweep_blocks(
         &kernel,
+        &table,
+        0..table.len(),
+        &[],
         parallelism,
         cancel,
-        table.len(),
-        |s, m| {
-            let (broken, frozen) = table.mode(m);
-            kernel.push_mode(s, broken, frozen);
-        },
-        |s| kernel.eval_traced(s),
+        ReachKernel::eval_traced,
     )?;
     let campaign = Campaign::new(net, spec, options, &analysis, &kernel, &table, &traces);
     let primitives: Vec<NodeId> = net.primitives().collect();

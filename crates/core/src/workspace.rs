@@ -316,17 +316,14 @@ impl Workspace {
     /// Evaluates every mode of the table jointly with the `ambient` broken
     /// set: the initial sweep, and the replay behind every structural delta.
     fn sweep(&self, ambient: &[NodeId]) -> Result<Vec<ModeTrace>, AnalysisError> {
-        let (kernel, table) = (&self.kernel, &self.table);
         sweep_blocks(
-            kernel,
+            &self.kernel,
+            &self.table,
+            0..self.table.len(),
+            ambient,
             self.parallelism,
             &self.cancel,
-            table.len(),
-            |s, m| {
-                let (broken, frozen) = table.mode(m);
-                kernel.push_mode(s, broken.iter().chain(ambient), frozen);
-            },
-            |s| kernel.eval_traced(s),
+            ReachKernel::eval_traced,
         )
     }
 

@@ -1229,6 +1229,20 @@ impl Backend for Local {
             Job::Upload(parsed) => wire::respond(wire::networks_put_body(parsed)),
         }
     }
+
+    /// The analysis kernel's process-wide work counters: modes and lane
+    /// blocks swept, articulation blocks, and node words re-derived.
+    fn render_metrics(&self, out: &mut String) {
+        let k = robust_rsn::kernel_counters();
+        for (name, value) in [
+            ("modes", k.modes),
+            ("blocks", k.blocks),
+            ("articulation_blocks", k.articulation_blocks),
+            ("nodes_relaxed", k.nodes_relaxed),
+        ] {
+            out.push_str(&format!("rsnd_kernel_{name}_total {value}\n"));
+        }
+    }
 }
 
 impl Local {

@@ -45,6 +45,9 @@ cargo test --offline -q --manifest-path benchmark/Cargo.toml
 echo "==> batch-kernel differential smoke (p34392, batch vs reference)"
 cargo test --offline -q -p robust-rsn --test prop_batch_kernel batch_matches_reference_on_p34392
 
+echo "==> articulation-first smoke (ring_of_rings, batch vs reference)"
+cargo test --offline -q -p robust-rsn --test prop_sparse_kernel batch_matches_reference_on_ring_of_rings
+
 echo "==> serve smoke (rsnd end to end)"
 scripts/serve_smoke.sh
 

@@ -5,7 +5,8 @@
 # over ~10^5 fault modes is lane-block-bound and a debug binary would take
 # tens of minutes. The deep-sib shape is a 50k-level SIB tower: it also
 # proves every model walk (lex, parse, build, CSR, drop) runs without
-# call-stack recursion.
+# call-stack recursion. Each shape prints the node words its sweep
+# re-derived (`nodes_relaxed`).
 #
 #   scripts/giant_smoke.sh
 #
@@ -40,6 +41,7 @@ run_shape() {
         echo "$shape sweep reported no damage total" >&2
         exit 1
     }
+    echo "    nodes_relaxed: $(echo "$json" | sed -n 's/.*"nodes_relaxed":\([0-9]*\).*/\1/p')"
 }
 
 run_shape rings 100000

@@ -190,11 +190,28 @@ fn graceful_shutdown_drains_in_flight_jobs() {
 fn metrics_expose_requests_latency_and_cache_rates() {
     let (client, _handle, stop) = boot(ServerConfig::default());
     let job = analyze_job(3);
+    let count = |text: &str, name: &str| -> u64 {
+        text.lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or_else(|| panic!("missing {name} in:\n{text}"))
+    };
+    // The kernel counters are process-wide (the daemon runs in this
+    // process, and other tests only add to them), so the first, uncached
+    // analyze must move every one the scrape renders.
+    let k = robust_rsn::kernel_counters();
+    let before = [k.modes, k.blocks, k.articulation_blocks, k.nodes_relaxed];
     for _ in 0..2 {
         let response = client.submit(Endpoint::Analyze, &job).expect("submit");
         assert_eq!(response.status, 200);
     }
     let metrics = client.metrics_text().expect("metrics");
+    let after = ["modes", "blocks", "articulation_blocks", "nodes_relaxed"]
+        .map(|k| count(&metrics, &format!("rsnd_kernel_{k}_total")));
+    for (k, (b, a)) in before.iter().zip(&after).enumerate() {
+        assert!(a > b, "kernel counter {k} did not move: {before:?} -> {after:?}");
+    }
+    let [modes, blocks, chain, _] = [0, 1, 2, 3].map(|k| after[k] - before[k]);
+    assert!(modes >= blocks && blocks >= chain, "{before:?} -> {after:?}");
     for line in [
         "rsnd_requests_total{endpoint=\"analyze\"} 2",
         "rsnd_responses_total{status=\"200\"} 2",
@@ -207,11 +224,6 @@ fn metrics_expose_requests_latency_and_cache_rates() {
     }
     // The write path counts: both answers went out in at least one write
     // each, and the scrape's own answer moves both counters on.
-    let count = |text: &str, name: &str| -> u64 {
-        text.lines()
-            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
-            .unwrap_or_else(|| panic!("missing {name} in:\n{text}"))
-    };
     let body = client.submit(Endpoint::Analyze, &job).expect("submit").body;
     let (writes, bytes) =
         (count(&metrics, "rsnd_socket_writes_total"), count(&metrics, "rsnd_response_bytes_total"));
