@@ -4,7 +4,9 @@
 //!
 //! Each value is taken from the body the daemon's in-process path serves,
 //! decoded once, and re-encoded per iteration; the setup asserts that the
-//! re-encoding reproduces the served bytes.
+//! re-encoding reproduces the served bytes. The `serialize/` labels time the
+//! serde writer; `wire/p93791_greedy_front` times the front encoder the
+//! daemon serves harden bodies with, against the same bytes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use robust_rsn::{CriticalitySummary, Parallelism};
@@ -34,6 +36,10 @@ fn serialize(c: &mut Criterion) {
     let harden = JobRequest { solver: Some("greedy".into()), ..base.clone() };
     let (front, body) = served::<HardenResponse>(Endpoint::Harden, &harden);
     bench_encode(c, "serialize/p93791_greedy_front", &front, &body);
+    assert_eq!(wire::encode_harden_response(&front).unwrap(), body, "front encoder drifted");
+    c.bench_function("wire/p93791_greedy_front", |b| {
+        b.iter(|| wire::encode_harden_response(&front).unwrap())
+    });
 
     let (summary, body) = served::<CriticalitySummary>(Endpoint::Analyze, &base);
     bench_encode(c, "serialize/p93791_summary", &summary, &body);

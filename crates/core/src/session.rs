@@ -29,7 +29,7 @@
 //! for each analysis once. All evaluation loops honour the session's
 //! [`Parallelism`]; results are bit-identical for every thread count.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use moea::{Nsga2Config, Spea2Config};
 use rsn_model::{BuiltStructure, ScanNetwork};
@@ -216,7 +216,7 @@ enum SpecChoice {
 /// [`AnalysisSession::builder`].
 #[derive(Debug)]
 pub struct AnalysisSessionBuilder {
-    net: ScanNetwork,
+    net: Arc<ScanNetwork>,
     tree: Option<DecompTree>,
     spec: SpecChoice,
     options: AnalysisOptions,
@@ -324,8 +324,10 @@ impl AnalysisSessionBuilder {
     /// panics.
     pub fn build_workspace(self) -> Result<Workspace, SessionError> {
         let spec = Self::resolve_spec(self.spec, &self.net);
+        // A workspace owns its graph outright: a shared network (a daemon's
+        // registry entry) is copied once here, a sole owner is moved.
         Workspace::from_inputs(
-            self.net,
+            Arc::unwrap_or_clone(self.net),
             spec,
             self.options,
             self.parallelism,
@@ -365,7 +367,7 @@ impl AnalysisSessionBuilder {
 /// [`AnalysisSession::builder`].
 #[derive(Debug)]
 pub struct AnalysisSession {
-    net: ScanNetwork,
+    net: Arc<ScanNetwork>,
     provided_tree: Option<DecompTree>,
     spec: CriticalitySpec,
     options: AnalysisOptions,
@@ -381,11 +383,12 @@ pub struct AnalysisSession {
 impl AnalysisSession {
     /// Starts a builder over `net` with default spec (per-kind weights),
     /// default options, default cost model and `RSN_THREADS`-controlled
-    /// parallelism.
+    /// parallelism. An `Arc<ScanNetwork>` is shared, not copied: the
+    /// session only reads its network.
     #[must_use]
-    pub fn builder(net: ScanNetwork) -> AnalysisSessionBuilder {
+    pub fn builder(net: impl Into<Arc<ScanNetwork>>) -> AnalysisSessionBuilder {
         AnalysisSessionBuilder {
-            net,
+            net: net.into(),
             tree: None,
             spec: SpecChoice::Kinds,
             options: AnalysisOptions::default(),

@@ -56,6 +56,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+use std::sync::Arc;
+
 use rsn_model::{InstrumentId, NodeId, ScanNetwork};
 
 use crate::cancel::{CancelToken, Cancelled};
@@ -255,7 +257,7 @@ impl Workspace {
     /// Starts a builder over `net`; finalize with
     /// [`build_workspace`](crate::session::AnalysisSessionBuilder::build_workspace).
     #[must_use]
-    pub fn builder(net: ScanNetwork) -> crate::session::AnalysisSessionBuilder {
+    pub fn builder(net: impl Into<Arc<ScanNetwork>>) -> crate::session::AnalysisSessionBuilder {
         crate::session::AnalysisSession::builder(net)
     }
 

@@ -356,6 +356,69 @@ pub fn encode_request(
 ///
 /// [`HttpError`] with status 400 for malformed responses.
 pub fn parse_response_bytes(buf: &[u8]) -> Result<Option<(Response, usize)>, HttpError> {
+    let Some(head) = parse_response_head(buf)? else {
+        return Ok(None);
+    };
+    let end = head.body_end();
+    if buf.len() < end {
+        return Ok(None);
+    }
+    let body = buf[head.body_start..end].to_vec();
+    Ok(Some((head.into_response(body)?, end)))
+}
+
+/// Reads a full `Connection: close` response from `stream` (client side).
+///
+/// The response is framed like a keep-alive one, by its `Content-Length`
+/// (every `rsnd` answer carries one): a peer that dies mid-body is reported
+/// as truncated instead of passing a cut body on as complete. A
+/// close-delimited body without `Content-Length` is refused. The body is
+/// framed in the read buffer itself, with no second copy of it.
+///
+/// # Errors
+///
+/// [`HttpError`] with status 400 for malformed, unframed or truncated
+/// responses and stream errors.
+pub fn read_response(stream: &mut TcpStream) -> Result<Response, HttpError> {
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw).map_err(map_io)?;
+    let truncated = || HttpError::new(400, "truncated response: peer closed before its end");
+    let head = parse_response_head(&raw)?.ok_or_else(truncated)?;
+    let end = head.body_end();
+    if raw.len() < end {
+        return Err(truncated());
+    }
+    raw.truncate(end);
+    raw.drain(..head.body_start);
+    head.into_response(raw)
+}
+
+/// A response head parsed by [`parse_response_head`]: everything but the
+/// body, plus where the body lies in the buffer.
+struct ResponseHead {
+    status: u16,
+    headers: Vec<(String, String)>,
+    body_start: usize,
+    content_length: usize,
+}
+
+impl ResponseHead {
+    /// The buffer offset one past the body's last byte.
+    fn body_end(&self) -> usize {
+        self.body_start.saturating_add(self.content_length)
+    }
+
+    /// The response carrying `body`, the head's framed body bytes.
+    fn into_response(self, body: Vec<u8>) -> Result<Response, HttpError> {
+        let body = String::from_utf8(body)
+            .map_err(|_| HttpError::new(400, "response body is not valid utf-8"))?;
+        Ok(Response { status: self.status, headers: self.headers, content_type: "", body })
+    }
+}
+
+/// Parses the status line and headers of the response at the front of
+/// `buf`, or `Ok(None)` while its head is incomplete.
+fn parse_response_head(buf: &[u8]) -> Result<Option<ResponseHead>, HttpError> {
     let Some(head_end) = find_head_end(buf) else {
         return Ok(None);
     };
@@ -376,32 +439,7 @@ pub fn parse_response_bytes(buf: &[u8]) -> Result<Option<(Response, usize)>, Htt
     }
     let content_length: usize = content_length(&headers)?
         .ok_or_else(|| HttpError::new(400, "response without content-length"))?;
-    let body_start = head_end + 4;
-    if buf.len() < body_start + content_length {
-        return Ok(None);
-    }
-    let body = String::from_utf8(buf[body_start..body_start + content_length].to_vec())
-        .map_err(|_| HttpError::new(400, "response body is not valid utf-8"))?;
-    Ok(Some((Response { status, headers, content_type: "", body }, body_start + content_length)))
-}
-
-/// Reads a full `Connection: close` response from `stream` (client side).
-///
-/// The response is framed like a keep-alive one, by its `Content-Length`
-/// (every `rsnd` answer carries one): a peer that dies mid-body is reported
-/// as truncated instead of passing a cut body on as complete. A
-/// close-delimited body without `Content-Length` is refused.
-///
-/// # Errors
-///
-/// [`HttpError`] with status 400 for malformed, unframed or truncated
-/// responses and stream errors.
-pub fn read_response(stream: &mut TcpStream) -> Result<Response, HttpError> {
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).map_err(map_io)?;
-    let (response, _) = parse_response_bytes(&raw)?
-        .ok_or_else(|| HttpError::new(400, "truncated response: peer closed before its end"))?;
-    Ok(response)
+    Ok(Some(ResponseHead { status, headers, body_start: head_end + 4, content_length }))
 }
 
 /// Resolves the `Content-Length` of a parsed header list.
@@ -616,10 +654,38 @@ mod tests {
     }
 
     #[test]
+    fn read_response_frames_the_body_in_the_read_buffer() {
+        // Bytes past the declared length are not part of the body.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            stream
+                .write_all(b"HTTP/1.1 201 Created\r\nContent-Length: 4\r\n\r\nbodytrailer")
+                .unwrap();
+        });
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let resp = read_response(&mut stream).unwrap();
+        server.join().unwrap();
+        assert_eq!((resp.status, resp.body.as_str()), (201, "body"));
+        assert_eq!(resp.header("content-length"), Some("4"));
+    }
+
+    #[test]
     fn read_response_refuses_cut_and_unframed_bodies() {
-        let cases: [(&[u8], &str); 2] = [
+        let cases: [(&[u8], &str); 4] = [
             (
                 b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\nConnection: close\r\n\r\n{\"ok\"",
+                "truncated response: peer closed before its end",
+            ),
+            (
+                b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\n{}",
+                "duplicate content-length header",
+            ),
+            // A length that overflows the buffer offset is a cut body, not
+            // an arithmetic overflow.
+            (
+                b"HTTP/1.1 200 OK\r\nContent-Length: 18446744073709551615\r\n\r\n{}",
                 "truncated response: peer closed before its end",
             ),
             (

@@ -17,7 +17,9 @@
 //! are deterministically ordered, and the analysis itself is bit-identical
 //! at any thread count — so the same resolved job always produces the same
 //! bytes, and a cache hit is indistinguishable from a fresh computation
-//! except for its `X-Cache` header.
+//! except for its `X-Cache` header. `/v1/harden` bodies are printed by
+//! [`encode_harden_response`], which copies the id prefixes neighbouring
+//! solutions share and writes the serde shim's exact bytes.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -25,8 +27,9 @@ use std::time::{Duration, Instant};
 use moea::{Nsga2Config, Spea2Config};
 use robust_rsn::{
     canonical_network_hash, AnalysisOptions, AnalysisSession, CancelToken, CriticalitySummary,
-    DoubleFaultSummary, HardeningFront, ModeAggregation, NetworkHash, PaperSpecParams, Parallelism,
-    SessionError, SibCellPolicy, Solver, Workspace, WorkspaceDelta, WorkspaceError,
+    DoubleFaultSummary, HardeningFront, HardeningSolution, ModeAggregation, NetworkHash,
+    PaperSpecParams, Parallelism, SessionError, SibCellPolicy, Solver, Workspace, WorkspaceDelta,
+    WorkspaceError,
 };
 use rsn_model::format::parse_network;
 use rsn_model::{BuiltStructure, NodeId, ScanNetwork};
@@ -293,14 +296,14 @@ impl SolverChoice {
 /// A network parsed and built exactly once: the unit the registry stores,
 /// the caches key off, and every execution path consumes. Carrying the
 /// built [`ScanNetwork`] means a registry hit skips both the parse and the
-/// graph build; executions clone the graph (cheap arena copies) instead of
-/// rebuilding it.
+/// graph build; analyze, harden and validate executions share the graph
+/// through its [`Arc`], and only a what-if workspace build copies it.
 #[derive(Clone, Debug)]
 pub struct ParsedNetwork {
     /// The original network text.
     pub text: String,
     /// The built scan network graph.
-    pub net: ScanNetwork,
+    pub net: Arc<ScanNetwork>,
     /// The structure with assigned node ids (for SP-tree construction).
     pub built: BuiltStructure,
     /// The canonical content hash of the built graph.
@@ -320,7 +323,7 @@ impl ParsedNetwork {
         let (net, built) =
             structure.build(name).map_err(|e| JobError::new(400, "bad_network", e.to_string()))?;
         let hash = canonical_network_hash(&net);
-        Ok(Self { text: text.to_string(), net, built, hash })
+        Ok(Self { text: text.to_string(), net: Arc::new(net), built, hash })
     }
 
     /// Builds a parsed structure (e.g. from the streaming upload parser,
@@ -339,7 +342,7 @@ impl ParsedNetwork {
             structure.build(&name).map_err(|e| JobError::new(400, "bad_network", e.to_string()))?;
         let text = rsn_model::format::print_network(&name, &structure);
         let hash = canonical_network_hash(&net);
-        Ok(Self { text, net, built, hash })
+        Ok(Self { text, net: Arc::new(net), built, hash })
     }
 
     /// The network's name.
@@ -1014,7 +1017,7 @@ pub fn execute_with(
         return networks_put_body(network);
     }
     let options = AnalysisOptions { mode: job.mode, sib_policy: job.sib_policy };
-    let mut builder = AnalysisSession::builder(network.net.clone())
+    let mut builder = AnalysisSession::builder(Arc::clone(&network.net))
         .with_options(options)
         .with_parallelism(threads)
         .with_cancel(deadline.cancel_token());
@@ -1113,7 +1116,7 @@ pub fn execute_with(
                 max_cost,
                 front,
             };
-            serialize(&response)?
+            encode_harden_response(&response)?
         }
         // Dispatched to `execute_whatif`/`networks_put_body` above.
         Endpoint::Whatif | Endpoint::Networks => {
@@ -1156,7 +1159,7 @@ pub fn build_workspace_with(
 ) -> Result<Workspace, JobError> {
     deadline.check("start")?;
     let options = AnalysisOptions { mode: job.mode, sib_policy: job.sib_policy };
-    let mut builder = Workspace::builder(network.net.clone())
+    let mut builder = Workspace::builder(Arc::clone(&network.net))
         .with_options(options)
         .with_parallelism(threads)
         .with_cancel(deadline.cancel_token());
@@ -1244,6 +1247,140 @@ fn resolve_target(workspace: &Workspace, target: &str) -> Result<NodeId, JobErro
 fn serialize<T: Serialize>(value: &T) -> Result<String, JobError> {
     serde_json::to_string(value)
         .map_err(|e| JobError::new(500, "internal", format!("serialization failed: {e}")))
+}
+
+/// Encodes a `/v1/harden` body: exactly the bytes `serde_json::to_string`
+/// prints for `response` (the derived impl stays as this encoder's test
+/// oracle), without re-formatting the ids neighbouring solutions share.
+///
+/// Each solution's `hardened` list is written as the longest id prefix it
+/// shares with the previous solution's list, copied byte for byte from that
+/// list, followed by its remaining ids formatted one by one. A greedy front
+/// shares its whole previous list, so each solution costs one formatted id
+/// plus a copy; fronts whose neighbours share short prefixes (SPEA2,
+/// NSGA-II, exact, random) mostly format. The same walk first runs as a
+/// length pass, so the body is written into a single allocation.
+///
+/// # Errors
+///
+/// [`JobError`] with status 500 when the network or solver name fails to
+/// encode, as every serialization failure is reported.
+pub fn encode_harden_response(response: &HardenResponse) -> Result<String, JobError> {
+    let network = serialize(&response.network)?;
+    let solver = serialize(&response.solver)?;
+    let walk = |sink: &mut dyn FrontSink| {
+        sink.put("{\"network\":");
+        sink.put(&network);
+        sink.put(",\"solver\":");
+        sink.put(&solver);
+        sink.put(",\"total_damage\":");
+        sink.put_u64(response.total_damage);
+        sink.put(",\"max_cost\":");
+        sink.put_u64(response.max_cost);
+        sink.put(",\"front\":{\"solutions\":[");
+        write_solutions(sink, response.front.solutions());
+        sink.put("]}}");
+    };
+    let mut len = BodyLength(0);
+    walk(&mut len);
+    // One allocation in the power-of-two size class, not the exact length:
+    // the serde writer's doubling from 128 bytes ends in this class (8 MiB
+    // for p93791's 8.1 MB greedy front), so the worker threads' malloc
+    // arenas see the block sizes they always saw. Exact-size buffers raised
+    // the daemon's peak RSS under harden load from ~327 to ~390 MiB
+    // (EXPERIMENTS.md, *Front encoder*).
+    let mut body = String::with_capacity(len.0.next_power_of_two());
+    walk(&mut body);
+    debug_assert_eq!(body.len(), len.0, "the length pass walks the same bytes");
+    Ok(body)
+}
+
+/// Where [`encode_harden_response`]'s walk writes: the body itself, or a
+/// [`BodyLength`] that only counts the bytes.
+trait FrontSink {
+    /// Bytes written so far.
+    fn len(&self) -> usize;
+    /// Appends `s`.
+    fn put(&mut self, s: &str);
+    /// Appends `v` in decimal.
+    fn put_u64(&mut self, v: u64);
+    /// Appends a copy of the `len` bytes written from offset `start` on.
+    fn copy(&mut self, start: usize, len: usize);
+}
+
+impl FrontSink for String {
+    fn len(&self) -> usize {
+        self.len()
+    }
+
+    fn put(&mut self, s: &str) {
+        self.push_str(s);
+    }
+
+    fn put_u64(&mut self, v: u64) {
+        use std::fmt::Write as _;
+        write!(self, "{v}").expect("writing to a String cannot fail");
+    }
+
+    fn copy(&mut self, start: usize, len: usize) {
+        self.extend_from_within(start..start + len);
+    }
+}
+
+/// The length pass of [`encode_harden_response`].
+struct BodyLength(usize);
+
+impl FrontSink for BodyLength {
+    fn len(&self) -> usize {
+        self.0
+    }
+
+    fn put(&mut self, s: &str) {
+        self.0 += s.len();
+    }
+
+    fn put_u64(&mut self, v: u64) {
+        self.0 += v.checked_ilog10().map_or(1, |digits| digits as usize + 1);
+    }
+
+    fn copy(&mut self, _start: usize, len: usize) {
+        self.0 += len;
+    }
+}
+
+/// Writes the comma-separated solution objects of a front, copying each
+/// `hardened` list's shared prefix from its predecessor's bytes.
+fn write_solutions(sink: &mut dyn FrontSink, solutions: &[HardeningSolution]) {
+    // Byte end of each id of the previous list, relative to the list's
+    // first byte: the copy length of any prefix of it.
+    let mut ends: Vec<usize> = Vec::new();
+    let mut prev: (&[NodeId], usize) = (&[], 0);
+    for (i, solution) in solutions.iter().enumerate() {
+        if i > 0 {
+            sink.put(",");
+        }
+        sink.put("{\"hardened\":[");
+        let start = sink.len();
+        let ids = &solution.hardened;
+        let shared = prev.0.iter().zip(ids).take_while(|(a, b)| a == b).count();
+        ends.truncate(shared);
+        if let Some(&end) = ends.last() {
+            sink.copy(prev.1, end);
+        }
+        for (j, id) in ids.iter().enumerate().skip(shared) {
+            if j > 0 {
+                sink.put(",");
+            }
+            sink.put_u64(id.index() as u64);
+            ends.push(sink.len() - start);
+        }
+        sink.put("],\"cost\":");
+        sink.put_u64(solution.cost);
+        sink.put(",\"damage\":");
+        sink.put_u64(solution.damage);
+        sink.put("}");
+        prev = (ids, start);
+    }
 }
 
 #[cfg(test)]

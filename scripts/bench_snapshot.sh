@@ -2,7 +2,7 @@
 # Benchmark snapshot: runs the release-mode bench suites and assembles the
 # machine-readable medians into JSON documents at the repo root —
 # BENCH_criticality.json (criticality, parallel_sweep, reach_kernel,
-# hardening_incremental),
+# hardening_incremental, serialize),
 # BENCH_simulation.json (simulator shift/retarget/validation-campaign), and
 # BENCH_serve.json (rsn_tool loadgen against an in-process rsnd: throughput
 # plus p50/p99/p999 latency in closed- and open-loop modes). Every document
@@ -33,7 +33,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 runs=3
-crit_benches=(criticality parallel_sweep reach_kernel hardening_incremental)
+crit_benches=(criticality parallel_sweep reach_kernel hardening_incremental serialize)
 sim_benches=(simulator)
 serve_snapshot=1
 for arg in "$@"; do

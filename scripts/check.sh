@@ -48,6 +48,9 @@ cargo test --offline -q -p robust-rsn --test prop_batch_kernel batch_matches_ref
 echo "==> articulation-first smoke (ring_of_rings, batch vs reference)"
 cargo test --offline -q -p robust-rsn --test prop_sparse_kernel batch_matches_reference_on_ring_of_rings
 
+echo "==> harden encoder differential (front encoder vs serde oracle, every solver)"
+cargo test --offline -q -p rsn-serve --test harden_encoder
+
 echo "==> serve smoke (rsnd end to end)"
 scripts/serve_smoke.sh
 

@@ -4,7 +4,9 @@
 //! The daemon-vs-in-process equality tests compare two runs of the same
 //! encoder, so they cannot notice the encoder itself drifting. These pins
 //! were taken from the `Content`-tree printer the streaming encoder
-//! replaced, and must keep holding byte for byte.
+//! replaced, and must keep holding byte for byte. The p34392 SPEA2 and exact
+//! harden pins were taken from the serde writer, before harden bodies moved
+//! to the prefix-copying front encoder (`wire::encode_harden_response`).
 
 use rsn_serve::cache::fnv1a;
 use rsn_serve::{Client, Endpoint, JobRequest, Server, ServerConfig};
@@ -97,16 +99,43 @@ fn p93791_analyze_shard_and_whatif_bodies_are_pinned() {
     ]);
 }
 
+/// p34392 in the textual format, with the job knobs every p34392 pin shares.
+fn p34392_job() -> JobRequest {
+    let spec = rsn_benchmarks::by_name("p34392").expect("p34392 is a Table I design");
+    JobRequest {
+        network: Some(rsn_model::format::print_network(spec.name, &spec.generate())),
+        seed: Some(7),
+        ..Default::default()
+    }
+}
+
+#[test]
+fn p34392_non_greedy_harden_fronts_are_pinned() {
+    // Evolutionary and exact fronts share only short id prefixes between
+    // neighbouring solutions, unlike the greedy front above.
+    let base = p34392_job();
+    let bodies = serve(&[
+        (
+            Endpoint::Harden,
+            JobRequest {
+                solver: Some("spea2".into()),
+                generations: Some(10),
+                population: Some(32),
+                ..base.clone()
+            },
+        ),
+        (Endpoint::Harden, JobRequest { solver: Some("exact".into()), ..base }),
+    ]);
+    assert_pinned(&[
+        ("/v1/harden spea2", &bodies[0], 4_615, 0x4ff7_edc8_b2a4_27f4),
+        ("/v1/harden exact", &bodies[1], 1_612_521, 0xd0ec_093f_5ecc_6539),
+    ]);
+}
+
 #[test]
 fn p34392_validate_report_is_pinned() {
     // The campaign replays every fault mode through the simulator, which is
     // slow on p93791; p34392 gives a full report in a fraction of the time.
-    let spec = rsn_benchmarks::by_name("p34392").expect("p34392 is a Table I design");
-    let job = JobRequest {
-        network: Some(rsn_model::format::print_network(spec.name, &spec.generate())),
-        seed: Some(7),
-        ..Default::default()
-    };
-    let body = serve(&[(Endpoint::Validate, job)]).remove(0);
+    let body = serve(&[(Endpoint::Validate, p34392_job())]).remove(0);
     assert_pinned(&[("/v1/validate", &body, 296, 0xb226_e440_ad40_f678)]);
 }
