@@ -1,12 +1,16 @@
 //! Criterion benchmark: JSON encoding of real `rsnd` response bodies on
 //! p93791 — the greedy `/v1/harden` front (~8 MB), the `/v1/analyze`
-//! criticality summary and one `mode_range` shard.
+//! criticality summary and one `mode_range` shard — and decoding of that
+//! shard, the coordinator's per-shard merge input.
 //!
 //! Each value is taken from the body the daemon's in-process path serves,
 //! decoded once, and re-encoded per iteration; the setup asserts that the
 //! re-encoding reproduces the served bytes. The `serialize/` labels time the
 //! serde writer; `wire/p93791_greedy_front` times the front encoder the
 //! daemon serves harden bodies with, against the same bytes.
+//! `deserialize/p93791_shard` times the serde decoder (the oracle) on the
+//! served shard body and `wire/p93791_shard_decode` the one-pass decoder
+//! `rsnc` reads shards with; the setup asserts that both read the same value.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use robust_rsn::{CriticalitySummary, Parallelism};
@@ -47,6 +51,13 @@ fn serialize(c: &mut Criterion) {
     let shard = JobRequest { mode_lo: Some(1000), mode_hi: Some(3000), ..base };
     let (shard, body) = served::<AnalyzeShardResponse>(Endpoint::Analyze, &shard);
     bench_encode(c, "serialize/p93791_shard", &shard, &body);
+    assert_eq!(wire::decode_analyze_shard(&body).unwrap(), shard, "shard decoder drifted");
+    c.bench_function("deserialize/p93791_shard", |b| {
+        b.iter(|| serde_json::from_str::<AnalyzeShardResponse>(&body).unwrap())
+    });
+    c.bench_function("wire/p93791_shard_decode", |b| {
+        b.iter(|| wire::decode_analyze_shard(&body).unwrap())
+    });
 }
 
 criterion_group!(benches, serialize);

@@ -50,6 +50,13 @@
 //! independent of block packing and thread count, the merged body is
 //! **byte-identical** to what a single node would have served.
 //!
+//! Shard answers are read by [`rsn_serve::wire::decode_analyze_shard`], a
+//! one-pass decoder of exactly the grammar the worker's serde writer
+//! prints; there is no second decode path. A `200` answer it refuses, or
+//! one for another range, is counted (`rsnc_shard_rejected_total`) and
+//! struck against the worker, and the shard fails over — so a worker of
+//! another wire version is routed around, never misread.
+//!
 //! ## Robustness
 //!
 //! A health loop probes every worker's `/metrics` (liveness plus queue
@@ -499,11 +506,16 @@ impl Cluster {
             let client = self.client(&worker.addr);
             match client.submit_with_retry(Endpoint::Analyze, &shard_job, &self.config.retry) {
                 Ok(outcome) if outcome.response.status == 200 => {
-                    match serde_json::from_str::<AnalyzeShardResponse>(&outcome.response.body) {
+                    match wire::decode_analyze_shard(&outcome.response.body) {
                         Ok(shard) if shard.mode_lo == lo && shard.mode_hi == hi => {
                             return Some(shard)
                         }
-                        _ => self.strike(&worker),
+                        // A body off the shard grammar (a worker of another
+                        // wire version, say) or for another range.
+                        _ => {
+                            self.metrics.record_shard_rejected();
+                            self.strike(&worker);
+                        }
                     }
                 }
                 Ok(outcome)

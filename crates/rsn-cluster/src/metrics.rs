@@ -15,6 +15,7 @@ use crate::fleet::WorkerStatus;
 pub struct ClusterMetrics {
     shards_dispatched: AtomicU64,
     shards_retried: AtomicU64,
+    shards_rejected: AtomicU64,
     failovers: AtomicU64,
     rebalances: AtomicU64,
     respawns: AtomicU64,
@@ -34,6 +35,12 @@ impl ClusterMetrics {
     /// Counts one shard re-dispatched after a failed attempt.
     pub fn record_shard_retried(&self) {
         self.shards_retried.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts one `200` shard answer the coordinator refused: its body did
+    /// not decode, or it answered another mode range.
+    pub fn record_shard_rejected(&self) {
+        self.shards_rejected.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts one whole-job failover to the next worker in rendezvous
@@ -117,6 +124,7 @@ impl ClusterMetrics {
             ("rsnc_socket_writes_total", server.socket_writes()),
             ("rsnc_shards_dispatched_total", get(&self.shards_dispatched)),
             ("rsnc_shards_retried_total", get(&self.shards_retried)),
+            ("rsnc_shard_rejected_total", get(&self.shards_rejected)),
             ("rsnc_failovers_total", get(&self.failovers)),
             ("rsnc_rebalances_total", get(&self.rebalances)),
             ("rsnc_worker_respawns_total", get(&self.respawns)),

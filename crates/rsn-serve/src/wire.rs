@@ -19,7 +19,10 @@
 //! bytes, and a cache hit is indistinguishable from a fresh computation
 //! except for its `X-Cache` header. `/v1/harden` bodies are printed by
 //! [`encode_harden_response`], which copies the id prefixes neighbouring
-//! solutions share and writes the serde shim's exact bytes.
+//! solutions share and writes the serde shim's exact bytes. The cluster
+//! coordinator reads shard bodies back with [`decode_analyze_shard`], a
+//! one-pass decoder of exactly the shim's grammar for
+//! [`AnalyzeShardResponse`].
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -650,21 +653,27 @@ pub struct AnalyzeShardResponse {
 /// and folding them through the shared aggregation reproduces exactly what
 /// a single node would have served for `job` without a `mode_range`.
 ///
+/// The mode table is walked once, by the aggregation: the shards are held
+/// to the first shard's `mode_count` and must tile `0..mode_count`, and the
+/// aggregation's length check then holds that count to the network's table.
+///
 /// # Errors
 ///
-/// [`JobError`] with status 500 (`shard_merge`) when the shards do not
-/// tile `0..mode_count` contiguously or report a different mode count than
-/// `network` implies — either means a worker answered for the wrong
-/// network or a failover re-dispatch went to the wrong range.
+/// [`JobError`] with status 500 (`shard_merge`) when the shards report
+/// different mode counts, do not tile `0..mode_count` contiguously, or
+/// tile a table of another size than `network`'s — each means a worker
+/// answered for the wrong network or a failover re-dispatch went to the
+/// wrong range.
 pub fn merge_analyze_shards(
     job: &ResolvedJob,
     network: &ParsedNetwork,
     shards: &[AnalyzeShardResponse],
 ) -> Result<String, JobError> {
-    let options = AnalysisOptions { mode: job.mode, sib_policy: job.sib_policy };
-    let total = robust_rsn::mode_count(&network.net, &options) as u64;
     let merge_bug = |detail: String| JobError::new(500, "shard_merge", detail);
-    let mut damages: Vec<robust_rsn::ModeDamage> = Vec::with_capacity(total as usize);
+    let total = shards.first().map_or(0, |shard| shard.mode_count);
+    // Sized by the damages at hand, never by a count a shard claims.
+    let mut damages: Vec<robust_rsn::ModeDamage> =
+        Vec::with_capacity(shards.iter().map(|shard| shard.damages.len()).sum());
     let mut next = 0u64;
     for shard in shards {
         if shard.mode_count != total {
@@ -690,9 +699,156 @@ pub fn merge_analyze_shards(
     if next != total {
         return Err(merge_bug(format!("shards cover only 0..{next} of {total} modes")));
     }
+    let options = AnalysisOptions { mode: job.mode, sib_policy: job.sib_policy };
     let crit = robust_rsn::criticality_from_mode_damages(&network.net, &options, &damages)
         .map_err(|e| merge_bug(e.to_string()))?;
     serialize(&CriticalitySummary::new(&network.net, &crit, job.top))
+}
+
+/// Decodes a `/v1/analyze` shard body into an [`AnalyzeShardResponse`] in
+/// one pass: the coordinator's decoder for every shard a worker answers.
+///
+/// It accepts exactly the grammar the serde writer prints for the type —
+/// compact, fields in declaration order, unsigned integers without leading
+/// zeros (overflow checked), `true`/`false` — and refuses everything else,
+/// so a worker of another wire version is refused rather than misread. The
+/// `network` string alone goes through `serde_json::from_str::<String>`,
+/// which decodes its escapes and non-ASCII text exactly as the derived
+/// impl would. Damages are pushed straight into one `Vec`, reserved for as
+/// many objects as the rest of the body can hold (the claimed range only
+/// narrows that), so no body allocates more than its own length describes.
+/// The derived `Deserialize` stays as this decoder's test oracle.
+///
+/// # Errors
+///
+/// [`JobError`] with status 502 (`bad_shard`) naming the byte offset where
+/// the body leaves the grammar.
+pub fn decode_analyze_shard(body: &str) -> Result<AnalyzeShardResponse, JobError> {
+    /// The shortest damage object the writer prints, plus its separator.
+    const MIN_DAMAGE: usize = "{\"obs\":0,\"set\":0,\"important\":true},".len();
+    let mut cur = ShardCursor { body, pos: 0 };
+    cur.literal("{\"network\":")?;
+    let network = cur.string()?;
+    cur.literal(",\"mode_count\":")?;
+    let mode_count = cur.u64()?;
+    cur.literal(",\"mode_lo\":")?;
+    let mode_lo = cur.u64()?;
+    cur.literal(",\"mode_hi\":")?;
+    let mode_hi = cur.u64()?;
+    cur.literal(",\"damages\":[")?;
+    let room = (body.len() - cur.pos) / MIN_DAMAGE;
+    let claimed = usize::try_from(mode_hi.saturating_sub(mode_lo)).unwrap_or(usize::MAX);
+    let mut damages = Vec::with_capacity(room.min(claimed));
+    if !cur.eat(b']') {
+        loop {
+            cur.literal("{\"obs\":")?;
+            let obs = cur.u64()?;
+            cur.literal(",\"set\":")?;
+            let set = cur.u64()?;
+            cur.literal(",\"important\":")?;
+            let important = cur.bool()?;
+            cur.literal("}")?;
+            damages.push(ShardModeDamage { obs, set, important });
+            if cur.eat(b']') {
+                break;
+            }
+            cur.literal(",")?;
+        }
+    }
+    cur.literal("}")?;
+    if cur.pos != body.len() {
+        return Err(cur.refuse("the end of the body"));
+    }
+    Ok(AnalyzeShardResponse { network, mode_count, mode_lo, mode_hi, damages })
+}
+
+/// [`decode_analyze_shard`]'s read position in a shard body.
+struct ShardCursor<'a> {
+    body: &'a str,
+    pos: usize,
+}
+
+impl ShardCursor<'_> {
+    fn rest(&self) -> &[u8] {
+        &self.body.as_bytes()[self.pos..]
+    }
+
+    fn refuse(&self, expected: &str) -> JobError {
+        JobError::new(
+            502,
+            "bad_shard",
+            format!("shard body: expected {expected} at byte {}", self.pos),
+        )
+    }
+
+    /// Consumes `b` if it comes next.
+    fn eat(&mut self, b: u8) -> bool {
+        let next = self.rest().first() == Some(&b);
+        self.pos += usize::from(next);
+        next
+    }
+
+    fn literal(&mut self, text: &str) -> Result<(), JobError> {
+        if !self.rest().starts_with(text.as_bytes()) {
+            return Err(self.refuse(&format!("`{text}`")));
+        }
+        self.pos += text.len();
+        Ok(())
+    }
+
+    /// A canonical unsigned integer: `0`, or a non-zero digit and up to the
+    /// digits that still fit a `u64`.
+    fn u64(&mut self) -> Result<u64, JobError> {
+        let digits = self.rest().iter().take_while(|b| b.is_ascii_digit()).count();
+        let text = &self.rest()[..digits];
+        if digits == 0 || (digits > 1 && text[0] == b'0') {
+            return Err(self.refuse("an unsigned integer"));
+        }
+        let value = text.iter().try_fold(0u64, |v, &d| {
+            v.checked_mul(10).and_then(|v| v.checked_add(u64::from(d - b'0')))
+        });
+        let value = value.ok_or_else(|| self.refuse("an integer that fits 64 bits"))?;
+        self.pos += digits;
+        Ok(value)
+    }
+
+    fn bool(&mut self) -> Result<bool, JobError> {
+        for (text, value) in [("true", true), ("false", false)] {
+            if self.rest().starts_with(text.as_bytes()) {
+                self.pos += text.len();
+                return Ok(value);
+            }
+        }
+        Err(self.refuse("`true` or `false`"))
+    }
+
+    /// A JSON string: its extent is found by skipping escaped bytes, and
+    /// only that slice is decoded by serde.
+    fn string(&mut self) -> Result<String, JobError> {
+        let rest = self.rest();
+        if rest.first() != Some(&b'"') {
+            return Err(self.refuse("a string"));
+        }
+        let mut end = 1;
+        loop {
+            match rest
+                .get(end..)
+                .and_then(|tail| tail.iter().position(|&b| b == b'"' || b == b'\\'))
+            {
+                None => return Err(self.refuse("a terminated string")),
+                Some(at) if rest[end + at] == b'"' => {
+                    end += at + 1;
+                    break;
+                }
+                Some(at) => end += at + 2,
+            }
+        }
+        // Both ends are ASCII quotes, so the slice is whole characters.
+        let value = serde_json::from_str::<String>(&self.body[self.pos..self.pos + end])
+            .map_err(|e| self.refuse(&format!("a valid string ({e})")))?;
+        self.pos += end;
+        Ok(value)
+    }
 }
 
 /// The `/v1/whatif` response payload: what the delta recomputed, the
@@ -1525,6 +1681,45 @@ mod tests {
             robust_rsn::criticality_from_mode_damages(&parsed.net, &options, &damages).unwrap();
         let merged = serialize(&CriticalitySummary::new(&parsed.net, &crit, whole.top)).unwrap();
         assert_eq!(merged, whole_body, "shard merge must be byte-identical");
+    }
+
+    #[test]
+    fn merge_refuses_shards_that_do_not_tile_the_network_table() {
+        let whole = analyze_job();
+        let whole_body = execute(&whole, Parallelism::sequential(), &Deadline::none()).unwrap();
+        let parsed = ParsedNetwork::from_text(NET).unwrap();
+        let shard = |lo: u64, hi: u64| {
+            let job = ResolvedJob { mode_range: Some((lo, hi)), ..whole.clone() };
+            let body = execute(&job, Parallelism::sequential(), &Deadline::none()).unwrap();
+            decode_analyze_shard(&body).unwrap()
+        };
+        let full = shard(0, 1).mode_count;
+        let (a, b) = (shard(0, 1), shard(1, full));
+        let merged = merge_analyze_shards(&whole, &parsed, &[a.clone(), b.clone()]).unwrap();
+        assert_eq!(merged, whole_body);
+
+        let recount =
+            |s: &AnalyzeShardResponse, n: u64| AnalyzeShardResponse { mode_count: n, ..s.clone() };
+        let short = recount(&shard(0, full - 1), full - 1);
+        let long = AnalyzeShardResponse {
+            mode_count: full + 1,
+            mode_hi: full + 1,
+            damages: [b.damages.clone(), vec![ShardModeDamage::default()]].concat(),
+            ..b.clone()
+        };
+        for shards in [
+            vec![],
+            vec![b.clone(), a.clone()],
+            vec![a.clone()],
+            vec![a.clone(), a.clone(), b.clone()],
+            vec![a.clone(), recount(&b, full + 1)],
+            // Tiling a table of the wrong size: the aggregation refuses it.
+            vec![short],
+            vec![recount(&a, full + 1), long],
+        ] {
+            let err = merge_analyze_shards(&whole, &parsed, &shards).unwrap_err();
+            assert_eq!((err.status, err.code.as_str()), (500, "shard_merge"), "{}", err.message);
+        }
     }
 
     #[test]

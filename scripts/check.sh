@@ -51,6 +51,9 @@ cargo test --offline -q -p robust-rsn --test prop_sparse_kernel batch_matches_re
 echo "==> harden encoder differential (front encoder vs serde oracle, every solver)"
 cargo test --offline -q -p rsn-serve --test harden_encoder
 
+echo "==> shard decoder differential (one-pass decoder vs serde oracle, Table I shards)"
+cargo test --offline -q -p rsn-serve --test shard_decoder
+
 echo "==> serve smoke (rsnd end to end)"
 scripts/serve_smoke.sh
 
