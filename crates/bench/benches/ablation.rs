@@ -10,9 +10,9 @@
 
 use moea::Nsga2Config;
 use robust_rsn::{
-    analyze, bypass_augment, solve_exact, solve_greedy, solve_nsga2, solve_random, AnalysisOptions,
-    AugmentGranularity, CostModel, CriticalitySpec, HardeningProblem, ModeAggregation,
-    PaperSpecParams, SibCellPolicy,
+    analyze, bypass_augment, double_fault_damage, solve_exact, solve_greedy, solve_nsga2,
+    solve_random, AnalysisOptions, AugmentGranularity, CancelToken, CostModel, CriticalitySpec,
+    HardeningProblem, ModeAggregation, PaperSpecParams, Parallelism, SibCellPolicy,
 };
 use std::time::Instant;
 
@@ -45,10 +45,12 @@ fn main() {
                 ..Default::default()
             },
             EXPERIMENT_SEED,
-        );
+            &CancelToken::none(),
+        )
+        .expect("a none token never cancels");
         let greedy = solve_greedy(p);
         let random = solve_random(p, spec.population() * gens, EXPERIMENT_SEED);
-        let exact = solve_exact(p, 4_000_000).ok();
+        let exact = solve_exact(p, 4_000_000, &CancelToken::none()).ok();
         let values =
             [hv(&spea2), hv(&nsga2), hv(&greedy), hv(&random), exact.as_ref().map_or(f64::NAN, hv)];
         let best = values.iter().copied().filter(|v| v.is_finite()).fold(0.0, f64::max);
@@ -176,7 +178,8 @@ fn main() {
         let run = |kind| {
             let mut cfg = spea2_config(&spec, gens);
             cfg.variation.crossover = kind;
-            robust_rsn::solve_spea2(p, &cfg, EXPERIMENT_SEED, |_| {})
+            robust_rsn::solve_spea2(p, &cfg, EXPERIMENT_SEED, |_| {}, &CancelToken::none())
+                .expect("a none token never cancels")
                 .hypervolume(reference.0, reference.1)
         };
         let values = [
@@ -194,10 +197,17 @@ fn main() {
         );
     }
 
-    println!("\nA6 — double-fault robustness (beyond the paper's single-fault model)");
+    println!("\nA6 — double-fault robustness (exact all-pairs sweep, beyond the paper's single-fault model)");
     println!(
-        "{:<16} {:>22} {:>22} {:>10}",
-        "design", "avg 2-fault dmg (none)", "avg 2-fault dmg (d10)", "reduction"
+        "{:<16} {:>8} {:>12} {:>12} {:>10} {:>10} {:>10} {:>10}",
+        "design",
+        "pairs",
+        "mean (none)",
+        "mean (d10)",
+        "max (none)",
+        "max (d10)",
+        "reduction",
+        "sweep"
     );
     for name in ["TreeFlat", "TreeUnbalanced", "q12710", "MBIST_1_5_5"] {
         let spec = by_name(name).expect("registered design");
@@ -206,31 +216,31 @@ fn main() {
         let chosen = greedy
             .min_cost_with_damage_at_most(instance.problem.total_damage() / 10)
             .expect("greedy front reaches 10%");
-        let samples = 150;
-        let before = robust_rsn::sampled_double_fault_damage(
-            &instance.net,
-            &instance.weights,
-            &[],
-            SibCellPolicy::Combined,
-            samples,
-            EXPERIMENT_SEED,
-        )
-        .expect("within combination bound");
-        let after = robust_rsn::sampled_double_fault_damage(
-            &instance.net,
-            &instance.weights,
-            &chosen.hardened,
-            SibCellPolicy::Combined,
-            samples,
-            EXPERIMENT_SEED,
-        )
-        .expect("within combination bound");
+        let sweep = |hardened: &[rsn_model::NodeId]| {
+            double_fault_damage(
+                &instance.net,
+                &instance.weights,
+                hardened,
+                SibCellPolicy::Combined,
+                Parallelism::default(),
+                &CancelToken::none(),
+            )
+            .expect("within combination bound")
+        };
+        let t0 = Instant::now();
+        let before = sweep(&[]);
+        let t_sweep = t0.elapsed();
+        let after = sweep(&chosen.hardened);
         println!(
-            "{:<16} {:>22.0} {:>22.0} {:>9.1}%",
+            "{:<16} {:>8} {:>12.0} {:>12.0} {:>10} {:>10} {:>9.1}% {:>10.2?}",
             name,
-            before,
-            after,
-            100.0 * (1.0 - after / before.max(1e-9))
+            before.pairs,
+            before.mean,
+            after.mean,
+            before.max,
+            after.max,
+            100.0 * (1.0 - after.mean / before.mean.max(1e-9)),
+            t_sweep
         );
     }
 

@@ -18,7 +18,7 @@ use moea::{BitGenome, Problem, Spea2Config};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use robust_rsn::{
-    analyze_graph_with, AnalysisOptions, AnalysisSession, CostModel, CriticalitySpec,
+    analyze_graph, AnalysisOptions, AnalysisSession, CancelToken, CostModel, CriticalitySpec,
     PaperSpecParams, Parallelism, Solver,
 };
 use rsn_benchmarks::mbist::mbist;
@@ -36,17 +36,19 @@ fn graph_analysis_sweep(c: &mut Criterion) {
     let (net, _) = s.build("sweep").unwrap();
     let weights = CriticalitySpec::paper_random(&net, &PaperSpecParams::default(), 1);
     let options = AnalysisOptions::default();
-    let baseline = analyze_graph_with(&net, &weights, &options, Parallelism::sequential());
+    let none = CancelToken::none();
+    let sweep = |par| analyze_graph(&net, &weights, &options, par, &none).expect("sweep completes");
+    let baseline = sweep(Parallelism::sequential());
     let mut group = c.benchmark_group("parallel/analyze_graph/MBIST_2_20_10_8");
     group.throughput(Throughput::Elements(baseline.primitives().len() as u64));
     for threads in thread_sweep() {
         let par = Parallelism::new(threads);
-        let got = analyze_graph_with(&net, &weights, &options, par);
+        let got = sweep(par);
         for &j in baseline.primitives() {
             assert_eq!(got.damage(j), baseline.damage(j), "thread count changed a result");
         }
         group.bench_with_input(BenchmarkId::from_parameter(threads), &par, |b, &par| {
-            b.iter(|| analyze_graph_with(&net, &weights, &options, par))
+            b.iter(|| sweep(par))
         });
     }
     group.finish();

@@ -16,18 +16,26 @@
 //! * `double_fault/exact` — the exact all-pairs double-fault sweep on the
 //!   mid-size Table I designs (lane-packed pair enumeration);
 //! * `reach_kernel/fault_set` — multi-fault evaluation: an explicit pair
-//!   plus a broken SIB control cell (frozen-select enumeration), and the
-//!   sampled double-fault estimator.
+//!   plus a broken SIB control cell (frozen-select enumeration).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use robust_rsn::graph_analysis::reference;
 use robust_rsn::{
-    analyze_graph_with, double_fault_damage_with, fault_set_damage_with,
-    sampled_double_fault_damage_with, AnalysisOptions, CriticalitySpec, PaperSpecParams,
-    Parallelism, SibCellPolicy,
+    analyze_graph, double_fault_damage, fault_set_damage, AnalysisOptions, CancelToken,
+    CriticalitySpec, GraphCriticality, PaperSpecParams, Parallelism, SibCellPolicy,
 };
 use rsn_benchmarks::{by_name, giant};
 use rsn_model::{enumerate_single_faults, ControlSource, Fault, ScanNetwork};
+
+/// The uncancelled full sweep.
+fn sweep(
+    net: &ScanNetwork,
+    weights: &CriticalitySpec,
+    options: &AnalysisOptions,
+    par: Parallelism,
+) -> GraphCriticality {
+    analyze_graph(net, weights, options, par, &CancelToken::none()).expect("sweep completes")
+}
 
 fn largest_network() -> (ScanNetwork, CriticalitySpec) {
     let spec = by_name("p93791").expect("registered design");
@@ -56,7 +64,7 @@ fn graph_analysis(c: &mut Criterion) {
     let mut group = c.benchmark_group("reach_kernel/graph_analysis");
     group.sample_size(10);
     group.bench_function("bitset", |b| {
-        b.iter(|| analyze_graph_with(&net, &weights, &options, Parallelism::sequential()))
+        b.iter(|| sweep(&net, &weights, &options, Parallelism::sequential()))
     });
     group.bench_function("boolean", |b| {
         b.iter(|| reference::analyze_graph_ref(&net, &weights, &options))
@@ -73,7 +81,7 @@ fn batch_sweep(c: &mut Criterion) {
         let (net, _) = spec.generate().build(name).expect("valid structure");
         let weights = CriticalitySpec::paper_random(&net, &PaperSpecParams::default(), 1);
         group.bench_function(name, |b| {
-            b.iter(|| analyze_graph_with(&net, &weights, &options, Parallelism::sequential()))
+            b.iter(|| sweep(&net, &weights, &options, Parallelism::sequential()))
         });
         group.bench_function(format!("{name}_reference"), |b| {
             b.iter(|| reference::analyze_graph_ref(&net, &weights, &options))
@@ -81,7 +89,7 @@ fn batch_sweep(c: &mut Criterion) {
     }
     let (net, weights) = largest_network();
     group.bench_function("p93791_threads4", |b| {
-        b.iter(|| analyze_graph_with(&net, &weights, &options, Parallelism::new(4)))
+        b.iter(|| sweep(&net, &weights, &options, Parallelism::new(4)))
     });
     // The 20k-segment generated shapes of `rsn_tool gen`: SIB-gated rings
     // (one articulation cell per ring), a SIB tower whose every fault cone
@@ -94,7 +102,7 @@ fn batch_sweep(c: &mut Criterion) {
         let (net, _) = structure.build(name).expect("valid structure");
         let weights = CriticalitySpec::paper_random(&net, &PaperSpecParams::default(), 1);
         group.bench_function(name, |b| {
-            b.iter(|| analyze_graph_with(&net, &weights, &options, Parallelism::sequential()))
+            b.iter(|| sweep(&net, &weights, &options, Parallelism::sequential()))
         });
     }
     group.finish();
@@ -109,12 +117,13 @@ fn double_fault_exact(c: &mut Criterion) {
         let weights = CriticalitySpec::paper_random(&net, &PaperSpecParams::default(), 1);
         group.bench_function(name, |b| {
             b.iter(|| {
-                double_fault_damage_with(
+                double_fault_damage(
                     &net,
                     &weights,
                     &[],
                     SibCellPolicy::Combined,
                     Parallelism::sequential(),
+                    &CancelToken::none(),
                 )
                 .expect("exact sweep completes")
             })
@@ -138,38 +147,26 @@ fn fault_set(c: &mut Criterion) {
     let mut group = c.benchmark_group("reach_kernel/fault_set");
     group.bench_function("pair", |b| {
         b.iter(|| {
-            fault_set_damage_with(
+            fault_set_damage(
                 &net,
                 &weights,
                 &pair,
                 SibCellPolicy::Combined,
                 Parallelism::sequential(),
+                &CancelToken::none(),
             )
             .expect("within combination bound")
         })
     });
     group.bench_function("broken_control_cell", |b| {
         b.iter(|| {
-            fault_set_damage_with(
+            fault_set_damage(
                 &net,
                 &weights,
                 &[Fault::broken_segment(cell)],
                 SibCellPolicy::Combined,
                 Parallelism::sequential(),
-            )
-            .expect("within combination bound")
-        })
-    });
-    group.sample_size(10).bench_function("sampled_double/32", |b| {
-        b.iter(|| {
-            sampled_double_fault_damage_with(
-                &net,
-                &weights,
-                &[],
-                SibCellPolicy::Combined,
-                32,
-                7,
-                Parallelism::sequential(),
+                &CancelToken::none(),
             )
             .expect("within combination bound")
         })

@@ -4,7 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use robust_rsn::{
-    validate_criticality_with, AnalysisOptions, CriticalitySpec, PaperSpecParams, Parallelism,
+    validate_criticality, AnalysisOptions, CancelToken, CriticalitySpec, PaperSpecParams,
+    Parallelism,
 };
 use rsn_benchmarks::mbist::mbist;
 use rsn_model::{Config, Simulator};
@@ -64,8 +65,14 @@ fn validation_campaign(c: &mut Criterion) {
         let options = AnalysisOptions::default();
         group.bench_with_input(BenchmarkId::from_parameter(name), &name, |b, _| {
             b.iter(|| {
-                let report =
-                    validate_criticality_with(&net, &weights, &options, Parallelism::sequential());
+                let report = validate_criticality(
+                    &net,
+                    &weights,
+                    &options,
+                    Parallelism::sequential(),
+                    &CancelToken::none(),
+                )
+                .expect("campaign completes");
                 assert!(report.is_clean(), "campaign disagreed on {name}");
                 report.replays
             })

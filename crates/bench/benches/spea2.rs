@@ -23,7 +23,7 @@ fn spea2_generations(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(name), &name, |b, _| {
             b.iter(|| {
                 let mut rng = ChaCha8Rng::seed_from_u64(1);
-                moea::spea2(&instance.problem, &cfg, &mut rng)
+                moea::spea2(&instance.problem, &cfg, &mut rng, |_| {}, || false).unwrap()
             })
         });
     }
@@ -40,7 +40,7 @@ fn nsga2_generations(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(name), &name, |b, _| {
             b.iter(|| {
                 let mut rng = ChaCha8Rng::seed_from_u64(1);
-                moea::nsga2(&instance.problem, &cfg, &mut rng)
+                moea::nsga2(&instance.problem, &cfg, &mut rng, || false).unwrap()
             })
         });
     }

@@ -83,9 +83,9 @@ use std::process::ExitCode;
 
 use moea::{Nsga2Config, Spea2Config};
 use robust_rsn::{
-    accessibility_under, analyze, double_fault_damage_with, report, solve_exact, solve_greedy,
-    solve_nsga2, solve_spea2, AnalysisOptions, CostModel, CriticalitySpec, Diagnosis,
-    FaultDictionary, HardeningFront, HardeningProblem, PaperSpecParams, Parallelism,
+    accessibility_under, analyze, double_fault_damage, report, AnalysisOptions, CancelToken,
+    CostModel, CriticalitySpec, Diagnosis, FaultDictionary, HardeningProblem, PaperSpecParams,
+    Parallelism, Solver,
 };
 use rsn_model::{format::parse_network, icl::import_icl, ScanNetwork, Structure};
 use rsn_serve::{parse_error, Client, Endpoint, JobRequest, RetryPolicy, Server, ServerConfig};
@@ -277,12 +277,13 @@ fn run() -> Result<(), String> {
             print!("{}", report::criticality_table(&net, &crit, 25));
             if opts.exact_double {
                 let options = AnalysisOptions::default();
-                let summary = double_fault_damage_with(
+                let summary = double_fault_damage(
                     &net,
                     &spec,
                     &[],
                     options.sib_policy,
                     opts.parallelism(),
+                    &CancelToken::none(),
                 )
                 .map_err(|e| e.to_string())?;
                 println!("exact double-fault damage over {} pairs:", summary.pairs);
@@ -414,12 +415,14 @@ fn sweep(target: &str, opts: &Options) -> Result<(), String> {
     let stats = net.stats();
     let relaxed_before = robust_rsn::kernel_counters().nodes_relaxed;
     let sweep_started = std::time::Instant::now();
-    let crit = robust_rsn::analyze_graph_with(
+    let crit = robust_rsn::analyze_graph(
         &net,
         &spec,
         &AnalysisOptions::default(),
         opts.parallelism(),
-    );
+        &CancelToken::none(),
+    )
+    .map_err(|e| e.to_string())?;
     let sweep_elapsed = sweep_started.elapsed();
     let nodes_relaxed = robust_rsn::kernel_counters().nodes_relaxed - relaxed_before;
     if opts.json {
@@ -539,12 +542,14 @@ fn validate(target: &str, opts: &Options) -> Result<(), String> {
     };
     let spec = weights(&net, opts);
     let started = std::time::Instant::now();
-    let report = robust_rsn::validate_criticality_with(
+    let report = robust_rsn::validate_criticality(
         &net,
         &spec,
         &AnalysisOptions::default(),
         opts.parallelism(),
-    );
+        &CancelToken::none(),
+    )
+    .map_err(|e| e.to_string())?;
     let elapsed = started.elapsed();
     if opts.json {
         println!("{}", serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?);
@@ -720,31 +725,29 @@ fn harden(net: &ScanNetwork, tree: &DecompTree, opts: &Options) -> Result<(), St
         problem.max_cost(),
         problem.total_damage()
     );
-    let front: HardeningFront = match opts.solver.as_str() {
-        "spea2" => solve_spea2(
-            &problem,
-            &Spea2Config {
+    let solver = match opts.solver.as_str() {
+        "spea2" => Solver::Spea2 {
+            config: Spea2Config {
                 population_size: 100,
                 archive_size: 100,
                 generations: opts.generations,
                 ..Default::default()
             },
-            opts.seed,
-            |_| {},
-        ),
-        "nsga2" => solve_nsga2(
-            &problem,
-            &Nsga2Config {
+            seed: opts.seed,
+        },
+        "nsga2" => Solver::Nsga2 {
+            config: Nsga2Config {
                 population_size: 100,
                 generations: opts.generations,
                 ..Default::default()
             },
-            opts.seed,
-        ),
-        "greedy" => solve_greedy(&problem),
-        "exact" => solve_exact(&problem, 4_000_000).map_err(|e| e.to_string())?,
+            seed: opts.seed,
+        },
+        "greedy" => Solver::Greedy,
+        "exact" => Solver::Exact { max_states: 4_000_000 },
         other => return Err(format!("unknown solver {other:?}")),
     };
+    let front = solver.run(&problem, &CancelToken::none()).map_err(|e| e.to_string())?;
     print!("{}", report::front_table(&problem, &front));
     let dmg_cap = problem.total_damage() * opts.damage_cap_pct / 100;
     match front.min_cost_with_damage_at_most(dmg_cap) {

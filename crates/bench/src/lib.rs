@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 
 use moea::{Spea2Config, Variation};
 use robust_rsn::{
-    analyze, solve_spea2, AnalysisOptions, CostModel, CriticalitySpec, HardeningFront,
+    analyze, solve_spea2, AnalysisOptions, CancelToken, CostModel, CriticalitySpec, HardeningFront,
     HardeningProblem, PaperSpecParams,
 };
 use rsn_benchmarks::BenchmarkSpec;
@@ -68,7 +68,8 @@ pub fn spea2_config(spec: &BenchmarkSpec, generations: usize) -> Spea2Config {
 /// Runs the paper's optimizer on a prepared instance.
 #[must_use]
 pub fn optimize(instance: &Instance, config: &Spea2Config) -> HardeningFront {
-    solve_spea2(&instance.problem, config, EXPERIMENT_SEED, |_| {})
+    solve_spea2(&instance.problem, config, EXPERIMENT_SEED, |_| {}, &CancelToken::none())
+        .expect("a none token never cancels")
 }
 
 /// Formats a duration as `m:ss` like Table I column 11.

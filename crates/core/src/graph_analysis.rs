@@ -22,8 +22,8 @@
 //! # One engine, two oracles
 //!
 //! Every graph-exact evaluation — full sweeps, mode-range shards, the
-//! incremental [`Workspace`](crate::Workspace), fault sets, sampled and
-//! exact double faults, and the analytical side of the validation campaign
+//! incremental [`Workspace`](crate::Workspace), fault sets, exact double
+//! faults, and the analytical side of the validation campaign
 //! — runs on one engine: the mode-major lane kernel in [`batch`], which
 //! packs [`batch::LANES`] fault modes into one lane-word per node and
 //! relaxes them all in one forward/backward pass over the topologically
@@ -703,74 +703,24 @@ pub(crate) fn sweep_table(
 /// the graph. Exact for any validated RSN DAG, including non-SP topologies
 /// the decomposition-tree analysis cannot express.
 ///
-/// The per-fault sweep is sharded across threads per
-/// [`Parallelism::default`] (the `RSN_THREADS` environment variable); use
-/// [`analyze_graph_with`] to pin the thread count. Results are bit-identical
-/// for every thread count.
-#[must_use]
-pub fn analyze_graph(
-    net: &ScanNetwork,
-    spec: &CriticalitySpec,
-    options: &AnalysisOptions,
-) -> GraphCriticality {
-    analyze_graph_with(net, spec, options, Parallelism::default())
-}
-
-/// [`analyze_graph`] with an explicit thread count.
-///
 /// The sweep evaluates the canonical mode table (the same table the
-/// mode-range shards of [`crate::shard`] partition) in lane blocks and folds
-/// each primitive's mode damages with its [`ModeAggregation`], so the
-/// damage vector is identical at every thread count and to a merged
-/// shard sweep.
-#[must_use]
-pub fn analyze_graph_with(
-    net: &ScanNetwork,
-    spec: &CriticalitySpec,
-    options: &AnalysisOptions,
-    parallelism: Parallelism,
-) -> GraphCriticality {
-    match analyze_graph_batched(net, spec, options, parallelism, &CancelToken::none()) {
-        Ok(result) => result,
-        // A none token never cancels; resurface shard panics (and the
-        // too-large capacity check) as panics so the infallible signature
-        // keeps its crash semantics.
-        Err(AnalysisError::WorkerPanicked { message }) => panic!("{message}"),
-        Err(err @ AnalysisError::NetworkTooLarge { .. }) => panic!("{err}"),
-        Err(err) => unreachable!("uncancellable batched sweep failed: {err}"),
-    }
-}
-
-/// [`analyze_graph_with`] with cooperative cancellation.
+/// mode-range shards of [`crate::shard`] partition) in lane blocks sharded
+/// across `parallelism`, and folds each primitive's mode damages with its
+/// [`ModeAggregation`], so the damage vector is identical at every thread
+/// count and to a merged shard sweep.
 ///
 /// The token is polled at a checkpoint **per mode block** inside the sharded
 /// sweep, so a fired token interrupts a running sweep within a bounded
-/// number of relaxation passes instead of only between pipeline stages. On
-/// success the damage vector is bit-identical to [`analyze_graph_with`] for
-/// every thread count; a cancelled run returns an error and discards partial
-/// results, so completed analyses are never affected.
-///
-/// Worker-shard panics are caught at the shard boundary and surface as
-/// [`AnalysisError::WorkerPanicked`].
+/// number of relaxation passes; a cancelled run discards partial results.
+/// Pass [`CancelToken::none`] for a sweep that cannot be cancelled.
 ///
 /// # Errors
 ///
 /// [`AnalysisError::Cancelled`] when `cancel` fires mid-sweep;
-/// [`AnalysisError::WorkerPanicked`] when a shard panics.
-pub fn analyze_graph_with_cancel(
-    net: &ScanNetwork,
-    spec: &CriticalitySpec,
-    options: &AnalysisOptions,
-    parallelism: Parallelism,
-    cancel: &CancelToken,
-) -> Result<GraphCriticality, AnalysisError> {
-    cancel.check()?;
-    analyze_graph_batched(net, spec, options, parallelism, cancel)
-}
-
-/// The shared full-sweep implementation: a range sweep over the whole mode
-/// table, then per-primitive aggregation of `obs + set`.
-fn analyze_graph_batched(
+/// [`AnalysisError::WorkerPanicked`] when a shard panics (caught at the
+/// shard boundary); [`AnalysisError::NetworkTooLarge`] when the network
+/// exceeds the kernel's index space.
+pub fn analyze_graph(
     net: &ScanNetwork,
     spec: &CriticalitySpec,
     options: &AnalysisOptions,
@@ -790,6 +740,25 @@ fn analyze_graph_batched(
         damage[j.index()] = aggregate_mode_damages(options.mode, &totals);
     }
     Ok(GraphCriticality { damage, primitives })
+}
+
+/// [`analyze_graph`] without cancellation, resurfacing shard panics (and the
+/// too-large capacity check) as panics. Kept only for the benchmark runner,
+/// which pins this name; every other caller uses [`analyze_graph`].
+#[doc(hidden)]
+#[must_use]
+pub fn analyze_graph_with(
+    net: &ScanNetwork,
+    spec: &CriticalitySpec,
+    options: &AnalysisOptions,
+    parallelism: Parallelism,
+) -> GraphCriticality {
+    match analyze_graph(net, spec, options, parallelism, &CancelToken::none()) {
+        Ok(result) => result,
+        Err(AnalysisError::WorkerPanicked { message }) => panic!("{message}"),
+        Err(err @ AnalysisError::NetworkTooLarge { .. }) => panic!("{err}"),
+        Err(err) => unreachable!("uncancellable batched sweep failed: {err}"),
+    }
 }
 
 /// Controlled muxes per control cell under [`SibCellPolicy::Combined`]
@@ -1015,51 +984,19 @@ pub(crate) fn fault_set_damages<S: AsRef<[Fault]> + Sync>(
 /// approximations, while a fault *set* is evaluated jointly here (two faults
 /// can mask or compound each other).
 ///
-/// # Errors
-///
-/// [`AnalysisError::TooManyFrozenCombinations`] when the broken control
-/// cells would freeze more select combinations than
-/// [`MAX_FROZEN_COMBINATIONS`].
-pub fn fault_set_damage(
-    net: &ScanNetwork,
-    spec: &CriticalitySpec,
-    faults: &[Fault],
-    policy: SibCellPolicy,
-) -> Result<u64, AnalysisError> {
-    fault_set_damage_with(net, spec, faults, policy, Parallelism::default())
-}
-
-/// [`fault_set_damage`] with an explicit thread count.
-///
 /// Each frozen-select combination is one lane of the batch kernel, and the
 /// worst case over a fixed combination set is order-independent, so the
-/// result is identical for every thread count.
+/// result is identical for every thread count. The token is polled per lane
+/// block, so a fired deadline interrupts even a near-limit enumeration
+/// within a few kernel passes.
 ///
 /// # Errors
 ///
 /// [`AnalysisError::TooManyFrozenCombinations`] when the broken control
 /// cells would freeze more select combinations than
-/// [`MAX_FROZEN_COMBINATIONS`].
-pub fn fault_set_damage_with(
-    net: &ScanNetwork,
-    spec: &CriticalitySpec,
-    faults: &[Fault],
-    policy: SibCellPolicy,
-    parallelism: Parallelism,
-) -> Result<u64, AnalysisError> {
-    fault_set_damage_with_cancel(net, spec, faults, policy, parallelism, &CancelToken::none())
-}
-
-/// [`fault_set_damage_with`] with cooperative cancellation: the token is
-/// polled per lane block, so a fired deadline interrupts even a near-limit
-/// enumeration within a few kernel passes.
-///
-/// # Errors
-///
-/// [`AnalysisError::TooManyFrozenCombinations`] as for
-/// [`fault_set_damage_with`]; [`AnalysisError::Cancelled`] when `cancel`
+/// [`MAX_FROZEN_COMBINATIONS`]; [`AnalysisError::Cancelled`] when `cancel`
 /// fires; [`AnalysisError::WorkerPanicked`] when a shard panics.
-pub fn fault_set_damage_with_cancel(
+pub fn fault_set_damage(
     net: &ScanNetwork,
     spec: &CriticalitySpec,
     faults: &[Fault],
@@ -1079,102 +1016,6 @@ fn unhardened_faults(net: &ScanNetwork, hardened: &[NodeId]) -> Vec<Fault> {
         .into_iter()
         .filter(|f| !hardened.contains(&f.node))
         .collect()
-}
-
-/// Average joint damage over `samples` random *pairs* of single faults,
-/// restricted to unhardened primitives — a robustness check of a hardening
-/// solution beyond the paper's single-fault model.
-///
-/// # Errors
-///
-/// [`AnalysisError::TooManyFrozenCombinations`] when any sampled pair
-/// exceeds the frozen-select combination bound.
-pub fn sampled_double_fault_damage(
-    net: &ScanNetwork,
-    spec: &CriticalitySpec,
-    hardened: &[NodeId],
-    policy: SibCellPolicy,
-    samples: usize,
-    seed: u64,
-) -> Result<f64, AnalysisError> {
-    sampled_double_fault_damage_with(
-        net,
-        spec,
-        hardened,
-        policy,
-        samples,
-        seed,
-        Parallelism::default(),
-    )
-}
-
-/// [`sampled_double_fault_damage`] with an explicit thread count.
-///
-/// All fault pairs are drawn *sequentially* from the seeded RNG first —
-/// keeping the random stream byte-identical to the sequential code — and
-/// only the pure per-pair evaluation is sharded (as lanes of one shared
-/// [`ReachKernel`]). The sum is taken in sample order, so the result is
-/// identical for every thread count.
-///
-/// # Errors
-///
-/// [`AnalysisError::TooManyFrozenCombinations`] when any sampled pair
-/// exceeds the frozen-select combination bound (the first failing pair in
-/// sample order is reported).
-pub fn sampled_double_fault_damage_with(
-    net: &ScanNetwork,
-    spec: &CriticalitySpec,
-    hardened: &[NodeId],
-    policy: SibCellPolicy,
-    samples: usize,
-    seed: u64,
-    parallelism: Parallelism,
-) -> Result<f64, AnalysisError> {
-    sampled_double_fault_damage_with_cancel(
-        net,
-        spec,
-        hardened,
-        policy,
-        samples,
-        seed,
-        parallelism,
-        &CancelToken::none(),
-    )
-}
-
-/// [`sampled_double_fault_damage_with`] with cooperative cancellation: the
-/// token is polled once per lane block inside the sharded sweep.
-///
-/// # Errors
-///
-/// [`AnalysisError::TooManyFrozenCombinations`] as for
-/// [`sampled_double_fault_damage_with`]; [`AnalysisError::Cancelled`] when
-/// `cancel` fires; [`AnalysisError::WorkerPanicked`] when a shard panics.
-#[allow(clippy::too_many_arguments)]
-pub fn sampled_double_fault_damage_with_cancel(
-    net: &ScanNetwork,
-    spec: &CriticalitySpec,
-    hardened: &[NodeId],
-    policy: SibCellPolicy,
-    samples: usize,
-    seed: u64,
-    parallelism: Parallelism,
-    cancel: &CancelToken,
-) -> Result<f64, AnalysisError> {
-    use rand::seq::IndexedRandom;
-    use rand::SeedableRng;
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-    let pool = unhardened_faults(net, hardened);
-    if pool.len() < 2 || samples == 0 {
-        return Ok(0.0);
-    }
-    let pairs: Vec<Vec<Fault>> =
-        (0..samples).map(|_| pool.choose_multiple(&mut rng, 2).copied().collect()).collect();
-    let kernel = ReachKernel::try_new(net, spec)?;
-    let controlled = controlled_muxes(net, policy);
-    let damages = fault_set_damages(&kernel, net, &controlled, &pairs, parallelism, cancel)?;
-    let total: u64 = damages.into_iter().sum();
-    Ok(total as f64 / samples as f64)
 }
 
 /// Statistics of an exact double-fault sweep ([`double_fault_damage`]):
@@ -1208,56 +1049,24 @@ impl DoubleFaultSummary {
 }
 
 /// **Exact** joint damage over *every* unordered pair of single faults on
-/// unhardened primitives — the full sweep [`sampled_double_fault_damage`]
-/// estimates. Pair modes (including the worst-case frozen-select
-/// combinations of broken control cells under [`SibCellPolicy::Combined`])
-/// are packed into mode-major lane blocks, so the sweep costs at most two
-/// relaxation passes per [`batch::LANES`] modes and stays tractable for
-/// Table I-class designs.
+/// unhardened primitives — a robustness check of a hardening solution
+/// beyond the paper's single-fault model. Pair modes (including the
+/// worst-case frozen-select combinations of broken control cells under
+/// [`SibCellPolicy::Combined`]) are packed into mode-major lane blocks, so
+/// the sweep costs at most two relaxation passes per [`batch::LANES`] modes
+/// and stays tractable for Table I-class designs.
+///
+/// Pairs are enumerated in a canonical lexicographic order and their lanes
+/// spliced back in order, so the summary is bit-identical at every thread
+/// count. The token is polled once per lane block inside the sharded sweep.
 ///
 /// # Errors
 ///
 /// [`AnalysisError::TooManyFrozenCombinations`] when any pair exceeds the
 /// frozen-select combination bound (the first failing pair in enumeration
-/// order is reported).
+/// order is reported); [`AnalysisError::Cancelled`] when `cancel` fires;
+/// [`AnalysisError::WorkerPanicked`] when a shard panics.
 pub fn double_fault_damage(
-    net: &ScanNetwork,
-    spec: &CriticalitySpec,
-    hardened: &[NodeId],
-    policy: SibCellPolicy,
-) -> Result<DoubleFaultSummary, AnalysisError> {
-    double_fault_damage_with(net, spec, hardened, policy, Parallelism::default())
-}
-
-/// [`double_fault_damage`] with an explicit thread count.
-///
-/// Pairs are enumerated in a canonical lexicographic order and their lanes
-/// spliced back in order, so the summary is bit-identical at every thread
-/// count.
-///
-/// # Errors
-///
-/// [`AnalysisError::TooManyFrozenCombinations`] as for
-/// [`double_fault_damage`].
-pub fn double_fault_damage_with(
-    net: &ScanNetwork,
-    spec: &CriticalitySpec,
-    hardened: &[NodeId],
-    policy: SibCellPolicy,
-    parallelism: Parallelism,
-) -> Result<DoubleFaultSummary, AnalysisError> {
-    double_fault_damage_with_cancel(net, spec, hardened, policy, parallelism, &CancelToken::none())
-}
-
-/// [`double_fault_damage_with`] with cooperative cancellation: the token is
-/// polled once per lane block inside the sharded sweep.
-///
-/// # Errors
-///
-/// [`AnalysisError::TooManyFrozenCombinations`] as for
-/// [`double_fault_damage`]; [`AnalysisError::Cancelled`] when `cancel`
-/// fires; [`AnalysisError::WorkerPanicked`] when a shard panics.
-pub fn double_fault_damage_with_cancel(
     net: &ScanNetwork,
     spec: &CriticalitySpec,
     hardened: &[NodeId],
@@ -1271,13 +1080,13 @@ pub fn double_fault_damage_with_cancel(
 
 /// Per-pair damages of the exact double-fault sweep, in canonical pair
 /// order: pool index pairs `(i, j)` with `i < j`, lexicographic, over the
-/// unhardened [`rsn_model::enumerate_single_faults`] pool. Exposed for the
-/// exact-vs-sampled differential tests; the stable API is
+/// unhardened [`rsn_model::enumerate_single_faults`] pool. Exposed so tests
+/// can check each pair against [`fault_set_damage`]; the stable API is
 /// [`double_fault_damage`].
 ///
 /// # Errors
 ///
-/// As for [`double_fault_damage_with_cancel`].
+/// As for [`double_fault_damage`].
 #[doc(hidden)]
 pub fn double_fault_pair_damages(
     net: &ScanNetwork,
@@ -1307,7 +1116,7 @@ pub fn double_fault_pair_damages(
 pub mod reference {
     use super::{
         aggregate_mode_damages, controlled_muxes, for_each_mode, AnalysisOptions, CriticalitySpec,
-        GraphCriticality, ModeAggregation, NodeId, ScanNetwork,
+        GraphCriticality, NodeId, ScanNetwork,
     };
 
     /// Sequential damage vector computed with the `Vec<bool>` reachability
@@ -1409,15 +1218,6 @@ pub mod reference {
         }
         seen
     }
-
-    // Re-exported so reference-based test helpers can aggregate identically.
-    pub use super::MAX_FROZEN_COMBINATIONS as _MAX_FROZEN_COMBINATIONS;
-
-    /// Reference aggregation (same truncating-Mean semantics).
-    #[must_use]
-    pub fn aggregate(mode: ModeAggregation, damages: &[u64]) -> u64 {
-        aggregate_mode_damages(mode, damages)
-    }
 }
 
 #[cfg(test)]
@@ -1427,6 +1227,25 @@ mod tests {
     use crate::spec::PaperSpecParams;
     use rsn_model::{ControlSource, InstrumentKind, NetworkBuilder, Segment, Structure};
     use rsn_sp::tree_from_structure;
+
+    /// The uncancelled sequential sweep.
+    fn graph(
+        net: &ScanNetwork,
+        spec: &CriticalitySpec,
+        options: &AnalysisOptions,
+    ) -> GraphCriticality {
+        analyze_graph(net, spec, options, Parallelism::sequential(), &CancelToken::none()).unwrap()
+    }
+
+    /// The uncancelled sequential fault-set evaluation.
+    fn set_damage(
+        net: &ScanNetwork,
+        spec: &CriticalitySpec,
+        faults: &[Fault],
+        policy: SibCellPolicy,
+    ) -> Result<u64, AnalysisError> {
+        fault_set_damage(net, spec, faults, policy, Parallelism::sequential(), &CancelToken::none())
+    }
 
     #[test]
     fn agrees_with_the_tree_analysis_on_sp_networks() {
@@ -1456,7 +1275,7 @@ mod tests {
             AnalysisOptions { sib_policy: SibCellPolicy::SegmentOnly, ..Default::default() },
         ] {
             let tree_crit = analyze(&net, &tree, &spec, &options);
-            let graph_crit = analyze_graph(&net, &spec, &options);
+            let graph_crit = graph(&net, &spec, &options);
             for j in net.primitives() {
                 assert_eq!(
                     tree_crit.damage(j),
@@ -1500,7 +1319,7 @@ mod tests {
         }
         let options = AnalysisOptions { mode: ModeAggregation::Mean, ..Default::default() };
         let tree_crit = analyze(&net, &tree, &spec, &options);
-        let graph_crit = analyze_graph(&net, &spec, &options);
+        let graph_crit = graph(&net, &spec, &options);
         let m = net.muxes().next().unwrap();
         assert_eq!(graph_crit.damage(m), 11, "23 / 2 truncates to 11");
         for j in net.primitives() {
@@ -1543,7 +1362,7 @@ mod tests {
         for (i, _) in net.instruments() {
             spec.set_weights(i, 1, 1);
         }
-        let crit = analyze_graph(&net, &spec, &AnalysisOptions::default());
+        let crit = graph(&net, &spec, &AnalysisOptions::default());
         let [a, bb, c, m1, m2] = nodes[..] else { panic!("five nodes") };
         // Breaking b costs b itself (2) plus the settability of c, whose
         // only feed runs through b (1).
@@ -1570,7 +1389,7 @@ mod tests {
             spec.set_weights(i, 2, 3);
         }
         let options = AnalysisOptions::default();
-        let crit = analyze_graph(&net, &spec, &options);
+        let crit = graph(&net, &spec, &options);
         for j in net.primitives() {
             assert_eq!(crit.damage(j), oracle_damage(&net, &spec, j, &options), "primitive {j}");
         }
@@ -1585,7 +1404,7 @@ mod tests {
             AnalysisOptions { mode: ModeAggregation::Sum, ..Default::default() },
             AnalysisOptions { mode: ModeAggregation::Mean, ..Default::default() },
         ] {
-            let fast = analyze_graph_with(&net, &spec, &options, Parallelism::sequential());
+            let fast = graph(&net, &spec, &options);
             let slow = reference::analyze_graph_ref(&net, &spec, &options);
             assert_eq!(fast, slow, "{options:?}");
         }
@@ -1780,7 +1599,7 @@ mod tests {
         for (i, _) in net.instruments() {
             spec.set_weights(i, 2, 3);
         }
-        let crit = analyze_graph(&net, &spec, &AnalysisOptions::default());
+        let crit = graph(&net, &spec, &AnalysisOptions::default());
         // Per-primitive worst-mode damage equals the max of its singleton
         // fault-set damages: a broken SIB cell's combined semantics already
         // take the worst frozen select, and stuck modes of the same mux are
@@ -1789,7 +1608,7 @@ mod tests {
             let worst = enumerate_single_faults(&net)
                 .into_iter()
                 .filter(|f| f.node == j)
-                .map(|f| fault_set_damage(&net, &spec, &[f], SibCellPolicy::Combined).unwrap())
+                .map(|f| set_damage(&net, &spec, &[f], SibCellPolicy::Combined).unwrap())
                 .max()
                 .unwrap();
             assert_eq!(crit.damage(j), worst, "primitive {j}");
@@ -1811,9 +1630,8 @@ mod tests {
         let x = net.segments().next().unwrap();
         let z = net.segments().last().unwrap();
         let single_x =
-            fault_set_damage(&net, &spec, &[Fault::broken_segment(x)], SibCellPolicy::Combined)
-                .unwrap();
-        let pair = fault_set_damage(
+            set_damage(&net, &spec, &[Fault::broken_segment(x)], SibCellPolicy::Combined).unwrap();
+        let pair = set_damage(
             &net,
             &spec,
             &[Fault::broken_segment(x), Fault::broken_segment(z)],
@@ -1857,9 +1675,8 @@ mod tests {
         // 2^13 = 8192 > 4096 frozen-select combinations.
         let (net, cell) = wide_cell(13);
         let spec = CriticalitySpec::new(&net);
-        let err =
-            fault_set_damage(&net, &spec, &[Fault::broken_segment(cell)], SibCellPolicy::Combined)
-                .unwrap_err();
+        let err = set_damage(&net, &spec, &[Fault::broken_segment(cell)], SibCellPolicy::Combined)
+            .unwrap_err();
         match err {
             AnalysisError::TooManyFrozenCombinations { combos, limit } => {
                 assert_eq!(combos, 8192);
@@ -1869,7 +1686,7 @@ mod tests {
         }
         assert!(err.to_string().contains("8192"));
         // SegmentOnly ignores the frozen muxes and stays evaluable.
-        assert!(fault_set_damage(
+        assert!(set_damage(
             &net,
             &spec,
             &[Fault::broken_segment(cell)],
@@ -1893,12 +1710,13 @@ mod tests {
             want = want.max(reference::mode_damage(&net, &spec, &[cell], &frozen));
         }
         for threads in [1, 4] {
-            let got = fault_set_damage_with(
+            let got = fault_set_damage(
                 &net,
                 &spec,
                 &[Fault::broken_segment(cell)],
                 SibCellPolicy::Combined,
                 Parallelism::new(threads),
+                &CancelToken::none(),
             )
             .unwrap();
             assert_eq!(got, want, "threads={threads}");
@@ -1946,7 +1764,7 @@ mod tests {
         let mut spec = CriticalitySpec::new(&net);
         spec.set_weights(ia, huge, huge);
         spec.set_weights(ic, huge, huge);
-        let crit = analyze_graph(&net, &spec, &AnalysisOptions::default());
+        let crit = graph(&net, &spec, &AnalysisOptions::default());
         for s in net.segments() {
             assert_eq!(crit.damage(s), u64::MAX, "per-mode damage clamps at the ceiling");
         }
@@ -1954,7 +1772,7 @@ mod tests {
     }
 
     #[test]
-    fn hardening_reduces_sampled_double_fault_damage() {
+    fn hardening_reduces_double_fault_damage() {
         use crate::cost::CostModel;
         use crate::criticality::analyze;
         use crate::hardening::{solve_greedy, HardeningProblem};
@@ -1968,20 +1786,22 @@ mod tests {
         let chosen = front
             .min_cost_with_damage_at_most(problem.total_damage() / 10)
             .expect("greedy reaches 10%");
-        let before = sampled_double_fault_damage(&net, &spec, &[], SibCellPolicy::Combined, 60, 9)
-            .expect("within combination bound");
-        let after = sampled_double_fault_damage(
-            &net,
-            &spec,
-            &chosen.hardened,
-            SibCellPolicy::Combined,
-            60,
-            9,
-        )
-        .expect("within combination bound");
+        let sweep = |hardened: &[NodeId]| {
+            double_fault_damage(
+                &net,
+                &spec,
+                hardened,
+                SibCellPolicy::Combined,
+                Parallelism::sequential(),
+                &CancelToken::none(),
+            )
+            .expect("within combination bound")
+        };
+        let (before, after) = (sweep(&[]), sweep(&chosen.hardened));
+        assert!(after.pairs < before.pairs, "hardened faults leave the pair pool");
         assert!(
-            after < before * 0.6,
-            "single-fault hardening should help under double faults: {after} vs {before}"
+            after.mean < before.mean * 0.6,
+            "single-fault hardening should help under double faults: {after:?} vs {before:?}"
         );
     }
 
@@ -2005,17 +1825,11 @@ mod tests {
         let (net, _) = s.build("t").unwrap();
         let spec = CriticalitySpec::paper_random(&net, &PaperSpecParams::default(), 7);
         let options = AnalysisOptions::default();
-        let expected = analyze_graph_with(&net, &spec, &options, Parallelism::sequential());
+        let expected = reference::analyze_graph_ref(&net, &spec, &options);
         for threads in [1, 4] {
             for token in [CancelToken::none(), CancelToken::new()] {
-                let got = analyze_graph_with_cancel(
-                    &net,
-                    &spec,
-                    &options,
-                    Parallelism::new(threads),
-                    &token,
-                )
-                .expect("quiet token never cancels");
+                let got = analyze_graph(&net, &spec, &options, Parallelism::new(threads), &token)
+                    .expect("quiet token never cancels");
                 assert_eq!(got, expected, "threads={threads}");
             }
         }
@@ -2030,8 +1844,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         for threads in [1, 4] {
-            let got =
-                analyze_graph_with_cancel(&net, &spec, &options, Parallelism::new(threads), &token);
+            let got = analyze_graph(&net, &spec, &options, Parallelism::new(threads), &token);
             assert_eq!(got, Err(AnalysisError::Cancelled), "threads={threads}");
         }
     }
@@ -2044,7 +1857,7 @@ mod tests {
         let faults = rsn_model::enumerate_single_faults(&net);
         let token = CancelToken::new();
         token.cancel();
-        let got = fault_set_damage_with_cancel(
+        let got = fault_set_damage(
             &net,
             &spec,
             &faults[..1],
@@ -2053,17 +1866,17 @@ mod tests {
             &token,
         );
         assert_eq!(got, Err(AnalysisError::Cancelled));
-        let quiet = fault_set_damage_with_cancel(
+        let quiet = fault_set_damage(
             &net,
             &spec,
             &faults[..1],
             SibCellPolicy::Combined,
             Parallelism::sequential(),
-            &CancelToken::none(),
+            &CancelToken::new(),
         );
         assert_eq!(
             quiet,
-            fault_set_damage(&net, &spec, &faults[..1], SibCellPolicy::Combined),
+            set_damage(&net, &spec, &faults[..1], SibCellPolicy::Combined),
             "quiet token must not change the result"
         );
     }

@@ -14,6 +14,5 @@ pub mod solvers;
 pub use problem::HardeningProblem;
 pub use solution::{HardeningFront, HardeningSolution};
 pub use solvers::{
-    solve_exact, solve_exact_cancellable, solve_greedy, solve_nsga2, solve_nsga2_cancellable,
-    solve_random, solve_spea2, solve_spea2_cancellable, ExactBudgetExceeded, ExactSolveError,
+    solve_exact, solve_greedy, solve_nsga2, solve_random, solve_spea2, ExactSolveError,
 };

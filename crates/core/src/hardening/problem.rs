@@ -16,7 +16,7 @@ use rsn_model::{NodeId, ScanNetwork};
 
 use crate::cost::CostModel;
 use crate::criticality::Criticality;
-use crate::par::{self, Parallelism};
+use crate::par::{self, Parallelism, ShardPanic};
 
 /// The bi-objective hardening problem handed to the optimizers.
 #[derive(Clone, Debug)]
@@ -128,10 +128,12 @@ impl Problem for HardeningProblem {
     ///
     /// Evaluation is pure and the shards splice back in input order, so the
     /// objective vectors are bit-identical to the sequential default for
-    /// every thread count. Small batches stay on the calling thread: one
-    /// genome evaluation is a handful of adds, so below the work threshold
-    /// the thread-spawn overhead dominates any speedup (this is what made
-    /// `parallel/spea2/N` *slower* with more threads on small designs).
+    /// every thread count. A worker panic is re-raised on the calling
+    /// thread, as the sequential default would raise it. Small batches stay
+    /// on the calling thread: one genome evaluation is a handful of adds, so
+    /// below the work threshold the thread-spawn overhead dominates any
+    /// speedup (this is what made `parallel/spea2/N` *slower* with more
+    /// threads on small designs).
     fn evaluate_batch(&self, genomes: &[BitGenome]) -> Vec<Vec<f64>> {
         // ~genome bits touched across the whole batch; evaluate() is a
         // popcount-driven loop, so this tracks actual work well.
@@ -139,7 +141,13 @@ impl Problem for HardeningProblem {
         if genomes.len().saturating_mul(self.primitives.len()) < MIN_PARALLEL_WORK {
             return genomes.iter().map(|g| self.evaluate(g)).collect();
         }
-        par::map_slice(self.parallelism, genomes, |g| self.evaluate(g))
+        par::try_map_indexed_scratch(
+            self.parallelism,
+            genomes.len(),
+            || (),
+            |(), i| Ok::<_, ShardPanic>(self.evaluate(&genomes[i])),
+        )
+        .unwrap_or_else(|p| panic!("{}", p.message()))
     }
 }
 
@@ -214,5 +222,38 @@ mod tests {
         let f = p.evaluate(&g);
         let (cost, damage) = p.objectives_of(&g);
         assert_eq!(f, vec![cost as f64, damage as f64]);
+    }
+
+    /// A batch large enough to shard (2^20 genome bits).
+    fn sharded_batch(p: &HardeningProblem) -> Vec<BitGenome> {
+        let n = (1 << 20) / p.genome_len() + 1;
+        (0..n)
+            .map(|k| {
+                let mut g = BitGenome::zeros(p.genome_len());
+                g.set(k % p.genome_len(), true);
+                g
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sharded_batch_evaluation_matches_sequential() {
+        let p = problem().with_parallelism(Parallelism::new(4));
+        let genomes = sharded_batch(&p);
+        let want: Vec<Vec<f64>> = genomes.iter().map(|g| p.evaluate(g)).collect();
+        assert_eq!(p.evaluate_batch(&genomes), want);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn evaluate_batch_reraises_a_worker_panic() {
+        let p = problem().with_parallelism(Parallelism::new(4));
+        let mut genomes = sharded_batch(&p);
+        // A genome longer than the problem indexes past the cost table.
+        let mut long = BitGenome::zeros(p.genome_len() + 1);
+        long.set(p.genome_len(), true);
+        let mid = genomes.len() / 2;
+        genomes[mid] = long;
+        let _ = p.evaluate_batch(&genomes);
     }
 }

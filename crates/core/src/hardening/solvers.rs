@@ -10,38 +10,22 @@
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use moea::{
-    nsga2_cancellable, spea2_with_observer_cancellable, BitGenome, Interrupted, Nsga2Config,
-    Problem, Spea2Config,
-};
+use moea::{nsga2, spea2, BitGenome, Interrupted, Nsga2Config, Problem, Spea2Config};
 
 use crate::cancel::{CancelToken, Cancelled};
 use crate::hardening::problem::HardeningProblem;
 use crate::hardening::solution::{HardeningFront, HardeningSolution};
 
 /// Runs the paper's SPEA2 configuration. `observer` receives per-generation
-/// statistics (pass `|_| {}` when not needed).
-#[must_use]
-pub fn solve_spea2(
-    problem: &HardeningProblem,
-    config: &Spea2Config,
-    seed: u64,
-    observer: impl FnMut(&moea::GenerationStats),
-) -> HardeningFront {
-    match solve_spea2_cancellable(problem, config, seed, observer, &CancelToken::none()) {
-        Ok(front) => front,
-        Err(Cancelled) => unreachable!("a none token never cancels"),
-    }
-}
-
-/// [`solve_spea2`] with cooperative cancellation: `cancel` is polled once
-/// per generation. A completed run returns the same front as [`solve_spea2`]
-/// for the same seed and configuration.
+/// statistics (pass `|_| {}` when not needed); `cancel` is polled once per
+/// generation (pass [`CancelToken::none`] for a run that cannot be
+/// cancelled). A completed run's front depends only on the seed and the
+/// configuration.
 ///
 /// # Errors
 ///
 /// [`Cancelled`] when `cancel` fires before the final generation.
-pub fn solve_spea2_cancellable(
+pub fn solve_spea2(
     problem: &HardeningProblem,
     config: &Spea2Config,
     seed: u64,
@@ -50,29 +34,19 @@ pub fn solve_spea2_cancellable(
 ) -> Result<HardeningFront, Cancelled> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut cp = cancel.checkpoint(1);
-    let individuals =
-        spea2_with_observer_cancellable(problem, config, &mut rng, observer, || cp.tick().is_err())
-            .map_err(|Interrupted| Cancelled)?;
+    let individuals = spea2(problem, config, &mut rng, observer, || cp.tick().is_err())
+        .map_err(|Interrupted| Cancelled)?;
     Ok(with_corners(problem, HardeningFront::from_individuals(problem, &individuals)))
 }
 
-/// Runs NSGA-II on the same problem.
-#[must_use]
-pub fn solve_nsga2(problem: &HardeningProblem, config: &Nsga2Config, seed: u64) -> HardeningFront {
-    match solve_nsga2_cancellable(problem, config, seed, &CancelToken::none()) {
-        Ok(front) => front,
-        Err(Cancelled) => unreachable!("a none token never cancels"),
-    }
-}
-
-/// [`solve_nsga2`] with cooperative cancellation: `cancel` is polled once
-/// per generation. A completed run returns the same front as [`solve_nsga2`]
-/// for the same seed and configuration.
+/// Runs NSGA-II on the same problem; `cancel` is polled once per
+/// generation. A completed run's front depends only on the seed and the
+/// configuration.
 ///
 /// # Errors
 ///
 /// [`Cancelled`] when `cancel` fires before the final generation.
-pub fn solve_nsga2_cancellable(
+pub fn solve_nsga2(
     problem: &HardeningProblem,
     config: &Nsga2Config,
     seed: u64,
@@ -80,8 +54,8 @@ pub fn solve_nsga2_cancellable(
 ) -> Result<HardeningFront, Cancelled> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut cp = cancel.checkpoint(1);
-    let individuals = nsga2_cancellable(problem, config, &mut rng, || cp.tick().is_err())
-        .map_err(|Interrupted| Cancelled)?;
+    let individuals =
+        nsga2(problem, config, &mut rng, || cp.tick().is_err()).map_err(|Interrupted| Cancelled)?;
     Ok(with_corners(problem, HardeningFront::from_individuals(problem, &individuals)))
 }
 
@@ -114,45 +88,15 @@ pub fn solve_greedy(problem: &HardeningProblem) -> HardeningFront {
     HardeningFront::from_solutions(solutions)
 }
 
-/// Error raised when the exact solver would exceed its state budget.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ExactBudgetExceeded {
-    /// States reached when the solver gave up.
-    pub states: usize,
-}
-
-impl core::fmt::Display for ExactBudgetExceeded {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "exact pareto enumeration exceeded the state budget ({} states)", self.states)
-    }
-}
-
-impl std::error::Error for ExactBudgetExceeded {}
-
-/// Certified Pareto front by bi-objective dynamic programming over the
-/// additive objectives. The state set is the set of non-dominated
-/// (cost, avoided-damage) pairs; `max_states` bounds memory and time.
-///
-/// # Errors
-///
-/// Returns [`ExactBudgetExceeded`] when the non-dominated state set grows
-/// beyond `max_states` (use the greedy or evolutionary solvers instead).
-pub fn solve_exact(
-    problem: &HardeningProblem,
-    max_states: usize,
-) -> Result<HardeningFront, ExactBudgetExceeded> {
-    match solve_exact_cancellable(problem, max_states, &CancelToken::none()) {
-        Ok(front) => Ok(front),
-        Err(ExactSolveError::BudgetExceeded(e)) => Err(e),
-        Err(ExactSolveError::Cancelled) => unreachable!("a none token never cancels"),
-    }
-}
-
-/// Errors of [`solve_exact_cancellable`].
+/// Errors of [`solve_exact`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ExactSolveError {
-    /// The non-dominated state set outgrew the budget.
-    BudgetExceeded(ExactBudgetExceeded),
+    /// The non-dominated state set outgrew the budget; use the greedy or
+    /// evolutionary solvers instead.
+    BudgetExceeded {
+        /// States reached when the solver gave up.
+        states: usize,
+    },
     /// The cancel token fired mid-enumeration.
     Cancelled,
 }
@@ -160,7 +104,9 @@ pub enum ExactSolveError {
 impl core::fmt::Display for ExactSolveError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            Self::BudgetExceeded(e) => e.fmt(f),
+            Self::BudgetExceeded { states } => {
+                write!(f, "exact pareto enumeration exceeded the state budget ({states} states)")
+            }
             Self::Cancelled => f.write_str("exact pareto enumeration cancelled"),
         }
     }
@@ -168,15 +114,18 @@ impl core::fmt::Display for ExactSolveError {
 
 impl std::error::Error for ExactSolveError {}
 
-/// [`solve_exact`] with cooperative cancellation: `cancel` is polled once
-/// per genome bit (each bit folds its states into the DP table, so the lag
-/// is bounded by one merge pass).
+/// Certified Pareto front by bi-objective dynamic programming over the
+/// additive objectives. The state set is the set of non-dominated
+/// (cost, avoided-damage) pairs; `max_states` bounds memory and time.
+/// `cancel` is polled once per genome bit (each bit folds its states into
+/// the DP table, so the lag is bounded by one merge pass).
 ///
 /// # Errors
 ///
-/// [`ExactSolveError::BudgetExceeded`] as for [`solve_exact`];
-/// [`ExactSolveError::Cancelled`] when `cancel` fires.
-pub fn solve_exact_cancellable(
+/// [`ExactSolveError::BudgetExceeded`] when the non-dominated state set
+/// grows beyond `max_states`; [`ExactSolveError::Cancelled`] when `cancel`
+/// fires.
+pub fn solve_exact(
     problem: &HardeningProblem,
     max_states: usize,
     cancel: &CancelToken,
@@ -221,9 +170,7 @@ pub fn solve_exact_cancellable(
         }
         states = merged;
         if states.len() > max_states {
-            return Err(ExactSolveError::BudgetExceeded(ExactBudgetExceeded {
-                states: states.len(),
-            }));
+            return Err(ExactSolveError::BudgetExceeded { states: states.len() });
         }
     }
     let total = problem.total_damage();
@@ -312,7 +259,7 @@ mod tests {
     #[test]
     fn exact_front_dominates_or_matches_greedy() {
         let p = problem(6, 3);
-        let exact = solve_exact(&p, 100_000).unwrap();
+        let exact = solve_exact(&p, 100_000, &CancelToken::none()).unwrap();
         let greedy = solve_greedy(&p);
         // For every greedy point there is an exact point at least as good.
         for g in greedy.solutions() {
@@ -327,14 +274,14 @@ mod tests {
     #[test]
     fn spea2_approaches_the_exact_front() {
         let p = problem(5, 7);
-        let exact = solve_exact(&p, 100_000).unwrap();
+        let exact = solve_exact(&p, 100_000, &CancelToken::none()).unwrap();
         let cfg = Spea2Config {
             population_size: 60,
             archive_size: 60,
             generations: 80,
             ..Default::default()
         };
-        let ea = solve_spea2(&p, &cfg, 1, |_| {});
+        let ea = solve_spea2(&p, &cfg, 1, |_| {}, &CancelToken::none()).unwrap();
         let r = (p.max_cost() + 1, p.total_damage() + 1);
         let hv_exact = exact.hypervolume(r.0, r.1);
         let hv_ea = ea.hypervolume(r.0, r.1);
@@ -349,7 +296,7 @@ mod tests {
     fn nsga2_produces_a_valid_front() {
         let p = problem(5, 2);
         let cfg = Nsga2Config { population_size: 40, generations: 40, ..Default::default() };
-        let front = solve_nsga2(&p, &cfg, 3);
+        let front = solve_nsga2(&p, &cfg, 3, &CancelToken::none()).unwrap();
         assert!(!front.is_empty());
         // Sorted by cost, damage strictly decreasing.
         let sols = front.solutions();
@@ -362,7 +309,7 @@ mod tests {
     #[test]
     fn random_baseline_is_dominated_by_exact() {
         let p = problem(5, 4);
-        let exact = solve_exact(&p, 100_000).unwrap();
+        let exact = solve_exact(&p, 100_000, &CancelToken::none()).unwrap();
         let random = solve_random(&p, 200, 9);
         let r = (p.max_cost() + 1, p.total_damage() + 1);
         assert!(random.hypervolume(r.0, r.1) <= exact.hypervolume(r.0, r.1) + 1e-9);
@@ -371,8 +318,9 @@ mod tests {
     #[test]
     fn exact_reports_budget_exhaustion() {
         let p = problem(40, 5);
-        match solve_exact(&p, 8) {
-            Err(ExactBudgetExceeded { states }) => assert!(states > 8),
+        match solve_exact(&p, 8, &CancelToken::none()) {
+            Err(ExactSolveError::BudgetExceeded { states }) => assert!(states > 8),
+            Err(ExactSolveError::Cancelled) => panic!("a none token never cancels"),
             Ok(front) => {
                 // A tiny budget can still suffice when many states collapse;
                 // accept but require a valid front.

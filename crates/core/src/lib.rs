@@ -25,7 +25,7 @@
 //! ```
 //! use moea::Spea2Config;
 //! use robust_rsn::{
-//!     analyze, AnalysisOptions, CostModel, CriticalitySpec, HardeningProblem,
+//!     analyze, AnalysisOptions, CancelToken, CostModel, CriticalitySpec, HardeningProblem,
 //!     PaperSpecParams, solve_spea2,
 //! };
 //! use rsn_model::Structure;
@@ -42,7 +42,7 @@
 //! let crit = analyze(&net, &tree, &spec, &AnalysisOptions::default());
 //! let problem = HardeningProblem::new(&net, &crit, &CostModel::default());
 //! let cfg = Spea2Config { generations: 30, ..Default::default() };
-//! let front = solve_spea2(&problem, &cfg, 1, |_| {});
+//! let front = solve_spea2(&problem, &cfg, 1, |_| {}, &CancelToken::none())?;
 //! assert!(front.min_damage_with_cost_at_most(problem.max_cost()).is_some());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -83,17 +83,13 @@ pub use criticality::{
 pub use diagnosis::{Diagnosis, FaultDictionary};
 pub use fault_effects::{broken_segment_effect, mux_stuck_effect, FaultEffect};
 pub use graph_analysis::{
-    analyze_graph, analyze_graph_with, analyze_graph_with_cancel, double_fault_damage,
-    double_fault_damage_with, double_fault_damage_with_cancel, fault_set_damage,
-    fault_set_damage_with, fault_set_damage_with_cancel, kernel_counters,
-    sampled_double_fault_damage, sampled_double_fault_damage_with,
-    sampled_double_fault_damage_with_cancel, AnalysisError, DoubleFaultSummary, GraphCriticality,
-    KernelCounters, ReachKernel, MAX_FROZEN_COMBINATIONS,
+    analyze_graph, analyze_graph_with, double_fault_damage, fault_set_damage, kernel_counters,
+    AnalysisError, DoubleFaultSummary, GraphCriticality, KernelCounters, ReachKernel,
+    MAX_FROZEN_COMBINATIONS,
 };
 pub use hardening::{
-    solve_exact, solve_exact_cancellable, solve_greedy, solve_nsga2, solve_nsga2_cancellable,
-    solve_random, solve_spea2, solve_spea2_cancellable, ExactSolveError, HardeningFront,
-    HardeningProblem, HardeningSolution,
+    solve_exact, solve_greedy, solve_nsga2, solve_random, solve_spea2, ExactSolveError,
+    HardeningFront, HardeningProblem, HardeningSolution,
 };
 pub use netkey::{canonical_network_hash, NetworkHash};
 pub use par::{Parallelism, ShardPanic};
@@ -105,8 +101,5 @@ pub use shard::{
     ShardMergeError,
 };
 pub use spec::{CriticalitySpec, PaperSpecParams};
-pub use validate::{
-    validate_criticality, validate_criticality_with, validate_criticality_with_cancel,
-    Disagreement, ValidationReport,
-};
+pub use validate::{validate_criticality, Disagreement, ValidationReport};
 pub use workspace::{DeltaReport, Workspace, WorkspaceDelta, WorkspaceError};

@@ -1,16 +1,15 @@
 //! Deterministic scoped-thread work sharding.
 //!
 //! Every expensive kernel in this crate is a *pure map over an index range*:
-//! per-fault damages in [`crate::analyze_graph`], frozen-select combinations
-//! in [`crate::fault_set_damage`], sampled fault pairs, and MOEA population
-//! evaluation. This module shards such maps across OS threads and splices
-//! the results back **in index order**, so the result vector is
+//! mode blocks in [`crate::analyze_graph`], frozen-select combinations in
+//! [`crate::fault_set_damage`], fault pairs in
+//! [`crate::double_fault_damage`], and MOEA population evaluation. One
+//! engine, [`try_map_indexed_scratch`], shards such maps across OS threads
+//! and splices the results back **in index order**, so the result vector is
 //! bit-identical to the sequential computation for every thread count — the
-//! determinism guarantee the analysis API is allowed to rely on. The
-//! infallible maps hand each worker a contiguous chunk; the fallible
-//! `try_map_*` maps, which carry the kernel sweeps whose per-index cost
-//! varies by two orders of magnitude, hand out single indices from a shared
-//! counter.
+//! determinism guarantee the analysis API is allowed to rely on. Workers
+//! claim single indices from a shared counter, since the per-index cost of
+//! the kernel sweeps varies by two orders of magnitude.
 //!
 //! Thread count resolution:
 //!
@@ -29,14 +28,16 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Below this many items the sharding overhead outweighs the work and
-/// [`map_indexed`] stays sequential.
+/// [`try_map_indexed_scratch`] stays sequential.
 const MIN_PARALLEL_ITEMS: usize = 16;
 
-/// A panic caught inside a worker shard by one of the `try_map_*` functions.
+/// A panic caught inside a worker shard by [`try_map_indexed_scratch`].
 ///
-/// The fallible sharded maps convert worker panics into ordinary errors via
+/// The sharded map converts worker panics into ordinary errors via
 /// `E: From<ShardPanic>` instead of re-raising them, so one poisoned closure
 /// cannot take down the calling thread (or, transitively, a server worker).
+/// An infallible map runs with `E = ShardPanic` and decides itself whether
+/// to re-raise.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardPanic {
     message: String,
@@ -136,160 +137,27 @@ impl Default for Parallelism {
     }
 }
 
-/// Maps `f` over `0..n`, sharded across the configured threads.
+/// Maps `f` over `0..n`, sharded across the configured threads, with a
+/// per-worker scratch value; stops early on the first error and never
+/// panics across the shard boundary.
 ///
-/// The output is **identical** (bit-for-bit, in order) to
-/// `(0..n).map(f).collect()` for every thread count: indices are split into
-/// contiguous chunks, each worker produces its chunk in order, and chunks are
-/// spliced back in index order. `f` must therefore be pure with respect to
-/// the index (it must not depend on evaluation order).
+/// Each worker calls `init` exactly once and reuses the scratch for every
+/// index it claims — the pattern the lane kernel depends on to amortize its
+/// arena allocations over a whole shard instead of paying them per block.
+/// The scratch is an allocation cache, never a value channel between
+/// indices: `f` must be a pure function of the index given a freshly
+/// initialized *or* previously used scratch.
 ///
-/// # Panics
-///
-/// Re-raises panics from worker threads on the calling thread.
-pub fn map_indexed<T, F>(par: Parallelism, n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = par.threads().min(n);
-    if workers <= 1 || n < MIN_PARALLEL_ITEMS {
-        return (0..n).map(f).collect();
-    }
-
-    // Balanced contiguous chunks: the first `rem` chunks get one extra item.
-    let base = n / workers;
-    let rem = n % workers;
-    let bounds: Vec<(usize, usize)> = (0..workers)
-        .map(|w| {
-            let start = w * base + w.min(rem);
-            let len = base + usize::from(w < rem);
-            (start, start + len)
-        })
-        .collect();
-
-    let f = &f;
-    let chunks: Vec<Vec<T>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = bounds
-            .iter()
-            .map(|&(start, end)| scope.spawn(move || (start..end).map(f).collect::<Vec<T>>()))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
-            .collect()
-    });
-    let mut out = Vec::with_capacity(n);
-    for chunk in chunks {
-        out.extend(chunk);
-    }
-    out
-}
-
-/// Maps `f` over a slice, sharded like [`map_indexed`]; output order matches
-/// the input order exactly.
-pub fn map_slice<'a, T, U, F>(par: Parallelism, items: &'a [T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&'a T) -> U + Sync,
-{
-    map_indexed(par, items.len(), |i| f(&items[i]))
-}
-
-/// [`map_indexed`] with a per-worker scratch value.
-///
-/// Each worker thread calls `init` exactly once and then reuses the scratch
-/// across every index of its contiguous chunk — the pattern the bitset
-/// reachability kernel depends on to amortize its arena allocations over a
-/// whole shard instead of paying them per fault mode. The sequential path
-/// (1 worker or fewer than `MIN_PARALLEL_ITEMS` items) also allocates the
-/// scratch once.
-///
-/// The determinism contract of [`map_indexed`] carries over: `f` must be a
-/// pure function of the index given a freshly initialized *or* previously
-/// used scratch (the scratch is an allocation cache, never a value channel
-/// between indices), so the output is bit-identical for every thread count.
-///
-/// # Panics
-///
-/// Re-raises panics from worker threads on the calling thread.
-pub fn map_indexed_scratch<T, S, I, F>(par: Parallelism, n: usize, init: I, f: F) -> Vec<T>
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    let workers = par.threads().min(n);
-    if workers <= 1 || n < MIN_PARALLEL_ITEMS {
-        let mut scratch = init();
-        return (0..n).map(|i| f(&mut scratch, i)).collect();
-    }
-
-    let base = n / workers;
-    let rem = n % workers;
-    let bounds: Vec<(usize, usize)> = (0..workers)
-        .map(|w| {
-            let start = w * base + w.min(rem);
-            let len = base + usize::from(w < rem);
-            (start, start + len)
-        })
-        .collect();
-
-    let init = &init;
-    let f = &f;
-    let chunks: Vec<Vec<T>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = bounds
-            .iter()
-            .map(|&(start, end)| {
-                scope.spawn(move || {
-                    let mut scratch = init();
-                    (start..end).map(|i| f(&mut scratch, i)).collect::<Vec<T>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
-            .collect()
-    });
-    let mut out = Vec::with_capacity(n);
-    for chunk in chunks {
-        out.extend(chunk);
-    }
-    out
-}
-
-/// [`map_slice`] with a per-worker scratch value; see
-/// [`map_indexed_scratch`] for the reuse and determinism contract.
-pub fn map_slice_scratch<'a, T, U, S, I, F>(
-    par: Parallelism,
-    items: &'a [T],
-    init: I,
-    f: F,
-) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &'a T) -> U + Sync,
-{
-    map_indexed_scratch(par, items.len(), init, |scratch, i| f(scratch, &items[i]))
-}
-
-/// Fallible [`map_indexed_scratch`]: stops early on the first error and
-/// never panics across the shard boundary.
-///
-/// Workers claim indices one at a time from a shared counter rather than
-/// owning contiguous chunks, so a few expensive indices do not leave the
-/// other workers idle. On success the output is bit-identical to the
-/// sequential `(0..n).map(|i| f(&mut scratch, i))` run for every thread
-/// count — the same contract as [`map_indexed_scratch`]. On failure the
-/// error of the lowest failing index is returned: indices are claimed in
-/// ascending order and every index below a recorded failure still runs, so
-/// when `f` fails deterministically the error is the sequential run's
-/// first. Workers stop claiming past a failure, so a cancelled sweep stops
-/// within one unit of work per worker rather than running to completion.
+/// Workers claim indices one at a time from a shared counter, so a few
+/// expensive indices do not leave the other workers idle. On success the
+/// output is bit-identical to the sequential
+/// `(0..n).map(|i| f(&mut scratch, i))` run for every thread count. On
+/// failure the error of the lowest failing index is returned: indices are
+/// claimed in ascending order and every index below a recorded failure
+/// still runs, so when `f` fails deterministically the error is the
+/// sequential run's first. Workers stop claiming past a failure, so a
+/// cancelled sweep stops within one unit of work per worker rather than
+/// running to completion.
 ///
 /// Panics inside `f` (or `init`) are caught per worker and converted into
 /// an error via `E: From<ShardPanic>` instead of being re-raised, isolating
@@ -386,29 +254,6 @@ where
     Ok(slots.into_iter().map(|v| v.expect("every index is claimed once")).collect())
 }
 
-/// Fallible [`map_slice_scratch`]; see [`try_map_indexed_scratch`] for the
-/// early-stop, determinism, and panic-isolation contract.
-///
-/// # Errors
-///
-/// Returns the error of the lowest failing index, or a `ShardPanic`-derived
-/// error when a worker panicked.
-pub fn try_map_slice_scratch<'a, T, U, E, S, I, F>(
-    par: Parallelism,
-    items: &'a [T],
-    init: I,
-    f: F,
-) -> Result<Vec<U>, E>
-where
-    T: Sync,
-    U: Send,
-    E: Send + From<ShardPanic>,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &'a T) -> Result<U, E> + Sync,
-{
-    try_map_indexed_scratch(par, items.len(), init, |scratch, i| f(scratch, &items[i]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -420,17 +265,30 @@ mod tests {
         assert!(Parallelism::sequential().is_sequential());
     }
 
+    /// The infallible instantiation (`E = ShardPanic`, as
+    /// `HardeningProblem::evaluate_batch` uses it).
+    fn map_scratch<T: Send, S>(
+        threads: usize,
+        n: usize,
+        init: impl Fn() -> S + Sync,
+        f: impl Fn(&mut S, usize) -> T + Sync,
+    ) -> Vec<T> {
+        let par = Parallelism::new(threads);
+        try_map_indexed_scratch::<_, ShardPanic, _, _, _>(par, n, init, |s, i| Ok(f(s, i)))
+            .expect("no worker panics")
+    }
+
+    fn map<T: Send>(threads: usize, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        map_scratch(threads, n, || (), |(), i| f(i))
+    }
+
     #[test]
     fn map_matches_sequential_for_every_thread_count() {
         let f = |i: usize| (i as u64).wrapping_mul(0x9E37_79B9).rotate_left(13);
         for n in [0, 1, 15, 16, 17, 100, 1001] {
             let expected: Vec<u64> = (0..n).map(f).collect();
-            for threads in [1, 2, 3, 8, 64] {
-                assert_eq!(
-                    map_indexed(Parallelism::new(threads), n, f),
-                    expected,
-                    "n={n} threads={threads}"
-                );
+            for threads in [1, 2, 3, 4, 8, 64] {
+                assert_eq!(map(threads, n, f), expected, "n={n} threads={threads}");
             }
         }
     }
@@ -438,23 +296,32 @@ mod tests {
     #[test]
     fn map_slice_preserves_order() {
         let items: Vec<String> = (0..200).map(|i| format!("x{i}")).collect();
-        let out = map_slice(Parallelism::new(4), &items, |s| s.len());
-        assert_eq!(out, items.iter().map(String::len).collect::<Vec<_>>());
+        let want: Vec<usize> = items.iter().map(String::len).collect();
+        for threads in [1, 4, 64] {
+            assert_eq!(map(threads, items.len(), |i| items[i].len()), want, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn map_slice_scratch_preserves_order() {
+        // A per-worker buffer reused across the items a worker claims.
+        let items: Vec<String> = (0..200).map(|i| format!("x{i}")).collect();
+        let want: Vec<usize> = items.iter().map(|s| s.len() + 1).collect();
+        for threads in [1, 4, 64] {
+            let got = map_scratch(threads, items.len(), String::new, |buf, i| {
+                buf.clear();
+                buf.push_str(&items[i]);
+                buf.push('!');
+                buf.len()
+            });
+            assert_eq!(got, want, "threads={threads}");
+        }
     }
 
     #[test]
     fn more_threads_than_items_is_fine() {
-        let out = map_indexed(Parallelism::new(64), 20, |i| i * 2);
+        let out = map(64, 20, |i| i * 2);
         assert_eq!(out, (0..20).map(|i| i * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    #[should_panic(expected = "worker boom")]
-    fn worker_panics_propagate() {
-        map_indexed(Parallelism::new(4), 64, |i| {
-            assert!(i != 40, "worker boom");
-            i
-        });
     }
 
     #[test]
@@ -471,11 +338,10 @@ mod tests {
         for n in [0, 1, 15, 16, 17, 100, 1001] {
             let expected: Vec<u64> = (0..n).map(f).collect();
             for threads in [1, 2, 3, 8, 64] {
-                let got =
-                    map_indexed_scratch(Parallelism::new(threads), n, Vec::<u64>::new, |s, i| {
-                        s.push(f(i));
-                        *s.last().unwrap()
-                    });
+                let got = map_scratch(threads, n, Vec::<u64>::new, |s, i| {
+                    s.push(f(i));
+                    *s.last().unwrap()
+                });
                 assert_eq!(got, expected, "n={n} threads={threads}");
             }
         }
@@ -487,27 +353,16 @@ mod tests {
         let inits = AtomicUsize::new(0);
         let n = 1000;
         let threads = 4;
-        let out = map_indexed_scratch(
-            Parallelism::new(threads),
-            n,
-            || {
-                inits.fetch_add(1, Ordering::SeqCst);
-                0usize
-            },
-            |uses, i| {
-                *uses += 1;
-                i
-            },
-        );
+        let init = || {
+            inits.fetch_add(1, Ordering::SeqCst);
+            0usize
+        };
+        let out = map_scratch(threads, n, init, |uses, i| {
+            *uses += 1;
+            i
+        });
         assert_eq!(out, (0..n).collect::<Vec<_>>());
         assert_eq!(inits.load(Ordering::SeqCst), threads, "one scratch per worker");
-    }
-
-    #[test]
-    fn map_slice_scratch_preserves_order() {
-        let items: Vec<String> = (0..200).map(|i| format!("x{i}")).collect();
-        let out = map_slice_scratch(Parallelism::new(4), &items, || (), |(), s| s.len());
-        assert_eq!(out, items.iter().map(String::len).collect::<Vec<_>>());
     }
 
     #[derive(Debug, PartialEq, Eq)]
@@ -521,7 +376,6 @@ mod tests {
             TryErr::Panicked(p.message().to_string())
         }
     }
-
     #[test]
     fn try_map_ok_matches_sequential_for_every_thread_count() {
         let f = |i: usize| (i as u64).wrapping_mul(0x9E37_79B9).rotate_left(13);
@@ -606,13 +460,5 @@ mod tests {
             );
             assert_eq!(got, Err(TryErr::Panicked("shard boom".to_string())), "threads={threads}");
         }
-    }
-
-    #[test]
-    fn try_map_slice_scratch_preserves_order() {
-        let items: Vec<String> = (0..200).map(|i| format!("x{i}")).collect();
-        let out: Result<Vec<usize>, TryErr> =
-            try_map_slice_scratch(Parallelism::new(4), &items, || (), |(), s| Ok(s.len()));
-        assert_eq!(out.unwrap(), items.iter().map(String::len).collect::<Vec<_>>());
     }
 }

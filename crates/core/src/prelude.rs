@@ -7,17 +7,17 @@
 //! brings the session API ([`AnalysisSession`], [`Solver`]), the incremental
 //! engine ([`Workspace`], [`WorkspaceDelta`]), the analysis inputs
 //! ([`CriticalitySpec`], [`AnalysisOptions`], [`CostModel`],
-//! [`Parallelism`]), the hardening types and the optimizer configs into
+//! [`Parallelism`], [`CancelToken`]), the hardening types and the optimizer configs into
 //! scope — everything a typical driver needs. Pair it with
 //! `rsn_model::prelude` for the network-building side.
 
+pub use crate::cancel::CancelToken;
 pub use crate::cost::CostModel;
 pub use crate::criticality::{
     analyze, AnalysisOptions, Criticality, ModeAggregation, SibCellPolicy,
 };
 pub use crate::graph_analysis::{
-    analyze_graph, analyze_graph_with, fault_set_damage, fault_set_damage_with,
-    sampled_double_fault_damage, sampled_double_fault_damage_with, AnalysisError, GraphCriticality,
+    analyze_graph, double_fault_damage, fault_set_damage, AnalysisError, GraphCriticality,
 };
 pub use crate::hardening::{
     solve_exact, solve_greedy, solve_nsga2, solve_random, solve_spea2, HardeningFront,

@@ -39,16 +39,15 @@ use crate::cancel::{CancelToken, Cancelled};
 use crate::cost::CostModel;
 use crate::criticality::{analyze, AnalysisOptions, Criticality};
 use crate::graph_analysis::{
-    analyze_graph_with_cancel, double_fault_damage_with_cancel, AnalysisError, DoubleFaultSummary,
-    GraphCriticality,
+    analyze_graph, double_fault_damage, AnalysisError, DoubleFaultSummary, GraphCriticality,
 };
 use crate::hardening::{
-    solve_exact_cancellable, solve_greedy, solve_nsga2_cancellable, solve_random,
-    solve_spea2_cancellable, ExactSolveError, HardeningFront, HardeningProblem,
+    solve_exact, solve_greedy, solve_nsga2, solve_random, solve_spea2, ExactSolveError,
+    HardeningFront, HardeningProblem,
 };
 use crate::par::Parallelism;
 use crate::spec::{CriticalitySpec, PaperSpecParams};
-use crate::validate::{validate_criticality_with_cancel, ValidationReport};
+use crate::validate::{validate_criticality, ValidationReport};
 use crate::workspace::Workspace;
 
 /// Errors surfaced by [`AnalysisSession`] methods.
@@ -64,7 +63,7 @@ pub enum SessionError {
     TreeMismatch(String),
     /// The exact DP solver exceeded its state budget; use the greedy or
     /// evolutionary solvers instead.
-    ExactBudgetExceeded {
+    BudgetExceeded {
         /// Non-dominated states at the point the budget was exceeded.
         states: usize,
     },
@@ -108,7 +107,7 @@ impl SessionError {
         match self {
             Self::NotSeriesParallel(_) => "not_series_parallel",
             Self::TreeMismatch(_) => "tree_mismatch",
-            Self::ExactBudgetExceeded { .. } => "exact_budget_exceeded",
+            Self::BudgetExceeded { .. } => "exact_budget_exceeded",
             Self::TooManyFrozenCombinations { .. } => "too_many_frozen_combinations",
             Self::Cancelled => "cancelled",
             Self::WorkerPanicked { .. } => "worker_panicked",
@@ -124,7 +123,7 @@ impl core::fmt::Display for SessionError {
                 write!(f, "network is not series-parallel and no tree was supplied: {why}")
             }
             Self::TreeMismatch(why) => write!(f, "supplied tree does not match network: {why}"),
-            Self::ExactBudgetExceeded { states } => {
+            Self::BudgetExceeded { states } => {
                 write!(f, "exact solver exceeded its state budget ({states} states)")
             }
             Self::TooManyFrozenCombinations { combos, limit } => {
@@ -164,20 +163,29 @@ impl From<Cancelled> for SessionError {
     }
 }
 
+impl From<ExactSolveError> for SessionError {
+    fn from(e: ExactSolveError) -> Self {
+        match e {
+            ExactSolveError::BudgetExceeded { states } => Self::BudgetExceeded { states },
+            ExactSolveError::Cancelled => Self::Cancelled,
+        }
+    }
+}
+
 /// Solver selection for [`AnalysisSession::solve`].
 ///
 /// Each variant maps to one of the free `solve_*` functions; the session
 /// supplies the problem (built from its cached criticality and cost model).
 #[derive(Clone, Debug, PartialEq)]
 pub enum Solver {
-    /// The paper's SPEA2 configuration ([`solve_spea2`](crate::hardening::solve_spea2)).
+    /// The paper's SPEA2 configuration ([`solve_spea2`]).
     Spea2 {
         /// Algorithm parameters.
         config: Spea2Config,
         /// RNG seed.
         seed: u64,
     },
-    /// NSGA-II ([`solve_nsga2`](crate::hardening::solve_nsga2)).
+    /// NSGA-II ([`solve_nsga2`]).
     Nsga2 {
         /// Algorithm parameters.
         config: Nsga2Config,
@@ -187,7 +195,7 @@ pub enum Solver {
     /// Damage-per-cost greedy baseline ([`solve_greedy`]).
     Greedy,
     /// Certified Pareto front by dynamic programming
-    /// ([`solve_exact`](crate::hardening::solve_exact)).
+    /// ([`solve_exact`]).
     Exact {
         /// Bound on the non-dominated state set.
         max_states: usize,
@@ -199,6 +207,38 @@ pub enum Solver {
         /// RNG seed.
         seed: u64,
     },
+}
+
+impl Solver {
+    /// Runs this solver on `problem`, polling `cancel` once per generation
+    /// or enumeration step (greedy and random check it once up front). The
+    /// one dispatch behind [`AnalysisSession::solve_problem`] and the CLI.
+    ///
+    /// # Errors
+    ///
+    /// [`SessionError::BudgetExceeded`] when [`Solver::Exact`] runs out
+    /// of states; [`SessionError::Cancelled`] when `cancel` fires.
+    pub fn run(
+        self,
+        problem: &HardeningProblem,
+        cancel: &CancelToken,
+    ) -> Result<HardeningFront, SessionError> {
+        match self {
+            Self::Spea2 { config, seed } => {
+                Ok(solve_spea2(problem, &config, seed, |_| {}, cancel)?)
+            }
+            Self::Nsga2 { config, seed } => Ok(solve_nsga2(problem, &config, seed, cancel)?),
+            Self::Greedy => {
+                cancel.check()?;
+                Ok(solve_greedy(problem))
+            }
+            Self::Exact { max_states } => Ok(solve_exact(problem, max_states, cancel)?),
+            Self::Random { samples, seed } => {
+                cancel.check()?;
+                Ok(solve_random(problem, samples, seed))
+            }
+        }
+    }
 }
 
 /// How the builder obtains the [`CriticalitySpec`] at build time.
@@ -476,7 +516,7 @@ impl AnalysisSession {
         Ok(self.criticality.get_or_init(|| crit))
     }
 
-    /// The graph-exact damage vector ([`analyze_graph_with_cancel`]),
+    /// The graph-exact damage vector ([`analyze_graph`]),
     /// honoring the session's [`CancelToken`]: the token is polled at
     /// per-block checkpoints inside the sharded sweep, so a fired deadline
     /// interrupts the analysis mid-kernel. Caches on success; a cached
@@ -492,17 +532,12 @@ impl AnalysisSession {
         if let Some(crit) = self.graph_criticality.get() {
             return Ok(crit);
         }
-        let crit = analyze_graph_with_cancel(
-            &self.net,
-            &self.spec,
-            &self.options,
-            self.parallelism,
-            &self.cancel,
-        )?;
+        let crit =
+            analyze_graph(&self.net, &self.spec, &self.options, self.parallelism, &self.cancel)?;
         Ok(self.graph_criticality.get_or_init(|| crit))
     }
 
-    /// The fault-simulation campaign ([`validate_criticality_with_cancel`])
+    /// The fault-simulation campaign ([`validate_criticality`])
     /// honoring the session's [`CancelToken`]: polled per primitive inside
     /// the sharded campaign (and at per-block checkpoints of the underlying
     /// analysis sweep). Caches on success.
@@ -515,7 +550,7 @@ impl AnalysisSession {
         if let Some(report) = self.validation.get() {
             return Ok(report);
         }
-        let report = validate_criticality_with_cancel(
+        let report = validate_criticality(
             &self.net,
             &self.spec,
             &self.options,
@@ -526,12 +561,11 @@ impl AnalysisSession {
     }
 
     /// Exact damage statistics over **every** unordered pair of single
-    /// faults on non-hardened primitives
-    /// ([`double_fault_damage_with_cancel`]): the pairs are packed into
-    /// mode-major lane blocks, so the full sweep costs a few batched
-    /// traversals per [`LANES`](crate::graph_analysis::batch::LANES) pairs
-    /// instead of four traversals per pair. Deterministic at every thread
-    /// count; supersedes sampling whenever the pair count is tractable.
+    /// faults on non-hardened primitives ([`double_fault_damage`]): the
+    /// pairs are packed into mode-major lane blocks, so the full sweep costs
+    /// a few batched traversals per
+    /// [`LANES`](crate::graph_analysis::batch::LANES) pairs instead of four
+    /// traversals per pair. Deterministic at every thread count.
     ///
     /// # Errors
     ///
@@ -542,7 +576,7 @@ impl AnalysisSession {
         &self,
         hardened: &[rsn_model::NodeId],
     ) -> Result<DoubleFaultSummary, SessionError> {
-        double_fault_damage_with_cancel(
+        double_fault_damage(
             &self.net,
             &self.spec,
             hardened,
@@ -574,7 +608,7 @@ impl AnalysisSession {
     /// # Errors
     ///
     /// Propagates [`criticality`](Self::criticality) errors;
-    /// [`SessionError::ExactBudgetExceeded`] when [`Solver::Exact`] runs out
+    /// [`SessionError::BudgetExceeded`] when [`Solver::Exact`] runs out
     /// of states; [`SessionError::Cancelled`] when the session's token fires
     /// mid-run (checked once per generation / enumeration step).
     pub fn solve(&self, solver: Solver) -> Result<HardeningFront, SessionError> {
@@ -593,39 +627,13 @@ impl AnalysisSession {
         problem: &HardeningProblem,
         solver: Solver,
     ) -> Result<HardeningFront, SessionError> {
-        match solver {
-            Solver::Spea2 { config, seed } => {
-                solve_spea2_cancellable(problem, &config, seed, |_| {}, &self.cancel)
-                    .map_err(SessionError::from)
-            }
-            Solver::Nsga2 { config, seed } => {
-                solve_nsga2_cancellable(problem, &config, seed, &self.cancel)
-                    .map_err(SessionError::from)
-            }
-            Solver::Greedy => {
-                self.cancel.check()?;
-                Ok(solve_greedy(problem))
-            }
-            Solver::Exact { max_states } => {
-                solve_exact_cancellable(problem, max_states, &self.cancel).map_err(|e| match e {
-                    ExactSolveError::BudgetExceeded(b) => {
-                        SessionError::ExactBudgetExceeded { states: b.states }
-                    }
-                    ExactSolveError::Cancelled => SessionError::Cancelled,
-                })
-            }
-            Solver::Random { samples, seed } => {
-                self.cancel.check()?;
-                Ok(solve_random(problem, samples, seed))
-            }
-        }
+        solver.run(problem, &self.cancel)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph_analysis::analyze_graph_with;
     use rsn_model::{InstrumentKind, Structure};
 
     fn demo_net() -> (ScanNetwork, BuiltStructure) {
@@ -647,7 +655,9 @@ mod tests {
         let spec = CriticalitySpec::paper_random(&net, &PaperSpecParams::default(), 7);
         let options = AnalysisOptions::default();
         let expected = analyze(&net, &tree, &spec, &options);
-        let expected_graph = analyze_graph_with(&net, &spec, &options, Parallelism::sequential());
+        let expected_graph =
+            analyze_graph(&net, &spec, &options, Parallelism::sequential(), &CancelToken::none())
+                .unwrap();
 
         let session = AnalysisSession::builder(net)
             .with_paper_spec(PaperSpecParams::default(), 7)
@@ -721,7 +731,7 @@ mod tests {
 
     #[test]
     fn session_errors_have_stable_codes_and_displays() {
-        let budget = SessionError::ExactBudgetExceeded { states: 9 };
+        let budget = SessionError::BudgetExceeded { states: 9 };
         assert_eq!(budget.code(), "exact_budget_exceeded");
         assert!(budget.to_string().contains("9 states"));
         let nsp = SessionError::NotSeriesParallel("cycle".into());
@@ -754,7 +764,7 @@ mod tests {
         let session =
             AnalysisSession::builder(net).with_paper_spec(PaperSpecParams::default(), 3).build();
         match session.solve(Solver::Exact { max_states: 1 }) {
-            Err(SessionError::ExactBudgetExceeded { states }) => assert!(states > 1),
+            Err(SessionError::BudgetExceeded { states }) => assert!(states > 1),
             other => panic!("expected budget error, got {other:?}"),
         }
     }

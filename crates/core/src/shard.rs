@@ -1,7 +1,7 @@
 //! Fault-mode range sharding: the sweep entry points a cluster coordinator
 //! uses to split one large criticality analysis across workers.
 //!
-//! The full-sweep kernel ([`analyze_graph_with`](crate::analyze_graph_with))
+//! The full-sweep kernel ([`analyze_graph`](crate::analyze_graph))
 //! flattens the canonical per-primitive mode enumeration into one global
 //! mode table and evaluates it in lane blocks. Every mode's damage is
 //! independent of which block (and which worker) evaluates it, so any

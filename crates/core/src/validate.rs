@@ -21,7 +21,7 @@
 //! 4. aggregates the per-mode operational damages exactly like the analysis
 //!    ([`ModeAggregation`](crate::criticality::ModeAggregation)) and diffs
 //!    the damage vector bit-for-bit against
-//!    [`analyze_graph_with`](crate::graph_analysis::analyze_graph_with).
+//!    [`analyze_graph`].
 //!
 //! The analytical side is one traced lane sweep over the canonical mode
 //! table; the operational side shards over primitives with
@@ -55,7 +55,7 @@ use rsn_model::{
 use crate::cancel::CancelToken;
 use crate::criticality::AnalysisOptions;
 use crate::graph_analysis::{
-    aggregate_mode_damages, analyze_graph_with_cancel, reference, sweep_blocks, AnalysisError,
+    aggregate_mode_damages, analyze_graph, reference, sweep_blocks, AnalysisError,
     GraphCriticality, ModeTrace, ReachKernel,
 };
 use crate::par::{self, Parallelism};
@@ -144,60 +144,30 @@ pub struct Disagreement {
     pub detail: String,
 }
 
-/// Runs the fault-simulation campaign with `RSN_THREADS`-controlled
-/// parallelism. See the [module docs](self).
-#[must_use]
-pub fn validate_criticality(
-    net: &ScanNetwork,
-    spec: &CriticalitySpec,
-    options: &AnalysisOptions,
-) -> ValidationReport {
-    validate_criticality_with(net, spec, options, Parallelism::default())
-}
-
-/// [`validate_criticality`] with an explicit thread count.
+/// Runs the fault-simulation campaign. See the [module docs](self).
 ///
 /// Each primitive's campaign is an independent deterministic computation
 /// (the worker simulator is fully reset per replay), so the report is
-/// bit-identical at every thread count.
-#[must_use]
-pub fn validate_criticality_with(
-    net: &ScanNetwork,
-    spec: &CriticalitySpec,
-    options: &AnalysisOptions,
-    parallelism: Parallelism,
-) -> ValidationReport {
-    match validate_criticality_with_cancel(net, spec, options, parallelism, &CancelToken::none()) {
-        Ok(report) => report,
-        // A none token never cancels; resurface shard panics (and the
-        // too-large capacity check) as panics, like `analyze_graph_with`.
-        Err(AnalysisError::WorkerPanicked { message }) => panic!("{message}"),
-        Err(err) => panic!("{err}"),
-    }
-}
-
-/// [`validate_criticality_with`] with cooperative cancellation.
-///
-/// The token is threaded through the underlying analysis sweep (see
-/// [`analyze_graph_with_cancel`])
-/// and polled once per primitive inside the sharded simulation campaign, so
-/// a fired deadline interrupts the campaign within one primitive's replays
-/// per worker. A completed run returns a report bit-identical to
-/// [`validate_criticality_with`] at every thread count; worker panics are
-/// caught at the shard boundary.
+/// bit-identical at every thread count. The token is threaded through the
+/// underlying analysis sweep (see [`analyze_graph`]) and polled once per
+/// primitive inside the sharded simulation campaign, so a fired deadline
+/// interrupts the campaign within one primitive's replays per worker;
+/// worker panics are caught at the shard boundary.
 ///
 /// # Errors
 ///
 /// [`AnalysisError::Cancelled`] when `cancel` fires mid-campaign;
-/// [`AnalysisError::WorkerPanicked`] when a shard panics.
-pub fn validate_criticality_with_cancel(
+/// [`AnalysisError::WorkerPanicked`] when a shard panics;
+/// [`AnalysisError::NetworkTooLarge`] when the network exceeds the kernel's
+/// index space.
+pub fn validate_criticality(
     net: &ScanNetwork,
     spec: &CriticalitySpec,
     options: &AnalysisOptions,
     parallelism: Parallelism,
     cancel: &CancelToken,
 ) -> Result<ValidationReport, AnalysisError> {
-    let analysis = analyze_graph_with_cancel(net, spec, options, parallelism, cancel)?;
+    let analysis = analyze_graph(net, spec, options, parallelism, cancel)?;
     let kernel = ReachKernel::try_new(net, spec)?;
     let table = ModeTable::single_faults(net, options.sib_policy);
     // The analytical claims of every mode, from one traced lane sweep.
@@ -965,12 +935,17 @@ mod tests {
         .0
     }
 
-    #[test]
-    fn campaign_is_clean_on_a_mixed_network() {
+    /// The campaign on `soc_like` with kind weights and default options.
+    fn campaign(threads: usize) -> ValidationReport {
         let net = soc_like();
         let spec = CriticalitySpec::from_kinds(&net);
-        let options = AnalysisOptions::default();
-        let report = validate_criticality(&net, &spec, &options);
+        let (options, par) = (AnalysisOptions::default(), Parallelism::new(threads));
+        validate_criticality(&net, &spec, &options, par, &CancelToken::none()).unwrap()
+    }
+
+    #[test]
+    fn campaign_is_clean_on_a_mixed_network() {
+        let report = campaign(1);
         assert!(report.is_clean(), "disagreements: {:?}", report.disagreements);
         assert_eq!(report.operational_total_damage, report.analysis_total_damage);
         assert!(report.simulated_modes > 0);
@@ -979,20 +954,12 @@ mod tests {
 
     #[test]
     fn campaign_is_bit_identical_across_thread_counts() {
-        let net = soc_like();
-        let spec = CriticalitySpec::from_kinds(&net);
-        let options = AnalysisOptions::default();
-        let one = validate_criticality_with(&net, &spec, &options, Parallelism::new(1));
-        let four = validate_criticality_with(&net, &spec, &options, Parallelism::new(4));
-        assert_eq!(one, four);
+        assert_eq!(campaign(1), campaign(4));
     }
 
     #[test]
     fn campaign_counts_modes_like_the_analysis() {
-        let net = soc_like();
-        let spec = CriticalitySpec::from_kinds(&net);
-        let options = AnalysisOptions::default();
-        let report = validate_criticality(&net, &spec, &options);
+        let report = campaign(1);
         // Every primitive contributes at least one mode; SIB muxes have two.
         assert!(report.modes >= report.primitives);
         assert_eq!(report.simulated_modes + report.skipped_unrealizable_modes, report.modes);

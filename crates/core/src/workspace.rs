@@ -750,7 +750,7 @@ impl Workspace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph_analysis::analyze_graph_with;
+    use crate::graph_analysis::analyze_graph;
     use crate::session::AnalysisSession;
     use crate::spec::PaperSpecParams;
     use rsn_model::{InstrumentKind, Structure};
@@ -776,6 +776,12 @@ mod tests {
         s.build("demo").expect("valid structure").0
     }
 
+    /// The from-scratch sequential sweep a workspace must match.
+    fn sweep(net: &ScanNetwork, spec: &CriticalitySpec) -> GraphCriticality {
+        let options = AnalysisOptions::default();
+        analyze_graph(net, spec, &options, Parallelism::sequential(), &CancelToken::none()).unwrap()
+    }
+
     fn workspace(net: ScanNetwork, threads: usize) -> Workspace {
         AnalysisSession::builder(net)
             .with_paper_spec(PaperSpecParams::default(), 11)
@@ -788,8 +794,7 @@ mod tests {
     fn fresh_workspace_matches_analyze_graph() {
         let net = demo_net();
         let spec = CriticalitySpec::paper_random(&net, &PaperSpecParams::default(), 11);
-        let expected =
-            analyze_graph_with(&net, &spec, &AnalysisOptions::default(), Parallelism::sequential());
+        let expected = sweep(&net, &spec);
         for threads in [1usize, 4] {
             let ws = workspace(net.clone(), threads);
             let got = ws.graph_criticality();
@@ -851,12 +856,7 @@ mod tests {
         let (i, _) = ws.network().instruments().next().expect("has instruments");
         ws.edit(WorkspaceDelta::SetWeights { instrument: i, obs: u64::MAX, set: u64::MAX })
             .expect("edit");
-        let expected = analyze_graph_with(
-            ws.network(),
-            ws.spec(),
-            &AnalysisOptions::default(),
-            Parallelism::sequential(),
-        );
+        let expected = sweep(ws.network(), ws.spec());
         assert_eq!(ws.graph_criticality(), expected, "incremental == full sweep");
         assert_eq!(ws.total_damage(), expected.total_damage());
         let rebuilt = ws.rebuilt().expect("rebuild");

@@ -30,8 +30,9 @@
 //!
 //! let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
 //! let cfg = Spea2Config { generations: 10, ..Default::default() };
-//! let front = spea2(&CostVsLoss, &cfg, &mut rng);
+//! let front = spea2(&CostVsLoss, &cfg, &mut rng, |_| {}, || false)?;
 //! assert!(!front.is_empty());
+//! # Ok::<(), moea::Interrupted>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -49,9 +50,7 @@ pub mod spea2;
 pub use dominance::{dominates, non_dominated_sort, pareto_filter};
 pub use genome::BitGenome;
 pub use metrics::{extent_2d, hypervolume_2d};
-pub use nsga2::{nsga2, nsga2_cancellable, Nsga2Config};
+pub use nsga2::{nsga2, Nsga2Config};
 pub use operators::{CrossoverKind, Variation};
 pub use problem::{Individual, Interrupted, Problem};
-pub use spea2::{
-    spea2, spea2_with_observer, spea2_with_observer_cancellable, GenerationStats, Spea2Config,
-};
+pub use spea2::{spea2, GenerationStats, Spea2Config};

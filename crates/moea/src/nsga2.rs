@@ -27,23 +27,17 @@ impl Default for Nsga2Config {
 }
 
 /// Runs NSGA-II and returns the final non-dominated set.
-pub fn nsga2(problem: &impl Problem, config: &Nsga2Config, rng: &mut impl Rng) -> Vec<Individual> {
-    match nsga2_cancellable(problem, config, rng, || false) {
-        Ok(front) => front,
-        Err(Interrupted) => unreachable!("the stop hook never fires"),
-    }
-}
-
-/// [`nsga2`] with a cooperative stop hook, polled once per generation.
 ///
-/// A run that completes returns a front bit-identical to [`nsga2`] for the
-/// same seed and configuration; a run whose hook fires returns
+/// `should_stop` is a cooperative stop hook, polled once per generation
+/// (and before the seed batch); pass `|| false` for a run that cannot be
+/// interrupted. A run that completes returns a front that depends only on
+/// the RNG stream and the configuration; a run whose hook fires returns
 /// [`Interrupted`] and discards all intermediate state.
 ///
 /// # Errors
 ///
 /// [`Interrupted`] when `should_stop` returns `true` at any checkpoint.
-pub fn nsga2_cancellable(
+pub fn nsga2(
     problem: &impl Problem,
     config: &Nsga2Config,
     rng: &mut impl Rng,
@@ -171,7 +165,7 @@ mod tests {
     fn front_is_mutually_non_dominated() {
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         let cfg = Nsga2Config { generations: 30, ..Default::default() };
-        let front = nsga2(&problem(), &cfg, &mut rng);
+        let front = nsga2(&problem(), &cfg, &mut rng, || false).unwrap();
         assert!(!front.is_empty());
         for a in &front {
             for b in &front {
@@ -185,7 +179,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(8);
         let cfg =
             Nsga2Config { population_size: 60, generations: 60, variation: Variation::default() };
-        let front = nsga2(&problem(), &cfg, &mut rng);
+        let front = nsga2(&problem(), &cfg, &mut rng, || false).unwrap();
         let p = problem();
         let total_cost: f64 = p.cost.iter().sum();
         let total_damage: f64 = p.damage.iter().sum();
@@ -203,7 +197,8 @@ mod tests {
         let cfg = Nsga2Config { generations: 12, ..Default::default() };
         let run = |seed| {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let mut front = nsga2(&problem(), &cfg, &mut rng)
+            let mut front = nsga2(&problem(), &cfg, &mut rng, || false)
+                .unwrap()
                 .into_iter()
                 .map(|i| i.objectives)
                 .collect::<Vec<_>>();
@@ -215,12 +210,21 @@ mod tests {
 
     #[test]
     fn cancellable_run_with_quiet_hook_matches_plain_run() {
+        // A hook that is polled but never fires leaves the RNG stream and
+        // the front untouched; it is polled before the seed batch and once
+        // per generation.
         let cfg = Nsga2Config { generations: 10, ..Default::default() };
         let mut rng_a = ChaCha8Rng::seed_from_u64(13);
-        let plain = nsga2(&problem(), &cfg, &mut rng_a);
+        let plain = nsga2(&problem(), &cfg, &mut rng_a, || false).unwrap();
         let mut rng_b = ChaCha8Rng::seed_from_u64(13);
-        let cancellable = nsga2_cancellable(&problem(), &cfg, &mut rng_b, || false).unwrap();
-        assert_eq!(plain, cancellable);
+        let mut polls = 0usize;
+        let mut quiet = || {
+            polls += 1;
+            false
+        };
+        let polled = nsga2(&problem(), &cfg, &mut rng_b, &mut quiet).unwrap();
+        assert_eq!(plain, polled);
+        assert_eq!(polls, cfg.generations + 1);
     }
 
     #[test]
@@ -228,7 +232,7 @@ mod tests {
         let cfg = Nsga2Config { generations: 50, ..Default::default() };
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let mut polls = 0usize;
-        let got = nsga2_cancellable(&problem(), &cfg, &mut rng, || {
+        let got = nsga2(&problem(), &cfg, &mut rng, || {
             polls += 1;
             polls > 3
         });

@@ -59,9 +59,8 @@ pub trait Problem {
     }
 }
 
-/// Error returned by the cancellable optimizer entry points
-/// ([`crate::spea2_with_observer_cancellable`],
-/// [`crate::nsga2_cancellable`]) when the caller-supplied stop hook fired
+/// Error returned by the optimizers ([`crate::spea2()`], [`crate::nsga2()`])
+/// when the caller-supplied stop hook fired
 /// before the final generation: the run was abandoned and no front is
 /// returned (partial fronts would depend on *when* the hook fired and break
 /// determinism).

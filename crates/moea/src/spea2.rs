@@ -57,35 +57,20 @@ pub struct GenerationStats {
     pub best: Vec<f64>,
 }
 
-/// Runs SPEA2 and returns the final non-dominated set.
-pub fn spea2(problem: &impl Problem, config: &Spea2Config, rng: &mut impl Rng) -> Vec<Individual> {
-    spea2_with_observer(problem, config, rng, |_| {})
-}
-
-/// Runs SPEA2, invoking `observer` after every generation.
-pub fn spea2_with_observer(
-    problem: &impl Problem,
-    config: &Spea2Config,
-    rng: &mut impl Rng,
-    observer: impl FnMut(&GenerationStats),
-) -> Vec<Individual> {
-    match spea2_with_observer_cancellable(problem, config, rng, observer, || false) {
-        Ok(front) => front,
-        Err(Interrupted) => unreachable!("the stop hook never fires"),
-    }
-}
-
-/// [`spea2_with_observer`] with a cooperative stop hook, polled once per
-/// generation (before the seed batch and before every offspring batch).
+/// Runs SPEA2 and returns the final non-dominated set, invoking `observer`
+/// after every generation (pass `|_| {}` when not needed).
 ///
-/// A run that completes returns a front bit-identical to the uninterrupted
-/// entry points for the same seed and configuration; a run whose hook fires
-/// returns [`Interrupted`] and discards all intermediate state.
+/// `should_stop` is a cooperative stop hook, polled once per generation
+/// (before the seed batch and before every offspring batch); pass
+/// `|| false` for a run that cannot be interrupted. A run that completes
+/// returns a front that depends only on the RNG stream and the
+/// configuration; a run whose hook fires returns [`Interrupted`] and
+/// discards all intermediate state.
 ///
 /// # Errors
 ///
 /// [`Interrupted`] when `should_stop` returns `true` at any checkpoint.
-pub fn spea2_with_observer_cancellable(
+pub fn spea2(
     problem: &impl Problem,
     config: &Spea2Config,
     rng: &mut impl Rng,
@@ -354,7 +339,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(11);
         let p = OnesZeros(32);
         let cfg = Spea2Config { generations: 20, ..Default::default() };
-        let front = spea2(&p, &cfg, &mut rng);
+        let front = spea2(&p, &cfg, &mut rng, |_| {}, || false).unwrap();
         assert!(!front.is_empty());
         for a in &front {
             for b in &front {
@@ -376,7 +361,7 @@ mod tests {
             generations: 60,
             variation: Variation::default(),
         };
-        let front = spea2(&p, &cfg, &mut rng);
+        let front = spea2(&p, &cfg, &mut rng, |_| {}, || false).unwrap();
         // The front must stretch close to both corners: a near-zero-cost
         // solution and a near-zero-damage solution.
         let total_cost: f64 = p.cost.iter().sum();
@@ -397,7 +382,7 @@ mod tests {
         let p = OnesZeros(8);
         let cfg = Spea2Config { generations: 7, ..Default::default() };
         let mut seen = Vec::new();
-        spea2_with_observer(&p, &cfg, &mut rng, |s| seen.push(s.generation));
+        spea2(&p, &cfg, &mut rng, |s| seen.push(s.generation), || false).unwrap();
         assert_eq!(seen, (0..7).collect::<Vec<_>>());
     }
 
@@ -411,7 +396,7 @@ mod tests {
             generations: 5,
             variation: Variation::default(),
         };
-        let front = spea2(&p, &cfg, &mut rng);
+        let front = spea2(&p, &cfg, &mut rng, |_| {}, || false).unwrap();
         assert!(front.len() <= 10, "front size {} exceeds archive cap", front.len());
     }
 
@@ -421,8 +406,11 @@ mod tests {
         let cfg = Spea2Config { generations: 10, ..Default::default() };
         let run = |seed| {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let mut front =
-                spea2(&p, &cfg, &mut rng).into_iter().map(|i| i.objectives).collect::<Vec<_>>();
+            let mut front = spea2(&p, &cfg, &mut rng, |_| {}, || false)
+                .unwrap()
+                .into_iter()
+                .map(|i| i.objectives)
+                .collect::<Vec<_>>();
             front.sort_by(|a, b| a.partial_cmp(b).unwrap());
             front
         };
@@ -431,14 +419,22 @@ mod tests {
 
     #[test]
     fn cancellable_run_with_quiet_hook_matches_plain_run() {
+        // A hook that is polled but never fires leaves the RNG stream and
+        // the front untouched; it is polled before the seed batch and once
+        // per generation.
         let p = OnesZeros(16);
         let cfg = Spea2Config { generations: 8, ..Default::default() };
         let mut rng_a = ChaCha8Rng::seed_from_u64(21);
-        let plain = spea2(&p, &cfg, &mut rng_a);
+        let plain = spea2(&p, &cfg, &mut rng_a, |_| {}, || false).unwrap();
         let mut rng_b = ChaCha8Rng::seed_from_u64(21);
-        let cancellable =
-            spea2_with_observer_cancellable(&p, &cfg, &mut rng_b, |_| {}, || false).unwrap();
-        assert_eq!(plain, cancellable);
+        let mut polls = 0usize;
+        let mut quiet = || {
+            polls += 1;
+            false
+        };
+        let polled = spea2(&p, &cfg, &mut rng_b, |_| {}, &mut quiet).unwrap();
+        assert_eq!(plain, polled);
+        assert_eq!(polls, cfg.generations + 1);
     }
 
     #[test]
@@ -448,7 +444,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let mut generations_seen = 0usize;
         let mut polls = 0usize;
-        let got = spea2_with_observer_cancellable(
+        let got = spea2(
             &p,
             &cfg,
             &mut rng,

@@ -9,7 +9,7 @@ use std::time::Instant;
 
 use moea::{Spea2Config, Variation};
 use robust_rsn::{
-    analyze, solve_greedy, solve_spea2, AnalysisOptions, CostModel, CriticalitySpec,
+    analyze, solve_greedy, solve_spea2, AnalysisOptions, CancelToken, CostModel, CriticalitySpec,
     HardeningProblem, PaperSpecParams,
 };
 use rsn_benchmarks::table::by_name;
@@ -56,14 +56,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         variation: Variation { crossover_rate: 0.95, mutation_rate: 0.01, ..Default::default() },
     };
     let t_ea = Instant::now();
-    let front = solve_spea2(&problem, &config, 7, |s| {
-        if s.generation % 25 == 0 {
+    let observer = |s: &moea::GenerationStats| {
+        if s.generation.is_multiple_of(25) {
             println!(
                 "  gen {:>4}: front size {:>3}, best cost {:>8.0}, best damage {:>12.0}",
                 s.generation, s.front_size, s.best[0], s.best[1]
             );
         }
-    });
+    };
+    let front = solve_spea2(&problem, &config, 7, observer, &CancelToken::none())?;
     println!(
         "SPEA2: {} generations, front of {} solutions in {:?}",
         generations,

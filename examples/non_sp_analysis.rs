@@ -8,7 +8,9 @@
 //!
 //! Run with `cargo run --example non_sp_analysis`.
 
-use robust_rsn::{analyze_graph, oracle_damage, AnalysisOptions, CriticalitySpec};
+use robust_rsn::{
+    analyze_graph, oracle_damage, AnalysisOptions, CancelToken, CriticalitySpec, Parallelism,
+};
 use rsn_model::{ControlSource, InstrumentKind, NetworkBuilder, Segment};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -45,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // configuration-enumeration oracle.
     let spec = CriticalitySpec::from_kinds(&net);
     let options = AnalysisOptions::default();
-    let crit = analyze_graph(&net, &spec, &options);
+    let crit = analyze_graph(&net, &spec, &options, Parallelism::default(), &CancelToken::none())?;
     println!("\nper-primitive damage (graph analysis vs exhaustive oracle):");
     for j in net.primitives() {
         let oracle = oracle_damage(&net, &spec, j, &options);

@@ -7,7 +7,8 @@
 
 use moea::Spea2Config;
 use robust_rsn::{
-    analyze, solve_spea2, AnalysisOptions, CostModel, CriticalitySpec, HardeningProblem,
+    analyze, solve_spea2, AnalysisOptions, CancelToken, CostModel, CriticalitySpec,
+    HardeningProblem,
 };
 use rsn_model::{patterns, AccessKind, InstrumentKind, Simulator, Structure};
 use rsn_sp::tree_from_structure;
@@ -41,8 +42,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = CriticalitySpec::from_kinds(&net);
     let crit = analyze(&net, &tree, &spec, &AnalysisOptions::default());
     let problem = HardeningProblem::new(&net, &crit, &CostModel::default());
-    let front =
-        solve_spea2(&problem, &Spea2Config { generations: 60, ..Default::default() }, 3, |_| {});
+    let config = Spea2Config { generations: 60, ..Default::default() };
+    let front = solve_spea2(&problem, &config, 3, |_| {}, &CancelToken::none())?;
     let chosen = front
         .min_cost_with_damage_at_most(problem.total_damage() / 10)
         .expect("front reaches low damage");

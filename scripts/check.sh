@@ -24,6 +24,15 @@ done
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> pinned analyze_graph_with: no callers outside benchmark/"
+# The benchmark runner pins `analyze_graph_with`; every other caller uses
+# `analyze_graph`, so the name can go once the runner stops importing it.
+if grep -rn --include='*.rs' 'analyze_graph_with(' crates tests examples |
+    grep -v '^crates/core/src/graph_analysis.rs:[0-9]*:pub fn analyze_graph_with($'; then
+    echo "analyze_graph_with is kept for benchmark/ only; call analyze_graph instead" >&2
+    exit 1
+fi
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 

@@ -4,7 +4,7 @@
 use moea::{Nsga2Config, Spea2Config};
 use robust_rsn::{
     analyze, solve_exact, solve_greedy, solve_nsga2, solve_random, solve_spea2, AnalysisOptions,
-    CostModel, CriticalitySpec, HardeningProblem, PaperSpecParams,
+    CancelToken, CostModel, CriticalitySpec, HardeningProblem, PaperSpecParams,
 };
 use rsn_benchmarks::table::by_name;
 use rsn_sp::tree_from_structure;
@@ -27,7 +27,7 @@ fn spea2_reaches_the_ten_percent_regimes_on_treeflat() {
         generations: 150,
         ..Default::default()
     };
-    let front = solve_spea2(&p, &cfg, 2, |_| {});
+    let front = solve_spea2(&p, &cfg, 2, |_| {}, &CancelToken::none()).unwrap();
     let ten_damage = p.total_damage() / 10;
     let ten_cost = p.max_cost() / 10;
     let a = front.min_cost_with_damage_at_most(ten_damage).expect("damage cap reachable");
@@ -47,8 +47,21 @@ fn all_solvers_agree_on_front_validity() {
     let fronts = vec![
         solve_greedy(&p),
         solve_random(&p, 100, 5),
-        solve_spea2(&p, &Spea2Config { generations: 40, ..Default::default() }, 6, |_| {}),
-        solve_nsga2(&p, &Nsga2Config { generations: 40, ..Default::default() }, 7),
+        solve_spea2(
+            &p,
+            &Spea2Config { generations: 40, ..Default::default() },
+            6,
+            |_| {},
+            &CancelToken::none(),
+        )
+        .unwrap(),
+        solve_nsga2(
+            &p,
+            &Nsga2Config { generations: 40, ..Default::default() },
+            7,
+            &CancelToken::none(),
+        )
+        .unwrap(),
     ];
     for front in fronts {
         assert!(!front.is_empty());
@@ -74,7 +87,8 @@ fn all_solvers_agree_on_front_validity() {
 #[test]
 fn exact_front_certifies_the_greedy_gap_on_a_small_design() {
     let p = problem_for("TreeFlat", 9);
-    let exact = solve_exact(&p, 2_000_000).expect("small design fits the budget");
+    let exact =
+        solve_exact(&p, 2_000_000, &CancelToken::none()).expect("small design fits the budget");
     let greedy = solve_greedy(&p);
     let r = (p.max_cost() + 1, p.total_damage() + 1);
     let hv_exact = exact.hypervolume(r.0, r.1);
@@ -112,8 +126,8 @@ fn hardening_everything_protects_important_instruments() {
 fn spea2_is_deterministic_per_seed_across_the_pipeline() {
     let p = problem_for("TreeFlat", 2);
     let cfg = Spea2Config { generations: 25, ..Default::default() };
-    let a = solve_spea2(&p, &cfg, 42, |_| {});
-    let b = solve_spea2(&p, &cfg, 42, |_| {});
+    let a = solve_spea2(&p, &cfg, 42, |_| {}, &CancelToken::none()).unwrap();
+    let b = solve_spea2(&p, &cfg, 42, |_| {}, &CancelToken::none()).unwrap();
     assert_eq!(a.solutions(), b.solutions());
 }
 

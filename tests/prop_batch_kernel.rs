@@ -1,6 +1,6 @@
 //! Differential validation of the mode-major batch kernel
 //! (`graph_analysis::batch`): the lane-packed sweep behind
-//! [`robust_rsn::analyze_graph_with`] and the exact double-fault API must be
+//! [`robust_rsn::analyze_graph`] and the exact double-fault API must be
 //! bit-identical to the `Vec<bool>` reference — per mode, and maximized over
 //! the frozen-select odometer for fault sets — on random series-parallel
 //! networks, on bridge-extended non-SP networks, at every thread count, and
@@ -9,9 +9,8 @@
 use proptest::prelude::*;
 use robust_rsn::graph_analysis::{double_fault_pair_damages, reference};
 use robust_rsn::{
-    analyze_graph_with, analyze_graph_with_cancel, double_fault_damage_with_cancel, AnalysisError,
-    AnalysisOptions, CancelToken, CriticalitySpec, ModeAggregation, PaperSpecParams, Parallelism,
-    SibCellPolicy,
+    analyze_graph, double_fault_damage, AnalysisError, AnalysisOptions, CancelToken,
+    CriticalitySpec, ModeAggregation, PaperSpecParams, Parallelism, SibCellPolicy,
 };
 use rsn_benchmarks::{by_name, random_structure, RandomParams};
 use rsn_model::{
@@ -110,8 +109,9 @@ fn assert_batch_matches_reference(
     opt: &AnalysisOptions,
 ) {
     let want = reference::analyze_graph_ref(net, spec, opt);
-    let one = analyze_graph_with(net, spec, opt, Parallelism::new(1));
-    let four = analyze_graph_with(net, spec, opt, Parallelism::new(4));
+    let none = CancelToken::none();
+    let one = analyze_graph(net, spec, opt, Parallelism::new(1), &none).unwrap();
+    let four = analyze_graph(net, spec, opt, Parallelism::new(4), &none).unwrap();
     assert_eq!(one, want, "batched sweep (1 thread) diverges from the reference");
     assert_eq!(four, want, "batched sweep (4 threads) diverges from the reference");
 }
@@ -222,24 +222,16 @@ fn cancellation_interrupts_batched_sweeps() {
     let token = CancelToken::new();
     token.cancel();
     assert_eq!(
-        analyze_graph_with_cancel(&net, &spec, &options, Parallelism::new(1), &token),
+        analyze_graph(&net, &spec, &options, Parallelism::new(1), &token),
         Err(AnalysisError::Cancelled)
     );
     assert_eq!(
-        double_fault_damage_with_cancel(
-            &net,
-            &spec,
-            &[],
-            SibCellPolicy::Combined,
-            Parallelism::new(1),
-            &token
-        ),
+        double_fault_damage(&net, &spec, &[], SibCellPolicy::Combined, Parallelism::new(1), &token),
         Err(AnalysisError::Cancelled)
     );
     let quiet =
-        analyze_graph_with_cancel(&net, &spec, &options, Parallelism::new(1), &CancelToken::none())
-            .unwrap();
-    assert_eq!(quiet, analyze_graph_with(&net, &spec, &options, Parallelism::new(1)));
+        analyze_graph(&net, &spec, &options, Parallelism::new(1), &CancelToken::new()).unwrap();
+    assert_eq!(quiet, reference::analyze_graph_ref(&net, &spec, &options));
 }
 
 /// The `scripts/check.sh` differential smoke: on the p34392 Table I design

@@ -8,11 +8,16 @@
 use proptest::prelude::*;
 use robust_rsn::graph_analysis::{reference, ReachKernel};
 use robust_rsn::{
-    analyze_graph_with, oracle_damage, AnalysisOptions, CriticalitySpec, ModeAggregation,
-    PaperSpecParams, Parallelism, SibCellPolicy,
+    analyze_graph, oracle_damage, AnalysisOptions, CancelToken, CriticalitySpec, GraphCriticality,
+    ModeAggregation, PaperSpecParams, Parallelism, SibCellPolicy,
 };
 use rsn_benchmarks::{random_structure, RandomParams};
 use rsn_model::{ControlSource, InstrumentKind, NetworkBuilder, NodeId, ScanNetwork, Segment};
+
+/// The sequential, uncancelled lane sweep.
+fn sweep(net: &ScanNetwork, spec: &CriticalitySpec, options: &AnalysisOptions) -> GraphCriticality {
+    analyze_graph(net, spec, options, Parallelism::sequential(), &CancelToken::none()).unwrap()
+}
 
 fn options_strategy() -> impl Strategy<Value = AnalysisOptions> {
     (
@@ -148,7 +153,7 @@ proptest! {
         let s = random_structure(&RandomParams::default(), seed);
         let (net, _) = s.build("prop").unwrap();
         let weights = CriticalitySpec::paper_random(&net, &PaperSpecParams::default(), spec_seed);
-        let fast = analyze_graph_with(&net, &weights, &options, Parallelism::sequential());
+        let fast = sweep(&net, &weights, &options);
         let slow = reference::analyze_graph_ref(&net, &weights, &options);
         prop_assert_eq!(fast, slow);
     }
@@ -162,7 +167,7 @@ proptest! {
         let net = random_bridge_net(seed);
         prop_assert!(rsn_sp::recognize(&net).is_err(), "bridge blocks defeat SP recognition");
         let weights = CriticalitySpec::paper_random(&net, &PaperSpecParams::default(), spec_seed);
-        let fast = analyze_graph_with(&net, &weights, &options, Parallelism::sequential());
+        let fast = sweep(&net, &weights, &options);
         let slow = reference::analyze_graph_ref(&net, &weights, &options);
         prop_assert_eq!(fast, slow);
     }
@@ -180,7 +185,7 @@ proptest! {
         prop_assume!(config_count <= 4096.0);
         let weights = CriticalitySpec::paper_random(&net, &PaperSpecParams::default(), spec_seed);
         let options = AnalysisOptions::default();
-        let crit = analyze_graph_with(&net, &weights, &options, Parallelism::sequential());
+        let crit = sweep(&net, &weights, &options);
         for j in net.primitives() {
             prop_assert_eq!(
                 crit.damage(j),

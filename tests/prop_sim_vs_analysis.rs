@@ -7,7 +7,9 @@
 //! reports at every thread count.
 
 use proptest::prelude::*;
-use robust_rsn::{validate_criticality_with, AnalysisOptions, CriticalitySpec, Parallelism};
+use robust_rsn::{
+    validate_criticality, AnalysisOptions, CancelToken, CriticalitySpec, Parallelism,
+};
 use rsn_benchmarks::{random_structure, RandomParams};
 use rsn_model::{ControlSource, InstrumentKind, NetworkBuilder, ScanNetwork, Segment};
 
@@ -96,8 +98,11 @@ fn assert_campaign_clean(net: &ScanNetwork, spec_seed: u64) -> Result<(), TestCa
     let spec =
         CriticalitySpec::paper_random(net, &robust_rsn::PaperSpecParams::default(), spec_seed);
     let options = AnalysisOptions::default();
-    let sequential = validate_criticality_with(net, &spec, &options, Parallelism::sequential());
-    let sharded = validate_criticality_with(net, &spec, &options, Parallelism::new(4));
+    let run = |threads| {
+        validate_criticality(net, &spec, &options, Parallelism::new(threads), &CancelToken::none())
+            .expect("quiet token")
+    };
+    let (sequential, sharded) = (run(1), run(4));
     prop_assert_eq!(&sequential, &sharded, "campaign report must not depend on the thread count");
     prop_assert!(
         sequential.is_clean(),
