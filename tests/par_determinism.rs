@@ -14,7 +14,7 @@ use robust_rsn::{
     SibCellPolicy, Solver,
 };
 use rsn_benchmarks::{random_structure, RandomParams};
-use rsn_model::{enumerate_single_faults, ScanNetwork};
+use rsn_model::enumerate_single_faults;
 use rsn_sp::tree_from_structure;
 
 /// The sweep: sequential baseline plus 2, 4 and 8 workers (on a
@@ -191,7 +191,7 @@ fn nsga2_front_is_invariant_under_thread_count() {
 #[test]
 fn every_entry_point_returns_cancelled_under_a_pre_fired_token() {
     let s = random_structure(&RandomParams::default(), 2022);
-    let (net, built): (ScanNetwork, _) = s.build("par").unwrap();
+    let (net, built) = s.build("par").unwrap();
     let tree = tree_from_structure(&net, &built);
     let weights = CriticalitySpec::paper_random(&net, &PaperSpecParams::default(), 9);
     let options = AnalysisOptions::default();
@@ -203,8 +203,10 @@ fn every_entry_point_returns_cancelled_under_a_pre_fired_token() {
     let policy = SibCellPolicy::Combined;
     for threads in [1, 4] {
         let par = Parallelism::new(threads);
-        let cancelled = Err(AnalysisError::Cancelled);
-        assert_eq!(analyze_graph(&net, &weights, &options, par, &fired), cancelled);
+        assert_eq!(
+            analyze_graph(&net, &weights, &options, par, &fired),
+            Err(AnalysisError::Cancelled)
+        );
         assert_eq!(
             fault_set_damage(&net, &weights, &pool[..2], policy, par, &fired),
             Err(AnalysisError::Cancelled)
