@@ -1,5 +1,6 @@
 //! Criterion benchmark: optimizer throughput — SPEA2 and NSGA-II generations
-//! per second on hardening problems of increasing genome length.
+//! per second on hardening problems of increasing genome length. The MBIST
+//! designs are the smallest whose batches `evaluate_batch` shards (2^20 bits).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use moea::{Nsga2Config, Spea2Config};
@@ -11,7 +12,7 @@ use rsn_benchmarks::by_name;
 fn spea2_generations(c: &mut Criterion) {
     let mut group = c.benchmark_group("spea2/25-generations");
     group.sample_size(10);
-    for name in ["TreeFlat", "q12710", "p34392"] {
+    for name in ["TreeFlat", "q12710", "p34392", "MBIST_2_20_20", "MBIST_5_20_20"] {
         let spec = by_name(name).unwrap();
         let instance = prepare(&spec);
         let cfg = Spea2Config {

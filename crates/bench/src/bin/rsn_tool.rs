@@ -84,8 +84,8 @@ use std::process::ExitCode;
 use moea::{Nsga2Config, Spea2Config};
 use robust_rsn::{
     accessibility_under, analyze, double_fault_damage, report, AnalysisOptions, CancelToken,
-    CostModel, CriticalitySpec, Diagnosis, FaultDictionary, HardeningProblem, PaperSpecParams,
-    Parallelism, Solver,
+    CostModel, CriticalitySpec, Diagnosis, ExactSolveError, FaultDictionary, HardeningProblem,
+    PaperSpecParams, Parallelism, SessionError, Solver,
 };
 use rsn_model::{format::parse_network, icl::import_icl, ScanNetwork, Structure};
 use rsn_serve::{parse_error, Client, Endpoint, JobRequest, RetryPolicy, Server, ServerConfig};
@@ -747,7 +747,13 @@ fn harden(net: &ScanNetwork, tree: &DecompTree, opts: &Options) -> Result<(), St
         "exact" => Solver::Exact { max_states: 4_000_000 },
         other => return Err(format!("unknown solver {other:?}")),
     };
-    let front = solver.run(&problem, &CancelToken::none()).map_err(|e| e.to_string())?;
+    let front = solver.run(&problem, &CancelToken::none()).map_err(|e| match e {
+        // The CLI reports the solver's own budget text, not the served one.
+        SessionError::BudgetExceeded { states } => {
+            ExactSolveError::BudgetExceeded { states }.to_string()
+        }
+        e => e.to_string(),
+    })?;
     print!("{}", report::front_table(&problem, &front));
     let dmg_cap = problem.total_damage() * opts.damage_cap_pct / 100;
     match front.min_cost_with_damage_at_most(dmg_cap) {

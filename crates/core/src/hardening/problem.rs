@@ -13,6 +13,7 @@
 
 use moea::{BitGenome, Problem};
 use rsn_model::{NodeId, ScanNetwork};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 use crate::cost::CostModel;
 use crate::criticality::Criticality;
@@ -128,12 +129,12 @@ impl Problem for HardeningProblem {
     ///
     /// Evaluation is pure and the shards splice back in input order, so the
     /// objective vectors are bit-identical to the sequential default for
-    /// every thread count. A worker panic is re-raised on the calling
-    /// thread, as the sequential default would raise it. Small batches stay
-    /// on the calling thread: one genome evaluation is a handful of adds, so
-    /// below the work threshold the thread-spawn overhead dominates any
-    /// speedup (this is what made `parallel/spea2/N` *slower* with more
-    /// threads on small designs).
+    /// every thread count; the first panic in input order is re-raised with
+    /// its payload, as the sequential loop would. Small batches stay on the
+    /// calling thread: one genome evaluation is a handful of adds, so below
+    /// the work threshold the thread-spawn overhead dominates any speedup
+    /// (this is what made `parallel/spea2/N` *slower* with more threads on
+    /// small designs).
     fn evaluate_batch(&self, genomes: &[BitGenome]) -> Vec<Vec<f64>> {
         // ~genome bits touched across the whole batch; evaluate() is a
         // popcount-driven loop, so this tracks actual work well.
@@ -145,9 +146,14 @@ impl Problem for HardeningProblem {
             self.parallelism,
             genomes.len(),
             || (),
-            |(), i| Ok::<_, ShardPanic>(self.evaluate(&genomes[i])),
+            |(), i| {
+                Ok::<_, ShardPanic>(catch_unwind(AssertUnwindSafe(|| self.evaluate(&genomes[i]))))
+            },
         )
-        .unwrap_or_else(|p| panic!("{}", p.message()))
+        .expect("evaluation panics are caught per genome")
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|payload| resume_unwind(payload)))
+        .collect()
     }
 }
 
@@ -245,15 +251,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "index out of bounds")]
+    #[should_panic(expected = "index out of bounds: the len is 4 but the index is 4")]
     fn evaluate_batch_reraises_a_worker_panic() {
         let p = problem().with_parallelism(Parallelism::new(4));
         let mut genomes = sharded_batch(&p);
-        // A genome longer than the problem indexes past the cost table.
-        let mut long = BitGenome::zeros(p.genome_len() + 1);
-        long.set(p.genome_len(), true);
+        // Genomes longer than the problem index past the cost table; the
+        // first in input order is the one re-raised.
         let mid = genomes.len() / 2;
-        genomes[mid] = long;
+        for (k, extra) in [(mid, 1), (mid + 1, 2)] {
+            genomes[k] = BitGenome::zeros(p.genome_len() + extra);
+            genomes[k].set(p.genome_len() + extra - 1, true);
+        }
         let _ = p.evaluate_batch(&genomes);
     }
 }
