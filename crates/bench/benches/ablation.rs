@@ -11,8 +11,9 @@
 use moea::Nsga2Config;
 use robust_rsn::{
     analyze, bypass_augment, double_fault_damage, solve_exact, solve_greedy, solve_nsga2,
-    solve_random, AnalysisOptions, AugmentGranularity, CancelToken, CostModel, CriticalitySpec,
-    HardeningProblem, ModeAggregation, PaperSpecParams, Parallelism, SibCellPolicy,
+    solve_random, AnalysisOptions, AnalysisPlan, AugmentGranularity, CancelToken, CostModel,
+    CriticalitySpec, HardeningProblem, ModeAggregation, PaperSpecParams, Parallelism,
+    SibCellPolicy,
 };
 use std::time::Instant;
 
@@ -218,10 +219,10 @@ fn main() {
             .expect("greedy front reaches 10%");
         let sweep = |hardened: &[rsn_model::NodeId]| {
             double_fault_damage(
+                &AnalysisPlan::new(&instance.net, SibCellPolicy::Combined),
                 &instance.net,
                 &instance.weights,
                 hardened,
-                SibCellPolicy::Combined,
                 Parallelism::default(),
                 &CancelToken::none(),
             )

@@ -18,8 +18,8 @@ use moea::{BitGenome, Problem, Spea2Config};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use robust_rsn::{
-    analyze_graph, AnalysisOptions, AnalysisSession, CancelToken, CostModel, CriticalitySpec,
-    PaperSpecParams, Parallelism, Solver,
+    analyze_graph, AnalysisOptions, AnalysisPlan, AnalysisSession, CancelToken, CostModel,
+    CriticalitySpec, PaperSpecParams, Parallelism, Solver,
 };
 use rsn_benchmarks::mbist::mbist;
 
@@ -37,7 +37,10 @@ fn graph_analysis_sweep(c: &mut Criterion) {
     let weights = CriticalitySpec::paper_random(&net, &PaperSpecParams::default(), 1);
     let options = AnalysisOptions::default();
     let none = CancelToken::none();
-    let sweep = |par| analyze_graph(&net, &weights, &options, par, &none).expect("sweep completes");
+    let sweep = |par| {
+        let plan = AnalysisPlan::new(&net, options.sib_policy);
+        analyze_graph(&plan, &net, &weights, options.mode, par, &none).expect("sweep completes")
+    };
     let baseline = sweep(Parallelism::sequential());
     let mut group = c.benchmark_group("parallel/analyze_graph/MBIST_2_20_10_8");
     group.throughput(Throughput::Elements(baseline.primitives().len() as u64));

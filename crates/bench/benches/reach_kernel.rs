@@ -12,29 +12,47 @@
 //!   reference;
 //! * `reach_kernel/batch` — the batched full sweep per Table I design, with
 //!   the `Vec<bool>` reference on the `*_reference` labels, and on the
-//!   20k-segment generated rings, deep-SIB and chiplet shapes;
+//!   20k-segment generated rings, deep-SIB and chiplet shapes. Each of these
+//!   labels builds the network's [`AnalysisPlan`] inside the timed loop,
+//!   like a one-shot caller; `p93791_planned` sweeps through a prebuilt
+//!   plan, like a daemon request against a registered network;
 //! * `double_fault/exact` — the exact all-pairs double-fault sweep on the
-//!   mid-size Table I designs (lane-packed pair enumeration);
-//! * `reach_kernel/fault_set` — multi-fault evaluation: an explicit pair
-//!   plus a broken SIB control cell (frozen-select enumeration).
+//!   mid-size Table I designs (lane-packed pair enumeration) through a
+//!   prebuilt plan;
+//! * `reach_kernel/fault_set` — multi-fault evaluation through a prebuilt
+//!   plan: an explicit pair plus a broken SIB control cell (frozen-select
+//!   enumeration).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use robust_rsn::graph_analysis::reference;
 use robust_rsn::{
-    analyze_graph, double_fault_damage, fault_set_damage, AnalysisOptions, CancelToken,
-    CriticalitySpec, GraphCriticality, PaperSpecParams, Parallelism, SibCellPolicy,
+    analyze_graph, double_fault_damage, fault_set_damage, AnalysisOptions, AnalysisPlan,
+    CancelToken, CriticalitySpec, GraphCriticality, PaperSpecParams, Parallelism, SibCellPolicy,
 };
 use rsn_benchmarks::{by_name, giant};
 use rsn_model::{enumerate_single_faults, ControlSource, Fault, ScanNetwork};
 
-/// The uncancelled full sweep.
+/// The uncancelled full sweep through a throw-away plan.
 fn sweep(
     net: &ScanNetwork,
     weights: &CriticalitySpec,
     options: &AnalysisOptions,
     par: Parallelism,
 ) -> GraphCriticality {
-    analyze_graph(net, weights, options, par, &CancelToken::none()).expect("sweep completes")
+    let plan = AnalysisPlan::new(net, options.sib_policy);
+    planned_sweep(&plan, net, weights, options, par)
+}
+
+/// The uncancelled full sweep through a prebuilt plan.
+fn planned_sweep(
+    plan: &AnalysisPlan,
+    net: &ScanNetwork,
+    weights: &CriticalitySpec,
+    options: &AnalysisOptions,
+    par: Parallelism,
+) -> GraphCriticality {
+    analyze_graph(plan, net, weights, options.mode, par, &CancelToken::none())
+        .expect("sweep completes")
 }
 
 fn largest_network() -> (ScanNetwork, CriticalitySpec) {
@@ -91,6 +109,10 @@ fn batch_sweep(c: &mut Criterion) {
     group.bench_function("p93791_threads4", |b| {
         b.iter(|| sweep(&net, &weights, &options, Parallelism::new(4)))
     });
+    let plan = AnalysisPlan::new(&net, options.sib_policy);
+    group.bench_function("p93791_planned", |b| {
+        b.iter(|| planned_sweep(&plan, &net, &weights, &options, Parallelism::sequential()))
+    });
     // The 20k-segment generated shapes of `rsn_tool gen`: SIB-gated rings
     // (one articulation cell per ring), a SIB tower whose every fault cone
     // spans the tower, and SIB-gated chiplets.
@@ -115,13 +137,14 @@ fn double_fault_exact(c: &mut Criterion) {
         let spec = by_name(name).expect("registered design");
         let (net, _) = spec.generate().build(name).expect("valid structure");
         let weights = CriticalitySpec::paper_random(&net, &PaperSpecParams::default(), 1);
+        let plan = AnalysisPlan::new(&net, SibCellPolicy::Combined);
         group.bench_function(name, |b| {
             b.iter(|| {
                 double_fault_damage(
+                    &plan,
                     &net,
                     &weights,
                     &[],
-                    SibCellPolicy::Combined,
                     Parallelism::sequential(),
                     &CancelToken::none(),
                 )
@@ -144,14 +167,15 @@ fn fault_set(c: &mut Criterion) {
             ControlSource::Direct => None,
         })
         .expect("a cell-controlled mux");
+    let plan = AnalysisPlan::new(&net, SibCellPolicy::Combined);
     let mut group = c.benchmark_group("reach_kernel/fault_set");
     group.bench_function("pair", |b| {
         b.iter(|| {
             fault_set_damage(
+                &plan,
                 &net,
                 &weights,
                 &pair,
-                SibCellPolicy::Combined,
                 Parallelism::sequential(),
                 &CancelToken::none(),
             )
@@ -161,10 +185,10 @@ fn fault_set(c: &mut Criterion) {
     group.bench_function("broken_control_cell", |b| {
         b.iter(|| {
             fault_set_damage(
+                &plan,
                 &net,
                 &weights,
                 &[Fault::broken_segment(cell)],
-                SibCellPolicy::Combined,
                 Parallelism::sequential(),
                 &CancelToken::none(),
             )

@@ -4,8 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use robust_rsn::{
-    validate_criticality, AnalysisOptions, CancelToken, CriticalitySpec, PaperSpecParams,
-    Parallelism,
+    validate_criticality, AnalysisOptions, AnalysisPlan, CancelToken, CriticalitySpec,
+    PaperSpecParams, Parallelism,
 };
 use rsn_benchmarks::mbist::mbist;
 use rsn_model::{Config, Simulator};
@@ -66,9 +66,10 @@ fn validation_campaign(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(name), &name, |b, _| {
             b.iter(|| {
                 let report = validate_criticality(
+                    &AnalysisPlan::new(&net, options.sib_policy),
                     &net,
                     &weights,
-                    &options,
+                    options.mode,
                     Parallelism::sequential(),
                     &CancelToken::none(),
                 )

@@ -83,9 +83,9 @@ use std::process::ExitCode;
 
 use moea::{Nsga2Config, Spea2Config};
 use robust_rsn::{
-    accessibility_under, analyze, double_fault_damage, report, AnalysisOptions, CancelToken,
-    CostModel, CriticalitySpec, Diagnosis, ExactSolveError, FaultDictionary, HardeningProblem,
-    PaperSpecParams, Parallelism, SessionError, Solver,
+    accessibility_under, analyze, double_fault_damage, report, AnalysisOptions, AnalysisPlan,
+    CancelToken, CostModel, CriticalitySpec, Diagnosis, ExactSolveError, FaultDictionary,
+    HardeningProblem, PaperSpecParams, Parallelism, SessionError, Solver,
 };
 use rsn_model::{format::parse_network, icl::import_icl, ScanNetwork, Structure};
 use rsn_serve::{parse_error, Client, Endpoint, JobRequest, RetryPolicy, Server, ServerConfig};
@@ -276,12 +276,12 @@ fn run() -> Result<(), String> {
             println!("total single-fault damage: {}", crit.total_damage());
             print!("{}", report::criticality_table(&net, &crit, 25));
             if opts.exact_double {
-                let options = AnalysisOptions::default();
+                let plan = AnalysisPlan::new(&net, AnalysisOptions::default().sib_policy);
                 let summary = double_fault_damage(
+                    &plan,
                     &net,
                     &spec,
                     &[],
-                    options.sib_policy,
                     opts.parallelism(),
                     &CancelToken::none(),
                 )
@@ -415,10 +415,13 @@ fn sweep(target: &str, opts: &Options) -> Result<(), String> {
     let stats = net.stats();
     let relaxed_before = robust_rsn::kernel_counters().nodes_relaxed;
     let sweep_started = std::time::Instant::now();
+    let options = AnalysisOptions::default();
+    let plan = AnalysisPlan::new(&net, options.sib_policy);
     let crit = robust_rsn::analyze_graph(
+        &plan,
         &net,
         &spec,
-        &AnalysisOptions::default(),
+        options.mode,
         opts.parallelism(),
         &CancelToken::none(),
     )
@@ -542,10 +545,12 @@ fn validate(target: &str, opts: &Options) -> Result<(), String> {
     };
     let spec = weights(&net, opts);
     let started = std::time::Instant::now();
+    let options = AnalysisOptions::default();
     let report = robust_rsn::validate_criticality(
+        &AnalysisPlan::new(&net, options.sib_policy),
         &net,
         &spec,
-        &AnalysisOptions::default(),
+        options.mode,
         opts.parallelism(),
         &CancelToken::none(),
     )

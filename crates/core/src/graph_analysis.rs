@@ -44,6 +44,7 @@
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use rsn_model::{ControlSource, Fault, FaultKind, NodeId, NodeKind, ScanNetwork};
 
@@ -51,7 +52,8 @@ use crate::bitset::BitSet;
 use crate::cancel::{CancelToken, Cancelled};
 use crate::criticality::{AnalysisOptions, ModeAggregation, SibCellPolicy};
 use crate::par::{self, Parallelism, ShardPanic};
-use crate::shard::{ModeDamage, ModeTable};
+use crate::plan::{AnalysisPlan, ModeTable};
+use crate::shard::ModeDamage;
 use crate::spec::CriticalitySpec;
 
 pub mod batch;
@@ -165,21 +167,15 @@ impl GraphCriticality {
     }
 }
 
-/// The per-analysis immutable image of one `(network, spec)` pair that the
-/// lane engine ([`batch`]) traverses: the compressed adjacency in
-/// topological order — incoming edges in select-port order and an
-/// edge-indexed successor list — the mux input tables, the fault-free reach sets and
-/// articulation nodes, and the flattened instrument probes over the
-/// segments the fault-free network reaches both ways.
-///
-/// Build once with [`ReachKernel::new`], hand each worker a
-/// [`BlockScratch`] from [`ReachKernel::block_scratch`], and evaluate lane
-/// blocks with [`ReachKernel::push_mode`] / [`ReachKernel::eval_damages`].
-/// The kernel borrows nothing from the network and is [`Sync`]; all per-mode
-/// mutation lives in the scratch. (Weight edits re-run the private weight
-/// fold, the workspace delta path.)
+/// The network-only half of the lane engine's image: the compressed
+/// adjacency in topological order — incoming edges in select-port order and
+/// an edge-indexed successor list — the fault-free reach sets, the
+/// articulation nodes, the multiplexers and the live instrument segments.
+/// It depends on the network alone, so an [`AnalysisPlan`] builds it once
+/// and every [`ReachKernel`] over that network shares it through an
+/// [`Arc`].
 #[derive(Debug)]
-pub struct ReachKernel {
+pub(crate) struct KernelGraph {
     node_count: usize,
     /// Topological position of scan-in.
     scan_in: u32,
@@ -220,82 +216,26 @@ pub struct ReachKernel {
     /// Segments hosting at least one instrument that is reachable both ways
     /// fault-free ("live"). The decode walks this mask word-parallel.
     live: BitSet,
-    /// Summed observation weights of the live instruments per segment
-    /// (multiple instruments on one segment share its reachability, so
-    /// their weights fold into one entry).
-    live_obs_w: Vec<u64>,
-    /// Summed setting weights of the live instruments per segment.
-    live_set_w: Vec<u64>,
-    /// Summed observation weights of instruments unreachable even
-    /// fault-free: they are inaccessible in every mode, so their weights are
-    /// summed once and added to every mode's damage.
-    dead_obs: u64,
-    /// Same for the setting weights of unreachable instruments.
-    dead_set: u64,
-    /// Whether any fault-free-unreachable instrument is important (in which
-    /// case every mode affects an important instrument).
-    dead_important: bool,
-    /// Live segments hosting an observation-important instrument.
-    important_obs: BitSet,
-    /// Live segments hosting a setting-important instrument.
-    important_set: BitSet,
 }
 
-impl ReachKernel {
-    /// Builds the kernel: flattens the adjacency and the mux input tables,
-    /// orders the nodes topologically, computes the fault-free baseline
-    /// reach and the articulation nodes, and bakes the instrument weights
-    /// into flat probes. The network is only borrowed during construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the network exceeds the `u32` kernel index space; use
-    /// [`ReachKernel::try_new`] where a structured
-    /// [`AnalysisError::NetworkTooLarge`] is wanted instead.
-    #[must_use]
-    pub fn new(net: &ScanNetwork, spec: &CriticalitySpec) -> Self {
-        Self::try_new(net, spec).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Checks that `node_count` nodes and `mux_input_ports` total mux input
-    /// ports fit the kernel's `u32` index space: node positions and edge
-    /// offsets are `u32`, and each offset table ends at its count.
-    ///
-    /// Exposed so callers can validate raw counts — e.g. generator
-    /// parameters for networks too large to build in memory — without
-    /// constructing a network first.
+impl KernelGraph {
+    /// Flattens the adjacency and the mux input tables, orders the nodes
+    /// topologically, and computes the fault-free baseline reach, the
+    /// articulation nodes and the live segments.
     ///
     /// # Errors
     ///
-    /// Returns [`AnalysisError::NetworkTooLarge`] when either count is
-    /// `u32::MAX` or more.
-    pub fn check_capacity(node_count: usize, mux_input_ports: u128) -> Result<(), AnalysisError> {
-        const LIMIT: u64 = u32::MAX as u64;
-        if node_count as u128 >= u128::from(LIMIT) {
-            return Err(AnalysisError::NetworkTooLarge { count: node_count as u128, limit: LIMIT });
-        }
-        if mux_input_ports >= u128::from(LIMIT) {
-            return Err(AnalysisError::NetworkTooLarge { count: mux_input_ports, limit: LIMIT });
-        }
-        Ok(())
-    }
-
-    /// [`ReachKernel::new`] with the index-space capacity check surfaced as
-    /// a structured error instead of a panic.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalysisError::NetworkTooLarge`] when the node count or the
-    /// total number of mux input ports exceeds the `u32` kernel index space.
+    /// [`AnalysisError::NetworkTooLarge`] when the node count or the total
+    /// number of mux input ports exceeds the `u32` kernel index space.
     ///
     /// # Panics
     ///
     /// Panics if the graph has a cycle (validated scan networks never do).
-    pub fn try_new(net: &ScanNetwork, spec: &CriticalitySpec) -> Result<Self, AnalysisError> {
+    pub(crate) fn try_new(net: &ScanNetwork) -> Result<Self, AnalysisError> {
         let node_count = net.node_count();
         let ports: u128 =
             net.muxes().map(|m| net.node(m).kind.as_mux().expect("mux").inputs.len() as u128).sum();
-        Self::check_capacity(node_count, ports)?;
+        ReachKernel::check_capacity(node_count, ports)?;
         // Kahn's algorithm: the lane passes relax in this order.
         let mut indeg: Vec<u32> =
             (0..node_count).map(|v| net.predecessors(NodeId::new(v)).len() as u32).collect();
@@ -396,26 +336,13 @@ impl ReachKernel {
             is_mux.insert(m.index());
         }
         let mut live = BitSet::new(node_count);
-        let mut dead_important = false;
-        let mut important_obs = BitSet::new(node_count);
-        let mut important_set = BitSet::new(node_count);
-        for (i, inst) in net.instruments() {
+        for (_, inst) in net.instruments() {
             let t = inst.segment().index();
             if base_fwd.contains(pos[t] as usize) && base_bwd.contains(pos[t] as usize) {
                 live.insert(t);
-                if spec.is_important_obs(i) {
-                    important_obs.insert(t);
-                }
-                if spec.is_important_set(i) {
-                    important_set.insert(t);
-                }
-            } else {
-                // Every per-mode map is a subset of the baseline, so the
-                // instrument fails both directions in every mode.
-                dead_important |= spec.is_important_obs(i) || spec.is_important_set(i);
             }
         }
-        let mut kernel = Self {
+        Ok(Self {
             node_count,
             scan_in,
             scan_out,
@@ -430,23 +357,7 @@ impl ReachKernel {
             articulation,
             is_mux,
             live,
-            live_obs_w: vec![0; node_count],
-            live_set_w: vec![0; node_count],
-            dead_obs: 0,
-            dead_set: 0,
-            dead_important,
-            important_obs,
-            important_set,
-        };
-        kernel.fold_weights(net, spec);
-        Ok(kernel)
-    }
-
-    /// `true` when segment node `t` hosts an instrument and is reachable from
-    /// scan-in and scan-out in the fault-free network (the precomputed `live`
-    /// set the decode walks).
-    pub(crate) fn is_live_segment(&self, t: usize) -> bool {
-        self.live.contains(t)
+        })
     }
 
     /// The incoming-edge source positions of position `p`, in select-port
@@ -463,7 +374,7 @@ impl ReachKernel {
 
     /// `true` when every fault-free scan-in → scan-out path passes through
     /// node `v`.
-    pub(crate) fn is_articulation(&self, v: NodeId) -> bool {
+    fn is_articulation(&self, v: NodeId) -> bool {
         self.articulation.contains(v.index())
     }
 
@@ -471,6 +382,163 @@ impl ReachKernel {
     /// node.
     fn breaks_chain(&self, broken: &[NodeId]) -> bool {
         broken.iter().any(|&b| self.is_articulation(b))
+    }
+}
+
+/// The lane engine's image of one `(network, spec)` pair: the network's
+/// graph half — the compressed adjacency in topological order, the
+/// fault-free reach sets and articulation nodes, shared by every kernel of
+/// one [`AnalysisPlan`] — plus the flattened instrument probes of the spec
+/// over the segments the fault-free network reaches both ways.
+///
+/// Build it from an [`AnalysisPlan`] with [`AnalysisPlan::kernel`] (which
+/// shares the plan's graph and only folds the spec), or standalone with
+/// [`ReachKernel::new`]; hand each worker a [`BlockScratch`] from
+/// [`ReachKernel::block_scratch`], and evaluate lane blocks with
+/// [`ReachKernel::push_mode`] / [`ReachKernel::eval_damages`]. The kernel
+/// borrows nothing from the network and is [`Sync`]; all per-mode mutation
+/// lives in the scratch. (Weight edits re-run the private weight fold, the
+/// workspace delta path.)
+#[derive(Debug)]
+pub struct ReachKernel {
+    graph: Arc<KernelGraph>,
+    /// Summed observation weights of the live instruments per segment
+    /// (multiple instruments on one segment share its reachability, so
+    /// their weights fold into one entry).
+    live_obs_w: Vec<u64>,
+    /// Summed setting weights of the live instruments per segment.
+    live_set_w: Vec<u64>,
+    /// Summed observation weights of instruments unreachable even
+    /// fault-free: they are inaccessible in every mode, so their weights are
+    /// summed once and added to every mode's damage.
+    dead_obs: u64,
+    /// Same for the setting weights of unreachable instruments.
+    dead_set: u64,
+    /// Whether any fault-free-unreachable instrument is important (in which
+    /// case every mode affects an important instrument).
+    dead_important: bool,
+    /// Live segments hosting an observation-important instrument.
+    important_obs: BitSet,
+    /// Live segments hosting a setting-important instrument.
+    important_set: BitSet,
+}
+
+impl ReachKernel {
+    /// Builds the kernel standalone: the network's graph half plus the
+    /// spec's probes. The network is only borrowed during construction.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the network exceeds the `u32` kernel index space; use
+    /// [`ReachKernel::try_new`] where a structured
+    /// [`AnalysisError::NetworkTooLarge`] is wanted instead.
+    #[must_use]
+    pub fn new(net: &ScanNetwork, spec: &CriticalitySpec) -> Self {
+        Self::try_new(net, spec).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Checks that `node_count` nodes and `mux_input_ports` total mux input
+    /// ports fit the kernel's `u32` index space: node positions and edge
+    /// offsets are `u32`, and each offset table ends at its count.
+    ///
+    /// Exposed so callers can validate raw counts — e.g. generator
+    /// parameters for networks too large to build in memory — without
+    /// constructing a network first.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AnalysisError::NetworkTooLarge`] when either count is
+    /// `u32::MAX` or more.
+    pub fn check_capacity(node_count: usize, mux_input_ports: u128) -> Result<(), AnalysisError> {
+        const LIMIT: u64 = u32::MAX as u64;
+        if node_count as u128 >= u128::from(LIMIT) {
+            return Err(AnalysisError::NetworkTooLarge { count: node_count as u128, limit: LIMIT });
+        }
+        if mux_input_ports >= u128::from(LIMIT) {
+            return Err(AnalysisError::NetworkTooLarge { count: mux_input_ports, limit: LIMIT });
+        }
+        Ok(())
+    }
+
+    /// [`ReachKernel::new`] with the index-space capacity check surfaced as
+    /// a structured error instead of a panic.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AnalysisError::NetworkTooLarge`] when the node count or the
+    /// total number of mux input ports exceeds the `u32` kernel index space.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph has a cycle (validated scan networks never do).
+    pub fn try_new(net: &ScanNetwork, spec: &CriticalitySpec) -> Result<Self, AnalysisError> {
+        Ok(Self::with_graph(Arc::new(KernelGraph::try_new(net)?), net, spec))
+    }
+
+    /// The kernel over a prebuilt `graph` of `net`: only the spec's probes
+    /// are computed.
+    pub(crate) fn with_graph(
+        graph: Arc<KernelGraph>,
+        net: &ScanNetwork,
+        spec: &CriticalitySpec,
+    ) -> Self {
+        let node_count = graph.node_count;
+        let mut dead_important = false;
+        let mut important_obs = BitSet::new(node_count);
+        let mut important_set = BitSet::new(node_count);
+        for (i, inst) in net.instruments() {
+            let t = inst.segment().index();
+            if graph.live.contains(t) {
+                if spec.is_important_obs(i) {
+                    important_obs.insert(t);
+                }
+                if spec.is_important_set(i) {
+                    important_set.insert(t);
+                }
+            } else {
+                // Every per-mode map is a subset of the baseline, so the
+                // instrument fails both directions in every mode.
+                dead_important |= spec.is_important_obs(i) || spec.is_important_set(i);
+            }
+        }
+        let mut kernel = Self {
+            graph,
+            live_obs_w: vec![0; node_count],
+            live_set_w: vec![0; node_count],
+            dead_obs: 0,
+            dead_set: 0,
+            dead_important,
+            important_obs,
+            important_set,
+        };
+        kernel.fold_weights(net, spec);
+        kernel
+    }
+
+    /// Whether both kernels read one shared graph (a plan's kernels do).
+    #[cfg(test)]
+    pub(crate) fn shares_graph_with(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.graph, &other.graph)
+    }
+
+    /// `true` when segment node `t` hosts an instrument and is reachable from
+    /// scan-in and scan-out in the fault-free network (the precomputed `live`
+    /// set the decode walks).
+    pub(crate) fn is_live_segment(&self, t: usize) -> bool {
+        self.graph.live.contains(t)
+    }
+
+    /// `true` when every fault-free scan-in → scan-out path passes through
+    /// node `v`.
+    #[cfg(test)]
+    fn is_articulation(&self, v: NodeId) -> bool {
+        self.graph.is_articulation(v)
+    }
+
+    /// `true` when a mode with these `broken` nodes breaks an articulation
+    /// node.
+    fn breaks_chain(&self, broken: &[NodeId]) -> bool {
+        self.graph.breaks_chain(broken)
     }
 
     /// Re-derives a mode's obs/set damage arithmetically from its lost
@@ -505,7 +573,7 @@ impl ReachKernel {
         self.dead_set = 0;
         for (i, inst) in net.instruments() {
             let t = inst.segment().index();
-            let (obs, set) = if self.live.contains(t) {
+            let (obs, set) = if self.graph.live.contains(t) {
                 (&mut self.live_obs_w[t], &mut self.live_set_w[t])
             } else {
                 (&mut self.dead_obs, &mut self.dead_set)
@@ -703,11 +771,11 @@ pub(crate) fn sweep_table(
 /// the graph. Exact for any validated RSN DAG, including non-SP topologies
 /// the decomposition-tree analysis cannot express.
 ///
-/// The sweep evaluates the canonical mode table (the same table the
+/// The sweep evaluates `plan`'s canonical mode table (the same table the
 /// mode-range shards of [`crate::shard`] partition) in lane blocks sharded
-/// across `parallelism`, and folds each primitive's mode damages with its
-/// [`ModeAggregation`], so the damage vector is identical at every thread
-/// count and to a merged shard sweep.
+/// across `parallelism`, and folds each primitive's mode damages with
+/// `mode`, so the damage vector is identical at every thread count and to
+/// a merged shard sweep.
 ///
 /// The token is polled at a checkpoint **per mode block** inside the sharded
 /// sweep, so a fired token interrupts a running sweep within a bounded
@@ -720,31 +788,36 @@ pub(crate) fn sweep_table(
 /// [`AnalysisError::WorkerPanicked`] when a shard panics (caught at the
 /// shard boundary); [`AnalysisError::NetworkTooLarge`] when the network
 /// exceeds the kernel's index space.
+///
+/// # Panics
+///
+/// Panics when `net` is not the plan's network.
 pub fn analyze_graph(
+    plan: &AnalysisPlan,
     net: &ScanNetwork,
     spec: &CriticalitySpec,
-    options: &AnalysisOptions,
+    mode: ModeAggregation,
     parallelism: Parallelism,
     cancel: &CancelToken,
 ) -> Result<GraphCriticality, AnalysisError> {
-    let table = ModeTable::single_faults(net, options.sib_policy);
     cancel.check()?;
-    let kernel = ReachKernel::try_new(net, spec)?;
-    let damages = sweep_table(&kernel, &table, 0..table.len(), parallelism, cancel)?;
-    let primitives: Vec<NodeId> = net.primitives().collect();
+    let kernel = plan.kernel(net, spec)?;
+    let table = plan.table();
+    let damages = sweep_table(&kernel, table, 0..table.len(), parallelism, cancel)?;
     let mut damage = vec![0; net.node_count()];
     let mut totals = Vec::new();
-    for (&j, modes) in primitives.iter().zip(table.groups()) {
+    for (&j, modes) in plan.primitives().iter().zip(table.groups()) {
         totals.clear();
         totals.extend(damages[modes].iter().map(ModeDamage::total));
-        damage[j.index()] = aggregate_mode_damages(options.mode, &totals);
+        damage[j.index()] = aggregate_mode_damages(mode, &totals);
     }
-    Ok(GraphCriticality { damage, primitives })
+    Ok(GraphCriticality { damage, primitives: plan.primitives().to_vec() })
 }
 
-/// [`analyze_graph`] without cancellation, resurfacing shard panics (and the
-/// too-large capacity check) as panics. Kept only for the benchmark runner,
-/// which pins this name; every other caller uses [`analyze_graph`].
+/// [`analyze_graph`] over a throw-away plan, without cancellation,
+/// resurfacing shard panics (and the too-large capacity check) as panics.
+/// Kept only for the benchmark runner, which pins this name; every other
+/// caller uses [`analyze_graph`].
 #[doc(hidden)]
 #[must_use]
 pub fn analyze_graph_with(
@@ -753,7 +826,8 @@ pub fn analyze_graph_with(
     options: &AnalysisOptions,
     parallelism: Parallelism,
 ) -> GraphCriticality {
-    match analyze_graph(net, spec, options, parallelism, &CancelToken::none()) {
+    let plan = AnalysisPlan::new(net, options.sib_policy);
+    match analyze_graph(&plan, net, spec, options.mode, parallelism, &CancelToken::none()) {
         Ok(result) => result,
         Err(AnalysisError::WorkerPanicked { message }) => panic!("{message}"),
         Err(err @ AnalysisError::NetworkTooLarge { .. }) => panic!("{err}"),
@@ -997,16 +1071,15 @@ pub(crate) fn fault_set_damages<S: AsRef<[Fault]> + Sync>(
 /// [`MAX_FROZEN_COMBINATIONS`]; [`AnalysisError::Cancelled`] when `cancel`
 /// fires; [`AnalysisError::WorkerPanicked`] when a shard panics.
 pub fn fault_set_damage(
+    plan: &AnalysisPlan,
     net: &ScanNetwork,
     spec: &CriticalitySpec,
     faults: &[Fault],
-    policy: SibCellPolicy,
     parallelism: Parallelism,
     cancel: &CancelToken,
 ) -> Result<u64, AnalysisError> {
-    let kernel = ReachKernel::try_new(net, spec)?;
-    let controlled = controlled_muxes(net, policy);
-    Ok(fault_set_damages(&kernel, net, &controlled, [faults], parallelism, cancel)?[0])
+    let kernel = plan.kernel(net, spec)?;
+    Ok(fault_set_damages(&kernel, net, plan.controlled(), [faults], parallelism, cancel)?[0])
 }
 
 /// The single-fault pool of `net` minus faults on `hardened` primitives.
@@ -1067,14 +1140,14 @@ impl DoubleFaultSummary {
 /// order is reported); [`AnalysisError::Cancelled`] when `cancel` fires;
 /// [`AnalysisError::WorkerPanicked`] when a shard panics.
 pub fn double_fault_damage(
+    plan: &AnalysisPlan,
     net: &ScanNetwork,
     spec: &CriticalitySpec,
     hardened: &[NodeId],
-    policy: SibCellPolicy,
     parallelism: Parallelism,
     cancel: &CancelToken,
 ) -> Result<DoubleFaultSummary, AnalysisError> {
-    let damages = double_fault_pair_damages(net, spec, hardened, policy, parallelism, cancel)?;
+    let damages = double_fault_pair_damages(plan, net, spec, hardened, parallelism, cancel)?;
     Ok(DoubleFaultSummary::from_damages(&damages))
 }
 
@@ -1089,10 +1162,10 @@ pub fn double_fault_damage(
 /// As for [`double_fault_damage`].
 #[doc(hidden)]
 pub fn double_fault_pair_damages(
+    plan: &AnalysisPlan,
     net: &ScanNetwork,
     spec: &CriticalitySpec,
     hardened: &[NodeId],
-    policy: SibCellPolicy,
     parallelism: Parallelism,
     cancel: &CancelToken,
 ) -> Result<Vec<u64>, AnalysisError> {
@@ -1101,11 +1174,10 @@ pub fn double_fault_pair_damages(
     if n < 2 {
         return Ok(Vec::new());
     }
-    let kernel = ReachKernel::try_new(net, spec)?;
-    let controlled = controlled_muxes(net, policy);
+    let kernel = plan.kernel(net, spec)?;
     let pool = &pool;
     let pairs = (0..n).flat_map(|i| (i + 1..n).map(move |j| [pool[i], pool[j]]));
-    fault_set_damages(&kernel, net, &controlled, pairs, parallelism, cancel)
+    fault_set_damages(&kernel, net, plan.controlled(), pairs, parallelism, cancel)
 }
 
 /// The straightforward `Vec<bool>` implementation, kept as the differential
@@ -1234,7 +1306,9 @@ mod tests {
         spec: &CriticalitySpec,
         options: &AnalysisOptions,
     ) -> GraphCriticality {
-        analyze_graph(net, spec, options, Parallelism::sequential(), &CancelToken::none()).unwrap()
+        let plan = AnalysisPlan::new(net, options.sib_policy);
+        let (par, none) = (Parallelism::sequential(), &CancelToken::none());
+        analyze_graph(&plan, net, spec, options.mode, par, none).unwrap()
     }
 
     /// The uncancelled sequential fault-set evaluation.
@@ -1244,7 +1318,8 @@ mod tests {
         faults: &[Fault],
         policy: SibCellPolicy,
     ) -> Result<u64, AnalysisError> {
-        fault_set_damage(net, spec, faults, policy, Parallelism::sequential(), &CancelToken::none())
+        let plan = AnalysisPlan::new(net, policy);
+        fault_set_damage(&plan, net, spec, faults, Parallelism::sequential(), &CancelToken::none())
     }
 
     #[test]
@@ -1446,7 +1521,8 @@ mod tests {
         let (net, _) = rsn_benchmarks::giant::ring_of_rings(6, 4, 3).build("rings").unwrap();
         let spec = CriticalitySpec::paper_random(&net, &PaperSpecParams::default(), 5);
         let kernel = ReachKernel::new(&net, &spec);
-        let table = ModeTable::single_faults(&net, SibCellPolicy::Combined);
+        let plan = AnalysisPlan::new(&net, SibCellPolicy::Combined);
+        let table = plan.table();
         let (chain, local): (Vec<usize>, Vec<usize>) = (0..table.len())
             .partition(|&m| table.mode(m).0.iter().any(|&b| kernel.is_articulation(b)));
         assert!(!chain.is_empty() && !local.is_empty() && local.len() <= LANES);
@@ -1544,25 +1620,26 @@ mod tests {
         let q = rsn_benchmarks::by_name("q12710").unwrap();
         let net = q.generate().build("q12710").unwrap().0;
         let kernel = ReachKernel::new(&net, &spec_of(&net));
-        let table = ModeTable::single_faults(&net, options.sib_policy);
-        assert!(articulation_first(&kernel, &table, 0..table.len()).is_none());
+        let plan = AnalysisPlan::new(&net, options.sib_policy);
+        assert!(articulation_first(&kernel, plan.table(), 0..plan.mode_count()).is_none());
 
         let net = rsn_benchmarks::giant::ring_of_rings(40, 3, 7).build("rings").unwrap().0;
         let spec = spec_of(&net);
         let kernel = ReachKernel::new(&net, &spec);
-        let table = ModeTable::single_faults(&net, options.sib_policy);
+        let plan = AnalysisPlan::new(&net, options.sib_policy);
+        let table = plan.table();
         let n = table.len();
-        let (order, chain) = articulation_first(&kernel, &table, 0..n).expect("packed");
+        let (order, chain) = articulation_first(&kernel, table, 0..n).expect("packed");
         let breaks = |m: u32| kernel.breaks_chain(table.mode(m as usize).0);
         assert!(chain > 0 && chain < n && order.len() == n);
         assert!(order[..chain].iter().all(|&m| breaks(m)));
         assert!(order[chain..].iter().all(|&m| !breaks(m)));
         assert!(order[..chain].is_sorted() && order[chain..].is_sorted());
-        assert!(articulation_first(&kernel, &table, 0..LANES).is_none(), "one block");
+        assert!(articulation_first(&kernel, table, 0..LANES).is_none(), "one block");
 
         let sweep = |range: Range<usize>, threads| {
             let par = Parallelism::new(threads);
-            sweep_table(&kernel, &table, range, par, &CancelToken::none()).unwrap()
+            sweep_table(&kernel, table, range, par, &CancelToken::none()).unwrap()
         };
         let full = sweep(0..n, 1);
         for (m, damage) in full.iter().enumerate() {
@@ -1572,7 +1649,7 @@ mod tests {
         let mut packed = [0; 2];
         for lo in (0..n).step_by(13) {
             for hi in (lo..=n).step_by(17) {
-                packed[usize::from(articulation_first(&kernel, &table, lo..hi).is_some())] += 1;
+                packed[usize::from(articulation_first(&kernel, table, lo..hi).is_some())] += 1;
                 for threads in [1, 3] {
                     assert_eq!(sweep(lo..hi, threads), full[lo..hi], "{lo}..{hi} ({threads})");
                 }
@@ -1711,10 +1788,10 @@ mod tests {
         }
         for threads in [1, 4] {
             let got = fault_set_damage(
+                &AnalysisPlan::new(&net, SibCellPolicy::Combined),
                 &net,
                 &spec,
                 &[Fault::broken_segment(cell)],
-                SibCellPolicy::Combined,
                 Parallelism::new(threads),
                 &CancelToken::none(),
             )
@@ -1786,12 +1863,13 @@ mod tests {
         let chosen = front
             .min_cost_with_damage_at_most(problem.total_damage() / 10)
             .expect("greedy reaches 10%");
+        let plan = AnalysisPlan::new(&net, SibCellPolicy::Combined);
         let sweep = |hardened: &[NodeId]| {
             double_fault_damage(
+                &plan,
                 &net,
                 &spec,
                 hardened,
-                SibCellPolicy::Combined,
                 Parallelism::sequential(),
                 &CancelToken::none(),
             )
@@ -1826,9 +1904,11 @@ mod tests {
         let spec = CriticalitySpec::paper_random(&net, &PaperSpecParams::default(), 7);
         let options = AnalysisOptions::default();
         let expected = reference::analyze_graph_ref(&net, &spec, &options);
+        let plan = AnalysisPlan::new(&net, options.sib_policy);
         for threads in [1, 4] {
             for token in [CancelToken::none(), CancelToken::new()] {
-                let got = analyze_graph(&net, &spec, &options, Parallelism::new(threads), &token)
+                let par = Parallelism::new(threads);
+                let got = analyze_graph(&plan, &net, &spec, options.mode, par, &token)
                     .expect("quiet token never cancels");
                 assert_eq!(got, expected, "threads={threads}");
             }
@@ -1843,8 +1923,10 @@ mod tests {
         let options = AnalysisOptions::default();
         let token = CancelToken::new();
         token.cancel();
+        let plan = AnalysisPlan::new(&net, options.sib_policy);
         for threads in [1, 4] {
-            let got = analyze_graph(&net, &spec, &options, Parallelism::new(threads), &token);
+            let par = Parallelism::new(threads);
+            let got = analyze_graph(&plan, &net, &spec, options.mode, par, &token);
             assert_eq!(got, Err(AnalysisError::Cancelled), "threads={threads}");
         }
     }
@@ -1857,23 +1939,11 @@ mod tests {
         let faults = rsn_model::enumerate_single_faults(&net);
         let token = CancelToken::new();
         token.cancel();
-        let got = fault_set_damage(
-            &net,
-            &spec,
-            &faults[..1],
-            SibCellPolicy::Combined,
-            Parallelism::sequential(),
-            &token,
-        );
+        let plan = AnalysisPlan::new(&net, SibCellPolicy::Combined);
+        let seq = Parallelism::sequential();
+        let got = fault_set_damage(&plan, &net, &spec, &faults[..1], seq, &token);
         assert_eq!(got, Err(AnalysisError::Cancelled));
-        let quiet = fault_set_damage(
-            &net,
-            &spec,
-            &faults[..1],
-            SibCellPolicy::Combined,
-            Parallelism::sequential(),
-            &CancelToken::new(),
-        );
+        let quiet = fault_set_damage(&plan, &net, &spec, &faults[..1], seq, &CancelToken::new());
         assert_eq!(
             quiet,
             set_damage(&net, &spec, &faults[..1], SibCellPolicy::Combined),
@@ -1891,11 +1961,12 @@ mod tests {
         for net in [&sp, &bridge_net] {
             let spec = CriticalitySpec::paper_random(net, &PaperSpecParams::default(), 23);
             for policy in [SibCellPolicy::SegmentOnly, SibCellPolicy::Combined] {
-                let kernel = ReachKernel::new(net, &spec);
-                let table = ModeTable::single_faults(net, policy);
+                let plan = AnalysisPlan::new(net, policy);
+                let kernel = plan.kernel(net, &spec).unwrap();
+                let table = plan.table();
                 let got = sweep_blocks(
                     &kernel,
-                    &table,
+                    table,
                     0..table.len(),
                     &[],
                     Parallelism::sequential(),

@@ -44,8 +44,8 @@
 //!   the baseline as it goes.
 //!
 //! A block costs O(nodes changed + N/64), not O(V + E). A broken node every
-//! fault-free scan path passes through (an *articulation*, flagged by
-//! [`ReachKernel::try_new`](super::ReachKernel::try_new)) changes
+//! fault-free scan path passes through (an *articulation*, flagged once
+//! per network in the kernel's graph half) changes
 //! everything downstream and upstream of it, so the block driver packs
 //! such modes into their own blocks, where that leaves fewer blocks
 //! holding one, and the rest stay local.
@@ -168,10 +168,11 @@ impl ReachKernel {
     /// fault-free baseline.
     #[must_use]
     pub fn block_scratch(&self) -> BlockScratch {
-        let n = self.node_count;
-        let e = *self.pred_off.last().expect("offsets nonempty") as usize;
-        let fwd: Vec<u64> = (0..n).map(|v| word(self.base_fwd.contains(v))).collect();
-        let bwd: Vec<u64> = (0..n).map(|v| word(self.base_bwd.contains(v))).collect();
+        let g = &*self.graph;
+        let n = g.node_count;
+        let e = *g.pred_off.last().expect("offsets nonempty") as usize;
+        let fwd: Vec<u64> = (0..n).map(|v| word(g.base_fwd.contains(v))).collect();
+        let bwd: Vec<u64> = (0..n).map(|v| word(g.base_bwd.contains(v))).collect();
         BlockScratch {
             len: 0,
             fwd_any: fwd.clone(),
@@ -205,11 +206,12 @@ impl ReachKernel {
         frozen: &[(NodeId, usize)],
     ) {
         assert!(s.len < LANES, "mode block is full");
+        let g = &*self.graph;
         let lane = s.len;
         s.len += 1;
         for &(m, p) in frozen {
-            assert!(self.is_mux.contains(m.index()), "frozen node is a mux");
-            let mi = self.pos[m.index()] as usize;
+            assert!(g.is_mux.contains(m.index()), "frozen node is a mux");
+            let mi = g.pos[m.index()] as usize;
             if s.restrict[mi] & (1 << lane) != 0 {
                 continue;
             }
@@ -217,8 +219,8 @@ impl ReachKernel {
                 s.frozen_nodes.push(mi as u32);
             }
             s.restrict[mi] |= 1 << lane;
-            let base = self.pred_off[mi] as usize;
-            let inputs = self.predecessors(mi);
+            let base = g.pred_off[mi] as usize;
+            let inputs = g.predecessors(mi);
             if let Some(&sel) = inputs.get(p) {
                 // Re-open every incoming edge whose *source node* is the
                 // selected input — parallel edges from the same node are all
@@ -235,7 +237,7 @@ impl ReachKernel {
             }
         }
         for &b in broken {
-            let bi = self.pos[b.index()] as usize;
+            let bi = g.pos[b.index()] as usize;
             if s.broken[bi] == 0 {
                 s.broken_nodes.push(bi as u32);
             }
@@ -250,6 +252,7 @@ impl ReachKernel {
     /// the ones in the same word are still ahead). Returns the nodes
     /// re-derived.
     fn forward(&self, s: &mut BlockScratch) -> u64 {
+        let g = &*self.graph;
         let BlockScratch { fwd_any, fwd_clean, restrict, allow, broken, pending, moved, .. } = s;
         let mut hi = 0;
         for &p in s.frozen_nodes.iter().chain(&s.broken_nodes) {
@@ -264,11 +267,11 @@ impl ReachKernel {
                 let p = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 // Scan-in keeps its preset: the start is always visited.
-                if p == self.scan_in as usize {
+                if p == g.scan_in as usize {
                     continue;
                 }
                 relaxed += 1;
-                let preds = self.predecessors(p);
+                let preds = g.predecessors(p);
                 let (mut any, mut clean) = (0, 0);
                 if restrict[p] == 0 {
                     // No lane freezes p: every incoming edge is fully open.
@@ -278,7 +281,7 @@ impl ReachKernel {
                     }
                 } else {
                     let open = !restrict[p];
-                    let base = self.pred_off[p] as usize;
+                    let base = g.pred_off[p] as usize;
                     for (q, &u) in preds.iter().enumerate() {
                         let usable = open | allow[base + q];
                         any |= fwd_any[u as usize] & usable;
@@ -289,8 +292,8 @@ impl ReachKernel {
                 if any != fwd_any[p] || clean != fwd_clean[p] {
                     fwd_any[p] = any;
                     fwd_clean[p] = clean;
-                    mark(moved, self.topo[p] as usize);
-                    for &(x, _) in self.successors(p) {
+                    mark(moved, g.topo[p] as usize);
+                    for &(x, _) in g.successors(p) {
                         let (xw, xb) = (x as usize / 64, x % 64);
                         if xw == w {
                             bits |= 1 << xb;
@@ -310,9 +313,10 @@ impl ReachKernel {
     /// position, pulling over successor edges, seeded with the broken nodes
     /// and the predecessors of frozen muxes.
     fn backward(&self, s: &mut BlockScratch) -> u64 {
+        let g = &*self.graph;
         let BlockScratch { bwd_any, bwd_clean, restrict, allow, broken, pending, moved, .. } = s;
         let mut lo = usize::MAX;
-        let seeds = s.frozen_nodes.iter().flat_map(|&m| self.predecessors(m as usize));
+        let seeds = s.frozen_nodes.iter().flat_map(|&m| g.predecessors(m as usize));
         for &p in seeds.chain(&s.broken_nodes) {
             mark(pending, p as usize);
             lo = lo.min(p as usize / 64);
@@ -327,12 +331,12 @@ impl ReachKernel {
                 bits &= !(1 << top);
                 let p = w * 64 + top;
                 // Scan-out keeps its preset: the start is always visited.
-                if p == self.scan_out as usize {
+                if p == g.scan_out as usize {
                     continue;
                 }
                 relaxed += 1;
                 let (mut any, mut clean) = (0, 0);
-                for &(v, e) in self.successors(p) {
+                for &(v, e) in g.successors(p) {
                     let v = v as usize;
                     let usable =
                         if restrict[v] == 0 { !0 } else { !restrict[v] | allow[e as usize] };
@@ -343,8 +347,8 @@ impl ReachKernel {
                 if any != bwd_any[p] || clean != bwd_clean[p] {
                     bwd_any[p] = any;
                     bwd_clean[p] = clean;
-                    mark(moved, self.topo[p] as usize);
-                    for &x in self.predecessors(p) {
+                    mark(moved, g.topo[p] as usize);
+                    for &x in g.predecessors(p) {
                         let (xw, xb) = (x as usize / 64, x % 64);
                         if xw == w {
                             bits |= 1 << xb;
@@ -365,20 +369,21 @@ impl ReachKernel {
     /// lost, with the lanes that lost its observability and its
     /// settability.
     fn for_each_miss(&self, s: &mut BlockScratch, mut f: impl FnMut(usize, u64, u64)) {
+        let g = &*self.graph;
         for &p in &s.broken_nodes {
-            mark(&mut s.moved, self.topo[p as usize] as usize);
+            mark(&mut s.moved, g.topo[p as usize] as usize);
         }
         s.relaxed = self.forward(s) + self.backward(s);
         let active = lane_mask(s.len);
-        for (w, &live) in self.live.words().iter().enumerate() {
+        for (w, &live) in g.live.words().iter().enumerate() {
             let mut moved = std::mem::take(&mut s.moved[w]);
             while moved != 0 {
                 let t = w * 64 + moved.trailing_zeros() as usize;
                 moved &= moved - 1;
-                let p = self.pos[t] as usize;
+                let p = g.pos[t] as usize;
                 let (fa, fc) = (s.fwd_any[p], s.fwd_clean[p]);
                 let (ba, bc) = (s.bwd_any[p], s.bwd_clean[p]);
-                let (f0, b0) = (word(self.base_fwd.contains(p)), word(self.base_bwd.contains(p)));
+                let (f0, b0) = (word(g.base_fwd.contains(p)), word(g.base_bwd.contains(p)));
                 s.fwd_any[p] = f0;
                 s.fwd_clean[p] = f0;
                 s.bwd_any[p] = b0;

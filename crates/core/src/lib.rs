@@ -63,6 +63,7 @@ pub mod graph_analysis;
 pub mod hardening;
 pub mod netkey;
 pub mod par;
+pub mod plan;
 pub mod prelude;
 pub mod reliability;
 pub mod report;
@@ -93,12 +94,13 @@ pub use hardening::{
 };
 pub use netkey::{canonical_network_hash, NetworkHash};
 pub use par::{Parallelism, ShardPanic};
+pub use plan::AnalysisPlan;
 pub use reliability::DefectModel;
 pub use report::{CriticalitySummary, RankedPrimitive};
 pub use session::{AnalysisSession, AnalysisSessionBuilder, SessionError, Solver};
 pub use shard::{
-    analyze_mode_range_with_cancel, criticality_from_mode_damages, mode_count, ModeDamage,
-    ShardMergeError,
+    analyze_mode_range, analyze_mode_range_with_cancel, criticality_from_mode_damages,
+    merge_mode_damages, mode_count, ModeDamage, ShardMergeError,
 };
 pub use spec::{CriticalitySpec, PaperSpecParams};
 pub use validate::{validate_criticality, Disagreement, ValidationReport};

@@ -24,6 +24,7 @@ pub use crate::hardening::{
     HardeningProblem, HardeningSolution,
 };
 pub use crate::par::Parallelism;
+pub use crate::plan::AnalysisPlan;
 pub use crate::session::{AnalysisSession, AnalysisSessionBuilder, SessionError, Solver};
 pub use crate::spec::{CriticalitySpec, PaperSpecParams};
 pub use crate::workspace::{DeltaReport, Workspace, WorkspaceDelta, WorkspaceError};

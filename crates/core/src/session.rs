@@ -46,6 +46,7 @@ use crate::hardening::{
     HardeningFront, HardeningProblem,
 };
 use crate::par::Parallelism;
+use crate::plan::AnalysisPlan;
 use crate::spec::{CriticalitySpec, PaperSpecParams};
 use crate::validate::{validate_criticality, ValidationReport};
 use crate::workspace::Workspace;
@@ -252,12 +253,24 @@ enum SpecChoice {
     Paper(PaperSpecParams, u64),
 }
 
+/// Where the session's decomposition tree comes from.
+#[derive(Debug)]
+enum TreeChoice {
+    /// Recognized from the network on first use.
+    Recognize,
+    /// Supplied by the caller; validated against the network on first use.
+    Provided(Arc<DecompTree>),
+    /// Supplied by the caller, already validated against the network.
+    Validated(Arc<DecompTree>),
+}
+
 /// Builder for [`AnalysisSession`]; start from
 /// [`AnalysisSession::builder`].
 #[derive(Debug)]
 pub struct AnalysisSessionBuilder {
     net: Arc<ScanNetwork>,
-    tree: Option<DecompTree>,
+    tree: TreeChoice,
+    plan: Option<Arc<AnalysisPlan>>,
     spec: SpecChoice,
     options: AnalysisOptions,
     parallelism: Parallelism,
@@ -270,7 +283,27 @@ impl AnalysisSessionBuilder {
     /// is validated against the network on first use.
     #[must_use]
     pub fn with_tree(mut self, tree: DecompTree) -> Self {
-        self.tree = Some(tree);
+        self.tree = TreeChoice::Provided(Arc::new(tree));
+        self
+    }
+
+    /// Shares a decomposition tree already validated against this network
+    /// (with [`DecompTree::validate`]): the session neither validates nor
+    /// copies it. A server that analyses one network many times validates
+    /// its tree once and hands every session the same [`Arc`].
+    #[must_use]
+    pub fn with_validated_tree(mut self, tree: Arc<DecompTree>) -> Self {
+        self.tree = TreeChoice::Validated(tree);
+        self
+    }
+
+    /// Shares a prebuilt [`AnalysisPlan`] of this network, so the session's
+    /// graph-exact analyses (and a workspace built from this builder) skip
+    /// building their own. The plan must have been built under the SIB
+    /// policy of the builder's final options.
+    #[must_use]
+    pub fn with_plan(mut self, plan: Arc<AnalysisPlan>) -> Self {
+        self.plan = Some(plan);
         self
     }
 
@@ -341,6 +374,17 @@ impl AnalysisSessionBuilder {
         self
     }
 
+    /// The supplied plan, checked against the options' SIB policy.
+    fn checked_plan(&self) -> Option<Arc<AnalysisPlan>> {
+        let plan = self.plan.clone()?;
+        assert_eq!(
+            plan.policy(),
+            self.options.sib_policy,
+            "the supplied analysis plan was built under another SIB policy"
+        );
+        Some(plan)
+    }
+
     /// Resolves the spec choice against the network.
     fn resolve_spec(choice: SpecChoice, net: &ScanNetwork) -> CriticalitySpec {
         match choice {
@@ -362,36 +406,55 @@ impl AnalysisSessionBuilder {
     /// [`SessionError::Cancelled`] when the builder's token fires during
     /// the initial sweep; [`SessionError::WorkerPanicked`] when a shard
     /// panics.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a plan supplied with [`with_plan`](Self::with_plan) was
+    /// built under another SIB policy than the options'.
     pub fn build_workspace(self) -> Result<Workspace, SessionError> {
+        // The workspace shares the network and the plan; it never edits
+        // either.
+        let plan = self
+            .checked_plan()
+            .unwrap_or_else(|| Arc::new(AnalysisPlan::new(&self.net, self.options.sib_policy)));
         let spec = Self::resolve_spec(self.spec, &self.net);
-        // A workspace owns its graph outright: a shared network (a daemon's
-        // registry entry) is copied once here, a sole owner is moved.
-        Workspace::from_inputs(
-            Arc::unwrap_or_clone(self.net),
-            spec,
-            self.options,
-            self.parallelism,
-            self.cancel,
-            &[],
-            &[],
-        )
+        Workspace::from_inputs(self.net, plan, spec, self.options, self.parallelism, self.cancel)
     }
 
-    /// Finalizes the session. Infallible: the spec is resolved here, and
-    /// the decomposition tree (when not supplied) is recognized lazily on
-    /// first tree-based analysis.
+    /// Finalizes the session. The spec is resolved here; the decomposition
+    /// tree (when not supplied) is recognized, and the plan (when not
+    /// supplied) built, lazily on first use.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a plan supplied with [`with_plan`](Self::with_plan) was
+    /// built under another SIB policy than the options'.
     #[must_use]
     pub fn build(self) -> AnalysisSession {
+        let plan = OnceLock::new();
+        if let Some(supplied) = self.checked_plan() {
+            let _ = plan.set(supplied);
+        }
+        let tree = OnceLock::new();
+        let provided_tree = match self.tree {
+            TreeChoice::Recognize => None,
+            TreeChoice::Provided(provided) => Some(provided),
+            TreeChoice::Validated(validated) => {
+                let _ = tree.set(validated);
+                None
+            }
+        };
         let spec = Self::resolve_spec(self.spec, &self.net);
         AnalysisSession {
             net: self.net,
-            provided_tree: self.tree,
+            provided_tree,
             spec,
             options: self.options,
             parallelism: self.parallelism,
             cost_model: self.cost_model,
             cancel: self.cancel,
-            tree: OnceLock::new(),
+            plan,
+            tree,
             criticality: OnceLock::new(),
             graph_criticality: OnceLock::new(),
             validation: OnceLock::new(),
@@ -408,13 +471,15 @@ impl AnalysisSessionBuilder {
 #[derive(Debug)]
 pub struct AnalysisSession {
     net: Arc<ScanNetwork>,
-    provided_tree: Option<DecompTree>,
+    /// A caller's tree still to be validated on first use.
+    provided_tree: Option<Arc<DecompTree>>,
     spec: CriticalitySpec,
     options: AnalysisOptions,
     parallelism: Parallelism,
     cost_model: CostModel,
     cancel: CancelToken,
-    tree: OnceLock<DecompTree>,
+    plan: OnceLock<Arc<AnalysisPlan>>,
+    tree: OnceLock<Arc<DecompTree>>,
     criticality: OnceLock<Criticality>,
     graph_criticality: OnceLock<GraphCriticality>,
     validation: OnceLock<ValidationReport>,
@@ -429,7 +494,8 @@ impl AnalysisSession {
     pub fn builder(net: impl Into<Arc<ScanNetwork>>) -> AnalysisSessionBuilder {
         AnalysisSessionBuilder {
             net: net.into(),
-            tree: None,
+            tree: TreeChoice::Recognize,
+            plan: None,
             spec: SpecChoice::Kinds,
             options: AnalysisOptions::default(),
             parallelism: Parallelism::default(),
@@ -476,8 +542,17 @@ impl AnalysisSession {
         self.cancel.clone()
     }
 
-    /// The decomposition tree: the one supplied to the builder (validated),
-    /// or one recognized from the network on first call.
+    /// The analysis plan every graph-exact analysis of the session sweeps
+    /// through: the one supplied to the builder, or one built on first
+    /// call.
+    #[must_use]
+    pub fn plan(&self) -> &Arc<AnalysisPlan> {
+        self.plan.get_or_init(|| Arc::new(AnalysisPlan::new(&self.net, self.options.sib_policy)))
+    }
+
+    /// The decomposition tree: the one supplied to the builder (validated
+    /// on first call unless supplied validated), or one recognized from the
+    /// network on first call.
     ///
     /// # Errors
     ///
@@ -491,11 +566,11 @@ impl AnalysisSession {
         let tree = match &self.provided_tree {
             Some(tree) => {
                 tree.validate(&self.net).map_err(SessionError::TreeMismatch)?;
-                tree.clone()
+                Arc::clone(tree)
             }
-            None => {
-                recognize(&self.net).map_err(|e| SessionError::NotSeriesParallel(e.to_string()))?
-            }
+            None => Arc::new(
+                recognize(&self.net).map_err(|e| SessionError::NotSeriesParallel(e.to_string()))?,
+            ),
         };
         Ok(self.tree.get_or_init(|| tree))
     }
@@ -532,8 +607,14 @@ impl AnalysisSession {
         if let Some(crit) = self.graph_criticality.get() {
             return Ok(crit);
         }
-        let crit =
-            analyze_graph(&self.net, &self.spec, &self.options, self.parallelism, &self.cancel)?;
+        let crit = analyze_graph(
+            self.plan(),
+            &self.net,
+            &self.spec,
+            self.options.mode,
+            self.parallelism,
+            &self.cancel,
+        )?;
         Ok(self.graph_criticality.get_or_init(|| crit))
     }
 
@@ -551,9 +632,10 @@ impl AnalysisSession {
             return Ok(report);
         }
         let report = validate_criticality(
+            self.plan(),
             &self.net,
             &self.spec,
-            &self.options,
+            self.options.mode,
             self.parallelism,
             &self.cancel,
         )?;
@@ -577,10 +659,10 @@ impl AnalysisSession {
         hardened: &[rsn_model::NodeId],
     ) -> Result<DoubleFaultSummary, SessionError> {
         double_fault_damage(
+            self.plan(),
             &self.net,
             &self.spec,
             hardened,
-            self.options.sib_policy,
             self.parallelism,
             &self.cancel,
         )
@@ -655,9 +737,9 @@ mod tests {
         let spec = CriticalitySpec::paper_random(&net, &PaperSpecParams::default(), 7);
         let options = AnalysisOptions::default();
         let expected = analyze(&net, &tree, &spec, &options);
-        let expected_graph =
-            analyze_graph(&net, &spec, &options, Parallelism::sequential(), &CancelToken::none())
-                .unwrap();
+        let plan = AnalysisPlan::new(&net, options.sib_policy);
+        let (seq, none) = (Parallelism::sequential(), &CancelToken::none());
+        let expected_graph = analyze_graph(&plan, &net, &spec, options.mode, seq, none).unwrap();
 
         let session = AnalysisSession::builder(net)
             .with_paper_spec(PaperSpecParams::default(), 7)

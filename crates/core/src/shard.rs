@@ -1,22 +1,26 @@
 //! Fault-mode range sharding: the sweep entry points a cluster coordinator
 //! uses to split one large criticality analysis across workers.
 //!
-//! The full-sweep kernel ([`analyze_graph`](crate::analyze_graph))
-//! flattens the canonical per-primitive mode enumeration into one global
-//! mode table and evaluates it in lane blocks. Every mode's damage is
-//! independent of which block (and which worker) evaluates it, so any
-//! partition of the table's index space `[0, mode_count)` into contiguous
-//! ranges can be swept on different machines and merged back **bit-
-//! identically**:
+//! The full-sweep kernel ([`analyze_graph`](crate::analyze_graph)) evaluates
+//! the canonical mode table of an [`AnalysisPlan`] in lane blocks. Every
+//! mode's damage is independent of which block (and which worker) evaluates
+//! it, so any partition of the table's index space `[0, mode_count)` into
+//! contiguous ranges can be swept on different machines and merged back
+//! **bit-identically**:
 //!
-//! 1. [`mode_count`] sizes the table (cheap: enumeration only, no kernel).
-//! 2. Each shard evaluates its range with [`analyze_mode_range_with_cancel`]
-//!    and ships the per-mode [`ModeDamage`] triples.
+//! 1. [`AnalysisPlan::mode_count`] sizes the table (built once per network
+//!    and SIB policy; nothing is evaluated).
+//! 2. Each shard evaluates its range with [`analyze_mode_range`] and ships
+//!    the per-mode [`ModeDamage`] triples.
 //! 3. The coordinator concatenates the ranges in index order and aggregates
-//!    with [`criticality_from_mode_damages`], which goes through the same
-//!    `aggregate` as the tree analysis and the incremental workspace — so
-//!    the merged [`Criticality`] (and any summary rendered from it) is
-//!    byte-identical to a single-node sweep.
+//!    with [`merge_mode_damages`], which goes through the same `aggregate`
+//!    as the tree analysis and the incremental workspace — so the merged
+//!    [`Criticality`] (and any summary rendered from it) is byte-identical
+//!    to a single-node sweep.
+//!
+//! [`mode_count`], [`analyze_mode_range_with_cancel`] and
+//! [`criticality_from_mode_damages`] are the same three steps over a
+//! throw-away plan, for callers that hold no plan.
 //!
 //! Determinism contract: the mode table order is the canonical
 //! `for_each_mode` order grouped per primitive (identical on every node
@@ -27,13 +31,12 @@
 use std::ops::Range;
 
 use crate::cancel::CancelToken;
-use crate::criticality::{aggregate, AnalysisOptions, Criticality, Mode, SibCellPolicy};
-use crate::graph_analysis::{
-    controlled_muxes, for_each_mode, sweep_table, AnalysisError, ReachKernel,
-};
+use crate::criticality::{aggregate, AnalysisOptions, Criticality, Mode, ModeAggregation};
+use crate::graph_analysis::{sweep_table, AnalysisError};
 use crate::par::Parallelism;
+use crate::plan::AnalysisPlan;
 use crate::spec::CriticalitySpec;
-use rsn_model::{NodeId, ScanNetwork};
+use rsn_model::ScanNetwork;
 
 /// One evaluated fault mode: the damage split plus the importance flag —
 /// exactly the per-mode inputs the per-primitive aggregation consumes. This
@@ -56,84 +59,15 @@ impl ModeDamage {
     }
 }
 
-/// A flat table of fault modes (pooled broken/frozen slices) split into
-/// contiguous groups: one group per primitive for the canonical
-/// single-fault table, one per fault set for a fault-set expansion. Every
-/// graph-exact sweep evaluates modes out of such a table.
-#[derive(Debug, Default)]
-pub(crate) struct ModeTable {
-    broken_pool: Vec<NodeId>,
-    frozen_pool: Vec<(NodeId, usize)>,
-    /// Cumulative (broken, frozen) pool end offsets, one entry per mode.
-    modes: Vec<(u32, u32)>,
-    /// Cumulative mode end offset per group.
-    group_ends: Vec<u32>,
-}
-
-impl ModeTable {
-    /// The canonical single-fault table: the `for_each_mode` enumeration of
-    /// every primitive, one group per primitive in `net.primitives()` order.
-    pub(crate) fn single_faults(net: &ScanNetwork, policy: SibCellPolicy) -> Self {
-        let controlled = controlled_muxes(net, policy);
-        let mut table = Self::default();
-        for j in net.primitives() {
-            for_each_mode(net, &controlled, j, &mut |broken, frozen| table.push(broken, frozen));
-            table.end_group();
-        }
-        table
-    }
-
-    /// Appends one mode to the open group.
-    pub(crate) fn push(&mut self, broken: &[NodeId], frozen: &[(NodeId, usize)]) {
-        self.broken_pool.extend_from_slice(broken);
-        self.frozen_pool.extend_from_slice(frozen);
-        self.modes.push((self.broken_pool.len() as u32, self.frozen_pool.len() as u32));
-    }
-
-    /// Closes the open group.
-    pub(crate) fn end_group(&mut self) {
-        self.group_ends.push(self.modes.len() as u32);
-    }
-
-    /// Number of modes.
-    pub(crate) fn len(&self) -> usize {
-        self.modes.len()
-    }
-
-    /// The pooled (broken, frozen) slices of mode `m`.
-    pub(crate) fn mode(&self, m: usize) -> (&[NodeId], &[(NodeId, usize)]) {
-        let (b1, f1) = self.modes[m];
-        let (b0, f0) = if m == 0 { (0, 0) } else { self.modes[m - 1] };
-        (&self.broken_pool[b0 as usize..b1 as usize], &self.frozen_pool[f0 as usize..f1 as usize])
-    }
-
-    /// The mode range of group `g`.
-    pub(crate) fn group(&self, g: usize) -> Range<usize> {
-        let start = if g == 0 { 0 } else { self.group_ends[g - 1] as usize };
-        start..self.group_ends[g] as usize
-    }
-
-    /// The mode ranges of every group, in order.
-    pub(crate) fn groups(&self) -> impl Iterator<Item = Range<usize>> + '_ {
-        (0..self.group_ends.len()).map(|g| self.group(g))
-    }
-}
-
-/// Total number of fault modes in `net`'s canonical mode table — the index
-/// space a coordinator partitions into shard ranges. Enumeration only; no
-/// kernel is built and nothing is evaluated.
+/// Total number of fault modes in `net`'s canonical mode table:
+/// [`AnalysisPlan::mode_count`] of a throw-away plan.
 #[must_use]
 pub fn mode_count(net: &ScanNetwork, options: &AnalysisOptions) -> usize {
-    let controlled = controlled_muxes(net, options.sib_policy);
-    let mut count = 0usize;
-    for j in net.primitives() {
-        for_each_mode(net, &controlled, j, &mut |_, _| count += 1);
-    }
-    count
+    AnalysisPlan::new(net, options.sib_policy).mode_count()
 }
 
-/// Evaluates fault modes `[lo, hi)` of the canonical mode table and returns
-/// their [`ModeDamage`] triples in table order.
+/// Evaluates the fault modes `modes` of `plan`'s canonical mode table under
+/// `spec` and returns their [`ModeDamage`] triples in table order.
 ///
 /// The range is packed into lane blocks and sharded over [`par`](crate::par) exactly
 /// like the full sweep, so the returned values are bit-identical at any
@@ -143,9 +77,10 @@ pub fn mode_count(net: &ScanNetwork, options: &AnalysisOptions) -> usize {
 ///
 /// # Panics
 ///
-/// Panics when `lo > hi` or `hi` exceeds [`mode_count`] — shard ranges are
-/// produced by a coordinator from `mode_count`, so an out-of-range request
-/// is a caller bug, not input data.
+/// Panics when `modes` is reversed or ends past
+/// [`AnalysisPlan::mode_count`] — shard ranges are produced by a
+/// coordinator from the mode count, so an out-of-range request is a caller
+/// bug, not input data — and when `net` is not the plan's network.
 ///
 /// # Errors
 ///
@@ -153,6 +88,40 @@ pub fn mode_count(net: &ScanNetwork, options: &AnalysisOptions) -> usize {
 /// [`AnalysisError::WorkerPanicked`] when a shard panics;
 /// [`AnalysisError::NetworkTooLarge`] when the network exceeds the kernel
 /// index space.
+pub fn analyze_mode_range(
+    plan: &AnalysisPlan,
+    net: &ScanNetwork,
+    spec: &CriticalitySpec,
+    parallelism: Parallelism,
+    cancel: &CancelToken,
+    modes: Range<usize>,
+) -> Result<Vec<ModeDamage>, AnalysisError> {
+    cancel.check()?;
+    let table = plan.table();
+    assert!(
+        modes.start <= modes.end && modes.end <= table.len(),
+        "mode range {}..{} out of bounds (mode count {})",
+        modes.start,
+        modes.end,
+        table.len()
+    );
+    if modes.is_empty() {
+        return Ok(Vec::new());
+    }
+    let kernel = plan.kernel(net, spec)?;
+    sweep_table(&kernel, table, modes, parallelism, cancel)
+}
+
+/// [`analyze_mode_range`] of modes `[lo, hi)` over a throw-away plan of
+/// `net` under `options.sib_policy`.
+///
+/// # Panics
+///
+/// As for [`analyze_mode_range`].
+///
+/// # Errors
+///
+/// As for [`analyze_mode_range`].
 pub fn analyze_mode_range_with_cancel(
     net: &ScanNetwork,
     spec: &CriticalitySpec,
@@ -162,18 +131,8 @@ pub fn analyze_mode_range_with_cancel(
     lo: usize,
     hi: usize,
 ) -> Result<Vec<ModeDamage>, AnalysisError> {
-    cancel.check()?;
-    let table = ModeTable::single_faults(net, options.sib_policy);
-    assert!(
-        lo <= hi && hi <= table.len(),
-        "mode range {lo}..{hi} out of bounds (mode count {})",
-        table.len()
-    );
-    if lo == hi {
-        return Ok(Vec::new());
-    }
-    let kernel = ReachKernel::try_new(net, spec)?;
-    sweep_table(&kernel, &table, lo..hi, parallelism, cancel)
+    let plan = AnalysisPlan::new(net, options.sib_policy);
+    analyze_mode_range(&plan, net, spec, parallelism, cancel, lo..hi)
 }
 
 /// A merge handed the wrong number of per-mode damages for its network —
@@ -199,43 +158,62 @@ impl core::fmt::Display for ShardMergeError {
 impl std::error::Error for ShardMergeError {}
 
 /// Folds a full table of per-mode damages (shard results concatenated in
-/// range order) into a [`Criticality`], aggregating each primitive's modes
-/// through the same `aggregate` as the tree analysis and the incremental
-/// workspace — ties and truncating means resolve identically everywhere, so
-/// a summary rendered from the merged result is byte-identical to a
-/// single-node analysis.
+/// range order) of `plan`'s mode table into a [`Criticality`], aggregating
+/// each primitive's modes with `mode` through the same `aggregate` as the
+/// tree analysis and the incremental workspace — ties and truncating means
+/// resolve identically everywhere, so a summary rendered from the merged
+/// result is byte-identical to a single-node analysis.
 ///
 /// # Errors
 ///
-/// [`ShardMergeError`] when `damages.len()` differs from the network's mode
+/// [`ShardMergeError`] when `damages.len()` differs from the plan's mode
 /// count.
-pub fn criticality_from_mode_damages(
+///
+/// # Panics
+///
+/// Panics when `net` is not the plan's network.
+pub fn merge_mode_damages(
+    plan: &AnalysisPlan,
     net: &ScanNetwork,
-    options: &AnalysisOptions,
+    mode: ModeAggregation,
     damages: &[ModeDamage],
 ) -> Result<Criticality, ShardMergeError> {
-    let table = ModeTable::single_faults(net, options.sib_policy);
+    plan.check_network(net);
+    let table = plan.table();
     if damages.len() != table.len() {
         return Err(ShardMergeError { expected: table.len(), got: damages.len() });
     }
-    let primitives: Vec<NodeId> = net.primitives().collect();
     let n = net.node_count();
     let mut damage = vec![0u64; n];
     let mut obs = vec![0u64; n];
     let mut set = vec![0u64; n];
     let mut important = vec![false; n];
     let mut scratch: Vec<Mode> = Vec::new();
-    for (&j, modes) in primitives.iter().zip(table.groups()) {
+    for (&j, modes) in plan.primitives().iter().zip(table.groups()) {
         let slice = &damages[modes];
         scratch.clear();
         scratch.extend(slice.iter().map(|d| Mode { obs: d.obs, set: d.set }));
-        let a = aggregate(options.mode, &scratch);
+        let a = aggregate(mode, &scratch);
         damage[j.index()] = a.obs.saturating_add(a.set);
         obs[j.index()] = a.obs;
         set[j.index()] = a.set;
         important[j.index()] = slice.iter().any(|d| d.affects_important);
     }
-    Ok(Criticality::from_parts(damage, obs, set, important, primitives))
+    Ok(Criticality::from_parts(damage, obs, set, important, plan.primitives().to_vec()))
+}
+
+/// [`merge_mode_damages`] over a throw-away plan of `net` under `options`.
+///
+/// # Errors
+///
+/// As for [`merge_mode_damages`].
+pub fn criticality_from_mode_damages(
+    net: &ScanNetwork,
+    options: &AnalysisOptions,
+    damages: &[ModeDamage],
+) -> Result<Criticality, ShardMergeError> {
+    let plan = AnalysisPlan::new(net, options.sib_policy);
+    merge_mode_damages(&plan, net, options.mode, damages)
 }
 
 #[cfg(test)]
@@ -257,9 +235,9 @@ mod tests {
     fn mode_count_matches_the_table() {
         let net = build();
         let options = AnalysisOptions::default();
-        let table = ModeTable::single_faults(&net, options.sib_policy);
-        assert_eq!(mode_count(&net, &options), table.len());
-        assert!(table.len() > net.primitives().count(), "muxes add stuck modes");
+        let plan = AnalysisPlan::new(&net, options.sib_policy);
+        assert_eq!(mode_count(&net, &options), plan.table().len());
+        assert!(plan.table().len() > net.primitives().count(), "muxes add stuck modes");
     }
 
     #[test]

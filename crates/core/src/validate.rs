@@ -19,12 +19,12 @@
 //!    round-trips through a real capture–shift–update cycle) or *lost*, and
 //!    diffs that against the analytical claim;
 //! 4. aggregates the per-mode operational damages exactly like the analysis
-//!    ([`ModeAggregation`](crate::criticality::ModeAggregation)) and diffs
+//!    ([`ModeAggregation`]) and diffs
 //!    the damage vector bit-for-bit against
 //!    [`analyze_graph`].
 //!
 //! The analytical side is one traced lane sweep over the canonical mode
-//! table; the operational side shards over primitives with
+//! table of the caller's [`AnalysisPlan`]; the operational side shards over primitives with
 //! [`par`] — claimed indices, one reusable [`Simulator`] per
 //! worker — so the report is bit-identical at every thread count. Any
 //! disagreement is reported with the offending network, fault mode, and
@@ -53,13 +53,13 @@ use rsn_model::{
 };
 
 use crate::cancel::CancelToken;
-use crate::criticality::AnalysisOptions;
+use crate::criticality::ModeAggregation;
 use crate::graph_analysis::{
     aggregate_mode_damages, analyze_graph, reference, sweep_blocks, AnalysisError,
     GraphCriticality, ModeTrace, ReachKernel,
 };
 use crate::par::{self, Parallelism};
-use crate::shard::ModeTable;
+use crate::plan::{AnalysisPlan, ModeTable};
 use crate::spec::CriticalitySpec;
 
 /// Maximum number of [`Disagreement`]s embedded in a report; the full count
@@ -161,27 +161,28 @@ pub struct Disagreement {
 /// [`AnalysisError::NetworkTooLarge`] when the network exceeds the kernel's
 /// index space.
 pub fn validate_criticality(
+    plan: &AnalysisPlan,
     net: &ScanNetwork,
     spec: &CriticalitySpec,
-    options: &AnalysisOptions,
+    mode: ModeAggregation,
     parallelism: Parallelism,
     cancel: &CancelToken,
 ) -> Result<ValidationReport, AnalysisError> {
-    let analysis = analyze_graph(net, spec, options, parallelism, cancel)?;
-    let kernel = ReachKernel::try_new(net, spec)?;
-    let table = ModeTable::single_faults(net, options.sib_policy);
+    let analysis = analyze_graph(plan, net, spec, mode, parallelism, cancel)?;
+    let kernel = plan.kernel(net, spec)?;
+    let table = plan.table();
     // The analytical claims of every mode, from one traced lane sweep.
     let traces: Vec<ModeTrace> = sweep_blocks(
         &kernel,
-        &table,
+        table,
         0..table.len(),
         &[],
         parallelism,
         cancel,
         ReachKernel::eval_traced,
     )?;
-    let campaign = Campaign::new(net, spec, options, &analysis, &kernel, &table, &traces);
-    let primitives: Vec<NodeId> = net.primitives().collect();
+    let campaign = Campaign::new(net, spec, mode, &analysis, &kernel, table, &traces);
+    let primitives = plan.primitives();
     let campaign = &campaign;
     let outcomes: Vec<Outcome> = par::try_map_indexed_scratch(
         parallelism,
@@ -240,7 +241,8 @@ fn merge_outcomes(
 struct Campaign<'a> {
     net: &'a ScanNetwork,
     spec: &'a CriticalitySpec,
-    options: &'a AnalysisOptions,
+    /// How each primitive's mode damages fold into its damage.
+    mode: ModeAggregation,
     analysis: &'a GraphCriticality,
     kernel: &'a ReachKernel,
     /// The canonical mode table; group `pos` holds the modes of the
@@ -310,7 +312,7 @@ impl<'a> Campaign<'a> {
     fn new(
         net: &'a ScanNetwork,
         spec: &'a CriticalitySpec,
-        options: &'a AnalysisOptions,
+        mode: ModeAggregation,
         analysis: &'a GraphCriticality,
         kernel: &'a ReachKernel,
         table: &'a ModeTable,
@@ -334,7 +336,7 @@ impl<'a> Campaign<'a> {
         Self {
             net,
             spec,
-            options,
+            mode,
             analysis,
             kernel,
             table,
@@ -405,7 +407,7 @@ impl<'a> Campaign<'a> {
             sim_mode_damages.push(self.run_mode(worker, j, &mode, &self.traces[m], &mut outcome));
         }
         outcome.modes = sim_mode_damages.len();
-        let aggregated = aggregate_mode_damages(self.options.mode, &sim_mode_damages);
+        let aggregated = aggregate_mode_damages(self.mode, &sim_mode_damages);
         outcome.sim_damage = aggregated;
         let analytical = self.analysis.damage(j);
         if aggregated != analytical {
@@ -939,8 +941,9 @@ mod tests {
     fn campaign(threads: usize) -> ValidationReport {
         let net = soc_like();
         let spec = CriticalitySpec::from_kinds(&net);
-        let (options, par) = (AnalysisOptions::default(), Parallelism::new(threads));
-        validate_criticality(&net, &spec, &options, par, &CancelToken::none()).unwrap()
+        let plan = AnalysisPlan::new(&net, crate::criticality::SibCellPolicy::default());
+        let (mode, par) = (ModeAggregation::default(), Parallelism::new(threads));
+        validate_criticality(&plan, &net, &spec, mode, par, &CancelToken::none()).unwrap()
     }
 
     #[test]

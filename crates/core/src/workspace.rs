@@ -8,11 +8,13 @@
 //! [`AnalysisSession`](crate::session::AnalysisSession)) pay a full per-mode
 //! reachability sweep on every call. The paper's hardening loop (Table I) and
 //! interactive what-if queries re-evaluate after *single-primitive* changes.
-//! A [`Workspace`] owns the parsed network, its [`ReachKernel`] (CSR,
-//! topological order, instrument probes), the canonical mode table, and one
-//! cached [`ModeTrace`](crate::graph_analysis) per fault mode, and exposes
-//! delta operations ([`Workspace::edit`], [`Workspace::harden`],
-//! [`Workspace::undo`]).
+//! A [`Workspace`] shares the network and its [`AnalysisPlan`] (the
+//! canonical mode table and the kernel graph) with whoever built it, owns
+//! its spec's [`ReachKernel`] probes and one cached
+//! [`ModeTrace`](crate::graph_analysis) per fault mode, and exposes delta
+//! operations ([`Workspace::edit`], [`Workspace::harden`],
+//! [`Workspace::undo`]). It never edits the network or the plan, so a
+//! daemon's cached workspaces all read the registry's copies.
 //!
 //! # What each delta recomputes (DESIGN.md §2.11)
 //!
@@ -63,12 +65,12 @@ use rsn_model::{InstrumentId, NodeId, ScanNetwork};
 use crate::cancel::{CancelToken, Cancelled};
 use crate::criticality::{aggregate, AnalysisOptions, Criticality, Mode};
 use crate::graph_analysis::{
-    controlled_muxes, sweep_blocks, AnalysisError, GraphCriticality, ModeTrace, ReachKernel,
+    sweep_blocks, AnalysisError, GraphCriticality, ModeTrace, ReachKernel,
 };
 use crate::par::Parallelism;
+use crate::plan::AnalysisPlan;
 use crate::report::CriticalitySummary;
 use crate::session::SessionError;
-use crate::shard::ModeTable;
 use crate::spec::CriticalitySpec;
 
 /// A single edit applied to a [`Workspace`] via [`Workspace::edit`].
@@ -221,20 +223,20 @@ impl PrimAgg {
 /// [`build_workspace`](crate::session::AnalysisSessionBuilder::build_workspace)).
 #[derive(Debug)]
 pub struct Workspace {
-    net: ScanNetwork,
+    net: Arc<ScanNetwork>,
+    /// The network's plan under `options.sib_policy`: its mode table's
+    /// group `pos` holds the modes of `plan.primitives()[pos]`.
+    plan: Arc<AnalysisPlan>,
     spec: CriticalitySpec,
     options: AnalysisOptions,
     parallelism: Parallelism,
     cancel: CancelToken,
     kernel: ReachKernel,
-    controlled: Vec<Vec<NodeId>>,
-    primitives: Vec<NodeId>,
-    /// Node index → position in `primitives` (`u32::MAX` for non-primitives).
+    /// Node index → position in the plan's primitives (`u32::MAX` for
+    /// non-primitives).
     prim_pos: Vec<u32>,
-    /// The canonical mode table; group `pos` holds the modes of
-    /// `primitives[pos]`.
-    table: ModeTable,
-    /// The last evaluated trace of each mode, indexed like `table`.
+    /// The last evaluated trace of each mode, indexed like the plan's mode
+    /// table.
     modes: Vec<ModeTrace>,
     agg: Vec<PrimAgg>,
     hardened: Vec<bool>,
@@ -262,66 +264,70 @@ impl Workspace {
     }
 
     /// Builds a workspace from resolved inputs, evaluating every fault mode
-    /// once (the full sweep that all later deltas amortize). `hardened` and
-    /// `excluded` seed the initial state; excluded segments join the ambient
-    /// broken set of the initial sweep itself, which is what makes this the
-    /// from-scratch oracle for [`Workspace::rebuilt`].
+    /// once (the full sweep that all later deltas amortize).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `plan` was built for another SIB policy than
+    /// `options.sib_policy`, or for another network than `net`.
     pub(crate) fn from_inputs(
-        net: ScanNetwork,
+        net: Arc<ScanNetwork>,
+        plan: Arc<AnalysisPlan>,
         spec: CriticalitySpec,
         options: AnalysisOptions,
         parallelism: Parallelism,
         cancel: CancelToken,
-        hardened_seed: &[NodeId],
-        excluded_seed: &[NodeId],
     ) -> Result<Self, SessionError> {
+        let mut ws = Self::unswept(net, plan, spec, options, parallelism, cancel)?;
+        ws.resweep(Vec::new())?;
+        Ok(ws)
+    }
+
+    /// The workspace before its initial sweep: no traces, nothing hardened
+    /// or excluded.
+    fn unswept(
+        net: Arc<ScanNetwork>,
+        plan: Arc<AnalysisPlan>,
+        spec: CriticalitySpec,
+        options: AnalysisOptions,
+        parallelism: Parallelism,
+        cancel: CancelToken,
+    ) -> Result<Self, SessionError> {
+        assert_eq!(plan.policy(), options.sib_policy, "workspace plan under another SIB policy");
         cancel.check()?;
-        let kernel = ReachKernel::try_new(&net, &spec)?;
-        let controlled = controlled_muxes(&net, options.sib_policy);
-        let primitives: Vec<NodeId> = net.primitives().collect();
+        let kernel = plan.kernel(&net, &spec)?;
         let mut prim_pos = vec![u32::MAX; net.node_count()];
-        for (pos, &j) in primitives.iter().enumerate() {
+        for (pos, &j) in plan.primitives().iter().enumerate() {
             prim_pos[j.index()] = pos as u32;
         }
-
-        let mut excluded_list: Vec<NodeId> = excluded_seed.to_vec();
-        excluded_list.sort_unstable();
-        excluded_list.dedup();
-        let mut hardened = vec![false; net.node_count()];
-        for &j in hardened_seed {
-            hardened[j.index()] = true;
-        }
-        let mut ws = Self {
-            table: ModeTable::single_faults(&net, options.sib_policy),
-            agg: vec![PrimAgg::default(); primitives.len()],
-            hardened,
+        Ok(Self {
+            agg: vec![PrimAgg::default(); plan.primitives().len()],
+            hardened: vec![false; net.node_count()],
             excluded: vec![false; net.node_count()],
             net,
+            plan,
             spec,
             options,
             parallelism,
             cancel,
             kernel,
-            controlled,
-            primitives,
             prim_pos,
             modes: Vec::new(),
             excluded_list: Vec::new(),
             undo: Vec::new(),
             replaced: None,
             modes_swept: 0,
-        };
-        ws.resweep(excluded_list)?;
-        Ok(ws)
+        })
     }
 
     /// Evaluates every mode of the table jointly with the `ambient` broken
     /// set: the initial sweep, and the replay behind every structural delta.
     fn sweep(&self, ambient: &[NodeId]) -> Result<Vec<ModeTrace>, AnalysisError> {
+        let table = self.plan.table();
         sweep_blocks(
             &self.kernel,
-            &self.table,
-            0..self.table.len(),
+            table,
+            0..table.len(),
             ambient,
             self.parallelism,
             &self.cancel,
@@ -359,7 +365,7 @@ impl Workspace {
     /// truncating means resolve identically.
     fn reaggregate(&mut self) {
         let mut modes: Vec<Mode> = Vec::new();
-        for (pos, group) in self.table.groups().enumerate() {
+        for (pos, group) in self.plan.table().groups().enumerate() {
             let slice = &self.modes[group];
             modes.clear();
             modes.extend(slice.iter().map(|m| Mode { obs: m.obs_damage, set: m.set_damage }));
@@ -373,6 +379,12 @@ impl Workspace {
     #[must_use]
     pub fn network(&self) -> &ScanNetwork {
         &self.net
+    }
+
+    /// The analysis plan the workspace sweeps through.
+    #[must_use]
+    pub fn plan(&self) -> &Arc<AnalysisPlan> {
+        &self.plan
     }
 
     /// The current criticality specification (reflects applied
@@ -409,7 +421,7 @@ impl Workspace {
     /// Currently hardened primitives, ascending by node id.
     #[must_use]
     pub fn hardened(&self) -> Vec<NodeId> {
-        self.primitives.iter().copied().filter(|&j| self.hardened[j.index()]).collect()
+        self.plan.primitives().iter().copied().filter(|&j| self.hardened[j.index()]).collect()
     }
 
     /// Currently excluded segments, ascending by node id.
@@ -494,7 +506,7 @@ impl Workspace {
     /// current hardening set.
     #[must_use]
     pub fn total_damage(&self) -> u64 {
-        self.primitives.iter().fold(0u64, |acc, &j| acc.saturating_add(self.damage(j)))
+        self.plan.primitives().iter().fold(0u64, |acc, &j| acc.saturating_add(self.damage(j)))
     }
 
     /// The damage vector as a [`GraphCriticality`]. On a fresh workspace
@@ -502,10 +514,10 @@ impl Workspace {
     #[must_use]
     pub fn graph_criticality(&self) -> GraphCriticality {
         let mut damage = vec![0u64; self.net.node_count()];
-        for &j in &self.primitives {
+        for &j in self.plan.primitives() {
             damage[j.index()] = self.damage(j);
         }
-        GraphCriticality::from_parts(damage, self.primitives.clone())
+        GraphCriticality::from_parts(damage, self.plan.primitives().to_vec())
     }
 
     /// The current per-primitive damages as a [`Criticality`] (obs/set
@@ -517,13 +529,13 @@ impl Workspace {
         let mut obs = vec![0u64; n];
         let mut set = vec![0u64; n];
         let mut important = vec![false; n];
-        for &j in &self.primitives {
+        for &j in self.plan.primitives() {
             damage[j.index()] = self.damage(j);
             obs[j.index()] = self.obs_damage(j);
             set[j.index()] = self.set_damage(j);
             important[j.index()] = self.affects_important(j);
         }
-        Criticality::from_parts(damage, obs, set, important, self.primitives.clone())
+        Criticality::from_parts(damage, obs, set, important, self.plan.primitives().to_vec())
     }
 
     /// A ranked [`CriticalitySummary`] of the current state.
@@ -717,7 +729,7 @@ impl Workspace {
         if !self.net.node(s).kind.is_segment() {
             return Err(WorkspaceError::InvalidDelta(format!("node {s} is not a segment")));
         }
-        if !self.controlled[s.index()].is_empty() {
+        if !self.plan.controlled()[s.index()].is_empty() {
             return Err(WorkspaceError::InvalidDelta(format!(
                 "segment {s} controls multiplexers; exclusion is not supported for control cells"
             )));
@@ -726,24 +738,28 @@ impl Workspace {
     }
 
     /// A from-scratch rebuild of this workspace's current state: same
-    /// network, current spec, same hardened/excluded sets — but every mode
-    /// evaluated by a full sweep instead of incremental replay. The oracle
-    /// for the bit-identity property tests (its undo stack starts empty).
+    /// network and plan, current spec, same hardened/excluded sets — but
+    /// every mode evaluated by a full sweep instead of incremental replay.
+    /// The oracle for the bit-identity property tests (its undo stack starts
+    /// empty).
     ///
     /// # Errors
     ///
     /// [`WorkspaceError::Session`] for cancellation or a worker panic.
     pub fn rebuilt(&self) -> Result<Workspace, WorkspaceError> {
-        Workspace::from_inputs(
-            self.net.clone(),
+        let mut ws = Workspace::unswept(
+            Arc::clone(&self.net),
+            Arc::clone(&self.plan),
             self.spec.clone(),
             self.options,
             self.parallelism,
             self.cancel.clone(),
-            &self.hardened(),
-            &self.excluded_list,
-        )
-        .map_err(WorkspaceError::from)
+        )?;
+        // Excluded segments join the ambient broken set of the initial
+        // sweep itself, which is what makes this the from-scratch oracle.
+        ws.hardened.clone_from(&self.hardened);
+        ws.resweep(self.excluded_list.clone())?;
+        Ok(ws)
     }
 }
 
@@ -779,7 +795,9 @@ mod tests {
     /// The from-scratch sequential sweep a workspace must match.
     fn sweep(net: &ScanNetwork, spec: &CriticalitySpec) -> GraphCriticality {
         let options = AnalysisOptions::default();
-        analyze_graph(net, spec, &options, Parallelism::sequential(), &CancelToken::none()).unwrap()
+        let plan = AnalysisPlan::new(net, options.sib_policy);
+        let (seq, none) = (Parallelism::sequential(), &CancelToken::none());
+        analyze_graph(&plan, net, spec, options.mode, seq, none).unwrap()
     }
 
     fn workspace(net: ScanNetwork, threads: usize) -> Workspace {
@@ -872,13 +890,14 @@ mod tests {
             .network()
             .segments()
             .find(|&s| {
-                ws.controlled[s.index()].is_empty() && ws.network().instrument_at(s).is_some()
+                ws.plan.controlled()[s.index()].is_empty()
+                    && ws.network().instrument_at(s).is_some()
             })
             .expect("plain segment");
         let report = ws.edit(WorkspaceDelta::ExcludeSegment { segment: seg }).expect("exclude");
         assert_eq!(
             report.recomputed_modes,
-            ws.table.len(),
+            ws.plan.mode_count(),
             "a structural edit re-sweeps every mode"
         );
         assert!(ws.is_excluded(seg));
@@ -891,7 +910,7 @@ mod tests {
 
     /// The plain (non-control-cell) segments of `ws`, ascending.
     fn plain_segments(ws: &Workspace) -> Vec<NodeId> {
-        ws.network().segments().filter(|&s| ws.controlled[s.index()].is_empty()).collect()
+        ws.network().segments().filter(|&s| ws.plan.controlled()[s.index()].is_empty()).collect()
     }
 
     fn summary_bytes(ws: &Workspace) -> String {
@@ -912,14 +931,18 @@ mod tests {
             let (before, bytes) = (ws.total_damage(), summary_bytes(&ws));
             let seg = plain_segments(&ws)[0];
             let swept = ws.modes_swept();
-            assert_eq!(swept, ws.table.len() as u64, "the initial sweep");
+            assert_eq!(swept, ws.plan.mode_count() as u64, "the initial sweep");
             ws.edit(WorkspaceDelta::ExcludeSegment { segment: seg }).expect("exclude");
             let undone = ws.undo().expect("undo ok").expect("entry");
             assert_eq!(undone.recomputed_modes, 0, "restored, not re-swept ({threads} threads)");
             assert_eq!(undone.total_damage, before);
             assert_eq!(summary_bytes(&ws), bytes, "byte-equal summary ({threads} threads)");
             assert!(!ws.is_excluded(seg));
-            assert_eq!(ws.modes_swept(), swept + ws.table.len() as u64, "one sweep per exclude");
+            assert_eq!(
+                ws.modes_swept(),
+                swept + ws.plan.mode_count() as u64,
+                "one sweep per exclude"
+            );
             assert_matches_rebuild(&ws, "exclude, undo");
         }
     }
@@ -948,7 +971,7 @@ mod tests {
             let mut ws = workspace(demo_net(), threads);
             let fresh = summary_bytes(&ws);
             let plain = plain_segments(&ws);
-            let modes = ws.table.len();
+            let modes = ws.plan.mode_count();
             let mut done: Vec<Step> = Vec::new();
             for (k, &step) in steps.iter().enumerate() {
                 let at = format!("step {k} {step:?} ({threads} threads)");
@@ -974,7 +997,7 @@ mod tests {
                             .expect(&at);
                     }
                     Step::Harden => {
-                        let j = *ws.primitives.last().expect("primitives");
+                        let j = *ws.plan.primitives().last().expect("primitives");
                         ws.harden(j).expect(&at);
                     }
                     Step::Undo { resweeps } => {
@@ -1055,7 +1078,7 @@ mod tests {
         let cell = ws
             .network()
             .segments()
-            .find(|&s| !ws.controlled[s.index()].is_empty())
+            .find(|&s| !ws.plan.controlled()[s.index()].is_empty())
             .expect("SIB cells control muxes");
         let err = ws.edit(WorkspaceDelta::ExcludeSegment { segment: cell }).expect_err("rejected");
         assert_eq!(err.code(), "invalid_delta");
@@ -1068,7 +1091,7 @@ mod tests {
         let seg = ws
             .network()
             .segments()
-            .find(|&s| ws.controlled[s.index()].is_empty())
+            .find(|&s| ws.plan.controlled()[s.index()].is_empty())
             .expect("plain segment");
         let cancel = CancelToken::new();
         cancel.cancel();

@@ -87,7 +87,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use robust_rsn::{AnalysisOptions, Parallelism};
+use robust_rsn::Parallelism;
 use rsn_serve::cache::fnv1a;
 use rsn_serve::chaos::{Chaos, Site};
 use rsn_serve::http::{Response, SharedBody};
@@ -370,9 +370,12 @@ impl Cluster {
                 && !resolved.exact_double
                 && up.len() >= 2
             {
-                let options =
-                    AnalysisOptions { mode: resolved.mode, sib_policy: resolved.sib_policy };
-                let total = robust_rsn::mode_count(&parsed.net, &options) as u64;
+                // The network's plan sizes the fan-out here and folds the
+                // shards in the merge; it is built once per network.
+                let plan = parsed.plan_with(resolved.sib_policy, || {
+                    self.server_metrics.record_analysis_plan_built();
+                });
+                let total = plan.mode_count() as u64;
                 if total >= self.config.shard_threshold {
                     return self.fan_out(resolved, parsed, request, &up, total);
                 }

@@ -122,6 +122,7 @@ impl ClusterMetrics {
             ("rsnc_responses_error_total", server.responses_total() - ok),
             ("rsnc_response_bytes_total", server.response_bytes()),
             ("rsnc_socket_writes_total", server.socket_writes()),
+            ("rsnc_analysis_plans_built_total", server.analysis_plans_built()),
             ("rsnc_shards_dispatched_total", get(&self.shards_dispatched)),
             ("rsnc_shards_retried_total", get(&self.shards_retried)),
             ("rsnc_shard_rejected_total", get(&self.shards_rejected)),

@@ -115,4 +115,4 @@ pub use wire::{
     ErrorResponse, HardenResponse, JobRequest, NetworkListResponse, NetworkPutResponse,
     ParsedNetwork, ResolvedJob, ShardModeDamage, WhatifOp, WhatifResponse, WireError,
 };
-pub use wscache::WorkspaceCache;
+pub use wscache::{WorkspaceCache, WorkspaceSlot};

@@ -84,6 +84,7 @@ pub struct Metrics {
     workspace_cache_hits: AtomicU64,
     workspace_cache_misses: AtomicU64,
     whatif_modes_swept: AtomicU64,
+    analysis_plans_built: AtomicU64,
     store_reads: AtomicU64,
     store_writes: AtomicU64,
     store_wal_replays: AtomicU64,
@@ -248,6 +249,19 @@ impl Metrics {
         self.whatif_modes_swept.load(Ordering::Relaxed)
     }
 
+    /// Counts an analysis plan built: a network's mode table and kernel
+    /// graph under one SIB policy, built on its first sweeping request and
+    /// shared by every later one.
+    pub fn record_analysis_plan_built(&self) {
+        self.analysis_plans_built.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Analysis plans built so far.
+    #[must_use]
+    pub fn analysis_plans_built(&self) -> u64 {
+        self.analysis_plans_built.load(Ordering::Relaxed)
+    }
+
     /// Counts a value served from the persistent store.
     pub fn record_store_read(&self) {
         self.store_reads.fetch_add(1, Ordering::Relaxed);
@@ -397,6 +411,7 @@ impl Metrics {
             self.workspace_cache_misses()
         ));
         out.push_str(&format!("rsnd_whatif_modes_swept_total {}\n", self.whatif_modes_swept()));
+        out.push_str(&format!("rsnd_analysis_plans_built_total {}\n", self.analysis_plans_built()));
         out.push_str(&format!("rsnd_store_reads_total {}\n", self.store_reads()));
         out.push_str(&format!("rsnd_store_writes_total {}\n", self.store_writes()));
         out.push_str(&format!("rsnd_store_wal_replays_total {}\n", self.store_wal_replays()));
@@ -440,6 +455,7 @@ mod tests {
         m.record_workspace_cache_hit();
         m.record_workspace_cache_miss();
         m.add_whatif_modes_swept(3037);
+        m.record_analysis_plan_built();
         let text = m.render();
         assert!(text.contains("rsnd_requests_total{endpoint=\"analyze\"} 2"), "{text}");
         assert!(text.contains("rsnd_requests_total{endpoint=\"harden\"} 1"), "{text}");
@@ -448,6 +464,7 @@ mod tests {
         assert!(text.contains("rsnd_workspace_cache_hits_total 2"), "{text}");
         assert!(text.contains("rsnd_workspace_cache_misses_total 1"), "{text}");
         assert!(text.contains("rsnd_whatif_modes_swept_total 3037"), "{text}");
+        assert!(text.contains("rsnd_analysis_plans_built_total 1"), "{text}");
         assert!(text.contains("rsnd_requests_total{endpoint=\"other\"} 1"), "{text}");
         assert!(text.contains("rsnd_responses_total{status=\"200\"} 1"), "{text}");
         assert!(text.contains("rsnd_responses_total{status=\"503\"} 1"), "{text}");

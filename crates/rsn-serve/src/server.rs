@@ -60,7 +60,7 @@ use crate::registry::Registry;
 use crate::wire::{
     self, Deadline, Endpoint, JobError, JobRequest, NetworkListResponse, ParsedNetwork, ResolvedJob,
 };
-use crate::wscache::WorkspaceCache;
+use crate::wscache::{WorkspaceCache, WorkspaceSlot};
 
 /// Configuration of a [`Server`].
 #[derive(Clone, Debug)]
@@ -1302,6 +1302,11 @@ impl Local {
         let executed = if job.endpoint == Endpoint::Whatif {
             self.run_whatif(job, &network, deadline)
         } else {
+            if job.endpoint != Endpoint::Harden {
+                // Analyze and validate sweep through the network's plan:
+                // build it here on first use, so the build is counted.
+                self.plan(job, &network);
+            }
             wire::execute_with(job, &network, self.analysis_threads, deadline)
         };
         match executed {
@@ -1325,12 +1330,23 @@ impl Local {
         }
     }
 
+    /// The network's analysis plan for `job`'s SIB policy, counting the
+    /// build when this call is the first user.
+    fn plan(&self, job: &ResolvedJob, network: &ParsedNetwork) {
+        network.plan_with(job.sib_policy, || self.metrics.record_analysis_plan_built());
+    }
+
     /// A what-if job: answered from a warm
     /// [`Workspace`](robust_rsn::Workspace) when one is cached for the job's
     /// network/spec, otherwise built once and cached for the next request.
     /// The workspace lock is per-workspace — what-ifs against *different*
     /// networks run concurrently; only same-network what-ifs serialize (each
     /// is a masking/arithmetic delta, so that is cheap).
+    ///
+    /// Builds are single-flight: a miss puts an empty slot in the cache and
+    /// holds its lock while it builds, so concurrent misses on the same key
+    /// wait for that one build instead of starting their own. If the build
+    /// fails, its slot is dropped and a waiter builds in its place.
     ///
     /// Edits commit atomically and `wire::execute_whatif` undoes its delta
     /// before answering, so the shared workspace returns to pristine state on
@@ -1343,42 +1359,73 @@ impl Local {
         deadline: &Deadline,
     ) -> Result<String, JobError> {
         let ws_key = job.workspace_key_with(&network.hash);
-        // A poisoned per-workspace lock means a previous holder panicked
-        // mid-edit; treat the entry as absent and rebuild over it.
-        let cached = self
-            .workspaces
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&ws_key)
-            .filter(|ws| !ws.is_poisoned());
-        let shared = match cached {
-            Some(ws) => {
-                self.metrics.record_workspace_cache_hit();
-                ws
+        loop {
+            let slot: WorkspaceSlot;
+            let building = {
+                // A poisoned slot means a previous holder panicked mid-edit;
+                // treat the entry as absent and build over it.
+                let mut cache = self.workspaces.lock().unwrap_or_else(PoisonError::into_inner);
+                match cache.get(&ws_key).filter(|cached| !cached.is_poisoned()) {
+                    Some(cached) => {
+                        slot = cached;
+                        None
+                    }
+                    None => {
+                        slot = Arc::new(Mutex::new(None));
+                        cache.put(&ws_key, Arc::clone(&slot));
+                        // Locked before the cache lock is released, so no
+                        // waiter finds the slot unbuilt and unlocked.
+                        Some(slot.lock().unwrap_or_else(PoisonError::into_inner))
+                    }
+                }
+            };
+            let mut workspace = match building {
+                Some(mut guard) => {
+                    self.metrics.record_workspace_cache_miss();
+                    self.plan(job, network);
+                    let built =
+                        wire::build_workspace_with(job, network, self.analysis_threads, deadline);
+                    match built {
+                        Ok(ws) => {
+                            self.metrics.add_whatif_modes_swept(ws.modes_swept());
+                            *guard = Some(ws);
+                            guard
+                        }
+                        Err(err) => {
+                            drop(guard);
+                            self.remove_workspace(&ws_key, &slot);
+                            return Err(err);
+                        }
+                    }
+                }
+                // Wait for the slot's builder, or for the what-if before.
+                None => match slot.lock() {
+                    Ok(guard) if guard.is_some() => {
+                        self.metrics.record_workspace_cache_hit();
+                        guard
+                    }
+                    // The build failed or a holder panicked: look again.
+                    _ => continue,
+                },
+            };
+            let ws = workspace.as_mut().expect("the slot holds a built workspace");
+            let swept = ws.modes_swept();
+            let result = wire::execute_whatif(job, ws, deadline);
+            self.metrics.add_whatif_modes_swept(ws.modes_swept() - swept);
+            drop(workspace);
+            if result.as_ref().is_err_and(|e| e.status == 500) {
+                self.remove_workspace(&ws_key, &slot);
             }
-            None => {
-                self.metrics.record_workspace_cache_miss();
-                let ws = wire::build_workspace_with(job, network, self.analysis_threads, deadline)?;
-                self.metrics.add_whatif_modes_swept(ws.modes_swept());
-                let arc = Arc::new(Mutex::new(ws));
-                self.workspaces
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .put(&ws_key, Arc::clone(&arc));
-                arc
-            }
-        };
-        let result = {
-            let mut workspace = shared.lock().unwrap_or_else(PoisonError::into_inner);
-            let swept = workspace.modes_swept();
-            let result = wire::execute_whatif(job, &mut workspace, deadline);
-            self.metrics.add_whatif_modes_swept(workspace.modes_swept() - swept);
-            result
-        };
-        if result.as_ref().is_err_and(|e| e.status == 500) {
-            self.workspaces.lock().unwrap_or_else(PoisonError::into_inner).remove(&ws_key);
+            return result;
         }
-        result
+    }
+
+    /// Drops `slot` from the workspace cache, if `key` still maps to it.
+    fn remove_workspace(&self, key: &str, slot: &WorkspaceSlot) {
+        let mut cache = self.workspaces.lock().unwrap_or_else(PoisonError::into_inner);
+        if cache.get(key).is_some_and(|cached| Arc::ptr_eq(&cached, slot)) {
+            cache.remove(key);
+        }
     }
 }
 

@@ -24,18 +24,19 @@
 //! one-pass decoder of exactly the shim's grammar for
 //! [`AnalyzeShardResponse`].
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use moea::{Nsga2Config, Spea2Config};
 use robust_rsn::{
-    canonical_network_hash, AnalysisOptions, AnalysisSession, CancelToken, CriticalitySummary,
-    DoubleFaultSummary, HardeningFront, HardeningSolution, ModeAggregation, NetworkHash,
-    PaperSpecParams, Parallelism, SessionError, SibCellPolicy, Solver, Workspace, WorkspaceDelta,
-    WorkspaceError,
+    analyze_mode_range, canonical_network_hash, merge_mode_damages, AnalysisOptions, AnalysisPlan,
+    AnalysisSession, CancelToken, CriticalitySummary, DoubleFaultSummary, HardeningFront,
+    HardeningSolution, ModeAggregation, NetworkHash, PaperSpecParams, Parallelism, SessionError,
+    SibCellPolicy, Solver, Workspace, WorkspaceDelta, WorkspaceError,
 };
 use rsn_model::format::parse_network;
 use rsn_model::{BuiltStructure, NodeId, ScanNetwork};
+use rsn_sp::{tree_from_structure, DecompTree};
 use serde::{Deserialize, Serialize};
 
 use crate::http::{Response, SharedBody};
@@ -299,8 +300,14 @@ impl SolverChoice {
 /// A network parsed and built exactly once: the unit the registry stores,
 /// the caches key off, and every execution path consumes. Carrying the
 /// built [`ScanNetwork`] means a registry hit skips both the parse and the
-/// graph build; analyze, harden and validate executions share the graph
-/// through its [`Arc`], and only a what-if workspace build copies it.
+/// graph build; every execution, what-if workspaces included, shares the
+/// graph through its [`Arc`].
+///
+/// The spec-independent analysis state is built on first use and then
+/// shared by every request: one [`AnalysisPlan`] per [`SibCellPolicy`]
+/// ([`plan`](Self::plan)) and the validated decomposition tree
+/// ([`tree`](Self::tree)). Parsing builds neither, so registration costs
+/// what it did, and concurrent first users wait for one build.
 #[derive(Clone, Debug)]
 pub struct ParsedNetwork {
     /// The original network text.
@@ -311,6 +318,10 @@ pub struct ParsedNetwork {
     pub built: BuiltStructure,
     /// The canonical content hash of the built graph.
     pub hash: NetworkHash,
+    /// The analysis plan per SIB policy (`Combined`, `SegmentOnly`).
+    plans: [OnceLock<Arc<AnalysisPlan>>; 2],
+    /// The decomposition tree, validated against `net`.
+    tree: OnceLock<Result<Arc<DecompTree>, SessionError>>,
 }
 
 impl ParsedNetwork {
@@ -325,8 +336,7 @@ impl ParsedNetwork {
             parse_network(text).map_err(|e| JobError::new(400, "bad_network", e.to_string()))?;
         let (net, built) =
             structure.build(name).map_err(|e| JobError::new(400, "bad_network", e.to_string()))?;
-        let hash = canonical_network_hash(&net);
-        Ok(Self { text: text.to_string(), net: Arc::new(net), built, hash })
+        Ok(Self::new(text.to_string(), net, built))
     }
 
     /// Builds a parsed structure (e.g. from the streaming upload parser,
@@ -344,14 +354,62 @@ impl ParsedNetwork {
         let (net, built) =
             structure.build(&name).map_err(|e| JobError::new(400, "bad_network", e.to_string()))?;
         let text = rsn_model::format::print_network(&name, &structure);
+        Ok(Self::new(text, net, built))
+    }
+
+    fn new(text: String, net: ScanNetwork, built: BuiltStructure) -> Self {
         let hash = canonical_network_hash(&net);
-        Ok(Self { text, net: Arc::new(net), built, hash })
+        Self {
+            text,
+            net: Arc::new(net),
+            built,
+            hash,
+            plans: Default::default(),
+            tree: OnceLock::new(),
+        }
     }
 
     /// The network's name.
     #[must_use]
     pub fn name(&self) -> &str {
         self.net.name()
+    }
+
+    /// The network's analysis plan under `policy`, built on first use.
+    #[must_use]
+    pub fn plan(&self, policy: SibCellPolicy) -> Arc<AnalysisPlan> {
+        self.plan_with(policy, || {})
+    }
+
+    /// [`plan`](Self::plan), calling `built` when this call is the one
+    /// that builds it — how a server counts the plans it builds.
+    pub fn plan_with(&self, policy: SibCellPolicy, built: impl FnOnce()) -> Arc<AnalysisPlan> {
+        let slot = match policy {
+            SibCellPolicy::Combined => &self.plans[0],
+            SibCellPolicy::SegmentOnly => &self.plans[1],
+        };
+        Arc::clone(slot.get_or_init(|| {
+            built();
+            Arc::new(AnalysisPlan::new(&self.net, policy))
+        }))
+    }
+
+    /// The network's decomposition tree, lowered from the structure and
+    /// validated against the graph on first use.
+    ///
+    /// # Errors
+    ///
+    /// [`JobError`] with status 422 (`tree_mismatch`) when the tree does
+    /// not validate against the graph.
+    pub fn tree(&self) -> Result<Arc<DecompTree>, JobError> {
+        self.tree
+            .get_or_init(|| {
+                let tree = tree_from_structure(&self.net, &self.built);
+                tree.validate(&self.net).map_err(SessionError::TreeMismatch)?;
+                Ok(Arc::new(tree))
+            })
+            .clone()
+            .map_err(JobError::from)
     }
 }
 
@@ -699,8 +757,8 @@ pub fn merge_analyze_shards(
     if next != total {
         return Err(merge_bug(format!("shards cover only 0..{next} of {total} modes")));
     }
-    let options = AnalysisOptions { mode: job.mode, sib_policy: job.sib_policy };
-    let crit = robust_rsn::criticality_from_mode_damages(&network.net, &options, &damages)
+    let plan = network.plan(job.sib_policy);
+    let crit = merge_mode_damages(&plan, &network.net, job.mode, &damages)
         .map_err(|e| merge_bug(e.to_string()))?;
     serialize(&CriticalitySummary::new(&network.net, &crit, job.top))
 }
@@ -1180,11 +1238,14 @@ pub fn execute_with(
     if !job.kind_weights {
         builder = builder.with_paper_spec(PaperSpecParams::default(), job.seed);
     }
-    // Only hardening reads the decomposition tree; analyze and validate are
-    // graph-exact.
-    if job.endpoint == Endpoint::Harden {
-        builder = builder.with_structure(&network.built);
-    }
+    // Hardening reads the decomposition tree; analyze and validate sweep
+    // the graph through the network's plan. Both are built once per
+    // network and shared.
+    builder = if job.endpoint == Endpoint::Harden {
+        builder.with_validated_tree(network.tree()?)
+    } else {
+        builder.with_plan(network.plan(job.sib_policy))
+    };
     let session = builder.build();
     deadline.check("parse")?;
 
@@ -1197,26 +1258,26 @@ pub fn execute_with(
             // registered networks no longer pay the per-job tree build, and
             // a `mode_range` shard evaluates just its slice of the exact
             // same table.
-            let options = AnalysisOptions { mode: job.mode, sib_policy: job.sib_policy };
-            let total = robust_rsn::mode_count(session.network(), &options) as u64;
-            if let Some((lo, hi)) = job.mode_range {
-                if hi > total {
-                    return Err(JobError::new(
-                        422,
-                        "bad_mode_range",
-                        format!("mode range {lo}..{hi} exceeds mode count {total}"),
-                    ));
-                }
-                let damages = robust_rsn::analyze_mode_range_with_cancel(
-                    session.network(),
-                    session.spec(),
-                    &options,
-                    threads,
-                    &deadline.cancel_token(),
-                    lo as usize,
-                    hi as usize,
-                )
-                .map_err(|e| JobError::from(SessionError::from(e)))?;
+            let plan = session.plan();
+            let total = plan.mode_count() as u64;
+            let (lo, hi) = job.mode_range.unwrap_or((0, total));
+            if hi > total {
+                return Err(JobError::new(
+                    422,
+                    "bad_mode_range",
+                    format!("mode range {lo}..{hi} exceeds mode count {total}"),
+                ));
+            }
+            let damages = analyze_mode_range(
+                plan,
+                session.network(),
+                session.spec(),
+                threads,
+                &deadline.cancel_token(),
+                lo as usize..hi as usize,
+            )
+            .map_err(|e| JobError::from(SessionError::from(e)))?;
+            if job.mode_range.is_some() {
                 let response = AnalyzeShardResponse {
                     network: session.network().name().to_string(),
                     mode_count: total,
@@ -1226,22 +1287,8 @@ pub fn execute_with(
                 };
                 serialize(&response)?
             } else {
-                let damages = robust_rsn::analyze_mode_range_with_cancel(
-                    session.network(),
-                    session.spec(),
-                    &options,
-                    threads,
-                    &deadline.cancel_token(),
-                    0,
-                    total as usize,
-                )
-                .map_err(|e| JobError::from(SessionError::from(e)))?;
-                let crit = robust_rsn::criticality_from_mode_damages(
-                    session.network(),
-                    &options,
-                    &damages,
-                )
-                .expect("full-range sweep matches its own mode count");
+                let crit = merge_mode_damages(plan, session.network(), job.mode, &damages)
+                    .expect("full-range sweep matches its own mode count");
                 let summary = CriticalitySummary::new(session.network(), &crit, job.top);
                 if job.exact_double {
                     deadline.check("criticality")?;
@@ -1316,6 +1363,7 @@ pub fn build_workspace_with(
     deadline.check("start")?;
     let options = AnalysisOptions { mode: job.mode, sib_policy: job.sib_policy };
     let mut builder = Workspace::builder(Arc::clone(&network.net))
+        .with_plan(network.plan(job.sib_policy))
         .with_options(options)
         .with_parallelism(threads)
         .with_cancel(deadline.cancel_token());
@@ -1871,6 +1919,31 @@ mod tests {
         assert_eq!(ws.modes_swept(), 3 * modes, "one sweep per exclude, none per undo");
         let resp: WhatifResponse = serde_json::from_str(&first).unwrap();
         assert_eq!(resp.recomputed_modes, modes, "the edit reports every mode");
+    }
+
+    /// Workspaces share their network's plan, so an edit to one must reach
+    /// neither an analyze of the same network nor a second workspace.
+    #[test]
+    fn set_weights_on_one_workspace_leaves_the_shared_plan_alone() {
+        let parsed = ParsedNetwork::from_text(NET).unwrap();
+        let (job, analyze) = (whatif_job("harden", "a"), analyze_job());
+        let run = |job: &ResolvedJob| {
+            execute_with(job, &parsed, Parallelism::sequential(), &Deadline::none()).unwrap()
+        };
+        let build = || {
+            build_workspace_with(&job, &parsed, Parallelism::sequential(), &Deadline::none())
+                .unwrap()
+        };
+        let before = run(&analyze);
+        let (mut edited, other) = (build(), build());
+        assert!(Arc::ptr_eq(edited.plan(), other.plan()), "one plan per network and policy");
+        assert!(Arc::ptr_eq(edited.plan(), &parsed.plan(job.sib_policy)));
+        let other_before = serialize(&other.summary(job.top)).unwrap();
+        let instrument = edited.network().instruments().next().unwrap().0;
+        edited.edit(WorkspaceDelta::SetWeights { instrument, obs: 1_000, set: 1_000 }).unwrap();
+        assert_ne!(serialize(&edited.summary(job.top)).unwrap(), other_before);
+        assert_eq!(serialize(&other.summary(job.top)).unwrap(), other_before);
+        assert_eq!(run(&analyze), before, "an analyze after the edit answers the same bytes");
     }
 
     #[test]

@@ -9,12 +9,14 @@
 //! configuration reuses one parsed, fully-swept [`Workspace`] and pays only
 //! the incremental delta.
 //!
-//! Entries are `Arc<Mutex<Workspace>>`: the cache lock is held only for the
-//! map lookup, never during an analysis, and a workspace evicted while a
-//! worker still holds its `Arc` simply finishes that job and drops. Like the
-//! result cache, the full key string is stored alongside the hash so a
-//! 64-bit collision degrades to a miss instead of answering from the wrong
-//! network.
+//! Entries are [`WorkspaceSlot`]s, `Arc<Mutex<Option<Workspace>>>`: the
+//! cache lock is held only for the map lookup, never during an analysis,
+//! and a workspace evicted while a worker still holds its `Arc` simply
+//! finishes that job and drops. A slot is `None` while its first user
+//! builds the workspace under the slot's lock, so concurrent users of the
+//! same key wait for that one build. Like the result cache, the full key
+//! string is stored alongside the hash so a 64-bit collision degrades to a
+//! miss instead of answering from the wrong network.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -23,9 +25,12 @@ use robust_rsn::Workspace;
 
 use crate::cache::fnv1a;
 
+/// A cached workspace: `None` until its builder stores it.
+pub type WorkspaceSlot = Arc<Mutex<Option<Workspace>>>;
+
 struct Entry {
     key: String,
-    workspace: Arc<Mutex<Workspace>>,
+    workspace: WorkspaceSlot,
     last_used: u64,
 }
 
@@ -66,7 +71,7 @@ impl WorkspaceCache {
     }
 
     /// Looks up the workspace for `key`, refreshing its recency on a hit.
-    pub fn get(&mut self, key: &str) -> Option<Arc<Mutex<Workspace>>> {
+    pub fn get(&mut self, key: &str) -> Option<WorkspaceSlot> {
         self.tick += 1;
         let entry = self.entries.get_mut(&fnv1a(key.as_bytes()))?;
         if entry.key != key {
@@ -78,7 +83,7 @@ impl WorkspaceCache {
 
     /// Stores `workspace` under `key`, evicting the least-recently-used
     /// entry when at capacity.
-    pub fn put(&mut self, key: &str, workspace: Arc<Mutex<Workspace>>) {
+    pub fn put(&mut self, key: &str, workspace: WorkspaceSlot) {
         if self.capacity == 0 {
             return;
         }
@@ -108,11 +113,11 @@ mod tests {
     use robust_rsn::Workspace;
     use rsn_model::{InstrumentKind, Structure};
 
-    fn workspace(name: &str) -> Arc<Mutex<Workspace>> {
+    fn workspace(name: &str) -> WorkspaceSlot {
         let s = Structure::series(vec![Structure::instrument_seg("a", 2, InstrumentKind::Generic)]);
         let (net, built) = s.build(name).unwrap();
         let ws = Workspace::builder(net).with_structure(&built).build_workspace().unwrap();
-        Arc::new(Mutex::new(ws))
+        Arc::new(Mutex::new(Some(ws)))
     }
 
     #[test]

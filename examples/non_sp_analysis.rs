@@ -9,7 +9,8 @@
 //! Run with `cargo run --example non_sp_analysis`.
 
 use robust_rsn::{
-    analyze_graph, oracle_damage, AnalysisOptions, CancelToken, CriticalitySpec, Parallelism,
+    analyze_graph, oracle_damage, AnalysisOptions, AnalysisPlan, CancelToken, CriticalitySpec,
+    Parallelism,
 };
 use rsn_model::{ControlSource, InstrumentKind, NetworkBuilder, Segment};
 
@@ -47,7 +48,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // configuration-enumeration oracle.
     let spec = CriticalitySpec::from_kinds(&net);
     let options = AnalysisOptions::default();
-    let crit = analyze_graph(&net, &spec, &options, Parallelism::default(), &CancelToken::none())?;
+    let plan = AnalysisPlan::new(&net, options.sib_policy);
+    let (par, none) = (Parallelism::default(), &CancelToken::none());
+    let crit = analyze_graph(&plan, &net, &spec, options.mode, par, none)?;
     println!("\nper-primitive damage (graph analysis vs exhaustive oracle):");
     for j in net.primitives() {
         let oracle = oracle_damage(&net, &spec, j, &options);

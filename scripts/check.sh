@@ -57,6 +57,10 @@ cargo test --offline -q -p robust-rsn --test prop_batch_kernel batch_matches_ref
 echo "==> articulation-first smoke (ring_of_rings, batch vs reference)"
 cargo test --offline -q -p robust-rsn --test prop_sparse_kernel batch_matches_reference_on_ring_of_rings
 
+echo "==> shared-plan differential (one plan across specs vs throw-away plans and the reference)"
+cargo test --offline --release -q -p robust-rsn --test prop_batch_kernel \
+    shared_plan_matches_throwaway_plans_and_the_reference
+
 echo "==> harden encoder differential (front encoder vs serde oracle, every solver)"
 cargo test --offline -q -p rsn-serve --test harden_encoder
 

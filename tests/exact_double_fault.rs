@@ -9,8 +9,8 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use robust_rsn::graph_analysis::double_fault_pair_damages;
 use robust_rsn::{
-    double_fault_damage, fault_set_damage, CancelToken, CriticalitySpec, PaperSpecParams,
-    Parallelism, SibCellPolicy,
+    double_fault_damage, fault_set_damage, AnalysisPlan, CancelToken, CriticalitySpec,
+    PaperSpecParams, Parallelism, SibCellPolicy,
 };
 use rsn_benchmarks::by_name;
 use rsn_model::{enumerate_single_faults, Fault};
@@ -32,12 +32,11 @@ fn check_design(name: &str) {
     let n = pool.len();
     let none = CancelToken::none();
     let par = Parallelism::new(4);
+    let plan = AnalysisPlan::new(&net, SibCellPolicy::Combined);
 
-    let exact =
-        double_fault_pair_damages(&net, &spec, &[], SibCellPolicy::Combined, par, &none).unwrap();
+    let exact = double_fault_pair_damages(&plan, &net, &spec, &[], par, &none).unwrap();
     assert_eq!(exact.len(), n * (n - 1) / 2, "{name}: exact sweep must cover every pair");
-    let summary =
-        double_fault_damage(&net, &spec, &[], SibCellPolicy::Combined, par, &none).unwrap();
+    let summary = double_fault_damage(&plan, &net, &spec, &[], par, &none).unwrap();
     assert_eq!(summary.pairs, exact.len() as u64);
     assert_eq!(summary.max, exact.iter().copied().max().unwrap());
     assert_eq!(summary.min, exact.iter().copied().min().unwrap());
@@ -49,15 +48,8 @@ fn check_design(name: &str) {
     let sampled: Vec<Vec<Fault>> =
         (0..SAMPLES).map(|_| pool.choose_multiple(&mut rng, 2).copied().collect()).collect();
     for pair in &sampled {
-        let damage = fault_set_damage(
-            &net,
-            &spec,
-            pair,
-            SibCellPolicy::Combined,
-            Parallelism::sequential(),
-            &none,
-        )
-        .unwrap();
+        let damage =
+            fault_set_damage(&plan, &net, &spec, pair, Parallelism::sequential(), &none).unwrap();
         let i = pool.iter().position(|f| *f == pair[0]).unwrap();
         let j = pool.iter().position(|f| *f == pair[1]).unwrap();
         let idx = pair_index(n, i.min(j), i.max(j));

@@ -254,6 +254,18 @@ fn metrics_expose_requests_latency_and_cache_rates() {
     assert_eq!(swept(), 2 * modes, "build + exclude; the undo swept nothing");
     assert_eq!(exclude("status"), modes);
     assert_eq!(swept(), 3 * modes, "one sweep per exclude on the warm workspace");
+
+    // The analyses and what-ifs above share one network and SIB policy, so
+    // they built one analysis plan between them; twenty more analyses under
+    // fresh specs (each a result-cache miss that sweeps) build no other.
+    let plans =
+        || count(&client.metrics_text().expect("metrics"), "rsnd_analysis_plans_built_total");
+    assert_eq!(plans(), 1, "the first analyze built the plan");
+    for seed in 100..120 {
+        let response = client.submit(Endpoint::Analyze, &analyze_job(seed)).expect("submit");
+        assert_eq!(response.status, 200);
+    }
+    assert_eq!(plans(), 1, "twenty analyses on one network reuse its plan");
     stop();
 }
 
@@ -395,6 +407,39 @@ fn malformed_streamed_uploads_get_a_structured_400() {
     // The daemon stays healthy after a failed streamed upload.
     let ok = client.submit(Endpoint::Analyze, &analyze_job(1)).expect("submit");
     assert_eq!(ok.status, 200, "{}", ok.body);
+    stop();
+}
+
+#[test]
+fn concurrent_whatif_misses_build_one_workspace() {
+    let config = ServerConfig { workers: Parallelism::new(4), ..ServerConfig::default() };
+    let (client, _handle, stop) = boot(config);
+    let targets = ["mbist0", "mbist1", "dco", "boot", "status", "lane0", "lane1", "core0.cell"];
+    // Eight what-ifs of one session at once: the first miss builds the
+    // workspace while the others wait for it instead of building their own.
+    std::thread::scope(|scope| {
+        for target in targets {
+            let client = client.clone();
+            scope.spawn(move || {
+                let job = JobRequest {
+                    network: Some(demo_network()),
+                    seed: Some(11),
+                    op: Some("harden".into()),
+                    target: Some(target.into()),
+                    ..Default::default()
+                };
+                let response = client.submit(Endpoint::Whatif, &job).expect("whatif");
+                assert_eq!(response.status, 200, "{}", response.body);
+            });
+        }
+    });
+    let metrics = client.metrics_text().expect("metrics");
+    assert!(metrics.contains("rsnd_workspace_cache_misses_total 1"), "{metrics}");
+    let hits = metrics.lines().find_map(|l| l.strip_prefix("rsnd_workspace_cache_hits_total "));
+    let cached = metrics.lines().find_map(|l| l.strip_prefix("rsnd_cache_hits_total "));
+    let (hits, cached): (u64, u64) =
+        (hits.unwrap().parse().unwrap(), cached.unwrap().parse().unwrap());
+    assert_eq!(hits + cached + 1, targets.len() as u64, "every other what-if reused it: {metrics}");
     stop();
 }
 

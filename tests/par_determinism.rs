@@ -9,9 +9,9 @@
 use proptest::prelude::*;
 use robust_rsn::{
     analyze_graph, double_fault_damage, fault_set_damage, solve_exact, solve_nsga2, solve_spea2,
-    validate_criticality, AnalysisError, AnalysisOptions, AnalysisSession, CancelToken, Cancelled,
-    CostModel, CriticalitySpec, ExactSolveError, HardeningProblem, PaperSpecParams, Parallelism,
-    SibCellPolicy, Solver,
+    validate_criticality, AnalysisError, AnalysisOptions, AnalysisPlan, AnalysisSession,
+    CancelToken, Cancelled, CostModel, CriticalitySpec, ExactSolveError, HardeningProblem,
+    PaperSpecParams, Parallelism, SibCellPolicy, Solver,
 };
 use rsn_benchmarks::{random_structure, RandomParams};
 use rsn_model::enumerate_single_faults;
@@ -36,11 +36,11 @@ proptest! {
         let weights = CriticalitySpec::paper_random(&net, &PaperSpecParams::default(), spec_seed);
         let options = AnalysisOptions::default();
         let none = CancelToken::none();
-        let baseline =
-            analyze_graph(&net, &weights, &options, Parallelism::sequential(), &none).unwrap();
+        let plan = AnalysisPlan::new(&net, options.sib_policy);
+        let sweep = |par| analyze_graph(&plan, &net, &weights, options.mode, par, &none).unwrap();
+        let baseline = sweep(Parallelism::sequential());
         for threads in SWEEP {
-            let got =
-                analyze_graph(&net, &weights, &options, Parallelism::new(threads), &none).unwrap();
+            let got = sweep(Parallelism::new(threads));
             prop_assert_eq!(got.primitives(), baseline.primitives());
             for &j in baseline.primitives() {
                 prop_assert_eq!(got.damage(j), baseline.damage(j));
@@ -64,13 +64,12 @@ proptest! {
         prop_assume!(a != b);
         let faults = [pool[a], pool[b]];
         let none = CancelToken::none();
-        let baseline = fault_set_damage(
-            &net, &weights, &faults, SibCellPolicy::Combined, Parallelism::sequential(), &none,
-        );
+        let plan = AnalysisPlan::new(&net, SibCellPolicy::Combined);
+        let baseline =
+            fault_set_damage(&plan, &net, &weights, &faults, Parallelism::sequential(), &none);
         for threads in SWEEP {
-            let got = fault_set_damage(
-                &net, &weights, &faults, SibCellPolicy::Combined, Parallelism::new(threads), &none,
-            );
+            let got =
+                fault_set_damage(&plan, &net, &weights, &faults, Parallelism::new(threads), &none);
             prop_assert_eq!(got, baseline);
         }
     }
@@ -88,11 +87,10 @@ proptest! {
         let hardened: Vec<_> =
             primitives.get(hardened_pick % (primitives.len() + 1)).into_iter().copied().collect();
         let none = CancelToken::none();
+        let plan = AnalysisPlan::new(&net, SibCellPolicy::Combined);
         let sweep = |threads: usize| {
-            double_fault_damage(
-                &net, &weights, &hardened, SibCellPolicy::Combined, Parallelism::new(threads),
-                &none,
-            ).expect("within combination bound")
+            double_fault_damage(&plan, &net, &weights, &hardened, Parallelism::new(threads), &none)
+                .expect("within combination bound")
         };
         let baseline = sweep(1);
         for threads in SWEEP {
@@ -114,11 +112,13 @@ fn validate_criticality_is_invariant_under_thread_count() {
     let (net, _) = s.build("par").unwrap();
     let weights = CriticalitySpec::paper_random(&net, &PaperSpecParams::default(), 31);
     let options = AnalysisOptions::default();
+    let plan = AnalysisPlan::new(&net, options.sib_policy);
     let run = |threads: usize| {
         validate_criticality(
+            &plan,
             &net,
             &weights,
-            &options,
+            options.mode,
             Parallelism::new(threads),
             &CancelToken::none(),
         )
@@ -200,23 +200,23 @@ fn every_entry_point_returns_cancelled_under_a_pre_fired_token() {
     assert!(pool.len() >= 2);
     let fired = CancelToken::new();
     fired.cancel();
-    let policy = SibCellPolicy::Combined;
+    let plan = AnalysisPlan::new(&net, options.sib_policy);
     for threads in [1, 4] {
         let par = Parallelism::new(threads);
         assert_eq!(
-            analyze_graph(&net, &weights, &options, par, &fired),
+            analyze_graph(&plan, &net, &weights, options.mode, par, &fired),
             Err(AnalysisError::Cancelled)
         );
         assert_eq!(
-            fault_set_damage(&net, &weights, &pool[..2], policy, par, &fired),
+            fault_set_damage(&plan, &net, &weights, &pool[..2], par, &fired),
             Err(AnalysisError::Cancelled)
         );
         assert_eq!(
-            double_fault_damage(&net, &weights, &[], policy, par, &fired),
+            double_fault_damage(&plan, &net, &weights, &[], par, &fired),
             Err(AnalysisError::Cancelled)
         );
         assert_eq!(
-            validate_criticality(&net, &weights, &options, par, &fired),
+            validate_criticality(&plan, &net, &weights, options.mode, par, &fired),
             Err(AnalysisError::Cancelled)
         );
         let problem =

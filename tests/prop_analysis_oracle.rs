@@ -185,15 +185,15 @@ proptest! {
         seed in 0u64..5_000,
         options in options_strategy(),
     ) {
-        use robust_rsn::{analyze_graph, CancelToken, Parallelism};
+        use robust_rsn::{analyze_graph, AnalysisPlan, CancelToken, Parallelism};
         let s = random_structure(&RandomParams::default(), seed);
         let (net, built) = s.build("prop").unwrap();
         let tree = tree_from_structure(&net, &built);
         let weights = CriticalitySpec::paper_random(&net, &PaperSpecParams::default(), seed);
         let tree_crit = analyze(&net, &tree, &weights, &options);
-        let graph_crit =
-            analyze_graph(&net, &weights, &options, Parallelism::default(), &CancelToken::none())
-                .unwrap();
+        let plan = AnalysisPlan::new(&net, options.sib_policy);
+        let (par, none) = (Parallelism::default(), &CancelToken::none());
+        let graph_crit = analyze_graph(&plan, &net, &weights, options.mode, par, none).unwrap();
         for j in net.primitives() {
             prop_assert_eq!(tree_crit.damage(j), graph_crit.damage(j));
         }

@@ -4,13 +4,16 @@
 //! bit-identical to the `Vec<bool>` reference — per mode, and maximized over
 //! the frozen-select odometer for fault sets — on random series-parallel
 //! networks, on bridge-extended non-SP networks, at every thread count, and
-//! on partial final lane blocks (< 64 modes).
+//! on partial final lane blocks (< 64 modes). One [`AnalysisPlan`] shared
+//! across specs must sweep exactly like a throw-away plan per call.
 
 use proptest::prelude::*;
 use robust_rsn::graph_analysis::{double_fault_pair_damages, reference};
 use robust_rsn::{
-    analyze_graph, double_fault_damage, AnalysisError, AnalysisOptions, CancelToken,
-    CriticalitySpec, ModeAggregation, PaperSpecParams, Parallelism, SibCellPolicy,
+    analyze_graph, analyze_mode_range, analyze_mode_range_with_cancel,
+    criticality_from_mode_damages, double_fault_damage, merge_mode_damages, mode_count,
+    AnalysisError, AnalysisOptions, AnalysisPlan, CancelToken, CriticalitySpec, ModeAggregation,
+    PaperSpecParams, Parallelism, SibCellPolicy,
 };
 use rsn_benchmarks::{by_name, random_structure, RandomParams};
 use rsn_model::{
@@ -110,10 +113,53 @@ fn assert_batch_matches_reference(
 ) {
     let want = reference::analyze_graph_ref(net, spec, opt);
     let none = CancelToken::none();
-    let one = analyze_graph(net, spec, opt, Parallelism::new(1), &none).unwrap();
-    let four = analyze_graph(net, spec, opt, Parallelism::new(4), &none).unwrap();
+    let plan = AnalysisPlan::new(net, opt.sib_policy);
+    let one = analyze_graph(&plan, net, spec, opt.mode, Parallelism::new(1), &none).unwrap();
+    let four = analyze_graph(&plan, net, spec, opt.mode, Parallelism::new(4), &none).unwrap();
     assert_eq!(one, want, "batched sweep (1 thread) diverges from the reference");
     assert_eq!(four, want, "batched sweep (4 threads) diverges from the reference");
+}
+
+/// Sweeps `net` under two specs through one shared plan and checks, per
+/// spec, at one and three threads: the full sweep and the `cut` sub-range
+/// equal the throw-away-plan entry points, the damage vector equals the
+/// `Vec<bool>` reference, and the merge equals the throw-away merge.
+fn assert_shared_plan_matches(
+    net: &ScanNetwork,
+    options: &AnalysisOptions,
+    spec_seeds: [u64; 2],
+    cut: (f64, f64),
+) {
+    let plan = AnalysisPlan::new(net, options.sib_policy);
+    let total = plan.mode_count();
+    assert_eq!(total, mode_count(net, options));
+    let at = |x: f64| (x * total as f64) as usize;
+    let (lo, hi) = (at(cut.0.min(cut.1)), at(cut.0.max(cut.1)));
+    let none = CancelToken::none();
+    for spec_seed in spec_seeds {
+        let spec = CriticalitySpec::paper_random(net, &PaperSpecParams::default(), spec_seed);
+        let want = reference::analyze_graph_ref(net, &spec, options);
+        let seq = Parallelism::sequential();
+        let full =
+            analyze_mode_range_with_cancel(net, &spec, options, seq, &none, 0, total).unwrap();
+        for threads in [1, 3] {
+            let par = Parallelism::new(threads);
+            let shared = analyze_graph(&plan, net, &spec, options.mode, par, &none).unwrap();
+            assert_eq!(shared, want, "shared-plan sweep ({threads} threads) vs the reference");
+            let range = analyze_mode_range(&plan, net, &spec, par, &none, 0..total).unwrap();
+            assert_eq!(range, full, "shared-plan full range ({threads} threads)");
+            let sub = analyze_mode_range(&plan, net, &spec, par, &none, lo..hi).unwrap();
+            assert_eq!(sub, full[lo..hi], "shared-plan range {lo}..{hi} ({threads} threads)");
+            let throwaway =
+                analyze_mode_range_with_cancel(net, &spec, options, par, &none, lo, hi).unwrap();
+            assert_eq!(sub, throwaway, "throw-away range {lo}..{hi} ({threads} threads)");
+        }
+        let merged = merge_mode_damages(&plan, net, options.mode, &full).unwrap();
+        assert_eq!(merged, criticality_from_mode_damages(net, options, &full).unwrap());
+        for &j in want.primitives() {
+            assert_eq!(merged.damage(j), want.damage(j), "merged damage of {j}");
+        }
+    }
 }
 
 /// The joint damage of a fault set under the Combined policy, straight from
@@ -181,6 +227,22 @@ proptest! {
     }
 
     #[test]
+    fn shared_plan_matches_throwaway_plans_and_the_reference(
+        seed in 0u64..10_000,
+        bridge in 0u8..2,
+        spec_seeds in (0u64..1_000, 0u64..1_000),
+        cut in (0.0f64..1.0, 0.0f64..1.0),
+        options in options_strategy(),
+    ) {
+        let net = if bridge == 1 {
+            random_bridge_net(seed)
+        } else {
+            random_structure(&RandomParams::default(), seed).build("prop").unwrap().0
+        };
+        assert_shared_plan_matches(&net, &options, [spec_seeds.0, spec_seeds.1], cut);
+    }
+
+    #[test]
     fn exact_pairs_match_the_scalar_fault_set_path(
         seed in 0u64..5_000,
         spec_seed in 0u64..500,
@@ -188,11 +250,12 @@ proptest! {
         let net = random_bridge_net(seed);
         let spec = CriticalitySpec::paper_random(&net, &PaperSpecParams::default(), spec_seed);
         let pool = enumerate_single_faults(&net);
+        let plan = AnalysisPlan::new(&net, SibCellPolicy::Combined);
         let pairs_one = double_fault_pair_damages(
-            &net, &spec, &[], SibCellPolicy::Combined, Parallelism::new(1), &CancelToken::none(),
+            &plan, &net, &spec, &[], Parallelism::new(1), &CancelToken::none(),
         ).unwrap();
         let pairs_four = double_fault_pair_damages(
-            &net, &spec, &[], SibCellPolicy::Combined, Parallelism::new(4), &CancelToken::none(),
+            &plan, &net, &spec, &[], Parallelism::new(4), &CancelToken::none(),
         ).unwrap();
         prop_assert_eq!(&pairs_one, &pairs_four, "pair sweep must be thread-count invariant");
         prop_assert_eq!(pairs_one.len(), pool.len() * (pool.len().saturating_sub(1)) / 2);
@@ -221,16 +284,17 @@ fn cancellation_interrupts_batched_sweeps() {
     let options = AnalysisOptions::default();
     let token = CancelToken::new();
     token.cancel();
+    let plan = AnalysisPlan::new(&net, options.sib_policy);
+    let one = Parallelism::new(1);
     assert_eq!(
-        analyze_graph(&net, &spec, &options, Parallelism::new(1), &token),
+        analyze_graph(&plan, &net, &spec, options.mode, one, &token),
         Err(AnalysisError::Cancelled)
     );
     assert_eq!(
-        double_fault_damage(&net, &spec, &[], SibCellPolicy::Combined, Parallelism::new(1), &token),
+        double_fault_damage(&plan, &net, &spec, &[], one, &token),
         Err(AnalysisError::Cancelled)
     );
-    let quiet =
-        analyze_graph(&net, &spec, &options, Parallelism::new(1), &CancelToken::new()).unwrap();
+    let quiet = analyze_graph(&plan, &net, &spec, options.mode, one, &CancelToken::new()).unwrap();
     assert_eq!(quiet, reference::analyze_graph_ref(&net, &spec, &options));
 }
 

@@ -8,15 +8,17 @@
 use proptest::prelude::*;
 use robust_rsn::graph_analysis::{reference, ReachKernel};
 use robust_rsn::{
-    analyze_graph, oracle_damage, AnalysisOptions, CancelToken, CriticalitySpec, GraphCriticality,
-    ModeAggregation, PaperSpecParams, Parallelism, SibCellPolicy,
+    analyze_graph, oracle_damage, AnalysisOptions, AnalysisPlan, CancelToken, CriticalitySpec,
+    GraphCriticality, ModeAggregation, PaperSpecParams, Parallelism, SibCellPolicy,
 };
 use rsn_benchmarks::{random_structure, RandomParams};
 use rsn_model::{ControlSource, InstrumentKind, NetworkBuilder, NodeId, ScanNetwork, Segment};
 
 /// The sequential, uncancelled lane sweep.
 fn sweep(net: &ScanNetwork, spec: &CriticalitySpec, options: &AnalysisOptions) -> GraphCriticality {
-    analyze_graph(net, spec, options, Parallelism::sequential(), &CancelToken::none()).unwrap()
+    let plan = AnalysisPlan::new(net, options.sib_policy);
+    let (seq, none) = (Parallelism::sequential(), &CancelToken::none());
+    analyze_graph(&plan, net, spec, options.mode, seq, none).unwrap()
 }
 
 fn options_strategy() -> impl Strategy<Value = AnalysisOptions> {

@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 use robust_rsn::{
-    validate_criticality, AnalysisOptions, CancelToken, CriticalitySpec, Parallelism,
+    validate_criticality, AnalysisOptions, AnalysisPlan, CancelToken, CriticalitySpec, Parallelism,
 };
 use rsn_benchmarks::{random_structure, RandomParams};
 use rsn_model::{ControlSource, InstrumentKind, NetworkBuilder, ScanNetwork, Segment};
@@ -98,8 +98,10 @@ fn assert_campaign_clean(net: &ScanNetwork, spec_seed: u64) -> Result<(), TestCa
     let spec =
         CriticalitySpec::paper_random(net, &robust_rsn::PaperSpecParams::default(), spec_seed);
     let options = AnalysisOptions::default();
+    let plan = AnalysisPlan::new(net, options.sib_policy);
     let run = |threads| {
-        validate_criticality(net, &spec, &options, Parallelism::new(threads), &CancelToken::none())
+        let par = Parallelism::new(threads);
+        validate_criticality(&plan, net, &spec, options.mode, par, &CancelToken::none())
             .expect("quiet token")
     };
     let (sequential, sharded) = (run(1), run(4));

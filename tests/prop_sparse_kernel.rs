@@ -10,8 +10,8 @@
 use proptest::prelude::*;
 use robust_rsn::graph_analysis::reference;
 use robust_rsn::{
-    analyze_graph, analyze_mode_range_with_cancel, mode_count, AnalysisOptions, CancelToken,
-    CriticalitySpec, ModeAggregation, PaperSpecParams, Parallelism, SibCellPolicy,
+    analyze_graph, analyze_mode_range_with_cancel, mode_count, AnalysisOptions, AnalysisPlan,
+    CancelToken, CriticalitySpec, ModeAggregation, PaperSpecParams, Parallelism, SibCellPolicy,
 };
 use rsn_benchmarks::giant::{deep_sib_tree, multi_chiplet, ring_of_rings};
 use rsn_model::ScanNetwork;
@@ -40,10 +40,10 @@ fn options_strategy() -> impl Strategy<Value = AnalysisOptions> {
 
 fn assert_matches_reference(net: &ScanNetwork, spec: &CriticalitySpec, options: &AnalysisOptions) {
     let want = reference::analyze_graph_ref(net, spec, options);
+    let plan = AnalysisPlan::new(net, options.sib_policy);
     for threads in [1, 3] {
-        let got =
-            analyze_graph(net, spec, options, Parallelism::new(threads), &CancelToken::none())
-                .unwrap();
+        let par = Parallelism::new(threads);
+        let got = analyze_graph(&plan, net, spec, options.mode, par, &CancelToken::none()).unwrap();
         assert_eq!(got, want, "batched sweep ({threads} threads) diverges from the reference");
     }
 }
