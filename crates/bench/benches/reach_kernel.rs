@@ -16,6 +16,9 @@
 //!   labels builds the network's [`AnalysisPlan`] inside the timed loop,
 //!   like a one-shot caller; `p93791_planned` sweeps through a prebuilt
 //!   plan, like a daemon request against a registered network;
+//! * `reach_kernel/plan` — the spec-independent analysis state of p93791:
+//!   `build` is `AnalysisPlan::new` (mode table, control-cell map and kernel
+//!   graph), `kernel` folds one spec over the plan's graph;
 //! * `double_fault/exact` — the exact all-pairs double-fault sweep on the
 //!   mid-size Table I designs (lane-packed pair enumeration) through a
 //!   prebuilt plan;
@@ -130,6 +133,16 @@ fn batch_sweep(c: &mut Criterion) {
     group.finish();
 }
 
+fn plan(c: &mut Criterion) {
+    let (net, weights) = largest_network();
+    let policy = AnalysisOptions::default().sib_policy;
+    let plan = AnalysisPlan::new(&net, policy);
+    let mut group = c.benchmark_group("reach_kernel/plan");
+    group.bench_function("build", |b| b.iter(|| AnalysisPlan::new(&net, policy)));
+    group.bench_function("kernel", |b| b.iter(|| plan.kernel(&net, &weights).expect("fits")));
+    group.finish();
+}
+
 fn double_fault_exact(c: &mut Criterion) {
     let mut group = c.benchmark_group("double_fault/exact");
     group.sample_size(10);
@@ -198,5 +211,13 @@ fn fault_set(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, mode_damage, graph_analysis, batch_sweep, double_fault_exact, fault_set);
+criterion_group!(
+    benches,
+    mode_damage,
+    graph_analysis,
+    batch_sweep,
+    plan,
+    double_fault_exact,
+    fault_set
+);
 criterion_main!(benches);

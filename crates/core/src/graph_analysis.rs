@@ -835,20 +835,53 @@ pub fn analyze_graph_with(
     }
 }
 
-/// Controlled muxes per control cell under [`SibCellPolicy::Combined`]
-/// (empty per-node lists otherwise).
-pub(crate) fn controlled_muxes(net: &ScanNetwork, policy: SibCellPolicy) -> Vec<Vec<NodeId>> {
-    let mut controlled: Vec<Vec<NodeId>> = vec![Vec::new(); net.node_count()];
-    if policy == SibCellPolicy::Combined {
-        for m in net.muxes() {
-            if let Some(ControlSource::Cell { segment, .. }) =
-                net.node(m).kind.as_mux().map(|x| x.control)
-            {
-                controlled[segment.index()].push(m);
+/// The multiplexers each control cell drives, under
+/// [`SibCellPolicy::Combined`] (none under `SegmentOnly`), in `net.muxes()`
+/// order per cell: one flat list with cumulative offsets per node, so a
+/// network-sized plan holds one `u32` per node rather than one `Vec`.
+#[derive(Debug, Default)]
+pub(crate) struct ControlledMuxes {
+    /// Cumulative end offsets into `muxes` per node index (empty when no
+    /// cell controls a mux).
+    ends: Vec<u32>,
+    muxes: Vec<NodeId>,
+}
+
+impl ControlledMuxes {
+    pub(crate) fn new(net: &ScanNetwork, policy: SibCellPolicy) -> Self {
+        let mut by_cell: Vec<(NodeId, NodeId)> = Vec::new();
+        if policy == SibCellPolicy::Combined {
+            for m in net.muxes() {
+                if let Some(ControlSource::Cell { segment, .. }) =
+                    net.node(m).kind.as_mux().map(|x| x.control)
+                {
+                    by_cell.push((segment, m));
+                }
             }
         }
+        if by_cell.is_empty() {
+            return Self::default();
+        }
+        // A stable sort keeps each cell's muxes in network order.
+        by_cell.sort_by_key(|&(cell, _)| cell);
+        let mut ends = vec![0u32; net.node_count()];
+        for &(cell, _) in &by_cell {
+            ends[cell.index()] += 1;
+        }
+        let mut total = 0;
+        for end in &mut ends {
+            total += *end;
+            *end = total;
+        }
+        Self { ends, muxes: by_cell.into_iter().map(|(_, m)| m).collect() }
     }
-    controlled
+
+    /// The multiplexers `cell` controls (empty for any other node).
+    pub(crate) fn of(&self, cell: NodeId) -> &[NodeId] {
+        let Some(&end) = self.ends.get(cell.index()) else { return &[] };
+        let start = if cell.index() == 0 { 0 } else { self.ends[cell.index() - 1] };
+        &self.muxes[start as usize..end as usize]
+    }
 }
 
 /// A per-mode visitor: `(broken segments, frozen selects)`.
@@ -858,13 +891,13 @@ pub(crate) type ModeVisitor<'a> = dyn FnMut(&[NodeId], &[(NodeId, usize)]) + 'a;
 /// analysis order, calling `visit(broken, frozen)` once per mode: every stuck
 /// port for a mux, the plain broken mode for an uncontrolled segment, and the
 /// odometer over frozen-select combinations for a control cell with
-/// [`SibCellPolicy::Combined`] (encoded by a non-empty `controlled[j]`).
+/// [`SibCellPolicy::Combined`] (encoded by a non-empty `controlled.of(j)`).
 ///
 /// The validation campaign replays exactly this enumeration, so any
 /// simulation/analysis diff is attributable to a specific shared mode index.
 pub(crate) fn for_each_mode(
     net: &ScanNetwork,
-    controlled: &[Vec<NodeId>],
+    controlled: &ControlledMuxes,
     j: NodeId,
     visit: &mut ModeVisitor<'_>,
 ) {
@@ -875,7 +908,7 @@ pub(crate) fn for_each_mode(
             }
         }
         NodeKind::Segment(_) => {
-            for_each_combination(net, &[j], &[], &controlled[j.index()], &mut Vec::new(), visit);
+            for_each_combination(net, &[j], &[], controlled.of(j), &mut Vec::new(), visit);
         }
         _ => unreachable!("primitives are segments or muxes"),
     }
@@ -953,7 +986,7 @@ struct SetBuffers {
 /// [`MAX_FROZEN_COMBINATIONS`] combinations; `table` is then unchanged.
 fn expand_fault_set(
     net: &ScanNetwork,
-    controlled: &[Vec<NodeId>],
+    controlled: &ControlledMuxes,
     faults: &[Fault],
     table: &mut ModeTable,
     buf: &mut SetBuffers,
@@ -969,7 +1002,7 @@ fn expand_fault_set(
         }
     }
     for b in broken.iter() {
-        for &m in &controlled[b.index()] {
+        for &m in controlled.of(*b) {
             if !stuck.iter().any(|&(s, _)| s == m) && !free.contains(&m) {
                 free.push(m);
             }
@@ -1011,7 +1044,7 @@ const SET_GROUP: usize = 1 << 10;
 pub(crate) fn fault_set_damages<S: AsRef<[Fault]> + Sync>(
     kernel: &ReachKernel,
     net: &ScanNetwork,
-    controlled: &[Vec<NodeId>],
+    controlled: &ControlledMuxes,
     sets: impl IntoIterator<Item = S>,
     parallelism: Parallelism,
     cancel: &CancelToken,
@@ -1187,7 +1220,7 @@ pub fn double_fault_pair_damages(
 #[doc(hidden)]
 pub mod reference {
     use super::{
-        aggregate_mode_damages, controlled_muxes, for_each_mode, AnalysisOptions, CriticalitySpec,
+        aggregate_mode_damages, for_each_mode, AnalysisOptions, ControlledMuxes, CriticalitySpec,
         GraphCriticality, NodeId, ScanNetwork,
     };
 
@@ -1202,7 +1235,7 @@ pub mod reference {
     ) -> GraphCriticality {
         let primitives: Vec<NodeId> = net.primitives().collect();
         let mut damage = vec![0; net.node_count()];
-        let controlled = controlled_muxes(net, options.sib_policy);
+        let controlled = ControlledMuxes::new(net, options.sib_policy);
         for &j in &primitives {
             let mut mode_damages = Vec::new();
             for_each_mode(net, &controlled, j, &mut |broken, frozen| {

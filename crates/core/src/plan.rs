@@ -31,7 +31,7 @@ use rsn_model::{NodeId, ScanNetwork};
 
 use crate::criticality::SibCellPolicy;
 use crate::graph_analysis::{
-    controlled_muxes, for_each_mode, AnalysisError, KernelGraph, ReachKernel,
+    for_each_mode, AnalysisError, ControlledMuxes, KernelGraph, ReachKernel,
 };
 use crate::spec::CriticalitySpec;
 
@@ -42,9 +42,9 @@ pub struct AnalysisPlan {
     policy: SibCellPolicy,
     node_count: usize,
     primitives: Vec<NodeId>,
-    /// Controlled muxes per control cell under [`SibCellPolicy::Combined`]
-    /// (empty per-node lists otherwise).
-    controlled: Vec<Vec<NodeId>>,
+    /// The muxes each control cell drives under [`SibCellPolicy::Combined`]
+    /// (none otherwise).
+    controlled: ControlledMuxes,
     /// The canonical single-fault table; group `k` holds the modes of
     /// `primitives[k]`.
     table: ModeTable,
@@ -60,7 +60,7 @@ impl AnalysisPlan {
     /// nothing spec-dependent is computed.
     #[must_use]
     pub fn new(net: &ScanNetwork, policy: SibCellPolicy) -> Self {
-        let controlled = controlled_muxes(net, policy);
+        let controlled = ControlledMuxes::new(net, policy);
         let table = ModeTable::single_faults(net, &controlled);
         Self {
             policy,
@@ -96,9 +96,9 @@ impl AnalysisPlan {
         &self.table
     }
 
-    /// Controlled muxes per control cell (empty lists unless the policy is
+    /// The muxes each control cell drives (none unless the policy is
     /// [`SibCellPolicy::Combined`]).
-    pub(crate) fn controlled(&self) -> &[Vec<NodeId>] {
+    pub(crate) fn controlled(&self) -> &ControlledMuxes {
         &self.controlled
     }
 
@@ -154,7 +154,7 @@ pub(crate) struct ModeTable {
 impl ModeTable {
     /// The canonical single-fault table: the `for_each_mode` enumeration of
     /// every primitive, one group per primitive in `net.primitives()` order.
-    fn single_faults(net: &ScanNetwork, controlled: &[Vec<NodeId>]) -> Self {
+    fn single_faults(net: &ScanNetwork, controlled: &ControlledMuxes) -> Self {
         let mut table = Self::default();
         for j in net.primitives() {
             for_each_mode(net, controlled, j, &mut |broken, frozen| table.push(broken, frozen));

@@ -729,7 +729,7 @@ impl Workspace {
         if !self.net.node(s).kind.is_segment() {
             return Err(WorkspaceError::InvalidDelta(format!("node {s} is not a segment")));
         }
-        if !self.plan.controlled()[s.index()].is_empty() {
+        if !self.plan.controlled().of(s).is_empty() {
             return Err(WorkspaceError::InvalidDelta(format!(
                 "segment {s} controls multiplexers; exclusion is not supported for control cells"
             )));
@@ -890,8 +890,7 @@ mod tests {
             .network()
             .segments()
             .find(|&s| {
-                ws.plan.controlled()[s.index()].is_empty()
-                    && ws.network().instrument_at(s).is_some()
+                ws.plan.controlled().of(s).is_empty() && ws.network().instrument_at(s).is_some()
             })
             .expect("plain segment");
         let report = ws.edit(WorkspaceDelta::ExcludeSegment { segment: seg }).expect("exclude");
@@ -910,7 +909,7 @@ mod tests {
 
     /// The plain (non-control-cell) segments of `ws`, ascending.
     fn plain_segments(ws: &Workspace) -> Vec<NodeId> {
-        ws.network().segments().filter(|&s| ws.plan.controlled()[s.index()].is_empty()).collect()
+        ws.network().segments().filter(|&s| ws.plan.controlled().of(s).is_empty()).collect()
     }
 
     fn summary_bytes(ws: &Workspace) -> String {
@@ -1078,7 +1077,7 @@ mod tests {
         let cell = ws
             .network()
             .segments()
-            .find(|&s| !ws.plan.controlled()[s.index()].is_empty())
+            .find(|&s| !ws.plan.controlled().of(s).is_empty())
             .expect("SIB cells control muxes");
         let err = ws.edit(WorkspaceDelta::ExcludeSegment { segment: cell }).expect_err("rejected");
         assert_eq!(err.code(), "invalid_delta");
@@ -1091,7 +1090,7 @@ mod tests {
         let seg = ws
             .network()
             .segments()
-            .find(|&s| ws.plan.controlled()[s.index()].is_empty())
+            .find(|&s| ws.plan.controlled().of(s).is_empty())
             .expect("plain segment");
         let cancel = CancelToken::new();
         cancel.cancel();
