@@ -30,7 +30,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use robust_rsn::graph_analysis::reference;
 use robust_rsn::{
     analyze_graph, double_fault_damage, fault_set_damage, AnalysisOptions, AnalysisPlan,
-    CancelToken, CriticalitySpec, GraphCriticality, PaperSpecParams, Parallelism, SibCellPolicy,
+    CancelToken, Criticality, CriticalitySpec, PaperSpecParams, Parallelism, SibCellPolicy,
 };
 use rsn_benchmarks::{by_name, giant};
 use rsn_model::{enumerate_single_faults, ControlSource, Fault, ScanNetwork};
@@ -41,7 +41,7 @@ fn sweep(
     weights: &CriticalitySpec,
     options: &AnalysisOptions,
     par: Parallelism,
-) -> GraphCriticality {
+) -> Criticality {
     let plan = AnalysisPlan::new(net, options.sib_policy);
     planned_sweep(&plan, net, weights, options, par)
 }
@@ -53,7 +53,7 @@ fn planned_sweep(
     weights: &CriticalitySpec,
     options: &AnalysisOptions,
     par: Parallelism,
-) -> GraphCriticality {
+) -> Criticality {
     analyze_graph(plan, net, weights, options.mode, par, &CancelToken::none())
         .expect("sweep completes")
 }

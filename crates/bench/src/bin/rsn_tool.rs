@@ -79,6 +79,7 @@
 //! use the paper's randomized §VI specification seeded by `--seed`
 //! (default 2022), or instrument-kind defaults with `--kind-weights`.
 
+use std::io::Write;
 use std::process::ExitCode;
 
 use moea::{Nsga2Config, Spea2Config};
@@ -87,9 +88,9 @@ use robust_rsn::{
     CancelToken, CostModel, CriticalitySpec, Diagnosis, ExactSolveError, FaultDictionary,
     HardeningProblem, PaperSpecParams, Parallelism, SessionError, Solver,
 };
-use rsn_model::{format::parse_network, icl::import_icl, ScanNetwork, Structure};
+use rsn_model::{format::parse_network, icl::import_icl, BuiltStructure, ScanNetwork, Structure};
 use rsn_serve::{parse_error, Client, Endpoint, JobRequest, RetryPolicy, Server, ServerConfig};
-use rsn_sp::{recognize, render::render_tree, tree_from_structure, DecompTree, Leaf};
+use rsn_sp::{recognize, render::write_tree, tree_from_structure, DecompTree};
 
 fn main() -> ExitCode {
     match run() {
@@ -254,7 +255,7 @@ fn run() -> Result<(), String> {
 
     match command.as_str() {
         "stats" => {
-            let (net, _, _) = load(&target)?;
+            let (net, _) = load(&target)?;
             let s = net.stats();
             println!("network:     {}", net.name());
             println!("segments:    {}", s.segments);
@@ -265,12 +266,14 @@ fn run() -> Result<(), String> {
             Ok(())
         }
         "tree" => {
-            let (net, tree, _) = load(&target)?;
-            print!("{}", render_tree(&tree, &net, |_| None));
-            Ok(())
+            let (net, tree) = load_with_tree(&target)?;
+            let mut out = std::io::BufWriter::new(std::io::stdout().lock());
+            write_tree(&tree, &net, |_| None, &mut out)
+                .and_then(|()| out.flush())
+                .map_err(|e| format!("writing the tree: {e}"))
         }
         "analyze" => {
-            let (net, tree, _) = load(&target)?;
+            let (net, tree) = load_with_tree(&target)?;
             let spec = weights(&net, &opts);
             let crit = analyze(&net, &tree, &spec, &AnalysisOptions::default());
             println!("total single-fault damage: {}", crit.total_damage());
@@ -292,16 +295,16 @@ fn run() -> Result<(), String> {
             Ok(())
         }
         "harden" => {
-            let (net, tree, _) = load(&target)?;
+            let (net, tree) = load_with_tree(&target)?;
             harden(&net, &tree, &opts)
         }
         "export-icl" => {
-            let (net, _, _) = load(&target)?;
+            let (net, _) = load(&target)?;
             print!("{}", rsn_model::icl::export_icl(&net));
             Ok(())
         }
         "diagnose" => {
-            let (net, _, _) = load(&target)?;
+            let (net, _) = load(&target)?;
             let spec = opts.fault.as_deref().ok_or("diagnose needs --fault <node>[:port]")?;
             let (node_name, port) = match spec.split_once(':') {
                 Some((n, p)) => (n, Some(p.parse::<u16>().map_err(|_| format!("bad port {p:?}"))?)),
@@ -803,22 +806,29 @@ fn weights(net: &ScanNetwork, opts: &Options) -> CriticalitySpec {
     }
 }
 
-type Loaded = (ScanNetwork, DecompTree, Option<Structure>);
-
 /// Loads `.rsn` (structural DSL) or `.icl` (flat IEEE 1687 subset) files.
-fn load(path: &str) -> Result<Loaded, String> {
+/// An `.rsn` file also yields its built structure, the decomposition tree's
+/// source; no tree is built, so non-series-parallel ICL networks load too.
+fn load(path: &str) -> Result<(ScanNetwork, Option<BuiltStructure>), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     if path.ends_with(".icl") {
-        let net = import_icl(&text).map_err(|e| e.to_string())?;
-        let tree = recognize(&net).map_err(|e| e.to_string())?;
-        return Ok((net, tree, None));
+        return Ok((import_icl(&text).map_err(|e| e.to_string())?, None));
     }
     let (name, structure) = parse_network(&text).map_err(|e| e.to_string())?;
     let (net, built) = structure.build(name).map_err(|e| e.to_string())?;
-    let tree = tree_from_structure(&net, &built);
-    // Leaf is re-exported for annotation closures; silence unused warning.
-    let _: Option<Leaf> = None;
-    Ok((net, tree, Some(structure)))
+    Ok((net, Some(built)))
+}
+
+/// [`load`] plus the decomposition tree the O(N) analysis runs on: lowered
+/// from an `.rsn` structure, recognized from an `.icl` graph (which fails
+/// for a non-series-parallel network).
+fn load_with_tree(path: &str) -> Result<(ScanNetwork, DecompTree), String> {
+    let (net, built) = load(path)?;
+    let tree = match &built {
+        Some(built) => tree_from_structure(&net, built),
+        None => recognize(&net).map_err(|e| e.to_string())?,
+    };
+    Ok((net, tree))
 }
 
 fn parse<T: std::str::FromStr>(s: &str) -> Result<T, String> {

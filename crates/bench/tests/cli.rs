@@ -181,6 +181,80 @@ fn icl_files_load_via_graph_recognition() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
 }
 
+/// A non-series-parallel ICL network: register `b` feeds both the `M1`
+/// group and, past it, register `c`, so no SP decomposition exists.
+const BRIDGE_ICL: &str = "Module bridge {
+  ScanInPort SI;
+  ScanOutPort SO { Source d; }
+  DataInPort s1;
+  DataInPort s2;
+  ScanRegister a[3:0] { ScanInSource SI; Attribute instrument = \"sensor\"; }
+  ScanRegister b[3:0] { ScanInSource SI; Attribute instrument = \"bist\"; }
+  ScanMux M1 SelectedBy s1 {
+    1'b0 : a;
+    1'b1 : b;
+  }
+  ScanRegister c[3:0] { ScanInSource b; Attribute instrument = \"debug\"; }
+  ScanMux M2 SelectedBy s2 {
+    1'b0 : M1;
+    1'b1 : c;
+  }
+  ScanRegister d[3:0] { ScanInSource M2; Attribute instrument = \"generic\"; }
+}
+";
+
+/// Writes `text` to a fresh file `name` in a directory of its own.
+fn scratch_file(dir: &str, name: &str, text: &[u8]) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(name);
+    std::fs::write(&path, text).unwrap();
+    path
+}
+
+#[test]
+fn subcommands_without_a_tree_accept_non_sp_icl_networks() {
+    let path = scratch_file("rsn_tool_bridge_test", "bridge.icl", BRIDGE_ICL.as_bytes());
+    let icl = path.to_str().unwrap();
+    let out = rsn_tool().args(["stats", icl]).output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("segments:    4"), "{text}");
+    // The graph-exact campaign is the check that exists for such networks.
+    let out = rsn_tool().args(["validate", icl]).output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    // The tree analysis still needs a decomposition.
+    let out = rsn_tool().args(["analyze", icl]).output().unwrap();
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("series-parallel"));
+    std::fs::remove_dir_all(path.parent().unwrap()).ok();
+}
+
+/// `rsn_tool gen deep-sib --segments 20000 --seed 2022`: a 10,000-level
+/// SIB tower whose decomposition tree is lowered without call-stack
+/// recursion. Its `tree` rendering grows with the square of the depth
+/// (gigabytes), so it is discarded.
+#[test]
+fn a_twenty_thousand_segment_sib_tower_loads_renders_and_analyzes() {
+    let gen = rsn_tool()
+        .args(["gen", "deep-sib", "--segments", "20000", "--seed", "2022"])
+        .output()
+        .unwrap();
+    assert!(gen.status.success(), "{}", String::from_utf8_lossy(&gen.stderr));
+    let path = scratch_file("rsn_tool_tower_test", "deep10000.rsn", &gen.stdout);
+    let tower = path.to_str().unwrap();
+    let out = rsn_tool().args(["stats", tower]).output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("segments:    20001"));
+    let status =
+        rsn_tool().args(["tree", tower]).stdout(std::process::Stdio::null()).status().unwrap();
+    assert!(status.success(), "tree: {status}");
+    let out = rsn_tool().args(["analyze", tower]).output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("total single-fault damage:"));
+    std::fs::remove_dir_all(path.parent().unwrap()).ok();
+}
+
 #[test]
 fn diagnose_identifies_an_injected_fault() {
     let out = rsn_tool().args(["diagnose", demo_path(), "--fault", "core0.cell"]).output().unwrap();

@@ -273,6 +273,22 @@ mod tests {
         assert_ne!(a, multi_chiplet(3, 30, 12, 8));
     }
 
+    /// The 20k-segment tower of `rsn_tool gen deep-sib --segments 20000
+    /// --seed 2022` builds, lowers to its decomposition tree and validates
+    /// on a thread with the 2 MiB default stack a daemon worker runs on:
+    /// lowering walks its nesting with a heap stack, not the call stack.
+    #[test]
+    fn deep_sib_tower_lowers_on_a_default_worker_stack() {
+        let worker = std::thread::Builder::new().stack_size(2 << 20).spawn(|| {
+            let (net, built) = deep_sib_tree(10_000, 1, 2022).build("deep10000").unwrap();
+            assert_eq!(net.stats().segments, 20_001);
+            let tree = rsn_sp::tree_from_structure(&net, &built);
+            tree.validate(&net).unwrap();
+            assert_eq!(tree.shape().segment_leaves, 20_001);
+        });
+        worker.unwrap().join().expect("the tower lowers without overflowing the stack");
+    }
+
     #[test]
     fn giant_shapes_build_in_bounded_stack() {
         // >= 100k segments each; exercises the iterative count/build/drop

@@ -23,6 +23,8 @@ use rsn_model::{ControlSource, NodeId, ScanNetwork};
 use rsn_sp::{aggregate::subtree_sums, DecompTree, Leaf, TreeId, TreeNode};
 
 use crate::fault_effects::{broken_segment_effect, mux_stuck_effect, FaultEffect};
+use crate::plan::AnalysisPlan;
+use crate::shard::ModeDamage;
 use crate::spec::CriticalitySpec;
 
 /// How the damages of a primitive's individual fault modes (one per
@@ -36,9 +38,9 @@ pub enum ModeAggregation {
     Sum,
     /// Mean over all fault modes — the **truncating** integer mean
     /// (`sum / len`, remainder discarded, never rounded up). The graph
-    /// analysis ([`crate::analyze_graph`]) uses the exact same semantics,
-    /// pinned by a differential test, so the two analyses stay bit-identical
-    /// on series-parallel networks even when `sum % len != 0`.
+    /// analysis ([`crate::analyze_graph`]) aggregates through the same
+    /// function, and a differential test pins that the two analyses stay
+    /// bit-identical on series-parallel networks even when `sum % len != 0`.
     Mean,
 }
 
@@ -75,19 +77,33 @@ pub struct Criticality {
 }
 
 impl Criticality {
-    /// Assembles a result from per-node component vectors (all indexed by
-    /// `NodeId::index`, sized to the network's node count). Used by the
-    /// incremental [`Workspace`](crate::workspace::Workspace) engine, which
-    /// aggregates per-mode damages itself via [`aggregate`] so the assembled
-    /// values stay bit-identical to a from-scratch analysis.
-    pub(crate) fn from_parts(
-        damage: Vec<u64>,
-        obs_damage: Vec<u64>,
-        set_damage: Vec<u64>,
-        affects_important: Vec<bool>,
-        primitives: Vec<NodeId>,
-    ) -> Self {
-        Self { damage, obs_damage, set_damage, affects_important, primitives }
+    /// All-zero damages over a network of `node_count` nodes.
+    pub(crate) fn zeroed(node_count: usize, primitives: Vec<NodeId>) -> Self {
+        Self {
+            damage: vec![0; node_count],
+            obs_damage: vec![0; node_count],
+            set_damage: vec![0; node_count],
+            affects_important: vec![false; node_count],
+            primitives,
+        }
+    }
+
+    /// Records primitive `j`'s aggregated damage `d`.
+    fn put(&mut self, j: NodeId, d: ModeDamage) {
+        self.damage[j.index()] = d.total();
+        self.obs_damage[j.index()] = d.obs;
+        self.set_damage[j.index()] = d.set;
+        self.affects_important[j.index()] = d.affects_important;
+    }
+
+    /// A copy with every primitive for which `masked` holds zeroed (the
+    /// workspace's hardened and excluded primitives).
+    pub(crate) fn masked(&self, masked: impl Fn(NodeId) -> bool) -> Self {
+        let mut out = self.clone();
+        for &j in self.primitives.iter().filter(|&&j| masked(j)) {
+            out.put(j, ModeDamage::default());
+        }
+        out
     }
 
     /// The damage `d_j` of a fault in primitive `j`.
@@ -152,48 +168,62 @@ impl Criticality {
     }
 }
 
-/// Per-mode damage components.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct Mode {
-    pub(crate) obs: u64,
-    pub(crate) set: u64,
-}
-
-impl Mode {
-    pub(crate) fn total(self) -> u64 {
-        self.obs.saturating_add(self.set)
-    }
-}
-
-/// Aggregates fault modes into the reported (obs, set) pair. Under `Worst`
-/// the components are taken from the argmax mode so that obs + set always
-/// equals the reported damage.
+/// Aggregates a primitive's fault modes in one pass: the reported
+/// (obs, set) pair, and whether *some* mode affects an important
+/// instrument. Under `Worst` the components are taken from the argmax mode
+/// (the last one on ties) so that obs + set always equals the reported
+/// damage.
 ///
 /// This is the single source of truth for mode aggregation: the tree
-/// analysis, the naive reference, and the incremental workspace all call it
-/// so ties and truncating means resolve identically everywhere.
-pub(crate) fn aggregate(mode: ModeAggregation, modes: &[Mode]) -> Mode {
-    match mode {
-        ModeAggregation::Worst => {
-            modes.iter().copied().max_by_key(|m| m.total()).unwrap_or_default()
+/// analysis, the naive reference and [`fold_mode_damages`] (every
+/// graph-exact result) all call it, so ties and truncating means resolve
+/// identically everywhere. Every sum saturates, so `aggregate(..).total()`
+/// is also the worst, sum or truncated mean of the modes' totals.
+fn aggregate(mode: ModeAggregation, modes: impl IntoIterator<Item = ModeDamage>) -> ModeDamage {
+    let mut worst: Option<ModeDamage> = None;
+    let (mut obs, mut set, mut count, mut affects_important) = (0u64, 0u64, 0u64, false);
+    for m in modes {
+        if worst.is_none_or(|w| m.total() >= w.total()) {
+            worst = Some(m);
         }
-        ModeAggregation::Sum => modes.iter().fold(Mode::default(), |a, m| Mode {
-            obs: a.obs.saturating_add(m.obs),
-            set: a.set.saturating_add(m.set),
-        }),
+        obs = obs.saturating_add(m.obs);
+        set = set.saturating_add(m.set);
+        count += 1;
+        affects_important |= m.affects_important;
+    }
+    let (obs, set) = match mode {
+        ModeAggregation::Worst => worst.map_or((0, 0), |w| (w.obs, w.set)),
+        ModeAggregation::Sum => (obs, set),
         ModeAggregation::Mean => {
-            let k = modes.len().max(1) as u64;
-            let sum = modes.iter().fold(Mode::default(), |a, m| Mode {
-                obs: a.obs.saturating_add(m.obs),
-                set: a.set.saturating_add(m.set),
-            });
             // Divide the total once; split the remainder into the obs part
             // so that obs + set equals total / k consistently.
-            let total = sum.total() / k;
-            let set = sum.set / k;
-            Mode { obs: total - set.min(total), set: set.min(total) }
+            let k = count.max(1);
+            let total = obs.saturating_add(set) / k;
+            let set = (set / k).min(total);
+            (total - set, set)
         }
+    };
+    ModeDamage { obs, set, affects_important }
+}
+
+/// Folds per-mode damages into the damage vector: `damage(m)` is the
+/// damage of mode `m` of `plan`'s canonical mode table, and each
+/// primitive's group of modes is [`aggregate`]d with `mode`.
+///
+/// This is the one fold from mode damages to `d_j`: the full sweep, the
+/// shard merge, the incremental workspace, both sides of the validation
+/// campaign and the reference all go through it, so their results are
+/// bit-identical.
+pub(crate) fn fold_mode_damages(
+    plan: &AnalysisPlan,
+    mode: ModeAggregation,
+    damage: impl Fn(usize) -> ModeDamage,
+) -> Criticality {
+    let mut crit = Criticality::zeroed(plan.node_count(), plan.primitives().to_vec());
+    for (&j, modes) in plan.primitives().iter().zip(plan.table().groups()) {
+        crit.put(j, aggregate(mode, modes.map(&damage)));
     }
+    crit
 }
 
 /// Computes the damage vector `d_j` for every scan primitive of `net` in
@@ -211,14 +241,7 @@ pub fn analyze(
     spec: &CriticalitySpec,
     options: &AnalysisOptions,
 ) -> Criticality {
-    let n = net.node_count();
-    let mut result = Criticality {
-        damage: vec![0; n],
-        obs_damage: vec![0; n],
-        set_damage: vec![0; n],
-        affects_important: vec![false; n],
-        primitives: net.primitives().collect(),
-    };
+    let mut result = Criticality::zeroed(net.node_count(), net.primitives().collect());
 
     // Bottom-up subtree aggregates of the damage weights and importance
     // indicators.
@@ -249,11 +272,14 @@ pub fn analyze(
                     ),
                     None => (0, 0, false),
                 };
-                result.obs_damage[s.index()] = own_do.saturating_add(obs_acc);
-                result.set_damage[s.index()] = own_ds.saturating_add(set_acc);
-                result.damage[s.index()] =
-                    result.obs_damage[s.index()].saturating_add(result.set_damage[s.index()]);
-                result.affects_important[s.index()] = own_imp || iobs_acc > 0 || iset_acc > 0;
+                result.put(
+                    s,
+                    ModeDamage {
+                        obs: own_do.saturating_add(obs_acc),
+                        set: own_ds.saturating_add(set_acc),
+                        affects_important: own_imp || iobs_acc > 0 || iset_acc > 0,
+                    },
+                );
             }
             TreeNode::Leaf(_) => {}
             TreeNode::Series { left, right } => {
@@ -288,17 +314,20 @@ pub fn analyze(
         let Some(branches) = tree.branches_of(m) else { continue };
         let tot_obs: u64 = branches.iter().fold(0u64, |a, b| a.saturating_add(wdo[b.index()]));
         let tot_set: u64 = branches.iter().fold(0u64, |a, b| a.saturating_add(wds[b.index()]));
-        let modes: Vec<Mode> = branches
-            .iter()
-            .map(|b| Mode { obs: tot_obs - wdo[b.index()], set: tot_set - wds[b.index()] })
-            .collect();
-        let agg = aggregate(options.mode, &modes);
-        result.obs_damage[m.index()] = agg.obs;
-        result.set_damage[m.index()] = agg.set;
-        result.damage[m.index()] = agg.total();
+        let modes = branches.iter().map(|b| ModeDamage {
+            obs: tot_obs - wdo[b.index()],
+            set: tot_set - wds[b.index()],
+            affects_important: false,
+        });
         let group_importance: u64 =
             branches.iter().map(|b| iobs[b.index()] + iset[b.index()]).sum();
-        result.affects_important[m.index()] = group_importance > 0;
+        result.put(
+            m,
+            ModeDamage {
+                affects_important: group_importance > 0,
+                ..aggregate(options.mode, modes)
+            },
+        );
     }
 
     // Combined SIB control-cell semantics: a broken cell also freezes the
@@ -346,34 +375,29 @@ fn apply_combined_cells(
             [m] => mux_in_right_region(tree, &intervals, cell, *m).then_some(*m),
             _ => None,
         };
-        let base =
-            Mode { obs: result.obs_damage[cell.index()], set: result.set_damage[cell.index()] };
-        if let Some(m) = fast {
+        let base = ModeDamage {
+            obs: result.obs_damage[cell.index()],
+            set: result.set_damage[cell.index()],
+            affects_important: result.affects_important[cell.index()],
+        };
+        let agg = if let Some(m) = fast {
             let branches = tree.branches_of(m).expect("controlled mux closes a group");
             let tot_obs: u64 = branches.iter().fold(0u64, |a, b| a.saturating_add(wdo[b.index()]));
-            let modes: Vec<Mode> = branches
-                .iter()
-                .map(|b| Mode {
-                    obs: base.obs.saturating_add(tot_obs - wdo[b.index()]),
-                    set: base.set,
-                })
-                .collect();
-            let agg = aggregate(options.mode, &modes);
-            result.obs_damage[cell.index()] = agg.obs;
-            result.set_damage[cell.index()] = agg.set;
-            result.damage[cell.index()] = agg.total();
+            let modes = branches.iter().map(|b| ModeDamage {
+                obs: base.obs.saturating_add(tot_obs - wdo[b.index()]),
+                ..base
+            });
             let group_importance: u64 =
                 branches.iter().map(|b| iobs[b.index()] + iset[b.index()]).sum();
-            result.affects_important[cell.index()] |= group_importance > 0;
+            let agg = aggregate(options.mode, modes);
+            ModeDamage { affects_important: agg.affects_important || group_importance > 0, ..agg }
         } else {
             // Exotic control topology: recompute this cell exactly from the
             // per-fault disconnected sets.
-            let (agg, important) = combined_cell_naive(net, tree, spec, options, cell, muxes);
-            result.obs_damage[cell.index()] = agg.obs;
-            result.set_damage[cell.index()] = agg.set;
-            result.damage[cell.index()] = agg.total();
-            result.affects_important[cell.index()] |= important;
-        }
+            let agg = combined_cell_naive(net, tree, spec, options, cell, muxes);
+            ModeDamage { affects_important: agg.affects_important || base.affects_important, ..agg }
+        };
+        result.put(cell, agg);
     }
 }
 
@@ -450,14 +474,13 @@ fn combined_cell_naive(
     options: &AnalysisOptions,
     cell: NodeId,
     muxes: &[NodeId],
-) -> (Mode, bool) {
+) -> ModeDamage {
     let base = broken_segment_effect(net, tree, cell);
     let fan_in = |m: NodeId| net.node(m).kind.as_mux().expect("mux").fan_in();
     // Enumerate frozen-select combinations (capped; beyond the cap fall back
     // to per-mux worst which over-approximates unions conservatively).
     let combos: usize = muxes.iter().map(|&m| fan_in(m)).product();
     let mut modes = Vec::new();
-    let mut important = false;
     if combos <= 1024 {
         let mut selects = vec![0usize; muxes.len()];
         loop {
@@ -467,9 +490,7 @@ fn combined_cell_naive(
                 union.unobservable.extend(e.unobservable);
                 union.unsettable.extend(e.unsettable);
             }
-            let (mode, imp) = weigh(spec, &union);
-            modes.push(mode);
-            important |= imp;
+            modes.push(weigh(spec, &union));
             // Odometer.
             let mut k = 0;
             loop {
@@ -493,21 +514,19 @@ fn combined_cell_naive(
             // Worst single mode per mux.
             let worst = (0..fan_in(m))
                 .map(|p| mux_stuck_effect(net, tree, m, p))
-                .max_by_key(|e| weigh(spec, e).0.total())
+                .max_by_key(|e| weigh(spec, e).total())
                 .expect("muxes have inputs");
             union.unobservable.extend(worst.unobservable);
             union.unsettable.extend(worst.unsettable);
         }
-        let (mode, imp) = weigh(spec, &union);
-        modes.push(mode);
-        important = imp;
+        modes.push(weigh(spec, &union));
     }
-    (aggregate(options.mode, &modes), important)
+    aggregate(options.mode, modes)
 }
 
-/// Weighs a disconnected set with the specification; also reports whether it
-/// contains an important instrument.
-fn weigh(spec: &CriticalitySpec, effect: &FaultEffect) -> (Mode, bool) {
+/// Weighs a disconnected set with the specification; the importance flag
+/// reports whether it contains an important instrument.
+fn weigh(spec: &CriticalitySpec, effect: &FaultEffect) -> ModeDamage {
     let mut e = effect.clone();
     e.unobservable.sort_unstable();
     e.unobservable.dedup();
@@ -515,9 +534,9 @@ fn weigh(spec: &CriticalitySpec, effect: &FaultEffect) -> (Mode, bool) {
     e.unsettable.dedup();
     let obs: u64 = e.unobservable.iter().fold(0u64, |a, &i| a.saturating_add(spec.obs_weight(i)));
     let set: u64 = e.unsettable.iter().fold(0u64, |a, &i| a.saturating_add(spec.set_weight(i)));
-    let important = e.unobservable.iter().any(|&i| spec.is_important_obs(i))
+    let affects_important = e.unobservable.iter().any(|&i| spec.is_important_obs(i))
         || e.unsettable.iter().any(|&i| spec.is_important_set(i));
-    (Mode { obs, set }, important)
+    ModeDamage { obs, set, affects_important }
 }
 
 /// Reference implementation: recomputes every `d_j` from the per-fault
@@ -530,13 +549,7 @@ pub fn analyze_naive(
     options: &AnalysisOptions,
 ) -> Criticality {
     let n = net.node_count();
-    let mut result = Criticality {
-        damage: vec![0; n],
-        obs_damage: vec![0; n],
-        set_damage: vec![0; n],
-        affects_important: vec![false; n],
-        primitives: net.primitives().collect(),
-    };
+    let mut result = Criticality::zeroed(n, net.primitives().collect());
     let mut controlled: Vec<Vec<NodeId>> = vec![Vec::new(); n];
     if options.sib_policy == SibCellPolicy::Combined {
         for m in net.muxes() {
@@ -548,38 +561,19 @@ pub fn analyze_naive(
         }
     }
     for s in net.segments() {
-        let muxes = controlled[s.index()].clone();
-        if muxes.is_empty() {
+        let muxes = &controlled[s.index()];
+        let agg = if muxes.is_empty() {
             let effect = broken_segment_effect(net, tree, s);
-            let (mode, imp) = weigh(spec, &effect);
-            let agg = aggregate(options.mode, &[mode]);
-            result.obs_damage[s.index()] = agg.obs;
-            result.set_damage[s.index()] = agg.set;
-            result.damage[s.index()] = agg.total();
-            result.affects_important[s.index()] = imp;
+            aggregate(options.mode, [weigh(spec, &effect)])
         } else {
-            let (agg, imp) = combined_cell_naive(net, tree, spec, options, s, &muxes);
-            result.obs_damage[s.index()] = agg.obs;
-            result.set_damage[s.index()] = agg.set;
-            result.damage[s.index()] = agg.total();
-            result.affects_important[s.index()] = imp;
-        }
+            combined_cell_naive(net, tree, spec, options, s, muxes)
+        };
+        result.put(s, agg);
     }
     for m in net.muxes() {
         let fan_in = net.node(m).kind.as_mux().expect("mux").fan_in();
-        let mut modes = Vec::with_capacity(fan_in);
-        let mut important = false;
-        for p in 0..fan_in {
-            let effect = mux_stuck_effect(net, tree, m, p);
-            let (mode, imp) = weigh(spec, &effect);
-            modes.push(mode);
-            important |= imp;
-        }
-        let agg = aggregate(options.mode, &modes);
-        result.obs_damage[m.index()] = agg.obs;
-        result.set_damage[m.index()] = agg.set;
-        result.damage[m.index()] = agg.total();
-        result.affects_important[m.index()] = important;
+        let modes = (0..fan_in).map(|p| weigh(spec, &mux_stuck_effect(net, tree, m, p)));
+        result.put(m, aggregate(options.mode, modes));
     }
     result
 }

@@ -36,11 +36,17 @@
 //! other blocks stay local; workers claim blocks from [`par`] with one
 //! cancel checkpoint per block, and every result lands at its mode's index,
 //! so it is bit-identical at every thread count. [`kernel_counters`]
-//! reports what the sweeps did.
+//! reports what the sweeps did. Every sweep reports its modes as
+//! [`ModeDamage`] records, and every per-primitive result — the full sweep,
+//! the shard merge, the workspace and the validation campaign — folds them
+//! into a [`Criticality`] through one crate-private fold.
 //!
-//! The engine is checked against two oracles that share none of its code:
-//! the straightforward `Vec<bool>` BFS in [`reference`](mod@reference), and
-//! the exhaustive configuration enumeration in [`crate::accessibility`].
+//! The engine is checked in tests against two oracles that share none of
+//! its reachability code: the straightforward `Vec<bool>` BFS in
+//! [`reference`](mod@reference), and the exhaustive configuration
+//! enumeration in [`crate::accessibility`]. No production path calls the
+//! `Vec<bool>` oracle; the validation campaign's independent check is the
+//! bit-level simulator.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,7 +56,9 @@ use rsn_model::{ControlSource, Fault, FaultKind, NodeId, NodeKind, ScanNetwork};
 
 use crate::bitset::BitSet;
 use crate::cancel::{CancelToken, Cancelled};
-use crate::criticality::{AnalysisOptions, ModeAggregation, SibCellPolicy};
+use crate::criticality::{
+    fold_mode_damages, AnalysisOptions, Criticality, ModeAggregation, SibCellPolicy,
+};
 use crate::par::{self, Parallelism, ShardPanic};
 use crate::plan::{AnalysisPlan, ModeTable};
 use crate::shard::ModeDamage;
@@ -129,41 +137,6 @@ impl From<Cancelled> for AnalysisError {
 impl From<ShardPanic> for AnalysisError {
     fn from(p: ShardPanic) -> Self {
         Self::WorkerPanicked { message: p.message().to_string() }
-    }
-}
-
-/// Per-primitive damages computed on the raw graph; see
-/// [`analyze_graph`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct GraphCriticality {
-    damage: Vec<u64>,
-    primitives: Vec<NodeId>,
-}
-
-impl GraphCriticality {
-    /// Assembles a damage vector from per-primitive damages (the workspace
-    /// path, which computes the same numbers incrementally).
-    pub(crate) fn from_parts(damage: Vec<u64>, primitives: Vec<NodeId>) -> Self {
-        Self { damage, primitives }
-    }
-
-    /// The damage `d_j` of a fault in primitive `j`.
-    #[must_use]
-    pub fn damage(&self, j: NodeId) -> u64 {
-        self.damage[j.index()]
-    }
-
-    /// The primitives covered, in network id order.
-    #[must_use]
-    pub fn primitives(&self) -> &[NodeId] {
-        &self.primitives
-    }
-
-    /// Total damage with nothing hardened. Saturates at `u64::MAX` (see the
-    /// overflow note on [`crate::criticality::Criticality::total_damage`]).
-    #[must_use]
-    pub fn total_damage(&self) -> u64 {
-        self.primitives.iter().fold(0u64, |acc, &j| acc.saturating_add(self.damage[j.index()]))
     }
 }
 
@@ -584,16 +557,12 @@ impl ReachKernel {
     }
 }
 
-/// Per-mode provenance from the traced decode: the damage split plus which
+/// Per-mode provenance from the traced decode: the mode's damage plus which
 /// live segments were lost in which direction.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub(crate) struct ModeTrace {
-    /// Observation damage (lost live obs weights plus the dead constant).
-    pub(crate) obs_damage: u64,
-    /// Setting damage (lost live set weights plus the dead constant).
-    pub(crate) set_damage: u64,
-    /// Whether an important instrument is inaccessible in this mode.
-    pub(crate) affects_important: bool,
+    /// The mode's damage (lost live weights plus the dead constants).
+    pub(crate) damage: ModeDamage,
     /// The live segments lost in this mode, ascending by segment index.
     pub(crate) lost: Vec<LostSegment>,
 }
@@ -774,8 +743,8 @@ pub(crate) fn sweep_table(
 /// The sweep evaluates `plan`'s canonical mode table (the same table the
 /// mode-range shards of [`crate::shard`] partition) in lane blocks sharded
 /// across `parallelism`, and folds each primitive's mode damages with
-/// `mode`, so the damage vector is identical at every thread count and to
-/// a merged shard sweep.
+/// `mode`, so the result (damage, obs/set split and importance flags) is
+/// identical at every thread count and to a merged shard sweep.
 ///
 /// The token is polled at a checkpoint **per mode block** inside the sharded
 /// sweep, so a fired token interrupts a running sweep within a bounded
@@ -799,19 +768,12 @@ pub fn analyze_graph(
     mode: ModeAggregation,
     parallelism: Parallelism,
     cancel: &CancelToken,
-) -> Result<GraphCriticality, AnalysisError> {
+) -> Result<Criticality, AnalysisError> {
     cancel.check()?;
     let kernel = plan.kernel(net, spec)?;
     let table = plan.table();
     let damages = sweep_table(&kernel, table, 0..table.len(), parallelism, cancel)?;
-    let mut damage = vec![0; net.node_count()];
-    let mut totals = Vec::new();
-    for (&j, modes) in plan.primitives().iter().zip(table.groups()) {
-        totals.clear();
-        totals.extend(damages[modes].iter().map(ModeDamage::total));
-        damage[j.index()] = aggregate_mode_damages(mode, &totals);
-    }
-    Ok(GraphCriticality { damage, primitives: plan.primitives().to_vec() })
+    Ok(fold_mode_damages(plan, mode, |m| damages[m]))
 }
 
 /// [`analyze_graph`] over a throw-away plan, without cancellation,
@@ -825,7 +787,7 @@ pub fn analyze_graph_with(
     spec: &CriticalitySpec,
     options: &AnalysisOptions,
     parallelism: Parallelism,
-) -> GraphCriticality {
+) -> Criticality {
     let plan = AnalysisPlan::new(net, options.sib_policy);
     match analyze_graph(&plan, net, spec, options.mode, parallelism, &CancelToken::none()) {
         Ok(result) => result,
@@ -946,23 +908,6 @@ fn for_each_combination(
 
 fn fan_in(net: &ScanNetwork, m: NodeId) -> usize {
     net.node(m).kind.as_mux().expect("mux").fan_in()
-}
-
-/// Folds per-mode damages into `d_j`.
-///
-/// [`ModeAggregation::Mean`] is the **truncating integer mean**
-/// (`sum / len`, remainder discarded), matching the tree analysis in
-/// [`crate::criticality`] exactly — pinned by a differential test so the two
-/// analyses stay bit-identical even when `sum % len != 0`.
-pub(crate) fn aggregate_mode_damages(mode: ModeAggregation, mode_damages: &[u64]) -> u64 {
-    match mode {
-        ModeAggregation::Worst => mode_damages.iter().copied().max().unwrap_or(0),
-        ModeAggregation::Sum => mode_damages.iter().fold(0u64, |a, &d| a.saturating_add(d)),
-        ModeAggregation::Mean => {
-            mode_damages.iter().fold(0u64, |a, &d| a.saturating_add(d))
-                / mode_damages.len().max(1) as u64
-        }
-    }
 }
 
 /// Reusable buffers of [`expand_fault_set`], so long set streams expand
@@ -1213,48 +1158,81 @@ pub fn double_fault_pair_damages(
     fault_set_damages(&kernel, net, plan.controlled(), pairs, parallelism, cancel)
 }
 
+/// Every mode of `plan`'s canonical table as the traced decode sees it —
+/// the decode behind the [`Workspace`](crate::Workspace) and the validation
+/// campaign — visited in table order as `(broken, frozen, damage)`. Exposed
+/// so tests can check each traced mode against [`reference::mode_damage`];
+/// not part of the supported API.
+///
+/// # Errors
+///
+/// As for [`analyze_graph`].
+#[doc(hidden)]
+pub fn visit_traced_modes(
+    plan: &AnalysisPlan,
+    net: &ScanNetwork,
+    spec: &CriticalitySpec,
+    parallelism: Parallelism,
+    mut visit: impl FnMut(&[NodeId], &[(NodeId, usize)], ModeDamage),
+) -> Result<(), AnalysisError> {
+    let kernel = plan.kernel(net, spec)?;
+    let table = plan.table();
+    let traces = sweep_blocks(
+        &kernel,
+        table,
+        0..table.len(),
+        &[],
+        parallelism,
+        &CancelToken::none(),
+        ReachKernel::eval_traced,
+    )?;
+    for (m, trace) in traces.iter().enumerate() {
+        let (broken, frozen) = table.mode(m);
+        visit(broken, frozen, trace.damage);
+    }
+    Ok(())
+}
+
 /// The straightforward `Vec<bool>` implementation, kept as the differential
-/// oracle for the lane engine (property tests, the validation campaign's
-/// per-mode cross-check) and the `reach_kernel` micro-benchmarks. Not part
-/// of the supported API.
+/// oracle for the lane engine (unit and property tests) and the
+/// `reach_kernel` micro-benchmarks. Not part of the supported API, and
+/// called from no production path.
 #[doc(hidden)]
 pub mod reference {
     use super::{
-        aggregate_mode_damages, for_each_mode, AnalysisOptions, ControlledMuxes, CriticalitySpec,
-        GraphCriticality, NodeId, ScanNetwork,
+        fold_mode_damages, AnalysisOptions, AnalysisPlan, Criticality, CriticalitySpec, ModeDamage,
+        NodeId, ScanNetwork,
     };
 
     /// Sequential damage vector computed with the `Vec<bool>` reachability
-    /// maps; must stay bit-identical to
-    /// [`analyze_graph`](super::analyze_graph).
+    /// maps, one [`mode_damage`] per mode of the canonical table; must stay
+    /// bit-identical to [`analyze_graph`](super::analyze_graph) in every
+    /// field (damage, obs/set split, importance).
     #[must_use]
     pub fn analyze_graph_ref(
         net: &ScanNetwork,
         spec: &CriticalitySpec,
         options: &AnalysisOptions,
-    ) -> GraphCriticality {
-        let primitives: Vec<NodeId> = net.primitives().collect();
-        let mut damage = vec![0; net.node_count()];
-        let controlled = ControlledMuxes::new(net, options.sib_policy);
-        for &j in &primitives {
-            let mut mode_damages = Vec::new();
-            for_each_mode(net, &controlled, j, &mut |broken, frozen| {
-                mode_damages.push(mode_damage(net, spec, broken, frozen));
-            });
-            damage[j.index()] = aggregate_mode_damages(options.mode, &mode_damages);
-        }
-        GraphCriticality { damage, primitives }
+    ) -> Criticality {
+        let plan = AnalysisPlan::new(net, options.sib_policy);
+        let table = plan.table();
+        fold_mode_damages(&plan, options.mode, |m| {
+            let (broken, frozen) = table.mode(m);
+            mode_damage(net, spec, broken, frozen)
+        })
     }
 
     /// Per-mode damage: four freshly allocated `Vec<bool>` BFS maps and
-    /// linear-scan membership tests.
+    /// linear-scan membership tests. Reports the obs/set split and whether
+    /// an important instrument is lost in the direction it is important
+    /// for.
     #[must_use]
     pub fn mode_damage(
         net: &ScanNetwork,
         spec: &CriticalitySpec,
         broken: &[NodeId],
         frozen: &[(NodeId, usize)],
-    ) -> u64 {
+    ) -> ModeDamage {
         let usable = usable_edges(net, frozen);
         let is_broken = |n: NodeId| broken.contains(&n);
 
@@ -1264,17 +1242,19 @@ pub mod reference {
         let bwd_any = reach(net, net.scan_out(), true, &usable, |_| false);
         let bwd_clean = reach(net, net.scan_out(), true, &usable, is_broken);
 
-        let mut damage = 0u64;
+        let mut damage = ModeDamage::default();
         for (i, inst) in net.instruments() {
             let t = inst.segment();
             // A broken instrument segment is inaccessible both ways.
             let obs = !is_broken(t) && fwd_any[t.index()] && bwd_clean[t.index()];
             let set = !is_broken(t) && fwd_clean[t.index()] && bwd_any[t.index()];
             if !obs {
-                damage += spec.obs_weight(i);
+                damage.obs = damage.obs.saturating_add(spec.obs_weight(i));
+                damage.affects_important |= spec.is_important_obs(i);
             }
             if !set {
-                damage += spec.set_weight(i);
+                damage.set = damage.set.saturating_add(spec.set_weight(i));
+                damage.affects_important |= spec.is_important_set(i);
             }
         }
         damage
@@ -1334,11 +1314,7 @@ mod tests {
     use rsn_sp::tree_from_structure;
 
     /// The uncancelled sequential sweep.
-    fn graph(
-        net: &ScanNetwork,
-        spec: &CriticalitySpec,
-        options: &AnalysisOptions,
-    ) -> GraphCriticality {
+    fn graph(net: &ScanNetwork, spec: &CriticalitySpec, options: &AnalysisOptions) -> Criticality {
         let plan = AnalysisPlan::new(net, options.sib_policy);
         let (par, none) = (Parallelism::sequential(), &CancelToken::none());
         analyze_graph(&plan, net, spec, options.mode, par, none).unwrap()
@@ -1541,7 +1517,7 @@ mod tests {
             kernel.push_mode(&mut reused, broken, frozen);
             let got = kernel.eval_damages(&mut reused);
             assert_eq!(
-                got[0].total(),
+                got[0],
                 reference::mode_damage(&net, &spec, broken, frozen),
                 "broken {broken:?} frozen {frozen:?}"
             );
@@ -1571,7 +1547,7 @@ mod tests {
             for (&m, damage) in block.iter().zip(&got) {
                 let (broken, frozen) = table.mode(m);
                 let want = reference::mode_damage(&net, &spec, broken, frozen);
-                assert_eq!(damage.total(), want, "mode {m}: {broken:?} {frozen:?}");
+                assert_eq!(*damage, want, "mode {m}: {broken:?} {frozen:?}");
             }
             relaxed.push(reused.relaxed());
         }
@@ -1677,7 +1653,7 @@ mod tests {
         let full = sweep(0..n, 1);
         for (m, damage) in full.iter().enumerate() {
             let (broken, frozen) = table.mode(m);
-            assert_eq!(damage.total(), reference::mode_damage(&net, &spec, broken, frozen));
+            assert_eq!(*damage, reference::mode_damage(&net, &spec, broken, frozen));
         }
         let mut packed = [0; 2];
         for lo in (0..n).step_by(13) {
@@ -1817,7 +1793,7 @@ mod tests {
         for c in 0..1usize << muxes.len() {
             let frozen: Vec<(NodeId, usize)> =
                 muxes.iter().enumerate().map(|(k, &m)| (m, (c >> k) & 1)).collect();
-            want = want.max(reference::mode_damage(&net, &spec, &[cell], &frozen));
+            want = want.max(reference::mode_damage(&net, &spec, &[cell], &frozen).total());
         }
         for threads in [1, 4] {
             let got = fault_set_damage(
@@ -1984,9 +1960,9 @@ mod tests {
         );
     }
 
-    /// The traced lane decode must reproduce the `Vec<bool>` reference maps
-    /// exactly: damage split, importance flag and lost-segment records, on SP
-    /// and non-SP graphs alike.
+    /// The traced lane decode must reproduce the `Vec<bool>` reference
+    /// exactly: its damage split and importance flag, and the lost-segment
+    /// records of its four maps, on SP and non-SP graphs alike.
     #[test]
     fn batched_traces_match_the_scalar_traced_reference() {
         let sp = rsn_benchmarks_free_tree().build("sp").unwrap().0;
@@ -2016,21 +1992,16 @@ mod tests {
                     let fwd_clean = reference::reach(net, si, false, &usable, is_broken);
                     let bwd_any = reference::reach(net, so, true, &usable, |_| false);
                     let bwd_clean = reference::reach(net, so, true, &usable, is_broken);
-                    let mut want = ModeTrace::default();
-                    for (i, inst) in net.instruments() {
+                    let mut want = ModeTrace {
+                        damage: reference::mode_damage(net, &spec, broken, frozen),
+                        lost: Vec::new(),
+                    };
+                    for (_, inst) in net.instruments() {
                         let t = inst.segment().index();
                         let lost_obs =
                             broken.contains(&inst.segment()) || !(fwd_any[t] && bwd_clean[t]);
                         let lost_set =
                             broken.contains(&inst.segment()) || !(fwd_clean[t] && bwd_any[t]);
-                        if lost_obs {
-                            want.obs_damage += spec.obs_weight(i);
-                            want.affects_important |= spec.is_important_obs(i);
-                        }
-                        if lost_set {
-                            want.set_damage += spec.set_weight(i);
-                            want.affects_important |= spec.is_important_set(i);
-                        }
                         if (lost_obs || lost_set) && kernel.is_live_segment(t) {
                             want.lost.push(LostSegment { segment: t as u32, lost_obs, lost_set });
                         }

@@ -440,9 +440,11 @@ impl ReachKernel {
     pub(crate) fn eval_traced(&self, s: &mut BlockScratch) -> Vec<ModeTrace> {
         let mut out = vec![
             ModeTrace {
-                obs_damage: self.dead_obs,
-                set_damage: self.dead_set,
-                affects_important: self.dead_important,
+                damage: ModeDamage {
+                    obs: self.dead_obs,
+                    set: self.dead_set,
+                    affects_important: self.dead_important,
+                },
                 lost: Vec::new(),
             };
             s.len
@@ -452,13 +454,14 @@ impl ReachKernel {
                 let trace = &mut out[l];
                 let lost_obs = miss_obs & (1 << l) != 0;
                 let lost_set = miss_set & (1 << l) != 0;
+                let damage = &mut trace.damage;
                 if lost_obs {
-                    trace.obs_damage = trace.obs_damage.saturating_add(self.live_obs_w[t]);
-                    trace.affects_important |= self.important_obs.contains(t);
+                    damage.obs = damage.obs.saturating_add(self.live_obs_w[t]);
+                    damage.affects_important |= self.important_obs.contains(t);
                 }
                 if lost_set {
-                    trace.set_damage = trace.set_damage.saturating_add(self.live_set_w[t]);
-                    trace.affects_important |= self.important_set.contains(t);
+                    damage.set = damage.set.saturating_add(self.live_set_w[t]);
+                    damage.affects_important |= self.important_set.contains(t);
                 }
                 trace.lost.push(LostSegment { segment: t as u32, lost_obs, lost_set });
             });

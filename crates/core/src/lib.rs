@@ -85,8 +85,7 @@ pub use diagnosis::{Diagnosis, FaultDictionary};
 pub use fault_effects::{broken_segment_effect, mux_stuck_effect, FaultEffect};
 pub use graph_analysis::{
     analyze_graph, analyze_graph_with, double_fault_damage, fault_set_damage, kernel_counters,
-    AnalysisError, DoubleFaultSummary, GraphCriticality, KernelCounters, ReachKernel,
-    MAX_FROZEN_COMBINATIONS,
+    AnalysisError, DoubleFaultSummary, KernelCounters, ReachKernel, MAX_FROZEN_COMBINATIONS,
 };
 pub use hardening::{
     solve_exact, solve_greedy, solve_nsga2, solve_random, solve_spea2, ExactSolveError,

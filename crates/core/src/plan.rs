@@ -91,6 +91,11 @@ impl AnalysisPlan {
         &self.primitives
     }
 
+    /// The node count of the plan's network.
+    pub(crate) fn node_count(&self) -> usize {
+        self.node_count
+    }
+
     /// The canonical mode table.
     pub(crate) fn table(&self) -> &ModeTable {
         &self.table

@@ -17,7 +17,7 @@ pub use crate::criticality::{
     analyze, AnalysisOptions, Criticality, ModeAggregation, SibCellPolicy,
 };
 pub use crate::graph_analysis::{
-    analyze_graph, double_fault_damage, fault_set_damage, AnalysisError, GraphCriticality,
+    analyze_graph, double_fault_damage, fault_set_damage, AnalysisError,
 };
 pub use crate::hardening::{
     solve_exact, solve_greedy, solve_nsga2, solve_random, solve_spea2, HardeningFront,

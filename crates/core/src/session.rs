@@ -39,7 +39,7 @@ use crate::cancel::{CancelToken, Cancelled};
 use crate::cost::CostModel;
 use crate::criticality::{analyze, AnalysisOptions, Criticality};
 use crate::graph_analysis::{
-    analyze_graph, double_fault_damage, AnalysisError, DoubleFaultSummary, GraphCriticality,
+    analyze_graph, double_fault_damage, AnalysisError, DoubleFaultSummary,
 };
 use crate::hardening::{
     solve_exact, solve_greedy, solve_nsga2, solve_random, solve_spea2, ExactSolveError,
@@ -481,7 +481,7 @@ pub struct AnalysisSession {
     plan: OnceLock<Arc<AnalysisPlan>>,
     tree: OnceLock<Arc<DecompTree>>,
     criticality: OnceLock<Criticality>,
-    graph_criticality: OnceLock<GraphCriticality>,
+    graph_criticality: OnceLock<Criticality>,
     validation: OnceLock<ValidationReport>,
 }
 
@@ -603,7 +603,7 @@ impl AnalysisSession {
     ///
     /// [`SessionError::Cancelled`] when the token fires;
     /// [`SessionError::WorkerPanicked`] when a shard panics.
-    pub fn try_graph_criticality(&self) -> Result<&GraphCriticality, SessionError> {
+    pub fn try_graph_criticality(&self) -> Result<&Criticality, SessionError> {
         if let Some(crit) = self.graph_criticality.get() {
             return Ok(crit);
         }
@@ -903,7 +903,7 @@ mod tests {
             .with_threads(1)
             .build_workspace()
             .expect("no token");
-        let expected = plain.graph_criticality();
+        let expected = plain.criticality();
         for threads in [1usize, 4] {
             let session = AnalysisSession::builder(net.clone())
                 .with_paper_spec(PaperSpecParams::default(), 7)

@@ -13,8 +13,8 @@
 //! 2. Each shard evaluates its range with [`analyze_mode_range`] and ships
 //!    the per-mode [`ModeDamage`] triples.
 //! 3. The coordinator concatenates the ranges in index order and aggregates
-//!    with [`merge_mode_damages`], which goes through the same `aggregate`
-//!    as the tree analysis and the incremental workspace — so the merged
+//!    with [`merge_mode_damages`], which goes through the same fold as the
+//!    full sweep and the incremental workspace — so the merged
 //!    [`Criticality`] (and any summary rendered from it) is byte-identical
 //!    to a single-node sweep.
 //!
@@ -31,7 +31,7 @@
 use std::ops::Range;
 
 use crate::cancel::CancelToken;
-use crate::criticality::{aggregate, AnalysisOptions, Criticality, Mode, ModeAggregation};
+use crate::criticality::{fold_mode_damages, AnalysisOptions, Criticality, ModeAggregation};
 use crate::graph_analysis::{sweep_table, AnalysisError};
 use crate::par::Parallelism;
 use crate::plan::AnalysisPlan;
@@ -39,8 +39,10 @@ use crate::spec::CriticalitySpec;
 use rsn_model::ScanNetwork;
 
 /// One evaluated fault mode: the damage split plus the importance flag —
-/// exactly the per-mode inputs the per-primitive aggregation consumes. This
-/// is the unit a shard ships back to the coordinator.
+/// exactly the per-mode inputs the per-primitive aggregation consumes. Every
+/// engine reports its modes in this record: the lane kernel (untraced and
+/// traced), the tree analysis' mode groups and the `Vec<bool>` reference.
+/// It is also the unit a shard ships back to the coordinator.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ModeDamage {
     /// Observation damage of the mode.
@@ -159,10 +161,11 @@ impl std::error::Error for ShardMergeError {}
 
 /// Folds a full table of per-mode damages (shard results concatenated in
 /// range order) of `plan`'s mode table into a [`Criticality`], aggregating
-/// each primitive's modes with `mode` through the same `aggregate` as the
-/// tree analysis and the incremental workspace — ties and truncating means
-/// resolve identically everywhere, so a summary rendered from the merged
-/// result is byte-identical to a single-node analysis.
+/// each primitive's modes with `mode` through the same fold as
+/// [`analyze_graph`](crate::analyze_graph) and the incremental workspace —
+/// ties and truncating means resolve identically everywhere, so a summary
+/// rendered from the merged result is byte-identical to a single-node
+/// analysis.
 ///
 /// # Errors
 ///
@@ -179,27 +182,10 @@ pub fn merge_mode_damages(
     damages: &[ModeDamage],
 ) -> Result<Criticality, ShardMergeError> {
     plan.check_network(net);
-    let table = plan.table();
-    if damages.len() != table.len() {
-        return Err(ShardMergeError { expected: table.len(), got: damages.len() });
+    if damages.len() != plan.mode_count() {
+        return Err(ShardMergeError { expected: plan.mode_count(), got: damages.len() });
     }
-    let n = net.node_count();
-    let mut damage = vec![0u64; n];
-    let mut obs = vec![0u64; n];
-    let mut set = vec![0u64; n];
-    let mut important = vec![false; n];
-    let mut scratch: Vec<Mode> = Vec::new();
-    for (&j, modes) in plan.primitives().iter().zip(table.groups()) {
-        let slice = &damages[modes];
-        scratch.clear();
-        scratch.extend(slice.iter().map(|d| Mode { obs: d.obs, set: d.set }));
-        let a = aggregate(mode, &scratch);
-        damage[j.index()] = a.obs.saturating_add(a.set);
-        obs[j.index()] = a.obs;
-        set[j.index()] = a.set;
-        important[j.index()] = slice.iter().any(|d| d.affects_important);
-    }
-    Ok(Criticality::from_parts(damage, obs, set, important, plan.primitives().to_vec()))
+    Ok(fold_mode_damages(plan, mode, |m| damages[m]))
 }
 
 /// [`merge_mode_damages`] over a throw-away plan of `net` under `options`.

@@ -7,9 +7,7 @@
 //!
 //! 1. computes the analytical claim per instrument (observable / settable)
 //!    from the lane engine's lost-segment trace
-//!    ([`graph_analysis::batch`](crate::graph_analysis::batch)), cross-checked
-//!    per mode against the independent `Vec<bool>` oracle
-//!    ([`reference::mode_damage`]);
+//!    ([`graph_analysis::batch`](crate::graph_analysis::batch));
 //! 2. configures a fault-free [`Simulator`] so the fault's frozen selects are
 //!    latched, **injects the fault**, and replays access patterns: cover
 //!    configurations that put many instruments on the active path at once,
@@ -19,16 +17,19 @@
 //!    round-trips through a real capture–shift–update cycle) or *lost*, and
 //!    diffs that against the analytical claim;
 //! 4. aggregates the per-mode operational damages exactly like the analysis
-//!    ([`ModeAggregation`]) and diffs
-//!    the damage vector bit-for-bit against
-//!    [`analyze_graph`].
+//!    ([`ModeAggregation`]) and diffs the damage vector bit-for-bit against
+//!    the analytical one.
 //!
 //! The analytical side is one traced lane sweep over the canonical mode
-//! table of the caller's [`AnalysisPlan`]; the operational side shards over primitives with
-//! [`par`] — claimed indices, one reusable [`Simulator`] per
-//! worker — so the report is bit-identical at every thread count. Any
-//! disagreement is reported with the offending network, fault mode, and
-//! instrument attached.
+//! table of the caller's [`AnalysisPlan`]: its traces give the per-instrument
+//! claims, and folded per primitive through the same fold as
+//! [`analyze_graph`](crate::analyze_graph) they give the analytical damage
+//! vector. The simulator is the campaign's independent check; the
+//! `Vec<bool>` oracle checks the lane engine in tests, not here. The
+//! operational side shards over primitives with [`par`] — claimed indices,
+//! one reusable [`Simulator`] per worker — so the report is bit-identical at
+//! every thread count. Any disagreement is reported with the offending
+//! network, fault mode, and instrument attached.
 //!
 //! What "operationally lost" means per [`AccessKind`]: the fault strikes a
 //! *configured* network. A configuration is established with real retargeting
@@ -53,13 +54,11 @@ use rsn_model::{
 };
 
 use crate::cancel::CancelToken;
-use crate::criticality::ModeAggregation;
-use crate::graph_analysis::{
-    aggregate_mode_damages, analyze_graph, reference, sweep_blocks, AnalysisError,
-    GraphCriticality, ModeTrace, ReachKernel,
-};
+use crate::criticality::{fold_mode_damages, Criticality, ModeAggregation};
+use crate::graph_analysis::{sweep_blocks, AnalysisError, ModeTrace, ReachKernel};
 use crate::par::{self, Parallelism};
 use crate::plan::{AnalysisPlan, ModeTable};
+use crate::shard::ModeDamage;
 use crate::spec::CriticalitySpec;
 
 /// Maximum number of [`Disagreement`]s embedded in a report; the full count
@@ -102,7 +101,8 @@ pub struct ValidationReport {
     pub unverifiable_pairs: usize,
     /// Individual (instrument, access, mode) operational classifications.
     pub instrument_checks: usize,
-    /// Total damage of the analytical sweep ([`GraphCriticality`]).
+    /// Total damage of the analytical sweep
+    /// ([`Criticality::total_damage`]).
     pub analysis_total_damage: u64,
     /// Total damage of the operational campaign, aggregated identically.
     pub operational_total_damage: u64,
@@ -148,9 +148,9 @@ pub struct Disagreement {
 ///
 /// Each primitive's campaign is an independent deterministic computation
 /// (the worker simulator is fully reset per replay), so the report is
-/// bit-identical at every thread count. The token is threaded through the
-/// underlying analysis sweep (see [`analyze_graph`]) and polled once per
-/// primitive inside the sharded simulation campaign, so a fired deadline
+/// bit-identical at every thread count. The token is polled per lane block
+/// of the traced sweep and once per primitive inside the sharded
+/// simulation campaign, so a fired deadline
 /// interrupts the campaign within one primitive's replays per worker;
 /// worker panics are caught at the shard boundary.
 ///
@@ -168,10 +168,11 @@ pub fn validate_criticality(
     parallelism: Parallelism,
     cancel: &CancelToken,
 ) -> Result<ValidationReport, AnalysisError> {
-    let analysis = analyze_graph(plan, net, spec, mode, parallelism, cancel)?;
+    cancel.check()?;
     let kernel = plan.kernel(net, spec)?;
     let table = plan.table();
-    // The analytical claims of every mode, from one traced lane sweep.
+    // The analytical claims of every mode, from one traced lane sweep, and
+    // the damage vector folded from them.
     let traces: Vec<ModeTrace> = sweep_blocks(
         &kernel,
         table,
@@ -181,7 +182,8 @@ pub fn validate_criticality(
         cancel,
         ReachKernel::eval_traced,
     )?;
-    let campaign = Campaign::new(net, spec, mode, &analysis, &kernel, table, &traces);
+    let analysis = fold_mode_damages(plan, mode, |m| traces[m].damage);
+    let campaign = Campaign::new(net, spec, &analysis, &kernel, table, &traces);
     let primitives = plan.primitives();
     let campaign = &campaign;
     let outcomes: Vec<Outcome> = par::try_map_indexed_scratch(
@@ -193,57 +195,18 @@ pub fn validate_criticality(
             Ok(campaign.run_primitive(worker, pos, primitives[pos]))
         },
     )?;
-    Ok(merge_outcomes(net, &analysis, primitives.len(), outcomes))
-}
-
-/// Folds per-primitive outcomes into the final report, in primitive order.
-fn merge_outcomes(
-    net: &ScanNetwork,
-    analysis: &GraphCriticality,
-    primitives: usize,
-    outcomes: Vec<Outcome>,
-) -> ValidationReport {
-    let mut report = ValidationReport {
-        network: net.name().to_string(),
-        primitives,
-        modes: 0,
-        simulated_modes: 0,
-        skipped_unrealizable_modes: 0,
-        replays: 0,
-        failed_retargets: 0,
-        unverifiable_pairs: 0,
-        instrument_checks: 0,
-        analysis_total_damage: analysis.total_damage(),
-        operational_total_damage: 0,
-        total_disagreements: 0,
-        disagreements: Vec::new(),
-    };
-    for outcome in outcomes {
-        report.modes += outcome.modes;
-        report.simulated_modes += outcome.simulated_modes;
-        report.skipped_unrealizable_modes += outcome.skipped_unrealizable_modes;
-        report.replays += outcome.replays;
-        report.failed_retargets += outcome.failed_retargets;
-        report.unverifiable_pairs += outcome.unverifiable_pairs;
-        report.instrument_checks += outcome.instrument_checks;
-        report.operational_total_damage += outcome.sim_damage;
-        report.total_disagreements += outcome.total_disagreements;
-        for d in outcome.disagreements {
-            if report.disagreements.len() < MAX_REPORTED_DISAGREEMENTS {
-                report.disagreements.push(d);
-            }
-        }
-    }
-    report
+    // The operational damages, in table order, through the analysis' fold.
+    let sim_modes: Vec<ModeDamage> =
+        outcomes.iter().flat_map(|o| o.sim_modes.iter().copied()).collect();
+    let operational = fold_mode_damages(plan, mode, |m| sim_modes[m]);
+    Ok(campaign.report(primitives, &operational, outcomes))
 }
 
 /// Immutable campaign state shared by all workers.
 struct Campaign<'a> {
     net: &'a ScanNetwork,
     spec: &'a CriticalitySpec,
-    /// How each primitive's mode damages fold into its damage.
-    mode: ModeAggregation,
-    analysis: &'a GraphCriticality,
+    analysis: &'a Criticality,
     kernel: &'a ReachKernel,
     /// The canonical mode table; group `pos` holds the modes of the
     /// `pos`-th primitive.
@@ -285,14 +248,15 @@ impl<'a> Worker<'a> {
 
 /// Counters and findings for one primitive.
 struct Outcome {
-    modes: usize,
+    /// The operational damage of each of the primitive's modes, in table
+    /// order.
+    sim_modes: Vec<ModeDamage>,
     simulated_modes: usize,
     skipped_unrealizable_modes: usize,
     replays: usize,
     failed_retargets: usize,
     unverifiable_pairs: usize,
     instrument_checks: usize,
-    sim_damage: u64,
     total_disagreements: usize,
     disagreements: Vec<Disagreement>,
 }
@@ -312,8 +276,7 @@ impl<'a> Campaign<'a> {
     fn new(
         net: &'a ScanNetwork,
         spec: &'a CriticalitySpec,
-        mode: ModeAggregation,
-        analysis: &'a GraphCriticality,
+        analysis: &'a Criticality,
         kernel: &'a ReachKernel,
         table: &'a ModeTable,
         traces: &'a [ModeTrace],
@@ -336,7 +299,6 @@ impl<'a> Campaign<'a> {
         Self {
             net,
             spec,
-            mode,
             analysis,
             kernel,
             table,
@@ -379,9 +341,18 @@ impl<'a> Campaign<'a> {
         }
     }
 
-    /// Runs the whole campaign for primitive `j`, the `pos`-th primitive.
-    fn run_primitive(&self, worker: &mut Worker<'a>, pos: usize, j: NodeId) -> Outcome {
-        let mut outcome = Outcome {
+    /// Folds the per-primitive outcomes into the final report, in primitive
+    /// order: each primitive's `operational` damage (its simulated modes
+    /// folded like the analysis) is diffed against the analytical one.
+    fn report(
+        &self,
+        primitives: &[NodeId],
+        operational: &Criticality,
+        outcomes: Vec<Outcome>,
+    ) -> ValidationReport {
+        let mut report = ValidationReport {
+            network: self.net.name().to_string(),
+            primitives: primitives.len(),
             modes: 0,
             simulated_modes: 0,
             skipped_unrealizable_modes: 0,
@@ -389,12 +360,62 @@ impl<'a> Campaign<'a> {
             failed_retargets: 0,
             unverifiable_pairs: 0,
             instrument_checks: 0,
-            sim_damage: 0,
+            analysis_total_damage: self.analysis.total_damage(),
+            operational_total_damage: 0,
             total_disagreements: 0,
             disagreements: Vec::new(),
         };
+        for (&j, mut outcome) in primitives.iter().zip(outcomes) {
+            let (analytical, aggregated) = (self.analysis.damage(j), operational.damage(j));
+            let modes = outcome.sim_modes.len();
+            if aggregated != analytical {
+                push_disagreement(
+                    &mut outcome,
+                    Disagreement {
+                        primitive: self.node_label(j),
+                        mode_index: usize::MAX,
+                        fault: format!("all {modes} modes aggregated"),
+                        instrument: None,
+                        access: None,
+                        analysis_damage: analytical,
+                        operational_damage: aggregated,
+                        detail: "aggregated operational damage diverges from analyze_graph"
+                            .to_string(),
+                    },
+                );
+            }
+            report.modes += modes;
+            report.simulated_modes += outcome.simulated_modes;
+            report.skipped_unrealizable_modes += outcome.skipped_unrealizable_modes;
+            report.replays += outcome.replays;
+            report.failed_retargets += outcome.failed_retargets;
+            report.unverifiable_pairs += outcome.unverifiable_pairs;
+            report.instrument_checks += outcome.instrument_checks;
+            report.operational_total_damage += aggregated;
+            report.total_disagreements += outcome.total_disagreements;
+            for d in outcome.disagreements {
+                if report.disagreements.len() < MAX_REPORTED_DISAGREEMENTS {
+                    report.disagreements.push(d);
+                }
+            }
+        }
+        report
+    }
+
+    /// Runs the whole campaign for primitive `j`, the `pos`-th primitive.
+    fn run_primitive(&self, worker: &mut Worker<'a>, pos: usize, j: NodeId) -> Outcome {
         let modes = self.table.group(pos);
-        let mut sim_mode_damages = Vec::with_capacity(modes.len());
+        let mut outcome = Outcome {
+            sim_modes: Vec::with_capacity(modes.len()),
+            simulated_modes: 0,
+            skipped_unrealizable_modes: 0,
+            replays: 0,
+            failed_retargets: 0,
+            unverifiable_pairs: 0,
+            instrument_checks: 0,
+            total_disagreements: 0,
+            disagreements: Vec::new(),
+        };
         for (index, m) in modes.enumerate() {
             let (broken, frozen) = self.table.mode(m);
             let faults = if matches!(self.net.node(j).kind, NodeKind::Mux(_)) {
@@ -404,31 +425,14 @@ impl<'a> Campaign<'a> {
                 vec![Fault::broken_segment(j)]
             };
             let mode = Mode { primitive: j, index, broken, frozen, faults };
-            sim_mode_damages.push(self.run_mode(worker, j, &mode, &self.traces[m], &mut outcome));
-        }
-        outcome.modes = sim_mode_damages.len();
-        let aggregated = aggregate_mode_damages(self.mode, &sim_mode_damages);
-        outcome.sim_damage = aggregated;
-        let analytical = self.analysis.damage(j);
-        if aggregated != analytical {
-            push_disagreement(
-                &mut outcome,
-                Disagreement {
-                    primitive: self.node_label(j),
-                    mode_index: usize::MAX,
-                    fault: format!("all {} modes aggregated", sim_mode_damages.len()),
-                    instrument: None,
-                    access: None,
-                    analysis_damage: analytical,
-                    operational_damage: aggregated,
-                    detail: "aggregated operational damage diverges from analyze_graph".to_string(),
-                },
-            );
+            let sim = self.run_mode(worker, j, &mode, &self.traces[m], &mut outcome);
+            outcome.sim_modes.push(sim);
         }
         outcome
     }
 
-    /// Evaluates one fault mode; returns the operational mode damage.
+    /// Evaluates one fault mode; returns the operational mode damage (the
+    /// analytical one for a mode that cannot be simulated).
     fn run_mode(
         &self,
         worker: &mut Worker<'a>,
@@ -436,7 +440,7 @@ impl<'a> Campaign<'a> {
         mode: &Mode<'_>,
         trace: &ModeTrace,
         outcome: &mut Outcome,
-    ) -> u64 {
+    ) -> ModeDamage {
         // Analytical claims, decoded from the batched mode-major trace: a
         // dead segment is never accessible; a live segment is accessible in
         // each direction unless the trace lists it as lost there.
@@ -456,27 +460,7 @@ impl<'a> Campaign<'a> {
             obs_claim[i.index()] = obs;
             set_claim[i.index()] = set;
         }
-        let claims_damage = trace.obs_damage + trace.set_damage;
-
-        // Differential check: the `Vec<bool>` oracle must agree with the
-        // lane evaluation bit for bit.
-        let oracle_damage = reference::mode_damage(self.net, self.spec, mode.broken, mode.frozen);
-        if oracle_damage != claims_damage {
-            push_disagreement(
-                outcome,
-                Disagreement {
-                    primitive: self.node_label(j),
-                    mode_index: mode.index,
-                    fault: self.mode_label(mode),
-                    instrument: None,
-                    access: None,
-                    analysis_damage: oracle_damage,
-                    operational_damage: claims_damage,
-                    detail: "batch kernel damage diverges from the reference reachability"
-                        .to_string(),
-                },
-            );
-        }
+        let claims_damage = trace.damage.total();
 
         // A frozen select ≥ 2 on a single-bit control cell can never be
         // latched, so the mode has no operational counterpart.
@@ -486,7 +470,7 @@ impl<'a> Campaign<'a> {
             .any(|&(m, s)| s >= 2 && self.is_cell_controlled(m) && !self.is_stuck(mode, m));
         if unrealizable {
             outcome.skipped_unrealizable_modes += 1;
-            return claims_damage;
+            return trace.damage;
         }
         outcome.simulated_modes += 1;
 
@@ -537,14 +521,14 @@ impl<'a> Campaign<'a> {
         }
 
         // Diff operational classification against the analytical claims.
-        let mut sim_damage = 0u64;
+        let mut sim_damage = ModeDamage::default();
         for (i, _) in self.net.instruments() {
             let ix = i.index();
             if !worker.op_obs[ix] {
-                sim_damage += self.spec.obs_weight(i);
+                sim_damage.obs = sim_damage.obs.saturating_add(self.spec.obs_weight(i));
             }
             if !worker.op_set[ix] {
-                sim_damage += self.spec.set_weight(i);
+                sim_damage.set = sim_damage.set.saturating_add(self.spec.set_weight(i));
             }
             for (claim, op, kind) in [
                 (obs_claim[ix], worker.op_obs[ix], AccessKind::Observe),

@@ -50,7 +50,7 @@
 //! let (net, _) = s.build("demo")?;
 //! let mut ws = Workspace::builder(net).build_workspace()?;
 //! let before = ws.total_damage();
-//! let worst = ws.graph_criticality().primitives()[0];
+//! let worst = ws.criticality().primitives()[0];
 //! ws.harden(worst)?;                     // O(1): masks one primitive
 //! assert!(ws.total_damage() < before);
 //! ws.undo()?;                            // O(1): unmasks it again
@@ -63,10 +63,8 @@ use std::sync::Arc;
 use rsn_model::{InstrumentId, NodeId, ScanNetwork};
 
 use crate::cancel::{CancelToken, Cancelled};
-use crate::criticality::{aggregate, AnalysisOptions, Criticality, Mode};
-use crate::graph_analysis::{
-    sweep_blocks, AnalysisError, GraphCriticality, ModeTrace, ReachKernel,
-};
+use crate::criticality::{fold_mode_damages, AnalysisOptions, Criticality};
+use crate::graph_analysis::{sweep_blocks, AnalysisError, ModeTrace, ReachKernel};
 use crate::par::Parallelism;
 use crate::plan::AnalysisPlan;
 use crate::report::CriticalitySummary;
@@ -201,20 +199,6 @@ pub struct DeltaReport {
     pub total_damage: u64,
 }
 
-/// Aggregated (unmasked) per-primitive damage components.
-#[derive(Clone, Copy, Debug, Default)]
-struct PrimAgg {
-    obs: u64,
-    set: u64,
-    important: bool,
-}
-
-impl PrimAgg {
-    fn total(self) -> u64 {
-        self.obs.saturating_add(self.set)
-    }
-}
-
 /// A stateful incremental criticality engine. See the [module docs](self).
 ///
 /// Construct with [`Workspace::builder`] (an
@@ -232,13 +216,12 @@ pub struct Workspace {
     parallelism: Parallelism,
     cancel: CancelToken,
     kernel: ReachKernel,
-    /// Node index → position in the plan's primitives (`u32::MAX` for
-    /// non-primitives).
-    prim_pos: Vec<u32>,
     /// The last evaluated trace of each mode, indexed like the plan's mode
     /// table.
     modes: Vec<ModeTrace>,
-    agg: Vec<PrimAgg>,
+    /// The traces folded per primitive, before hardened and excluded
+    /// primitives are masked.
+    unmasked: Criticality,
     hardened: Vec<bool>,
     excluded: Vec<bool>,
     /// The ambient broken set, ascending by node id (deterministic compose
@@ -296,12 +279,9 @@ impl Workspace {
         assert_eq!(plan.policy(), options.sib_policy, "workspace plan under another SIB policy");
         cancel.check()?;
         let kernel = plan.kernel(&net, &spec)?;
-        let mut prim_pos = vec![u32::MAX; net.node_count()];
-        for (pos, &j) in plan.primitives().iter().enumerate() {
-            prim_pos[j.index()] = pos as u32;
-        }
         Ok(Self {
-            agg: vec![PrimAgg::default(); plan.primitives().len()],
+            // Empty until the initial sweep folds its traces.
+            unmasked: Criticality::zeroed(0, Vec::new()),
             hardened: vec![false; net.node_count()],
             excluded: vec![false; net.node_count()],
             net,
@@ -311,7 +291,6 @@ impl Workspace {
             parallelism,
             cancel,
             kernel,
-            prim_pos,
             modes: Vec::new(),
             excluded_list: Vec::new(),
             undo: Vec::new(),
@@ -360,19 +339,12 @@ impl Workspace {
         self.reaggregate();
     }
 
-    /// Re-derives every primitive's aggregate from the cached mode traces,
-    /// through the same [`aggregate`] as the tree analysis so ties and
-    /// truncating means resolve identically.
+    /// Re-derives every primitive's damage from the cached mode traces,
+    /// through the same fold as [`analyze_graph`](crate::analyze_graph), so
+    /// ties and truncating means resolve identically.
     fn reaggregate(&mut self) {
-        let mut modes: Vec<Mode> = Vec::new();
-        for (pos, group) in self.plan.table().groups().enumerate() {
-            let slice = &self.modes[group];
-            modes.clear();
-            modes.extend(slice.iter().map(|m| Mode { obs: m.obs_damage, set: m.set_damage }));
-            let a = aggregate(self.options.mode, &modes);
-            let important = slice.iter().any(|m| m.affects_important);
-            self.agg[pos] = PrimAgg { obs: a.obs, set: a.set, important };
-        }
+        let modes = &self.modes;
+        self.unmasked = fold_mode_damages(&self.plan, self.options.mode, |m| modes[m].damage);
     }
 
     /// The workspace's network.
@@ -460,33 +432,30 @@ impl Workspace {
     /// excluded primitives, the aggregated mode damage otherwise.
     #[must_use]
     pub fn damage(&self, j: NodeId) -> u64 {
-        let pos = self.prim_pos[j.index()];
-        if pos == u32::MAX || self.masked(j) {
+        if self.masked(j) {
             0
         } else {
-            self.agg[pos as usize].total()
+            self.unmasked.damage(j)
         }
     }
 
     /// The observability component of [`damage`](Self::damage).
     #[must_use]
     pub fn obs_damage(&self, j: NodeId) -> u64 {
-        let pos = self.prim_pos[j.index()];
-        if pos == u32::MAX || self.masked(j) {
+        if self.masked(j) {
             0
         } else {
-            self.agg[pos as usize].obs
+            self.unmasked.obs_damage(j)
         }
     }
 
     /// The settability component of [`damage`](Self::damage).
     #[must_use]
     pub fn set_damage(&self, j: NodeId) -> u64 {
-        let pos = self.prim_pos[j.index()];
-        if pos == u32::MAX || self.masked(j) {
+        if self.masked(j) {
             0
         } else {
-            self.agg[pos as usize].set
+            self.unmasked.set_damage(j)
         }
     }
 
@@ -494,8 +463,7 @@ impl Workspace {
     /// instrument.
     #[must_use]
     pub fn affects_important(&self, j: NodeId) -> bool {
-        let pos = self.prim_pos[j.index()];
-        pos != u32::MAX && !self.masked(j) && self.agg[pos as usize].important
+        !self.masked(j) && self.unmasked.affects_important(j)
     }
 
     fn masked(&self, j: NodeId) -> bool {
@@ -509,33 +477,13 @@ impl Workspace {
         self.plan.primitives().iter().fold(0u64, |acc, &j| acc.saturating_add(self.damage(j)))
     }
 
-    /// The damage vector as a [`GraphCriticality`]. On a fresh workspace
-    /// this is bit-identical to [`analyze_graph`](crate::analyze_graph).
-    #[must_use]
-    pub fn graph_criticality(&self) -> GraphCriticality {
-        let mut damage = vec![0u64; self.net.node_count()];
-        for &j in self.plan.primitives() {
-            damage[j.index()] = self.damage(j);
-        }
-        GraphCriticality::from_parts(damage, self.plan.primitives().to_vec())
-    }
-
     /// The current per-primitive damages as a [`Criticality`] (obs/set
-    /// split and importance flags included).
+    /// split and importance flags included), hardened and excluded
+    /// primitives masked. On a fresh workspace this is bit-identical to
+    /// [`analyze_graph`](crate::analyze_graph).
     #[must_use]
     pub fn criticality(&self) -> Criticality {
-        let n = self.net.node_count();
-        let mut damage = vec![0u64; n];
-        let mut obs = vec![0u64; n];
-        let mut set = vec![0u64; n];
-        let mut important = vec![false; n];
-        for &j in self.plan.primitives() {
-            damage[j.index()] = self.damage(j);
-            obs[j.index()] = self.obs_damage(j);
-            set[j.index()] = self.set_damage(j);
-            important[j.index()] = self.affects_important(j);
-        }
-        Criticality::from_parts(damage, obs, set, important, self.plan.primitives().to_vec())
+        self.unmasked.masked(|j| self.masked(j))
     }
 
     /// A ranked [`CriticalitySummary`] of the current state.
@@ -657,10 +605,9 @@ impl Workspace {
                 let kernel = &self.kernel;
                 let mut recomputed = 0usize;
                 for m in &mut self.modes {
-                    let (o, s) = kernel.lost_damages(&m.lost);
-                    if o != m.obs_damage || s != m.set_damage {
-                        m.obs_damage = o;
-                        m.set_damage = s;
+                    let (obs, set) = kernel.lost_damages(&m.lost);
+                    if (obs, set) != (m.damage.obs, m.damage.set) {
+                        (m.damage.obs, m.damage.set) = (obs, set);
                         recomputed += 1;
                     }
                 }
@@ -718,9 +665,10 @@ impl Workspace {
     }
 
     fn check_primitive(&self, j: NodeId) -> Result<(), WorkspaceError> {
-        match self.prim_pos.get(j.index()) {
-            Some(&pos) if pos != u32::MAX => Ok(()),
-            _ => Err(WorkspaceError::InvalidDelta(format!("node {j} is not a scan primitive"))),
+        if self.plan.primitives().binary_search(&j).is_ok() {
+            Ok(())
+        } else {
+            Err(WorkspaceError::InvalidDelta(format!("node {j} is not a scan primitive")))
         }
     }
 
@@ -793,7 +741,7 @@ mod tests {
     }
 
     /// The from-scratch sequential sweep a workspace must match.
-    fn sweep(net: &ScanNetwork, spec: &CriticalitySpec) -> GraphCriticality {
+    fn sweep(net: &ScanNetwork, spec: &CriticalitySpec) -> Criticality {
         let options = AnalysisOptions::default();
         let plan = AnalysisPlan::new(net, options.sib_policy);
         let (seq, none) = (Parallelism::sequential(), &CancelToken::none());
@@ -815,7 +763,7 @@ mod tests {
         let expected = sweep(&net, &spec);
         for threads in [1usize, 4] {
             let ws = workspace(net.clone(), threads);
-            let got = ws.graph_criticality();
+            let got = ws.criticality();
             assert_eq!(got.primitives(), expected.primitives());
             for &j in got.primitives() {
                 assert_eq!(got.damage(j), expected.damage(j), "primitive {j} ({threads} threads)");
@@ -828,7 +776,7 @@ mod tests {
     fn harden_masks_and_undo_restores() {
         let mut ws = workspace(demo_net(), 1);
         let before = ws.total_damage();
-        let j = ws.graph_criticality().primitives()[0];
+        let j = ws.criticality().primitives()[0];
         let d = ws.damage(j);
         assert!(d > 0, "demo net has damage everywhere");
         let report = ws.harden(j).expect("harden");
@@ -845,7 +793,7 @@ mod tests {
     #[test]
     fn double_harden_is_rejected_and_leaves_state_unchanged() {
         let mut ws = workspace(demo_net(), 1);
-        let j = ws.graph_criticality().primitives()[0];
+        let j = ws.criticality().primitives()[0];
         ws.harden(j).expect("first harden");
         let before = ws.total_damage();
         let err = ws.harden(j).expect_err("double harden");
@@ -875,10 +823,10 @@ mod tests {
         ws.edit(WorkspaceDelta::SetWeights { instrument: i, obs: u64::MAX, set: u64::MAX })
             .expect("edit");
         let expected = sweep(ws.network(), ws.spec());
-        assert_eq!(ws.graph_criticality(), expected, "incremental == full sweep");
+        assert_eq!(ws.criticality(), expected, "incremental == full sweep");
         assert_eq!(ws.total_damage(), expected.total_damage());
         let rebuilt = ws.rebuilt().expect("rebuild");
-        assert_eq!(rebuilt.graph_criticality(), expected, "rebuild == full sweep");
+        assert_eq!(rebuilt.criticality(), expected, "rebuild == full sweep");
     }
 
     #[test]

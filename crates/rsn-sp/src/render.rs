@@ -1,5 +1,7 @@
 //! ASCII rendering of decomposition trees (Fig. 3 style).
 
+use std::io::{self, Write};
+
 use rsn_model::ScanNetwork;
 
 use crate::tree::{DecompTree, Leaf, TreeNode};
@@ -28,13 +30,36 @@ use crate::tree::{DecompTree, Leaf, TreeNode};
 pub fn render_tree(
     tree: &DecompTree,
     net: &ScanNetwork,
-    mut annotate: impl FnMut(Leaf) -> Option<String>,
+    annotate: impl FnMut(Leaf) -> Option<String>,
 ) -> String {
-    let mut out = String::new();
-    // Iterative pre-order with explicit prefixes to stay safe on deep trees.
-    // The bool marks the root, which gets neither connector nor indentation.
-    let mut stack = vec![(tree.root(), String::new(), true, true)];
-    while let Some((id, prefix, is_last, is_root)) = stack.pop() {
+    let mut out = Vec::new();
+    write_tree(tree, net, annotate, &mut out).expect("writing to a Vec never fails");
+    String::from_utf8(out).expect("labels are UTF-8")
+}
+
+/// [`render_tree`] streamed into `out`, line by line.
+///
+/// A line carries its node's whole indentation, so the rendering of a
+/// deep tree grows with the square of its depth (a 20k-segment SIB tower
+/// renders to gigabytes); streaming keeps memory bounded by one line.
+///
+/// # Errors
+///
+/// The first error `out` returns.
+pub fn write_tree(
+    tree: &DecompTree,
+    net: &ScanNetwork,
+    mut annotate: impl FnMut(Leaf) -> Option<String>,
+    out: &mut impl Write,
+) -> io::Result<()> {
+    // Iterative pre-order over one shared indentation buffer: each entry
+    // carries the length of its node's prefix, and every node pushed after
+    // it (its left sibling's subtree) only writes past that length. The
+    // bool marks the root, which gets neither connector nor indentation.
+    let mut prefix = String::new();
+    let mut stack = vec![(tree.root(), 0, true, true)];
+    while let Some((id, prefix_len, is_last, is_root)) = stack.pop() {
+        prefix.truncate(prefix_len);
         let connector = if is_root {
             ""
         } else if is_last {
@@ -58,23 +83,19 @@ pub fn render_tree(
                 format!("P (closed by {})", net.node(mux).label(mux))
             }
         };
-        out.push_str(&format!("{prefix}{connector}{label}\n"));
+        writeln!(out, "{prefix}{connector}{label}")?;
         if let TreeNode::Series { left, right } | TreeNode::Parallel { left, right, .. } =
             tree.node(id)
         {
-            let child_prefix = if is_root {
-                String::new()
-            } else if is_last {
-                format!("{prefix}    ")
-            } else {
-                format!("{prefix}|   ")
-            };
+            if !is_root {
+                prefix.push_str(if is_last { "    " } else { "|   " });
+            }
             // Push right first so the left child renders first.
-            stack.push((right, child_prefix.clone(), true, false));
-            stack.push((left, child_prefix, false, false));
+            stack.push((right, prefix.len(), true, false));
+            stack.push((left, prefix.len(), false, false));
         }
     }
-    out
+    Ok(())
 }
 
 #[cfg(test)]

@@ -33,6 +33,21 @@ if grep -rn --include='*.rs' 'analyze_graph_with(' crates tests examples |
     exit 1
 fi
 
+echo "==> Vec<bool> reference oracle: no callers in library or binary code"
+# `graph_analysis::reference` is the lane engine's differential oracle:
+# tests and benches call it, production code does not. Every source under
+# crates/*/src is scanned outside its top-level `#[cfg(test)]` items (from
+# the attribute to the next closing brace in column 0); only the file that
+# defines the oracle may name it.
+if awk 'FNR == 1 { in_tests = 0 }
+        /^#\[cfg\(test\)\]/ { in_tests = 1 }
+        in_tests && /^}/ { in_tests = 0; next }
+        !in_tests && /(^|[^[:alnum:]_])reference::/ { print FILENAME ":" FNR ": " $0; found = 1 }
+        END { exit !found }' $(find crates/*/src -name '*.rs' ! -path crates/core/src/graph_analysis.rs); then
+    echo "graph_analysis::reference is a test oracle; production code must not call it" >&2
+    exit 1
+fi
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 

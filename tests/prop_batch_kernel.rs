@@ -8,7 +8,7 @@
 //! across specs must sweep exactly like a throw-away plan per call.
 
 use proptest::prelude::*;
-use robust_rsn::graph_analysis::{double_fault_pair_damages, reference};
+use robust_rsn::graph_analysis::{double_fault_pair_damages, reference, visit_traced_modes};
 use robust_rsn::{
     analyze_graph, analyze_mode_range, analyze_mode_range_with_cancel,
     criticality_from_mode_damages, double_fault_damage, merge_mode_damages, mode_count,
@@ -193,7 +193,7 @@ fn reference_fault_set_damage(net: &ScanNetwork, spec: &CriticalitySpec, faults:
                 frozen.push((m, rest % r));
                 rest /= r;
             }
-            reference::mode_damage(net, spec, &broken, &frozen)
+            reference::mode_damage(net, spec, &broken, &frozen).total()
         })
         .max()
         .unwrap()
@@ -301,11 +301,24 @@ fn cancellation_interrupts_batched_sweeps() {
 /// The `scripts/check.sh` differential smoke: on the p34392 Table I design
 /// (529 fault modes — eight full 64-lane blocks plus a partial ninth), the
 /// batched sweep must be bit-identical to the reference at one and four
-/// threads.
+/// threads, and under both SIB policies every mode's traced damage — what
+/// the what-if workspace and the validation campaign read — must equal the
+/// reference's damage of that mode.
 #[test]
 fn batch_matches_reference_on_p34392() {
     let bench = by_name("p34392").expect("p34392 is a registered Table I design");
     let (net, _) = bench.generate().build(bench.name).unwrap();
     let spec = CriticalitySpec::paper_random(&net, &PaperSpecParams::default(), 2022);
     assert_batch_matches_reference(&net, &spec, &AnalysisOptions::default());
+    for policy in [SibCellPolicy::Combined, SibCellPolicy::SegmentOnly] {
+        let plan = AnalysisPlan::new(&net, policy);
+        let mut modes = 0;
+        visit_traced_modes(&plan, &net, &spec, Parallelism::new(2), |broken, frozen, traced| {
+            let want = reference::mode_damage(&net, &spec, broken, frozen);
+            assert_eq!(traced, want, "{policy:?} mode {modes}: {broken:?} {frozen:?}");
+            modes += 1;
+        })
+        .unwrap();
+        assert_eq!(modes, plan.mode_count(), "{policy:?}: every mode visited");
+    }
 }

@@ -8,14 +8,14 @@
 use proptest::prelude::*;
 use robust_rsn::graph_analysis::{reference, ReachKernel};
 use robust_rsn::{
-    analyze_graph, oracle_damage, AnalysisOptions, AnalysisPlan, CancelToken, CriticalitySpec,
-    GraphCriticality, ModeAggregation, PaperSpecParams, Parallelism, SibCellPolicy,
+    analyze_graph, oracle_damage, AnalysisOptions, AnalysisPlan, CancelToken, Criticality,
+    CriticalitySpec, ModeAggregation, PaperSpecParams, Parallelism, SibCellPolicy,
 };
 use rsn_benchmarks::{random_structure, RandomParams};
 use rsn_model::{ControlSource, InstrumentKind, NetworkBuilder, NodeId, ScanNetwork, Segment};
 
 /// The sequential, uncancelled lane sweep.
-fn sweep(net: &ScanNetwork, spec: &CriticalitySpec, options: &AnalysisOptions) -> GraphCriticality {
+fn sweep(net: &ScanNetwork, spec: &CriticalitySpec, options: &AnalysisOptions) -> Criticality {
     let plan = AnalysisPlan::new(net, options.sib_policy);
     let (seq, none) = (Parallelism::sequential(), &CancelToken::none());
     analyze_graph(&plan, net, spec, options.mode, seq, none).unwrap()
@@ -221,7 +221,7 @@ proptest! {
             kernel.push_mode(&mut scratch, &broken, &frozen);
             let lane = kernel.eval_damages(&mut scratch);
             prop_assert_eq!(
-                lane[0].total(),
+                lane[0],
                 reference::mode_damage(&net, &weights, &broken, &frozen),
                 "broken {:?} frozen {:?}", broken, frozen
             );
